@@ -16,12 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import JudgmentPair, JudgmentSet, RelevanceScale, RunRanking
-from .disagreement import (
-    DisagreementTable,
-    UserModel,
-    estimate_one_sided,
-    estimate_symmetric,
-)
+from .disagreement import UserModel, estimate
 from .errors import DataWarning, EstimationError, MetricError, ValidationError
 from .metrics import DiscountFunction, GainScheme, MetricReport, ndcg_at_k
 
@@ -32,6 +27,7 @@ __all__ = [
     "LevelSeries",
     "kendall_tau",
     "rank_systems",
+    "rank_by_ndcg",
     "bootstrap_topics",
     "simulate_annotation_rounds",
     "quality_sensitivity",
@@ -143,20 +139,6 @@ def kendall_tau(a: SystemRanking, b: SystemRanking, *, variant: str = "b") -> fl
     return c_minus_d / math.sqrt((n0 - n1) * (n0 - n2))
 
 
-def _estimate(
-    pairs: Sequence[JudgmentPair],
-    user_model: UserModel,
-    scale: RelevanceScale,
-    estimator: str,
-    condition: str,
-) -> DisagreementTable:
-    if estimator == "symmetric":
-        return estimate_symmetric(pairs, user_model, scale)
-    if estimator == "one_sided":
-        return estimate_one_sided(pairs, user_model, scale, condition=condition)
-    raise ValidationError(f"unknown estimator {estimator!r}")
-
-
 def _check_seed(seed: int) -> int:
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
@@ -265,7 +247,9 @@ def bootstrap_topics(
         resampled: list[JudgmentPair] = []
         for t in drawn:
             resampled.extend(by_topic[topics[t]])
-        table = _estimate(resampled, user_model, scale, estimator, condition)
+        table = estimate(
+            resampled, user_model, scale, estimator=estimator, condition=condition
+        )
         for cell in table.cells:
             if cell.defined:
                 samples[cell.level].append(cell.p)
@@ -391,7 +375,9 @@ def simulate_annotation_rounds(
         draw = rng.integers(0, len(pool), size=kept[-1])
         for b in kept:
             sampled = [pool[i] for i in draw[:b]]
-            table = _estimate(sampled, user_model, scale, estimator, condition)
+            table = estimate(
+                sampled, user_model, scale, estimator=estimator, condition=condition
+            )
             for cell in table.cells:
                 if cell.defined:
                     per_round[(b, cell.level)].append(cell.p)
@@ -503,7 +489,9 @@ def quality_sensitivity(
                 stds[lvl].append(None)
                 counts_defined[lvl].append(0)
             continue
-        table = _estimate(subset, user_model, scale, estimator, condition)
+        table = estimate(
+            subset, user_model, scale, estimator=estimator, condition=condition
+        )
         for cell in table.cells:
             means[cell.level].append(cell.p)
             stds[cell.level].append(cell.sigma)
@@ -520,15 +508,21 @@ def quality_sensitivity(
     return SensitivityCurve("top_k_resources", tuple(ks), series)
 
 
-def _rank_by_ndcg(
+def rank_by_ndcg(
     runs: Sequence[RunRanking],
     judgments: JudgmentSet | Mapping[str, Mapping[str, int]],
     scheme: GainScheme,
     discount: DiscountFunction,
     k: int,
+    *,
+    strict: bool = False,
+    ideal_pool: str = "qrels",
 ) -> SystemRanking:
+    """Rank runs by mean nDCG@k; ``strict`` and ``ideal_pool`` as in ndcg_at_k."""
     scores = {
-        run.system_id: ndcg_at_k(run, judgments, scheme, discount, k).mean
+        run.system_id: ndcg_at_k(
+            run, judgments, scheme, discount, k, strict=strict, ideal_pool=ideal_pool
+        ).mean
         for run in runs
     }
     return SystemRanking.from_scores(f"ndcg_{scheme.name}@{k}", scores)
@@ -543,12 +537,15 @@ def robustness_study(
     discount: DiscountFunction | None = None,
     *,
     variant: str = "b",
+    strict: bool = False,
+    ideal_pool: str = "qrels",
 ) -> dict[str, float]:
     """How stable each gain scheme's system ranking is across assessors.
 
     Scores every run twice, once against each assessor group's judgments
     (the gain vectors stay fixed), ranks systems by mean nDCG@k, and
     reports the rank correlation between the two rankings per scheme.
+    ``strict`` and ``ideal_pool`` are passed to ndcg_at_k.
     """
     if len(runs) < 2:
         raise ValidationError("need at least 2 runs to correlate rankings")
@@ -559,8 +556,12 @@ def robustness_study(
     out: dict[str, float] = {}
     for name in schemes:
         scheme = schemes[name]
-        rank_u1 = _rank_by_ndcg(runs, set_u1, scheme, discount, k)
-        rank_u2 = _rank_by_ndcg(runs, set_u2, scheme, discount, k)
+        rank_u1 = rank_by_ndcg(
+            runs, set_u1, scheme, discount, k, strict=strict, ideal_pool=ideal_pool
+        )
+        rank_u2 = rank_by_ndcg(
+            runs, set_u2, scheme, discount, k, strict=strict, ideal_pool=ideal_pool
+        )
         out[name] = kendall_tau(rank_u1, rank_u2, variant=variant)
     return out
 
@@ -581,7 +582,7 @@ def scheme_agreement(
         raise ValidationError("need at least 2 schemes to compare")
     discount = discount or DiscountFunction.log(2.0)
     rankings = {
-        name: _rank_by_ndcg(runs, judgments, schemes[name], discount, k)
+        name: rank_by_ndcg(runs, judgments, schemes[name], discount, k)
         for name in schemes
     }
     names = sorted(schemes)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 from . import analysis, corpus, disagreement, metrics
@@ -43,97 +43,6 @@ _MEASURES = ("count-binary", "count-prm", "precision", "ndcg")
 _GAIN_NAMES = ("binary", "linear", "exponential", "prm", "udm", "custom")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation parameters (config file merged, flags winning)."""
-
-    command: str
-    kind: str | None = None
-    scale: str | None = None
-    qrels: str | None = None
-    qrels2: str | None = None
-    pairs: str | None = None
-    runs: tuple[str, ...] = ()
-    theta: int | None = None
-    estimator: str = "symmetric"
-    condition: str = "u1"
-    one_sided_collection: bool = False
-    gains: tuple[str, ...] = ()
-    custom_gains: str | None = None
-    table: str | None = None
-    discount: str = "log"
-    log_base: float = 2.0
-    k: int = 10
-    seed: int | None = None
-    strata: str | None = None
-    override_p0: bool = False
-    fmt: str = "text"
-    out: str | None = None
-    resamples: int = 300
-    rounds: int = 50
-    budgets: str | None = None
-    resource_map: str | None = None
-    resource_regex: str | None = None
-    measures: tuple[str, ...] = ("ndcg",)
-    ideal_pool: str = "qrels"
-    strict: bool = False
-    tau_variant: str = "b"
-    intent_field: bool = False
-    intents: str | None = None
-    top_intent_only: bool = False
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        def split(value: str | None, what: str, allowed: tuple[str, ...]) -> tuple[str, ...]:
-            if not value:
-                return ()
-            items = tuple(v.strip() for v in value.split(",") if v.strip())
-            for item in items:
-                if item not in allowed:
-                    raise ValidationError(
-                        f"unknown {what} {item!r}; choose from {', '.join(allowed)}"
-                    )
-            return items
-
-        return cls(
-            command=args.command,
-            kind=getattr(args, "kind", None),
-            scale=args.scale,
-            qrels=getattr(args, "qrels", None),
-            qrels2=getattr(args, "qrels2", None),
-            pairs=getattr(args, "pairs", None),
-            runs=tuple(getattr(args, "run", None) or ()),
-            theta=getattr(args, "theta", None),
-            estimator=getattr(args, "estimator", "symmetric"),
-            condition=getattr(args, "condition", "u1"),
-            one_sided_collection=getattr(args, "one_sided_collection", False),
-            gains=split(getattr(args, "gains", None), "gain scheme", _GAIN_NAMES),
-            custom_gains=getattr(args, "custom_gains", None),
-            table=getattr(args, "table", None),
-            discount=getattr(args, "discount", "log"),
-            log_base=getattr(args, "log_base", 2.0),
-            k=getattr(args, "k", 10),
-            seed=getattr(args, "seed", None),
-            strata=getattr(args, "strata", None),
-            override_p0=getattr(args, "override_p0", False),
-            fmt=getattr(args, "format", "text"),
-            out=getattr(args, "out", None),
-            resamples=getattr(args, "resamples", 300),
-            rounds=getattr(args, "rounds", 50),
-            budgets=getattr(args, "budgets", None),
-            resource_map=getattr(args, "resource_map", None),
-            resource_regex=getattr(args, "resource_regex", None),
-            measures=split(getattr(args, "measures", None), "measure", _MEASURES)
-            or ("ndcg",),
-            ideal_pool=getattr(args, "ideal_pool", "qrels"),
-            strict=getattr(args, "strict", False),
-            tau_variant=getattr(args, "tau_variant", "b"),
-            intent_field=getattr(args, "intent_field", False),
-            intents=getattr(args, "intents", None),
-            top_intent_only=getattr(args, "top_intent_only", False),
-        )
-
-
 class _Parser(argparse.ArgumentParser):
     # exit 1 on usage errors; exit 2 stays reserved for I/O failures
     def error(self, message: str):
@@ -151,10 +60,6 @@ def _add_io_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write output to this file instead of stdout")
 
 
-def _add_scale_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scale", help="JSON descriptor of the assessment scale")
-
-
 def _add_double_judgment_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pairs", help="paired judgments: topic doc level_u1 level_u2")
     p.add_argument("--qrels", help="qrels of the first assessor group")
@@ -167,7 +72,7 @@ def _add_double_judgment_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_estimator_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theta", type=int, help="user-relevance threshold (1..T)")
+    p.add_argument("--theta", type=int, help="user-relevance threshold (1..T; default: T)")
     p.add_argument(
         "--estimator", choices=("symmetric", "one-sided", "all"),
         default="symmetric",
@@ -183,16 +88,23 @@ def _add_estimator_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_gain_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--gains", default=None,
-        help="comma list from: " + ", ".join(_GAIN_NAMES),
-    )
+def _add_scoring_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--run", action="append", help="run file (repeatable)")
+    p.add_argument("--gains", help="comma list from: " + ", ".join(_GAIN_NAMES))
     p.add_argument("--custom-gains", help="comma list of per-level gains")
     p.add_argument("--table", help="JSON disagreement table for prm/udm gains")
     p.add_argument("--discount", choices=("log", "zipf"), default="log")
     p.add_argument("--log-base", type=float, default=2.0)
     p.add_argument("--k", type=int, default=10, help="rank cutoff")
+    p.add_argument(
+        "--ideal-pool", choices=("qrels", "run"), default="qrels",
+        help="pool for the ideal DCG: judged docs plus the run's "
+        "unjudged retrieved docs, or the run's own docs only",
+    )
+    p.add_argument(
+        "--strict", action="store_true",
+        help="error on run topics without judgments instead of skipping",
+    )
 
 
 def _add_intent_args(p: argparse.ArgumentParser) -> None:
@@ -216,73 +128,31 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
-    sub_map: dict[str, argparse.ArgumentParser] = {}
 
-    est = sub.add_parser(
-        "estimate",
-        help="estimate p(R|i) from double judgments",
-        epilog=FORMULAS,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    _add_scale_arg(est)
-    _add_double_judgment_args(est)
-    _add_estimator_args(est)
-    _add_intent_args(est)
+    def command(name: str, help: str, *groups) -> argparse.ArgumentParser:
+        p = sub.add_parser(
+            name, help=help, epilog=FORMULAS,
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+        )
+        p.add_argument("--scale", help="JSON descriptor of the assessment scale")
+        for add in (_add_double_judgment_args, *groups, _add_intent_args, _add_io_args):
+            add(p)
+        return p
+
+    est = command("estimate", "estimate p(R|i) from double judgments", _add_estimator_args)
     est.add_argument("--strata", help="topic->stratum map; estimate per stratum")
-    _add_io_args(est)
-    sub_map["estimate"] = est
 
-    ev = sub.add_parser(
-        "eval",
-        help="score runs: counts, expected precision, nDCG@k",
-        epilog=FORMULAS,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    _add_scale_arg(ev)
-    ev.add_argument("--qrels", help="qrels used for scoring")
-    ev.add_argument("--qrels2", help="second-group qrels (to estimate prm/udm gains)")
-    ev.add_argument("--pairs", help="paired judgments (to estimate prm/udm gains)")
-    ev.add_argument(
-        "--one-sided-collection", action="store_true",
-        help="second round judged only first-round positives; "
-        "forbids the symmetric estimator",
-    )
-    ev.add_argument("--run", action="append", help="run file (repeatable)")
-    _add_estimator_args(ev)
-    _add_gain_args(ev)
-    _add_intent_args(ev)
-    ev.add_argument(
-        "--measures", default=None,
-        help="comma list from: " + ", ".join(_MEASURES) + " (default: ndcg)",
+    ev = command(
+        "eval", "score runs: counts, expected precision, nDCG@k",
+        _add_estimator_args, _add_scoring_args,
     )
     ev.add_argument(
-        "--ideal-pool", choices=("qrels", "run"), default="qrels",
-        help="pool for the ideal DCG: judged docs plus the run's "
-        "unjudged retrieved docs, or the run's own docs only",
+        "--measures", default="ndcg",
+        help="comma list from: " + ", ".join(_MEASURES) + " (default: %(default)s)",
     )
-    ev.add_argument(
-        "--strict", action="store_true",
-        help="error on run topics without judgments instead of skipping",
-    )
-    _add_io_args(ev)
-    sub_map["eval"] = ev
 
-    an = sub.add_parser(
-        "analyze",
-        help="tau | bootstrap | budget | quality | robustness",
-        epilog=FORMULAS,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    an.add_argument(
-        "kind", choices=("tau", "bootstrap", "budget", "quality", "robustness"),
-        help="which analysis to run",
-    )
-    _add_scale_arg(an)
-    _add_double_judgment_args(an)
-    an.add_argument("--run", action="append", help="run file (repeatable)")
-    _add_estimator_args(an)
-    _add_gain_args(an)
-    _add_intent_args(an)
+    an = command("analyze", " | ".join(_ANALYSES), _add_estimator_args, _add_scoring_args)
+    an.add_argument("kind", choices=tuple(_ANALYSES), help="which analysis to run")
     an.add_argument("--seed", type=int, help="RNG seed (required when resampling)")
     an.add_argument("--resamples", type=int, default=300, help="bootstrap resamples")
     an.add_argument("--rounds", type=int, default=50, help="simulated annotation rounds")
@@ -293,25 +163,57 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         help="regex whose first group extracts the resource from a doc id",
     )
     an.add_argument("--tau-variant", choices=("a", "b"), default="b")
-    an.add_argument(
-        "--strict", action="store_true",
-        help="error on run topics without judgments instead of skipping",
-    )
-    an.add_argument(
-        "--ideal-pool", choices=("qrels", "run"), default="qrels",
-    )
-    _add_io_args(an)
-    sub_map["analyze"] = an
 
-    val = sub.add_parser("validate", help="parse inputs and report, compute nothing")
-    _add_scale_arg(val)
-    _add_double_judgment_args(val)
+    val = command("validate", "parse inputs and report, compute nothing")
     val.add_argument("--run", action="append", help="run file (repeatable)")
-    _add_intent_args(val)
-    _add_io_args(val)
-    sub_map["validate"] = val
 
-    return parser, sub_map
+    return parser, dict(sub.choices)
+
+
+def _split(value: str, what: str, allowed: tuple[str, ...]) -> tuple[str, ...]:
+    items = tuple(v.strip() for v in value.split(",") if v.strip())
+    if not items:
+        raise ValidationError(f"no {what} in {value!r}")
+    for item in items:
+        if item not in allowed:
+            raise ValidationError(
+                f"unknown {what} {item!r}; choose from {', '.join(allowed)}"
+            )
+    return items
+
+
+def _numbers(value: str, flag: str, kind: type) -> list:
+    try:
+        return [kind(v) for v in value.split(",") if v.strip()]
+    except ValueError:
+        raise ValidationError(
+            f"{flag} takes a comma list of {kind.__name__} values, got {value!r}"
+        ) from None
+
+
+def _check_args(args: argparse.Namespace) -> None:
+    """Parse the comma-list flags and normalise the estimator name, in place.
+
+    Runs once, before any input is read, so every handler sees parsed
+    values and a malformed flag ends in a ValidationError.
+    """
+    if hasattr(args, "gains"):
+        robustness = getattr(args, "kind", None) == "robustness"
+        default = "binary,linear,exponential" if robustness else "binary"
+        args.gains = _split(args.gains or default, "gain scheme", _GAIN_NAMES)
+    if hasattr(args, "measures"):
+        args.measures = _split(args.measures, "measure", _MEASURES)
+    if getattr(args, "custom_gains", None):
+        args.custom_gains = _numbers(args.custom_gains, "--custom-gains", float)
+    if getattr(args, "budgets", None):
+        args.budgets = _numbers(args.budgets, "--budgets", int)
+    if hasattr(args, "estimator"):
+        # 'all' lists every table in `estimate`; the other commands need a
+        # single table and take the symmetric one.
+        estimator = args.estimator.replace("-", "_")
+        if estimator == "all" and args.command != "estimate":
+            estimator = "symmetric"
+        args.estimator = estimator
 
 
 def _load_config(path: str) -> dict:
@@ -347,154 +249,123 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _load_scale(cfg: RunConfig) -> corpus.RelevanceScale:
-    if not cfg.scale:
+def _load_scale(args: argparse.Namespace) -> corpus.RelevanceScale:
+    if not args.scale:
         raise ValidationError("--scale is required")
-    return corpus.parse_scale(_read_text(cfg.scale))
+    return corpus.parse_scale(_read_text(args.scale))
 
 
 def _load_qrels(
-    cfg: RunConfig, path: str, scale: corpus.RelevanceScale, group: str
+    args: argparse.Namespace, path: str, scale: corpus.RelevanceScale, group: str
 ) -> corpus.JudgmentSet:
     js = corpus.parse_qrels(
-        _read_lines(path), scale, group, intent_field=cfg.intent_field
+        _read_lines(path), scale, group, intent_field=args.intent_field
     )
-    if cfg.top_intent_only:
-        if not cfg.intents:
+    if args.top_intent_only:
+        if not args.intents:
             raise ValidationError("--top-intent-only needs --intents")
-        probs = corpus.parse_intent_probabilities(_read_lines(cfg.intents))
+        probs = corpus.parse_intent_probabilities(_read_lines(args.intents))
         js = corpus.select_top_intent(js, probs)
     return js
 
 
-def _load_pairs(
-    cfg: RunConfig, scale: corpus.RelevanceScale
+def _pairs_or_overlap(
+    args: argparse.Namespace, scale: corpus.RelevanceScale
 ) -> list[corpus.JudgmentPair]:
-    if cfg.pairs and cfg.qrels2:
-        raise ValidationError(
-            "double judgments must come from exactly one source: "
-            "--pairs or --qrels + --qrels2"
-        )
-    if cfg.pairs:
-        return corpus.parse_paired(_read_lines(cfg.pairs), scale)
-    if cfg.qrels and cfg.qrels2:
-        u1 = _load_qrels(cfg, cfg.qrels, scale, "u1")
-        u2 = _load_qrels(cfg, cfg.qrels2, scale, "u2")
+    """Double judgments from --pairs, else from the overlap of --qrels and --qrels2."""
+    if args.pairs:
+        return corpus.parse_paired(_read_lines(args.pairs), scale)
+    if args.qrels and args.qrels2:
+        u1 = _load_qrels(args, args.qrels, scale, "u1")
+        u2 = _load_qrels(args, args.qrels2, scale, "u2")
         return list(corpus.pair_judgments(u1, u2).pairs)
     raise ValidationError(
         "no double judgments: supply --pairs or both --qrels and --qrels2"
     )
 
 
-def _load_runs(cfg: RunConfig) -> list[corpus.RunRanking]:
-    if not cfg.runs:
+def _load_pairs(
+    args: argparse.Namespace, scale: corpus.RelevanceScale
+) -> list[corpus.JudgmentPair]:
+    if args.pairs and args.qrels2:
+        raise ValidationError(
+            "double judgments must come from exactly one source: "
+            "--pairs or --qrels + --qrels2"
+        )
+    return _pairs_or_overlap(args, scale)
+
+
+def _load_runs(args: argparse.Namespace) -> list[corpus.RunRanking]:
+    if not args.run:
         raise ValidationError("--run is required")
-    runs = [corpus.parse_run(_read_lines(path)) for path in cfg.runs]
+    runs = [corpus.parse_run(_read_lines(path)) for path in args.run]
     ids = [r.system_id for r in runs]
     if len(set(ids)) != len(ids):
         raise ValidationError(f"duplicate system ids among runs: {sorted(ids)}")
     return sorted(runs, key=lambda r: r.system_id)
 
 
-def _theta(cfg: RunConfig) -> int:
-    if cfg.theta is None:
-        raise ValidationError("--theta is required")
-    return cfg.theta
-
-
-def _estimate_table(
-    cfg: RunConfig,
-    scale: corpus.RelevanceScale,
-    pairs: Sequence[corpus.JudgmentPair],
-    estimator: str,
-    condition: str,
-) -> disagreement.DisagreementTable:
-    model = disagreement.UserModel(_theta(cfg))
-    if estimator == "symmetric":
-        table = disagreement.estimate_symmetric(
-            pairs, model, scale, one_sided_collection=cfg.one_sided_collection
-        )
-    else:
-        table = disagreement.estimate_one_sided(
-            pairs, model, scale, condition=condition
-        )
-    if cfg.override_p0:
-        table = table.with_override(0, 0.0)
-    return table
+def _user_model(
+    args: argparse.Namespace, scale: corpus.RelevanceScale
+) -> disagreement.UserModel:
+    return disagreement.UserModel(scale.top_index if args.theta is None else args.theta)
 
 
 def _resolve_table(
-    cfg: RunConfig, scale: corpus.RelevanceScale
+    args: argparse.Namespace, scale: corpus.RelevanceScale, read_pairs=_load_pairs
 ) -> disagreement.DisagreementTable:
-    if cfg.table:
-        table = disagreement.DisagreementTable.from_json(_read_text(cfg.table))
+    if args.table:
+        table = disagreement.DisagreementTable.from_json(_read_text(args.table))
         if table.scale.labels != scale.labels:
             raise ValidationError(
                 f"table scale {table.scale.labels} != --scale {scale.labels}"
             )
-        if cfg.override_p0:
-            table = table.with_override(0, 0.0)
-        return table
-    estimator = "symmetric" if cfg.estimator in ("symmetric", "all") else "one_sided"
-    pairs = _load_pairs(cfg, scale)
-    return _estimate_table(cfg, scale, pairs, estimator, cfg.condition)
+    else:
+        table = disagreement.estimate(
+            read_pairs(args, scale), _user_model(args, scale), scale,
+            estimator=args.estimator, condition=args.condition,
+            one_sided_collection=args.one_sided_collection,
+        )
+    return table.with_override(0, 0.0) if args.override_p0 else table
 
 
 def _resolve_scheme(
     name: str,
-    cfg: RunConfig,
+    args: argparse.Namespace,
     scale: corpus.RelevanceScale,
     table: disagreement.DisagreementTable | None,
 ) -> metrics.GainScheme:
     top = scale.top_index
     if name == "binary":
-        return metrics.GainScheme.binary(top, _theta(cfg))
+        return metrics.GainScheme.binary(top, _user_model(args, scale).theta)
     if name == "linear":
         return metrics.GainScheme.linear(top)
     if name == "exponential":
         return metrics.GainScheme.exponential(top)
-    if name == "prm":
+    if name in ("prm", "udm"):
         if table is None:
-            raise ValidationError("prm gains need --table or double judgments")
-        return metrics.GainScheme.prm(table)
-    if name == "udm":
-        if table is None:
-            raise ValidationError("udm gains need --table or double judgments")
-        return metrics.GainScheme.udm(table)
+            raise ValidationError(f"{name} gains need --table or double judgments")
+        return getattr(metrics.GainScheme, name)(table)
     if name == "custom":
-        if not cfg.custom_gains:
+        if not args.custom_gains:
             raise ValidationError("custom gains need --custom-gains")
-        vec = [float(x) for x in cfg.custom_gains.split(",")]
-        if len(vec) != top + 1:
+        if len(args.custom_gains) != top + 1:
             raise ValidationError(
-                f"--custom-gains needs {top + 1} values for this scale, got {len(vec)}"
+                f"--custom-gains needs {top + 1} values for this scale, "
+                f"got {len(args.custom_gains)}"
             )
-        return metrics.GainScheme.custom(vec)
+        return metrics.GainScheme.custom(args.custom_gains)
     raise ValidationError(f"unknown gain scheme {name!r}")
 
 
-def _table_source_cfg(cfg: RunConfig) -> RunConfig:
-    # In analyses that rank against two qrels, --qrels2 is a ranking input,
-    # not a double-judgment source; an explicit --pairs wins for the table.
-    return replace(cfg, qrels2=None) if cfg.pairs else cfg
-
-
-def _resolve_discount(cfg: RunConfig) -> metrics.DiscountFunction:
-    if cfg.discount == "zipf":
+def _resolve_discount(args: argparse.Namespace) -> metrics.DiscountFunction:
+    if args.discount == "zipf":
         return metrics.DiscountFunction.zipf()
-    return metrics.DiscountFunction.log(cfg.log_base)
+    return metrics.DiscountFunction.log(args.log_base)
 
 
-def _needs_table(cfg: RunConfig, gains: Sequence[str]) -> bool:
-    return (
-        any(g in ("prm", "udm") for g in gains)
-        or "count-prm" in cfg.measures
-        or "precision" in cfg.measures
-    )
-
-
-def _table_text(table: disagreement.DisagreementTable) -> str:
-    return table.to_text()
+def _needs_table(gains: Sequence[str]) -> bool:
+    return any(g in ("prm", "udm") for g in gains)
 
 
 def _table_csv(tables: dict[str, disagreement.DisagreementTable]) -> str:
@@ -512,51 +383,38 @@ def _table_csv(tables: dict[str, disagreement.DisagreementTable]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_estimate(cfg: RunConfig) -> str:
-    scale = _load_scale(cfg)
-    pairs = _load_pairs(cfg, scale)
-    model = disagreement.UserModel(_theta(cfg))
-
-    def estimate_variants(
-        subset: Sequence[corpus.JudgmentPair],
-    ) -> dict[str, disagreement.DisagreementTable]:
-        out: dict[str, disagreement.DisagreementTable] = {}
-        if cfg.estimator in ("symmetric", "all"):
-            out["symmetric"] = disagreement.estimate_symmetric(
-                subset, model, scale, one_sided_collection=cfg.one_sided_collection
-            )
-        if cfg.estimator == "one-sided":
-            out[f"one_sided_{cfg.condition}"] = disagreement.estimate_one_sided(
-                subset, model, scale, condition=cfg.condition
-            )
-        if cfg.estimator == "all":
-            for cond in ("u1", "u2"):
-                out[f"one_sided_{cond}"] = disagreement.estimate_one_sided(
-                    subset, model, scale, condition=cond
-                )
-        if cfg.override_p0:
-            out = {k: t.with_override(0, 0.0) for k, t in out.items()}
-        return out
-
-    if cfg.strata:
-        strata = corpus.parse_strata(_read_lines(cfg.strata))
-        grouped: dict[str, list[corpus.JudgmentPair]] = {}
-        missing = {p.topic_id for p in pairs} - set(strata)
-        if missing:
-            raise ValidationError(f"topics missing from strata map: {sorted(missing)}")
-        for p in pairs:
-            grouped.setdefault(strata[p.topic_id], []).append(p)
-        per_stratum = {s: estimate_variants(grouped[s]) for s in sorted(grouped)}
+def cmd_estimate(args: argparse.Namespace) -> str:
+    scale = _load_scale(args)
+    pairs = _load_pairs(args, scale)
+    if args.strata:
+        strata = corpus.parse_strata(_read_lines(args.strata))
     else:
-        per_stratum = {"all": estimate_variants(pairs)}
+        strata = dict.fromkeys((p.topic_id for p in pairs), "all")
+    if args.estimator == "all":
+        estimators = [("symmetric", args.condition), ("one_sided", "u1"), ("one_sided", "u2")]
+    else:
+        estimators = [(args.estimator, args.condition)]
+    model = _user_model(args, scale)
 
-    if cfg.fmt == "json":
+    per_stratum: dict[str, dict[str, disagreement.DisagreementTable]] = {}
+    for estimator, condition in estimators:
+        tables = disagreement.stratified_estimate(
+            pairs, strata, model, scale, estimator=estimator,
+            condition=condition, one_sided_collection=args.one_sided_collection,
+        )
+        for stratum, t in tables.items():
+            name = f"one_sided_{t.condition}" if t.condition else t.estimator
+            per_stratum.setdefault(stratum, {})[name] = (
+                t.with_override(0, 0.0) if args.override_p0 else t
+            )
+
+    if args.format == "json":
         payload = {
             stratum: {name: t.to_json_dict() for name, t in variants.items()}
             for stratum, variants in per_stratum.items()
         }
         return _json_dump(payload)
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         flat = {
             (f"{stratum}/{name}" if len(per_stratum) > 1 or len(variants) > 1 else stratum): t
             for stratum, variants in per_stratum.items()
@@ -567,50 +425,56 @@ def cmd_estimate(cfg: RunConfig) -> str:
     for stratum, variants in per_stratum.items():
         for name, t in variants.items():
             header = "" if stratum == "all" and len(per_stratum) == 1 else f"# stratum {stratum}\n"
-            blocks.append(header + _table_text(t))
+            blocks.append(header + t.to_text())
     return "\n".join(blocks)
 
 
-def cmd_eval(cfg: RunConfig) -> str:
-    scale = _load_scale(cfg)
-    if not cfg.qrels:
+def cmd_eval(args: argparse.Namespace) -> str:
+    scale = _load_scale(args)
+    if not args.qrels:
         raise ValidationError("--qrels is required")
-    judged = _load_qrels(cfg, cfg.qrels, scale, "u1")
+    judged = _load_qrels(args, args.qrels, scale, "u1")
     doc_levels = judged.doc_levels()
-    gains = cfg.gains or ("binary",)
-    table = _resolve_table(cfg, scale) if _needs_table(cfg, gains) else None
-    discount = _resolve_discount(cfg)
-    runs = _load_runs(cfg) if ("precision" in cfg.measures or "ndcg" in cfg.measures) else []
+    measures = args.measures
+    table = (
+        _resolve_table(args, scale)
+        if _needs_table(args.gains) or "count-prm" in measures or "precision" in measures
+        else None
+    )
+    discount = _resolve_discount(args)
+    runs = _load_runs(args) if ("precision" in measures or "ndcg" in measures) else []
 
     pool_reports: dict[str, metrics.MetricReport] = {}
-    if "count-binary" in cfg.measures:
-        pool_reports["count_binary"] = metrics.binary_count_report(judged, _theta(cfg))
-    if "count-prm" in cfg.measures:
+    if "count-binary" in measures:
+        pool_reports["count_binary"] = metrics.binary_count_report(
+            judged, _user_model(args, scale).theta
+        )
+    if "count-prm" in measures:
         assert table is not None
         pool_reports["count_prm"] = metrics.expected_count_report(judged, table)
 
     system_reports: dict[str, dict[str, metrics.MetricReport]] = {}
     for run in runs:
         per_run: dict[str, metrics.MetricReport] = {}
-        if "precision" in cfg.measures:
+        if "precision" in measures:
             assert table is not None
             report = metrics.expected_precision_report(
-                run, doc_levels, table, cfg.k, strict=cfg.strict
+                run, doc_levels, table, args.k, strict=args.strict
             )
             per_run[report.label] = report
-        if "ndcg" in cfg.measures:
-            for name in gains:
-                scheme = _resolve_scheme(name, cfg, scale, table)
+        if "ndcg" in measures:
+            for name in args.gains:
+                scheme = _resolve_scheme(name, args, scale, table)
                 report = metrics.ndcg_at_k(
-                    run, doc_levels, scheme, discount, cfg.k,
-                    strict=cfg.strict, ideal_pool=cfg.ideal_pool,
+                    run, doc_levels, scheme, discount, args.k,
+                    strict=args.strict, ideal_pool=args.ideal_pool,
                 )
-                label = "ndcg" if len(gains) == 1 else f"ndcg_{name}"
+                label = "ndcg" if len(args.gains) == 1 else f"ndcg_{name}"
                 report = replace(report, measure=label)
                 per_run[report.label] = report
         system_reports[run.system_id] = per_run
 
-    if cfg.fmt == "json":
+    if args.format == "json":
         payload = {
             "pool": {name: r.to_json_dict() for name, r in pool_reports.items()},
             "systems": {
@@ -619,7 +483,7 @@ def cmd_eval(cfg: RunConfig) -> str:
             },
         }
         return _json_dump(payload)
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         lines = ["system,measure,topic,value"]
         for name, r in pool_reports.items():
             lines += [f"pool,{name},{t},{v!r}" for t, v in r.per_topic]
@@ -645,73 +509,98 @@ def cmd_eval(cfg: RunConfig) -> str:
     return "\n".join(blocks)
 
 
-def _analyze_tau(cfg: RunConfig) -> str:
-    scale = _load_scale(cfg)
-    if not cfg.qrels:
+def _ranking_inputs(
+    args: argparse.Namespace,
+) -> tuple[list[corpus.RunRanking], dict, dict, dict[str, metrics.GainScheme]]:
+    """Runs, both groups' doc levels and the gain schemes to rank by.
+
+    Here --qrels2 is the second group's judgments to rank against, so a
+    prm/udm table comes from --table, else --pairs, else the overlap of
+    the two qrels.  Without --qrels2 both rankings use --qrels.
+    """
+    scale = _load_scale(args)
+    if not args.qrels:
         raise ValidationError("--qrels is required")
-    runs = _load_runs(cfg)
+    runs = _load_runs(args)
     if len(runs) < 2:
         raise ValidationError("need at least 2 --run files")
-    gains = cfg.gains or ("binary",)
-    if len(gains) != 1:
-        raise ValidationError("analyze tau uses exactly one gain scheme")
     table = (
-        _resolve_table(_table_source_cfg(cfg), scale)
-        if gains[0] in ("prm", "udm")
-        else None
+        _resolve_table(args, scale, _pairs_or_overlap) if _needs_table(args.gains) else None
     )
-    scheme = _resolve_scheme(gains[0], cfg, scale, table)
-    discount = _resolve_discount(cfg)
-    set_a = _load_qrels(cfg, cfg.qrels, scale, "u1").doc_levels()
-    set_b = (
-        _load_qrels(cfg, cfg.qrels2, scale, "u2").doc_levels()
-        if cfg.qrels2
-        else set_a
+    schemes = {name: _resolve_scheme(name, args, scale, table) for name in args.gains}
+    set_u1 = _load_qrels(args, args.qrels, scale, "u1").doc_levels()
+    set_u2 = (
+        _load_qrels(args, args.qrels2, scale, "u2").doc_levels() if args.qrels2 else set_u1
     )
+    return runs, set_u1, set_u2, schemes
 
-    def ranking(levels) -> analysis.SystemRanking:
-        scores = {
-            run.system_id: metrics.ndcg_at_k(
-                run, levels, scheme, discount, cfg.k,
-                strict=cfg.strict, ideal_pool=cfg.ideal_pool,
-            ).mean
-            for run in runs
-        }
-        return analysis.SystemRanking.from_scores(f"ndcg@{cfg.k}", scores)
 
-    rank_a, rank_b = ranking(set_a), ranking(set_b)
-    tau = analysis.kendall_tau(rank_a, rank_b, variant=cfg.tau_variant)
-    if cfg.fmt == "json":
+def _analyze_tau(args: argparse.Namespace) -> str:
+    if len(args.gains) != 1:
+        raise ValidationError("analyze tau uses exactly one gain scheme")
+    runs, set_u1, set_u2, schemes = _ranking_inputs(args)
+    scheme, discount = schemes[args.gains[0]], _resolve_discount(args)
+    rank_u1, rank_u2 = (
+        analysis.rank_by_ndcg(
+            runs, levels, scheme, discount, args.k,
+            strict=args.strict, ideal_pool=args.ideal_pool,
+        )
+        for levels in (set_u1, set_u2)
+    )
+    tau = analysis.kendall_tau(rank_u1, rank_u2, variant=args.tau_variant)
+    if args.format == "json":
         return _json_dump(
             {
                 "tau": tau,
-                "variant": cfg.tau_variant,
-                "ranking_u1": [list(s) for s in rank_a.systems],
-                "ranking_u2": [list(s) for s in rank_b.systems],
+                "variant": args.tau_variant,
+                "ranking_u1": [list(s) for s in rank_u1.systems],
+                "ranking_u2": [list(s) for s in rank_u2.systems],
             }
         )
-    if cfg.fmt == "csv":
-        return f"metric,value\ntau_{cfg.tau_variant},{tau!r}\n"
-    return f"tau_{cfg.tau_variant}\t{tau:.4f}\n"
+    if args.format == "csv":
+        return f"metric,value\ntau_{args.tau_variant},{tau!r}\n"
+    return f"tau_{args.tau_variant}\t{tau:.4f}\n"
 
 
-def _analyze_bootstrap(cfg: RunConfig) -> str:
-    if cfg.seed is None:
+def _analyze_robustness(args: argparse.Namespace) -> str:
+    if not (args.qrels and args.qrels2):
+        raise ValidationError("robustness needs --qrels and --qrels2")
+    runs, set_u1, set_u2, schemes = _ranking_inputs(args)
+    taus = analysis.robustness_study(
+        runs, set_u1, set_u2, schemes, args.k, _resolve_discount(args),
+        variant=args.tau_variant, strict=args.strict, ideal_pool=args.ideal_pool,
+    )
+    if args.format == "json":
+        return _json_dump({"tau": taus, "variant": args.tau_variant, "k": args.k})
+    if args.format == "csv":
+        lines = ["scheme,tau"]
+        lines += [f"{name},{taus[name]!r}" for name in sorted(taus)]
+        return "\n".join(lines) + "\n"
+    lines = [f"{name}\t{taus[name]:.4f}" for name in sorted(taus)]
+    return "\n".join(lines) + "\n"
+
+
+def _require_seed(args: argparse.Namespace) -> None:
+    if args.seed is None:
         raise ValidationError("--seed is required: resampling must be reproducible")
-    scale = _load_scale(cfg)
-    pairs = _load_pairs(cfg, scale)
+
+
+def _analyze_bootstrap(args: argparse.Namespace) -> str:
+    _require_seed(args)
+    scale = _load_scale(args)
+    pairs = _load_pairs(args, scale)
     results = analysis.bootstrap_topics(
         pairs,
-        disagreement.UserModel(_theta(cfg)),
+        _user_model(args, scale),
         scale,
-        estimator="one_sided" if cfg.estimator == "one-sided" else "symmetric",
-        condition=cfg.condition,
-        n_resamples=cfg.resamples,
-        seed=cfg.seed,
+        estimator=args.estimator,
+        condition=args.condition,
+        n_resamples=args.resamples,
+        seed=args.seed,
     )
-    if cfg.fmt == "json":
+    if args.format == "json":
         return _json_dump({str(lvl): r.to_json_dict() for lvl, r in results.items()})
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         return analysis.bootstrap_to_csv(results)
     lines = []
     for lvl in sorted(results):
@@ -729,7 +618,11 @@ def _analyze_bootstrap(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _curve_text(curve: analysis.SensitivityCurve) -> str:
+def _curve_output(curve: analysis.SensitivityCurve, fmt: str) -> str:
+    if fmt == "json":
+        return _json_dump(curve.to_json_dict())
+    if fmt == "csv":
+        return curve.to_csv()
     lines = []
     for i, x in enumerate(curve.x):
         parts = [f"{curve.x_name}={x}"]
@@ -743,125 +636,86 @@ def _curve_text(curve: analysis.SensitivityCurve) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _analyze_budget(cfg: RunConfig) -> str:
-    if cfg.seed is None:
-        raise ValidationError("--seed is required: resampling must be reproducible")
-    if not cfg.budgets:
+def _analyze_budget(args: argparse.Namespace) -> str:
+    _require_seed(args)
+    if not args.budgets:
         raise ValidationError("--budgets is required (comma list, e.g. 50,100,200)")
-    scale = _load_scale(cfg)
-    pairs = _load_pairs(cfg, scale)
-    budgets = [int(b) for b in cfg.budgets.split(",") if b.strip()]
+    scale = _load_scale(args)
+    pairs = _load_pairs(args, scale)
     curve = analysis.simulate_annotation_rounds(
         pairs,
-        disagreement.UserModel(_theta(cfg)),
+        _user_model(args, scale),
         scale,
-        budgets,
-        n_rounds=cfg.rounds,
-        seed=cfg.seed,
-        estimator="one_sided" if cfg.estimator == "one-sided" else "symmetric",
-        condition=cfg.condition,
+        args.budgets,
+        n_rounds=args.rounds,
+        seed=args.seed,
+        estimator=args.estimator,
+        condition=args.condition,
     )
-    if cfg.fmt == "json":
-        return _json_dump(curve.to_json_dict())
-    if cfg.fmt == "csv":
-        return curve.to_csv()
-    return _curve_text(curve)
+    return _curve_output(curve, args.format)
 
 
-def _analyze_quality(cfg: RunConfig) -> str:
-    scale = _load_scale(cfg)
-    if not cfg.qrels:
+def _analyze_quality(args: argparse.Namespace) -> str:
+    scale = _load_scale(args)
+    if not args.qrels:
         raise ValidationError("--qrels is required (reference group judgments)")
-    reference = _load_qrels(cfg, cfg.qrels, scale, "u1")
-    if cfg.resource_map:
-        mapping = corpus.parse_resource_map(_read_lines(cfg.resource_map))
+    reference = _load_qrels(args, args.qrels, scale, "u1")
+    if args.resource_map:
+        mapping = corpus.parse_resource_map(_read_lines(args.resource_map))
         reference = corpus.attach_resources(reference, resource_map=mapping)
-    elif cfg.resource_regex:
-        reference = corpus.attach_resources(reference, pattern=cfg.resource_regex)
+    elif args.resource_regex:
+        reference = corpus.attach_resources(reference, pattern=args.resource_regex)
     else:
         raise ValidationError("supply --resource-map or --resource-regex")
-    if not cfg.pairs:
+    if not args.pairs:
         raise ValidationError("--pairs is required for the quality sweep")
-    pairs = corpus.parse_paired(_read_lines(cfg.pairs), scale)
+    pairs = corpus.parse_paired(_read_lines(args.pairs), scale)
     curve = analysis.quality_sensitivity(
         reference,
         pairs,
-        disagreement.UserModel(_theta(cfg)),
-        estimator="one_sided" if cfg.estimator == "one-sided" else "symmetric",
-        condition=cfg.condition,
+        _user_model(args, scale),
+        estimator=args.estimator,
+        condition=args.condition,
     )
-    if cfg.fmt == "json":
-        return _json_dump(curve.to_json_dict())
-    if cfg.fmt == "csv":
-        return curve.to_csv()
-    return _curve_text(curve)
+    return _curve_output(curve, args.format)
 
 
-def _analyze_robustness(cfg: RunConfig) -> str:
-    scale = _load_scale(cfg)
-    if not (cfg.qrels and cfg.qrels2):
-        raise ValidationError("robustness needs --qrels and --qrels2")
-    runs = _load_runs(cfg)
-    if len(runs) < 2:
-        raise ValidationError("need at least 2 --run files")
-    gains = cfg.gains or ("binary", "linear", "exponential")
-    table = (
-        _resolve_table(_table_source_cfg(cfg), scale)
-        if any(g in ("prm", "udm") for g in gains)
-        else None
-    )
-    schemes = {name: _resolve_scheme(name, cfg, scale, table) for name in gains}
-    set_u1 = _load_qrels(cfg, cfg.qrels, scale, "u1").doc_levels()
-    set_u2 = _load_qrels(cfg, cfg.qrels2, scale, "u2").doc_levels()
-    taus = analysis.robustness_study(
-        runs, set_u1, set_u2, schemes, cfg.k,
-        _resolve_discount(cfg), variant=cfg.tau_variant,
-    )
-    if cfg.fmt == "json":
-        return _json_dump({"tau": taus, "variant": cfg.tau_variant, "k": cfg.k})
-    if cfg.fmt == "csv":
-        lines = ["scheme,tau"]
-        lines += [f"{name},{taus[name]!r}" for name in sorted(taus)]
-        return "\n".join(lines) + "\n"
-    lines = [f"{name}\t{taus[name]:.4f}" for name in sorted(taus)]
-    return "\n".join(lines) + "\n"
+_ANALYSES = {
+    "tau": _analyze_tau,
+    "bootstrap": _analyze_bootstrap,
+    "budget": _analyze_budget,
+    "quality": _analyze_quality,
+    "robustness": _analyze_robustness,
+}
 
 
-def cmd_analyze(cfg: RunConfig) -> str:
-    handlers = {
-        "tau": _analyze_tau,
-        "bootstrap": _analyze_bootstrap,
-        "budget": _analyze_budget,
-        "quality": _analyze_quality,
-        "robustness": _analyze_robustness,
-    }
-    assert cfg.kind is not None
-    return handlers[cfg.kind](cfg)
+def cmd_analyze(args: argparse.Namespace) -> str:
+    return _ANALYSES[args.kind](args)
 
 
-def cmd_validate(cfg: RunConfig) -> str:
+def cmd_validate(args: argparse.Namespace) -> str:
     lines = []
     scale = None
-    if cfg.scale:
-        scale = corpus.parse_scale(_read_text(cfg.scale))
+    if args.scale:
+        scale = corpus.parse_scale(_read_text(args.scale))
         lines.append(f"ok: scale with {scale.top_index + 1} levels {scale.labels}")
-    for label, path in (("qrels", cfg.qrels), ("qrels2", cfg.qrels2)):
+    for label, path in (("qrels", args.qrels), ("qrels2", args.qrels2)):
         if path:
             if scale is None:
                 raise ValidationError("--scale is required to validate qrels")
             group = "u1" if label == "qrels" else "u2"
             js = corpus.parse_qrels(
-                _read_lines(path), scale, group, intent_field=cfg.intent_field
+                _read_lines(path), scale, group, intent_field=args.intent_field
             )
             lines.append(
                 f"ok: {label} with {len(js)} judgments, {len(js.topics())} topics"
             )
-    if cfg.pairs:
+    if args.pairs:
         if scale is None:
             raise ValidationError("--scale is required to validate pairs")
-        pairs = corpus.parse_paired(_read_lines(cfg.pairs), scale)
+        pairs = corpus.parse_paired(_read_lines(args.pairs), scale)
         lines.append(f"ok: pairs with {len(pairs)} double judgments")
-    for path in cfg.runs:
+    for path in args.run or ():
         run = corpus.parse_run(_read_lines(path))
         lines.append(
             f"ok: run {run.system_id} with {len(run.entries)} entries, "
@@ -885,20 +739,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser, sub_map = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "config", None):
+        if args.config:
             config = _load_config(args.config)
             unknown = [k for k in config if not hasattr(args, k)]
             if unknown:
                 raise ValidationError(
                     f"unknown config keys for '{args.command}': {sorted(unknown)}"
                 )
-            parser, sub_map = build_parser()
             sub_map[args.command].set_defaults(
                 **{k: v for k, v in config.items() if k != "command"}
             )
             args = parser.parse_args(argv)
-        cfg = RunConfig.from_args(args)
-        _emit(_COMMANDS[cfg.command](cfg), cfg.out)
+        _check_args(args)
+        _emit(_COMMANDS[args.command](args), args.out)
         return 0
     except SystemExit as exc:
         # argparse --help exits 0; usage errors surface as code 1

@@ -47,6 +47,7 @@ __all__ = [
     "DisagreementTable",
     "estimate_one_sided",
     "estimate_symmetric",
+    "estimate",
     "stratified_estimate",
     "cell_sigma",
     "at_least_m_of_n",
@@ -363,6 +364,29 @@ def estimate_symmetric(
     return _build_table(counts, scale, user_model.theta, "symmetric", None)
 
 
+def estimate(
+    pairs: Sequence[JudgmentPair],
+    user_model: UserModel,
+    scale: RelevanceScale,
+    *,
+    estimator: str = "symmetric",
+    condition: str = "u1",
+    one_sided_collection: bool = False,
+) -> DisagreementTable:
+    """Estimate p_{R|i} with the named estimator: "symmetric" or "one_sided".
+
+    ``condition`` applies to the one-sided estimator and
+    ``one_sided_collection`` to the symmetric one.
+    """
+    if estimator == "symmetric":
+        return estimate_symmetric(
+            pairs, user_model, scale, one_sided_collection=one_sided_collection
+        )
+    if estimator == "one_sided":
+        return estimate_one_sided(pairs, user_model, scale, condition=condition)
+    raise ValidationError(f"unknown estimator {estimator!r}")
+
+
 def stratified_estimate(
     pairs: Sequence[JudgmentPair],
     strata: Mapping[str, str],
@@ -382,20 +406,13 @@ def stratified_estimate(
     grouped: dict[str, list[JudgmentPair]] = {}
     for pair in pairs:
         grouped.setdefault(strata[pair.topic_id], []).append(pair)
-    out: dict[str, DisagreementTable] = {}
-    for stratum in sorted(grouped):
-        subset = grouped[stratum]
-        if estimator == "symmetric":
-            out[stratum] = estimate_symmetric(
-                subset, user_model, scale, one_sided_collection=one_sided_collection
-            )
-        elif estimator == "one_sided":
-            out[stratum] = estimate_one_sided(
-                subset, user_model, scale, condition=condition
-            )
-        else:
-            raise ValidationError(f"unknown estimator {estimator!r}")
-    return out
+    return {
+        stratum: estimate(
+            grouped[stratum], user_model, scale, estimator=estimator,
+            condition=condition, one_sided_collection=one_sided_collection,
+        )
+        for stratum in sorted(grouped)
+    }
 
 
 def at_least_m_of_n(p: float, m: int, n: int) -> float:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from prmeval.cli import main
+from prmeval.errors import DataWarning
 
 U1_LEVEL_2_DOCS = ["d1", "d2", "d9", "d13"]
 
@@ -200,6 +201,26 @@ class TestEstimateCommand:
         )
         assert code == 1
         assert "biased" in err
+
+    def test_theta_defaults_to_top_level(self, capsys, ws):
+        base = ["estimate", "--scale", ws["scale"], "--pairs", ws["pairs"]]
+        code, out_default, _ = run_cli(capsys, base)
+        assert code == 0
+        code, out_top, _ = run_cli(capsys, base + ["--theta", "2"])
+        assert code == 0
+        assert out_default == out_top
+
+    @pytest.mark.parametrize("with_strata", [False, True])
+    def test_empty_pairs_file_is_an_error(self, capsys, ws, tmp_path, with_strata):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("# no pairs\n", encoding="utf-8")
+        strata = tmp_path / "strata.txt"
+        strata.write_text("201 easy\n", encoding="utf-8")
+        argv = ["estimate", "--scale", ws["scale"], "--pairs", str(empty), "--theta", "2"]
+        code, out, err = run_cli(capsys, argv + (["--strata", str(strata)] if with_strata else []))
+        assert code == 1
+        assert out == ""
+        assert "no judgment pairs to estimate from" in err
 
     def test_out_writes_file(self, capsys, ws, tmp_path):
         target = tmp_path / "table.txt"
@@ -634,6 +655,61 @@ class TestAnalyzeCommand:
         assert lines[2].startswith("prm,")
 
 
+class TestRankingFlags:
+    """`analyze tau` and `analyze robustness` honour --strict and --ideal-pool."""
+
+    @staticmethod
+    def write_run(tmp_path, system: str, by_topic: dict[str, list[str]]) -> str:
+        path = tmp_path / f"{system}.txt"
+        path.write_text(
+            "".join(
+                f"{topic} Q0 {doc} {rank} {float(100 - rank)} {system}\n"
+                for topic, docs in by_topic.items()
+                for rank, doc in enumerate(docs, start=1)
+            ),
+            encoding="utf-8",
+        )
+        return str(path)
+
+    def argv(self, ws, kind: str, runs: list[str], gains: str) -> list[str]:
+        return [
+            "analyze", kind, "--scale", ws["scale"], "--qrels", ws["qrels_u1"],
+            "--qrels2", ws["qrels_u2"], *[a for r in runs for a in ("--run", r)],
+            "--theta", "2", "--gains", gains, "--format", "json",
+        ]
+
+    @pytest.mark.parametrize("kind", ["tau", "robustness"])
+    def test_strict_rejects_unjudged_topics(self, capsys, ws, tmp_path, kind):
+        extra = self.write_run(tmp_path, "sysC", {"201": ["d1"], "202": ["d2"]})
+        argv = self.argv(ws, kind, [ws["run_perfect"], ws["run_reverse"], extra], "binary")
+        with pytest.warns(DataWarning, match="skipping topics without judgments"):
+            code, _, _ = run_cli(capsys, argv)
+        assert code == 0
+        code, _, err = run_cli(capsys, argv + ["--strict"])
+        assert code == 1
+        assert "run sysC has unjudged topics (strict mode)" in err
+
+    @pytest.mark.filterwarnings("ignore:non-monotone")
+    def test_ideal_pool_reaches_both_analyses(self, capsys, ws, tmp_path):
+        # two shallow runs, which self-normalise under --ideal-pool run
+        runs = [
+            ws["run_perfect"], ws["run_reverse"],
+            self.write_run(tmp_path, "sysC", {"201": ["d1", "d3"]}),
+            self.write_run(tmp_path, "sysD", {"201": ["d5", "d6", "d7"]}),
+        ]
+        taus = {}
+        for pool in ("qrels", "run"):
+            extra = ["--ideal-pool", pool]
+            code, out, _ = run_cli(capsys, self.argv(ws, "tau", runs, "linear") + extra)
+            assert code == 0
+            tau = json.loads(out)["tau"]
+            code, out, _ = run_cli(capsys, self.argv(ws, "robustness", runs, "linear") + extra)
+            assert code == 0
+            assert json.loads(out)["tau"]["linear"] == tau
+            taus[pool] = tau
+        assert taus["qrels"] != taus["run"]
+
+
 class TestValidateCommand:
     def test_reports_ok_lines(self, capsys, ws):
         code, out, _ = run_cli(
@@ -665,6 +741,29 @@ class TestValidateCommand:
 
 
 class TestModuleEntryPoint:
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("eval", "--custom-gains", "a,b,c"), ("budget", "--budgets", "x")],
+    )
+    def test_malformed_number_list_is_an_error(self, ws, command, flag, value):
+        import subprocess
+        import sys
+
+        head = {
+            "eval": ["eval", "--qrels", ws["qrels_u1"], "--run", ws["run_perfect"],
+                     "--gains", "custom"],
+            "budget": ["analyze", "budget", "--pairs", ws["pairs"], "--seed", "1"],
+        }[command]
+        proc = subprocess.run(
+            [sys.executable, "-m", "prmeval", *head, "--scale", ws["scale"],
+             "--theta", "2", flag, value],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: {flag} takes a comma list")
+
     def test_python_dash_m(self, ws):
         import subprocess
         import sys

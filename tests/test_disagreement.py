@@ -14,6 +14,7 @@ from prmeval.disagreement import (
     UserModel,
     at_least_m_of_n,
     cell_sigma,
+    estimate,
     estimate_one_sided,
     estimate_symmetric,
     stratified_estimate,
@@ -210,6 +211,25 @@ class TestStratified:
     def test_missing_topic_rejected(self, scale3, golden_pairs):
         with pytest.raises(ValidationError, match="missing from strata"):
             stratified_estimate(golden_pairs, {}, UserModel(2), scale3)
+
+
+class TestEstimateDispatch:
+    def test_names_select_the_estimators(self, golden_pairs, scale3):
+        model = UserModel(2)
+        assert estimate(golden_pairs, model, scale3) == estimate_symmetric(
+            golden_pairs, model, scale3
+        )
+        assert estimate(
+            golden_pairs, model, scale3, estimator="one_sided", condition="u2"
+        ) == estimate_one_sided(golden_pairs, model, scale3, condition="u2")
+
+    def test_one_sided_collection_reaches_symmetric(self, golden_pairs, scale3):
+        with pytest.raises(EstimationError, match="biased"):
+            estimate(golden_pairs, UserModel(2), scale3, one_sided_collection=True)
+
+    def test_unknown_estimator(self, golden_pairs, scale3):
+        with pytest.raises(ValidationError, match="unknown estimator"):
+            estimate(golden_pairs, UserModel(2), scale3, estimator="one-sided")
 
 
 class TestSerialization:
