@@ -16,7 +16,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import JudgmentPair, JudgmentSet, RelevanceScale, RunRanking
-from .disagreement import UserModel, estimate
+from .disagreement import (
+    UserModel, code_counts, group_pair_counts, pair_codes, table_from_counts,
+)
 from .errors import DataWarning, EstimationError, MetricError, ValidationError
 from .metrics import DiscountFunction, GainScheme, MetricReport, ndcg_at_k
 
@@ -218,45 +220,39 @@ def bootstrap_topics(
     *,
     estimator: str = "symmetric",
     condition: str = "u1",
+    one_sided_collection: bool = False,
     n_resamples: int = 300,
     seed: int,
 ) -> dict[int, BootstrapResult]:
     """Topic bootstrap of the disagreement estimates.
 
     Each resample draws topics with replacement (as many as there are
-    topics); a drawn topic contributes all its pairs once per draw.  The
-    tables are re-estimated per resample.
+    topics); a drawn topic contributes all its pairs once per draw, so a
+    resample's count matrix is the draw counts times the topics' matrices.
     """
     _check_seed(seed)
     if n_resamples < 1:
         raise ValidationError(f"n_resamples must be >= 1, got {n_resamples}")
     if not pairs:
         raise EstimationError("no judgment pairs to bootstrap")
-    by_topic: dict[str, list[JudgmentPair]] = {}
-    for p in pairs:
-        by_topic.setdefault(p.topic_id, []).append(p)
-    topics = sorted(by_topic)
-    if len(topics) < 2:
+    if len({p.topic_id for p in pairs}) < 2:
         raise EstimationError("bootstrap needs at least 2 topics")
-
-    samples: dict[int, list[float]] = {lvl: [] for lvl in range(scale.top_index + 1)}
-    missing: dict[int, int] = {lvl: 0 for lvl in range(scale.top_index + 1)}
+    user_model.check_against(scale)
+    topics, per_topic = group_pair_counts(pairs, scale)
+    n = len(topics)
+    ps = []  # per resample, p per level (None where undefined)
     for r in range(n_resamples):
-        rng = _round_rng(seed, r)
-        drawn = rng.integers(0, len(topics), size=len(topics))
-        resampled: list[JudgmentPair] = []
-        for t in drawn:
-            resampled.extend(by_topic[topics[t]])
-        table = estimate(
-            resampled, user_model, scale, estimator=estimator, condition=condition
+        drawn = _round_rng(seed, r).integers(0, n, size=n)
+        table = table_from_counts(
+            np.tensordot(np.bincount(drawn, minlength=n), per_topic, axes=1),
+            user_model, scale, estimator=estimator, condition=condition,
+            one_sided_collection=one_sided_collection,
         )
-        for cell in table.cells:
-            if cell.defined:
-                samples[cell.level].append(cell.p)
-            else:
-                missing[cell.level] += 1
+        ps.append([c.p for c in table.cells])
     return {
-        lvl: BootstrapResult.from_samples(lvl, samples[lvl], missing[lvl])
+        lvl: BootstrapResult.from_samples(
+            lvl, [p[lvl] for p in ps if p[lvl] is not None], sum(p[lvl] is None for p in ps)
+        )
         for lvl in range(scale.top_index + 1)
     }
 
@@ -339,6 +335,7 @@ def simulate_annotation_rounds(
     seed: int,
     estimator: str = "symmetric",
     condition: str = "u1",
+    one_sided_collection: bool = False,
 ) -> SensitivityCurve:
     """How estimate quality grows with the number of double judgments.
 
@@ -365,39 +362,28 @@ def simulate_annotation_rounds(
     if any(b2 <= b1 for b1, b2 in zip(kept, kept[1:])):
         raise ValidationError(f"budgets must be strictly increasing, got {kept}")
 
-    levels = range(scale.top_index + 1)
-    per_round: dict[tuple[int, int], list[float]] = {
-        (b, lvl): [] for b in kept for lvl in levels
-    }
-    pool = list(pairs)
+    user_model.check_against(scale)
+    codes = pair_codes(pairs, scale)
+    ps: dict[int, list[list[float | None]]] = {b: [] for b in kept}
     for r in range(n_rounds):
         rng = _round_rng(seed, r)
-        draw = rng.integers(0, len(pool), size=kept[-1])
+        draw = rng.integers(0, len(codes), size=kept[-1])
         for b in kept:
-            sampled = [pool[i] for i in draw[:b]]
-            table = estimate(
-                sampled, user_model, scale, estimator=estimator, condition=condition
+            table = table_from_counts(
+                code_counts(codes[draw[:b]], scale), user_model, scale,
+                estimator=estimator, condition=condition,
+                one_sided_collection=one_sided_collection,
             )
-            for cell in table.cells:
-                if cell.defined:
-                    per_round[(b, cell.level)].append(cell.p)
+            ps[b].append([c.p for c in table.cells])
 
     series = []
-    for lvl in levels:
-        means: list[float | None] = []
-        stds: list[float | None] = []
-        counts: list[int] = []
-        for b in kept:
-            vals = per_round[(b, lvl)]
-            counts.append(len(vals))
-            if not vals:
-                means.append(None)
-                stds.append(None)
-                continue
-            arr = np.asarray(vals, dtype=np.float64)
-            means.append(float(arr.mean()))
-            stds.append(float(arr.std(ddof=1)) if len(vals) > 1 else None)
-        series.append(LevelSeries(lvl, tuple(means), tuple(stds), tuple(counts)))
+    for lvl in range(scale.top_index + 1):
+        vals = [tuple(p[lvl] for p in ps[b] if p[lvl] is not None) for b in kept]
+        stats = [_summaries(v)[:2] for v in vals]
+        series.append(LevelSeries(
+            lvl, tuple(m for m, _ in stats), tuple(s for _, s in stats),
+            tuple(len(v) for v in vals),
+        ))
     return SensitivityCurve("budget", tuple(kept), tuple(series))
 
 
@@ -408,6 +394,7 @@ def quality_sensitivity(
     *,
     estimator: str = "symmetric",
     condition: str = "u1",
+    one_sided_collection: bool = False,
 ) -> SensitivityCurve:
     """Disagreement estimates restricted to results from top resources.
 
@@ -415,7 +402,8 @@ def quality_sensitivity(
     the reference group placed in the top two levels (ties break to the
     lexicographically smaller resource id).  For each k, the table is
     re-estimated from the pairs whose documents the top-k resources
-    returned for that query.  The std band is each cell's binomial sigma.
+    returned for that query, as a running sum of count matrices over k.
+    The std band is each cell's binomial sigma.
 
     ``judgments`` is the reference group's set and must carry resource
     ids; every pair's document must be covered by it so that the largest
@@ -450,62 +438,43 @@ def quality_sensitivity(
         if j.level >= scale.top_index - 1:
             counts[j.resource_id] += 1
 
-    covered = {
-        (j.topic_id, j.doc_id) for j in judgments.judgments
-    }
-    uncovered = [(p.topic_id, p.doc_id) for p in pairs if (p.topic_id, p.doc_id) not in covered]
-    if uncovered:
-        raise ValidationError(
-            f"{len(uncovered)} pairs reference documents absent from the reference "
-            f"judgments (first: {uncovered[0]}); the sweep cannot cover them"
-        )
-
     order_by_topic = {
         topic: sorted(counts, key=lambda res: (-counts[res], res))
         for topic, counts in strong_counts.items()
     }
     k_max = max(len(order) for order in order_by_topic.values())
+    first_k: dict[tuple[str, str], int] = {}
+    for topic, order in order_by_topic.items():
+        for k, res in enumerate(order):
+            for doc in docs_by_topic_resource[topic][res]:
+                first_k.setdefault((topic, doc), k)
 
-    ks = list(range(1, k_max + 1))
-    means: dict[int, list[float | None]] = {
-        lvl: [] for lvl in range(scale.top_index + 1)
-    }
-    stds: dict[int, list[float | None]] = {
-        lvl: [] for lvl in range(scale.top_index + 1)
-    }
-    counts_defined: dict[int, list[int]] = {
-        lvl: [] for lvl in range(scale.top_index + 1)
-    }
-    for k in ks:
-        selected: set[tuple[str, str]] = set()
-        for topic, order in order_by_topic.items():
-            for res in order[:k]:
-                for doc in docs_by_topic_resource[topic][res]:
-                    selected.add((topic, doc))
-        subset = [p for p in pairs if (p.topic_id, p.doc_id) in selected]
-        if not subset:
-            for lvl in range(scale.top_index + 1):
-                means[lvl].append(None)
-                stds[lvl].append(None)
-                counts_defined[lvl].append(0)
-            continue
-        table = estimate(
-            subset, user_model, scale, estimator=estimator, condition=condition
+    uncovered = [(p.topic_id, p.doc_id) for p in pairs if (p.topic_id, p.doc_id) not in first_k]
+    if uncovered:
+        raise ValidationError(
+            f"{len(uncovered)} pairs reference documents absent from the reference "
+            f"judgments (first: {uncovered[0]}); the sweep cannot cover them"
         )
-        for cell in table.cells:
-            means[cell.level].append(cell.p)
-            stds[cell.level].append(cell.sigma)
-            counts_defined[cell.level].append(cell.n_total)
+    steps = np.array([first_k[(p.topic_id, p.doc_id)] for p in pairs], dtype=np.int64)
+    per_k = code_counts(pair_codes(pairs, scale), scale, steps, k_max).cumsum(axis=0)
+
+    tables = [
+        table_from_counts(
+            counts, user_model, scale, estimator=estimator, condition=condition,
+            one_sided_collection=one_sided_collection,
+        )
+        for counts in per_k
+    ]
     series = tuple(
         LevelSeries(
             lvl,
-            tuple(means[lvl]),
-            tuple(stds[lvl]),
-            tuple(counts_defined[lvl]),
+            tuple(t.cells[lvl].p for t in tables),
+            tuple(t.cells[lvl].sigma for t in tables),
+            tuple(t.cells[lvl].n_total for t in tables),
         )
         for lvl in range(scale.top_index + 1)
     )
-    return SensitivityCurve("top_k_resources", tuple(ks), series)
+    return SensitivityCurve("top_k_resources", tuple(range(1, k_max + 1)), series)
 
 
 def rank_by_ndcg(

@@ -311,6 +311,11 @@ def _user_model(
     return disagreement.UserModel(scale.top_index if args.theta is None else args.theta)
 
 
+def _estimator_opts(args: argparse.Namespace) -> dict:
+    return dict(estimator=args.estimator, condition=args.condition,
+                one_sided_collection=args.one_sided_collection)
+
+
 def _resolve_table(
     args: argparse.Namespace, scale: corpus.RelevanceScale, read_pairs=_load_pairs
 ) -> disagreement.DisagreementTable:
@@ -322,9 +327,7 @@ def _resolve_table(
             )
     else:
         table = disagreement.estimate(
-            read_pairs(args, scale), _user_model(args, scale), scale,
-            estimator=args.estimator, condition=args.condition,
-            one_sided_collection=args.one_sided_collection,
+            read_pairs(args, scale), _user_model(args, scale), scale, **_estimator_opts(args)
         )
     return table.with_override(0, 0.0) if args.override_p0 else table
 
@@ -590,13 +593,8 @@ def _analyze_bootstrap(args: argparse.Namespace) -> str:
     scale = _load_scale(args)
     pairs = _load_pairs(args, scale)
     results = analysis.bootstrap_topics(
-        pairs,
-        _user_model(args, scale),
-        scale,
-        estimator=args.estimator,
-        condition=args.condition,
-        n_resamples=args.resamples,
-        seed=args.seed,
+        pairs, _user_model(args, scale), scale, **_estimator_opts(args),
+        n_resamples=args.resamples, seed=args.seed,
     )
     if args.format == "json":
         return _json_dump({str(lvl): r.to_json_dict() for lvl, r in results.items()})
@@ -643,14 +641,8 @@ def _analyze_budget(args: argparse.Namespace) -> str:
     scale = _load_scale(args)
     pairs = _load_pairs(args, scale)
     curve = analysis.simulate_annotation_rounds(
-        pairs,
-        _user_model(args, scale),
-        scale,
-        args.budgets,
-        n_rounds=args.rounds,
-        seed=args.seed,
-        estimator=args.estimator,
-        condition=args.condition,
+        pairs, _user_model(args, scale), scale, args.budgets,
+        n_rounds=args.rounds, seed=args.seed, **_estimator_opts(args),
     )
     return _curve_output(curve, args.format)
 
@@ -671,11 +663,7 @@ def _analyze_quality(args: argparse.Namespace) -> str:
         raise ValidationError("--pairs is required for the quality sweep")
     pairs = corpus.parse_paired(_read_lines(args.pairs), scale)
     curve = analysis.quality_sensitivity(
-        reference,
-        pairs,
-        _user_model(args, scale),
-        estimator=args.estimator,
-        condition=args.condition,
+        reference, pairs, _user_model(args, scale), **_estimator_opts(args)
     )
     return _curve_output(curve, args.format)
 

@@ -20,6 +20,12 @@ Two estimators:
 - symmetric, pooling both directions:
       p_{R|i} = (N_{U1=R, U2=i} + N_{U2=R, U1=i}) / (N_{U2=i} + N_{U1=i})
 
+Every estimate is a reduction of the (T+1) x (T+1) count matrix C, where
+C[i, j] counts the pairs with U1 label i and U2 label j: one-sided on U1
+reads the rows of C, on U2 those of C^T, symmetric those of C + C^T.
+Strata, bootstrap resamples, budget rounds and quality-sweep steps only
+re-count or re-weight C; ``table_from_counts`` turns any C into a table.
+
 Each estimate carries a binomial standard error
     sigma = sqrt(phat (1 - phat) / N_D),  phat = N_N / N_D,
 which for the symmetric estimator treats the pooled draws as independent,
@@ -34,12 +40,13 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass, replace
-from typing import IO, Mapping, Sequence
+from typing import IO, Callable, Mapping, Sequence
+
+import numpy as np
 
 from .corpus import JudgmentPair, RelevanceScale
-from .errors import DataWarning, EstimationError, ValidationError
+from .errors import DataWarning, EstimationError, ParseError, ValidationError
 
 __all__ = [
     "UserModel",
@@ -49,6 +56,11 @@ __all__ = [
     "estimate_symmetric",
     "estimate",
     "stratified_estimate",
+    "pair_codes",
+    "code_counts",
+    "pair_counts",
+    "group_pair_counts",
+    "table_from_counts",
     "cell_sigma",
     "at_least_m_of_n",
 ]
@@ -205,26 +217,35 @@ class DisagreementTable:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "DisagreementTable":
-        scale = RelevanceScale.from_descriptor(obj["scale"])
-        cells = []
-        for c in sorted(obj["cells"], key=lambda c: int(c["level"])):
-            p = None if c.get("p") is None else float(c["p"])
-            n_total = int(c.get("n_total", 0))
-            # Hand-written tables give p without counts; treat as pinned.
-            default_source = "override" if (p is not None and n_total == 0) else "estimated"
-            cells.append(
-                DisagreementCell(
-                    level=int(c["level"]),
-                    n_match=int(c.get("n_match", 0)),
-                    n_total=n_total,
-                    p=p,
-                    sigma=None if c.get("sigma") is None else float(c["sigma"]),
-                    source=str(c.get("source", default_source)),
+        if not isinstance(obj, Mapping):
+            raise ValidationError("a disagreement table must be a JSON object")
+        for key in ("scale", "theta", "cells"):
+            if key not in obj:
+                raise ValidationError(f"disagreement table lacks {key!r}")
+        try:
+            scale = RelevanceScale.from_descriptor(obj["scale"])
+            theta = int(obj["theta"])
+            cells = []
+            for c in sorted(obj["cells"], key=lambda c: int(c["level"])):
+                p = None if c.get("p") is None else float(c["p"])
+                n_total = int(c.get("n_total", 0))
+                # Hand-written tables give p without counts; treat as pinned.
+                default_source = "override" if (p is not None and n_total == 0) else "estimated"
+                cells.append(
+                    DisagreementCell(
+                        level=int(c["level"]),
+                        n_match=int(c.get("n_match", 0)),
+                        n_total=n_total,
+                        p=p,
+                        sigma=None if c.get("sigma") is None else float(c["sigma"]),
+                        source=str(c.get("source", default_source)),
+                    )
                 )
-            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed disagreement table: {exc!r}") from None
         return cls(
             scale=scale,
-            theta=int(obj["theta"]),
+            theta=theta,
             cells=tuple(cells),
             estimator=str(obj.get("estimator", "manual")),
             condition=obj.get("condition"),
@@ -233,7 +254,11 @@ class DisagreementTable:
     @classmethod
     def from_json(cls, source: str | IO[str]) -> "DisagreementTable":
         text = source if isinstance(source, str) else source.read()
-        return cls.from_json_dict(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"disagreement table is not valid JSON: {exc}") from None
+        return cls.from_json_dict(obj)
 
     def to_text(self) -> str:
         """Aligned table, highest level first, probabilities to 4 decimals."""
@@ -259,43 +284,119 @@ class DisagreementTable:
         return "\n".join(lines) + "\n"
 
 
-def _build_table(
-    counts: Mapping[int, tuple[int, int]],
+def pair_codes(pairs: Sequence[JudgmentPair], scale: RelevanceScale) -> np.ndarray:
+    """Cell code ``l1 * (T+1) + l2`` of every pair, in input order.
+
+    Levels are checked once for the whole list; the first out-of-range
+    level in input order (pair by pair, U1 before U2) raises.
+    """
+    levels = np.array([(p.level_u1, p.level_u2) for p in pairs], dtype=np.int64)
+    levels = levels.reshape(-1, 2)
+    bad = np.flatnonzero((levels < 0) | (levels > scale.top_index))
+    if bad.size:
+        scale.check_level(int(levels.flat[bad[0]]))
+    return levels[:, 0] * (scale.top_index + 1) + levels[:, 1]
+
+
+def code_counts(
+    codes: np.ndarray, scale: RelevanceScale, groups: np.ndarray | None = None, n_groups: int = 1
+) -> np.ndarray:
+    """Count matrix ``C[i, j]`` of pair codes, or ``C[g, i, j]`` per group.
+
+    ``groups`` gives each code's group index in ``0..n_groups-1``.
+    """
+    n = scale.top_index + 1
+    if groups is not None:
+        codes = groups * (n * n) + codes
+    flat = np.bincount(codes, minlength=n_groups * n * n)
+    return flat.reshape((n, n) if groups is None else (n_groups, n, n))
+
+
+def pair_counts(pairs: Sequence[JudgmentPair], scale: RelevanceScale) -> np.ndarray:
+    """``C[i, j]``: the number of pairs with U1 label i and U2 label j."""
+    return code_counts(pair_codes(pairs, scale), scale)
+
+
+def group_pair_counts(
+    pairs: Sequence[JudgmentPair],
     scale: RelevanceScale,
-    theta: int,
-    estimator: str,
-    condition: str | None,
+    key: Callable[[JudgmentPair], str] = lambda p: p.topic_id,
+) -> tuple[list[str], np.ndarray]:
+    """Sorted group names and ``C[group, i, j]``, one count matrix per group.
+
+    A pair's group is ``key(pair)``, by default its topic.
+    """
+    codes = pair_codes(pairs, scale)
+    names = sorted({key(p) for p in pairs})
+    index = {name: i for i, name in enumerate(names)}
+    groups = np.array([index[key(p)] for p in pairs], dtype=np.int64)
+    return names, code_counts(codes, scale, groups, len(names))
+
+
+def table_from_counts(
+    counts: np.ndarray,
+    user_model: UserModel,
+    scale: RelevanceScale,
+    *,
+    estimator: str = "symmetric",
+    condition: str = "u1",
+    one_sided_collection: bool = False,
 ) -> DisagreementTable:
-    cells = []
-    for level in range(scale.top_index + 1):
-        n_match, n_total = counts.get(level, (0, 0))
-        if n_total == 0:
-            cells.append(DisagreementCell(level, 0, 0, None, None))
-        else:
-            cells.append(
-                DisagreementCell(
-                    level,
-                    n_match,
-                    n_total,
-                    n_match / n_total,
-                    cell_sigma(n_match, n_total),
-                )
+    """The named estimator's table from the count matrix ``C[i, j]``.
+
+    Symmetric pools both directions, ``C + C^T``; one-sided conditions on
+    U1's labels (``C``) or U2's (``C^T``).  Level i's total is row i's sum
+    and its matches are row i's sum over columns >= theta.  The symmetric
+    estimator refuses when ``one_sided_collection`` is set, i.e. when the
+    second judging round only covered results the first round rated above
+    0: there the U2-conditioned direction over-samples agreement, so
+    pooling would bias the estimates high.
+    """
+    if estimator == "symmetric":
+        if one_sided_collection:
+            raise EstimationError(
+                "symmetric estimator is biased when the second round judged only "
+                "results the first round rated above 0; use estimate_one_sided "
+                "with condition='u1'"
             )
-    return DisagreementTable(
-        scale=scale, theta=theta, cells=tuple(cells), estimator=estimator,
-        condition=condition,
+        given, condition = counts + counts.T, None
+    elif estimator == "one_sided":
+        if condition not in ("u1", "u2"):
+            raise ValidationError(f"condition must be 'u1' or 'u2', got {condition!r}")
+        given = counts if condition == "u1" else counts.T
+    else:
+        raise ValidationError(f"unknown estimator {estimator!r}")
+    matches = given[:, user_model.theta:].sum(axis=1).tolist()
+    cells = tuple(
+        DisagreementCell(level, n_match, n_total, n_match / n_total,
+                         cell_sigma(n_match, n_total))
+        if n_total else DisagreementCell(level, 0, 0, None, None)
+        for level, (n_match, n_total) in enumerate(zip(matches, given.sum(axis=1).tolist()))
     )
+    return DisagreementTable(scale, user_model.theta, cells, estimator, condition)
 
 
-def _check_inputs(
-    pairs: Sequence[JudgmentPair], user_model: UserModel, scale: RelevanceScale
-) -> None:
+def estimate(
+    pairs: Sequence[JudgmentPair],
+    user_model: UserModel,
+    scale: RelevanceScale,
+    *,
+    estimator: str = "symmetric",
+    condition: str = "u1",
+    one_sided_collection: bool = False,
+) -> DisagreementTable:
+    """Estimate p_{R|i} with the named estimator: "symmetric" or "one_sided".
+
+    ``condition`` applies to the one-sided estimator and
+    ``one_sided_collection`` to the symmetric one (see table_from_counts).
+    """
     if not pairs:
         raise EstimationError("no judgment pairs to estimate from")
     user_model.check_against(scale)
-    for p in pairs:
-        for lvl in (p.level_u1, p.level_u2):
-            scale.check_level(lvl)
+    return table_from_counts(
+        pair_counts(pairs, scale), user_model, scale, estimator=estimator,
+        condition=condition, one_sided_collection=one_sided_collection,
+    )
 
 
 def estimate_one_sided(
@@ -311,22 +412,7 @@ def estimate_one_sided(
     matches those whose U2 label meets the threshold; ``"u2"`` swaps the
     roles.
     """
-    _check_inputs(pairs, user_model, scale)
-    if condition not in ("u1", "u2"):
-        raise ValidationError(f"condition must be 'u1' or 'u2', got {condition!r}")
-    totals: Counter[int] = Counter()
-    matches: Counter[int] = Counter()
-    for pair in pairs:
-        given, other = (
-            (pair.level_u1, pair.level_u2)
-            if condition == "u1"
-            else (pair.level_u2, pair.level_u1)
-        )
-        totals[given] += 1
-        if user_model.relevant(other):
-            matches[given] += 1
-    counts = {lvl: (matches[lvl], totals[lvl]) for lvl in totals}
-    return _build_table(counts, scale, user_model.theta, "one_sided", condition)
+    return estimate(pairs, user_model, scale, estimator="one_sided", condition=condition)
 
 
 def estimate_symmetric(
@@ -338,53 +424,10 @@ def estimate_symmetric(
 ) -> DisagreementTable:
     """Estimate p_{R|i} pooling both conditioning directions.
 
-    Refuses when ``one_sided_collection`` is set, i.e. when the second
-    judging round only covered results the first round rated above 0: in
-    that design the U2-conditioned direction over-samples agreement, so
-    pooling would bias the estimates high.  Use the one-sided estimator
-    conditioned on the complete first round instead.
+    Refuses when ``one_sided_collection`` is set; use the one-sided
+    estimator conditioned on the complete first round instead.
     """
-    _check_inputs(pairs, user_model, scale)
-    if one_sided_collection:
-        raise EstimationError(
-            "symmetric estimator is biased when the second round judged only "
-            "results the first round rated above 0; use estimate_one_sided "
-            "with condition='u1'"
-        )
-    totals: Counter[int] = Counter()
-    matches: Counter[int] = Counter()
-    for pair in pairs:
-        totals[pair.level_u1] += 1
-        totals[pair.level_u2] += 1
-        if user_model.relevant(pair.level_u2):
-            matches[pair.level_u1] += 1
-        if user_model.relevant(pair.level_u1):
-            matches[pair.level_u2] += 1
-    counts = {lvl: (matches[lvl], totals[lvl]) for lvl in totals}
-    return _build_table(counts, scale, user_model.theta, "symmetric", None)
-
-
-def estimate(
-    pairs: Sequence[JudgmentPair],
-    user_model: UserModel,
-    scale: RelevanceScale,
-    *,
-    estimator: str = "symmetric",
-    condition: str = "u1",
-    one_sided_collection: bool = False,
-) -> DisagreementTable:
-    """Estimate p_{R|i} with the named estimator: "symmetric" or "one_sided".
-
-    ``condition`` applies to the one-sided estimator and
-    ``one_sided_collection`` to the symmetric one.
-    """
-    if estimator == "symmetric":
-        return estimate_symmetric(
-            pairs, user_model, scale, one_sided_collection=one_sided_collection
-        )
-    if estimator == "one_sided":
-        return estimate_one_sided(pairs, user_model, scale, condition=condition)
-    raise ValidationError(f"unknown estimator {estimator!r}")
+    return estimate(pairs, user_model, scale, one_sided_collection=one_sided_collection)
 
 
 def stratified_estimate(
@@ -403,15 +446,14 @@ def stratified_estimate(
     missing = {p.topic_id for p in pairs} - set(strata)
     if missing:
         raise ValidationError(f"topics missing from strata map: {sorted(missing)}")
-    grouped: dict[str, list[JudgmentPair]] = {}
-    for pair in pairs:
-        grouped.setdefault(strata[pair.topic_id], []).append(pair)
+    user_model.check_against(scale)
+    names, per_stratum = group_pair_counts(pairs, scale, lambda p: strata[p.topic_id])
     return {
-        stratum: estimate(
-            grouped[stratum], user_model, scale, estimator=estimator,
+        name: table_from_counts(
+            counts, user_model, scale, estimator=estimator,
             condition=condition, one_sided_collection=one_sided_collection,
         )
-        for stratum in sorted(grouped)
+        for name, counts in zip(names, per_stratum)
     }
 
 

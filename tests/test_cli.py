@@ -624,6 +624,30 @@ class TestAnalyzeCommand:
         assert code == 1
         assert "--resource-map or --resource-regex" in err
 
+    @pytest.mark.parametrize("kind", ["bootstrap", "budget", "quality"])
+    def test_one_sided_collection_blocks_symmetric(self, capsys, ws, kind):
+        _, _, refused = run_cli(
+            capsys,
+            ["estimate", "--scale", ws["scale"], "--pairs", ws["pairs"], "--one-sided-collection"],
+        )
+        extra = {
+            "bootstrap": ["--pairs", ws["pairs2"], "--seed", "1", "--resamples", "5"],
+            "budget": ["--pairs", ws["pairs"], "--seed", "1", "--budgets", "5,10"],
+            "quality": ["--pairs", ws["pairs"], "--qrels", ws["qrels_u1"],
+                        "--resource-regex", "^(d1?)"],
+        }[kind]
+        argv = [
+            "analyze", kind, "--scale", ws["scale"], "--theta", "2",
+            "--one-sided-collection", *extra,
+        ]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == refused
+        assert "symmetric estimator is biased" in err
+        code, out, _ = run_cli(capsys, argv + ["--estimator", "one-sided"])
+        assert code == 0
+        assert out
+
     def test_robustness_identical_sets(self, capsys, ws):
         code, out, _ = run_cli(
             capsys,
@@ -763,6 +787,40 @@ class TestModuleEntryPoint:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"error: {flag} takes a comma list")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"theta": 2}', "disagreement table lacks 'scale'"),
+            ('{"scale": {"labels": ["a", "b", "c"]}, "cells": []}',
+             "disagreement table lacks 'theta'"),
+            ('{"scale": {"labels": ["a", "b", "c"]}, "theta": 2}',
+             "disagreement table lacks 'cells'"),
+            ('[1, 2]', "a disagreement table must be a JSON object"),
+            ('{"scale": {"labels": ["a", "b", "c"]}, "theta": 2, "cells": [{"p": 1}]}',
+             "malformed disagreement table: KeyError('level')"),
+            ("theta: 2\n", "disagreement table is not valid JSON"),
+        ],
+    )
+    def test_malformed_table_is_an_error(self, ws, tmp_path, text, message):
+        import subprocess
+        import sys
+
+        table = tmp_path / "t.json"
+        table.write_text(text, encoding="utf-8")
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "prmeval", "eval", "--scale", ws["scale"],
+                "--qrels", ws["qrels_u1"], "--run", ws["run_perfect"],
+                "--gains", "prm", "--table", str(table),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: {message}")
+        assert proc.stderr.count("\n") == 1
 
     def test_python_dash_m(self, ws):
         import subprocess
