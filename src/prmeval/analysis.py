@@ -20,7 +20,7 @@ from .disagreement import (
     UserModel, code_counts, group_pair_counts, pair_codes, table_from_counts,
 )
 from .errors import DataWarning, EstimationError, MetricError, ValidationError
-from .metrics import DiscountFunction, GainScheme, MetricReport, ndcg_at_k
+from .metrics import DiscountFunction, GainScheme, MetricReport, ndcg_reports
 
 __all__ = [
     "SystemRanking",
@@ -488,13 +488,36 @@ def rank_by_ndcg(
     ideal_pool: str = "qrels",
 ) -> SystemRanking:
     """Rank runs by mean nDCG@k; ``strict`` and ``ideal_pool`` as in ndcg_at_k."""
-    scores = {
-        run.system_id: ndcg_at_k(
-            run, judgments, scheme, discount, k, strict=strict, ideal_pool=ideal_pool
-        ).mean
-        for run in runs
+    return _rank_by_schemes(
+        runs, judgments, {scheme.name: scheme}, discount, k, strict=strict, ideal_pool=ideal_pool
+    )[scheme.name]
+
+
+def _rank_by_schemes(
+    runs: Sequence[RunRanking],
+    judgments: JudgmentSet | Mapping[str, Mapping[str, int]],
+    schemes: Mapping[str, GainScheme],
+    discount: DiscountFunction,
+    k: int,
+    *,
+    strict: bool = False,
+    ideal_pool: str = "qrels",
+) -> dict[str, SystemRanking]:
+    """One ranking per scheme; each run is scored once for all schemes."""
+    if isinstance(judgments, JudgmentSet):
+        judgments = judgments.doc_levels()
+    means: dict[str, dict[str, float]] = {name: {} for name in schemes}
+    for run in runs:
+        reports = ndcg_reports(
+            run, judgments, list(schemes.values()), discount, k,
+            strict=strict, ideal_pool=ideal_pool,
+        )
+        for name, report in zip(schemes, reports):
+            means[name][run.system_id] = report.mean
+    return {
+        name: SystemRanking.from_scores(f"ndcg_{scheme.name}@{k}", means[name])
+        for name, scheme in schemes.items()
     }
-    return SystemRanking.from_scores(f"ndcg_{scheme.name}@{k}", scores)
 
 
 def robustness_study(
@@ -522,17 +545,11 @@ def robustness_study(
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate system_id among runs")
     discount = discount or DiscountFunction.log(2.0)
-    out: dict[str, float] = {}
-    for name in schemes:
-        scheme = schemes[name]
-        rank_u1 = rank_by_ndcg(
-            runs, set_u1, scheme, discount, k, strict=strict, ideal_pool=ideal_pool
-        )
-        rank_u2 = rank_by_ndcg(
-            runs, set_u2, scheme, discount, k, strict=strict, ideal_pool=ideal_pool
-        )
-        out[name] = kendall_tau(rank_u1, rank_u2, variant=variant)
-    return out
+    rank_u1, rank_u2 = (
+        _rank_by_schemes(runs, judged, schemes, discount, k, strict=strict, ideal_pool=ideal_pool)
+        for judged in (set_u1, set_u2)
+    )
+    return {name: kendall_tau(rank_u1[name], rank_u2[name], variant=variant) for name in schemes}
 
 
 def scheme_agreement(
@@ -549,11 +566,7 @@ def scheme_agreement(
         raise ValidationError("need at least 2 runs to correlate rankings")
     if len(schemes) < 2:
         raise ValidationError("need at least 2 schemes to compare")
-    discount = discount or DiscountFunction.log(2.0)
-    rankings = {
-        name: rank_by_ndcg(runs, judgments, schemes[name], discount, k)
-        for name in schemes
-    }
+    rankings = _rank_by_schemes(runs, judgments, schemes, discount or DiscountFunction.log(2.0), k)
     names = sorted(schemes)
     out: dict[tuple[str, str], float] = {}
     for i, a in enumerate(names):

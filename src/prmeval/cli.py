@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import replace
+from functools import cache, partial
 from typing import Sequence
 
 from . import analysis, corpus, disagreement, metrics
@@ -270,14 +272,20 @@ def _load_qrels(
 
 
 def _pairs_or_overlap(
-    args: argparse.Namespace, scale: corpus.RelevanceScale
+    args: argparse.Namespace, scale: corpus.RelevanceScale, qrels=None
 ) -> list[corpus.JudgmentPair]:
-    """Double judgments from --pairs, else from the overlap of --qrels and --qrels2."""
+    """Double judgments from --pairs, else from the overlap of --qrels and --qrels2.
+
+    ``qrels()``, when given, returns the two qrels files already read.
+    """
     if args.pairs:
         return corpus.parse_paired(_read_lines(args.pairs), scale)
     if args.qrels and args.qrels2:
-        u1 = _load_qrels(args, args.qrels, scale, "u1")
-        u2 = _load_qrels(args, args.qrels2, scale, "u2")
+        if qrels is None:
+            u1 = _load_qrels(args, args.qrels, scale, "u1")
+            u2 = _load_qrels(args, args.qrels2, scale, "u2")
+        else:
+            u1, u2 = qrels()
         return list(corpus.pair_judgments(u1, u2).pairs)
     raise ValidationError(
         "no double judgments: supply --pairs or both --qrels and --qrels2"
@@ -399,13 +407,14 @@ def cmd_estimate(args: argparse.Namespace) -> str:
         estimators = [(args.estimator, args.condition)]
     model = _user_model(args, scale)
 
+    counts = disagreement.stratum_counts(pairs, strata, model, scale)
     per_stratum: dict[str, dict[str, disagreement.DisagreementTable]] = {}
     for estimator, condition in estimators:
-        tables = disagreement.stratified_estimate(
-            pairs, strata, model, scale, estimator=estimator,
-            condition=condition, one_sided_collection=args.one_sided_collection,
-        )
-        for stratum, t in tables.items():
+        for stratum, c in counts.items():
+            t = disagreement.table_from_counts(
+                c, model, scale, estimator=estimator,
+                condition=condition, one_sided_collection=args.one_sided_collection,
+            )
             name = f"one_sided_{t.condition}" if t.condition else t.estimator
             per_stratum.setdefault(stratum, {})[name] = (
                 t.with_override(0, 0.0) if args.override_p0 else t
@@ -456,6 +465,10 @@ def cmd_eval(args: argparse.Namespace) -> str:
         assert table is not None
         pool_reports["count_prm"] = metrics.expected_count_report(judged, table)
 
+    schemes = (
+        [_resolve_scheme(name, args, scale, table) for name in args.gains]
+        if "ndcg" in measures else []
+    )
     system_reports: dict[str, dict[str, metrics.MetricReport]] = {}
     for run in runs:
         per_run: dict[str, metrics.MetricReport] = {}
@@ -465,13 +478,12 @@ def cmd_eval(args: argparse.Namespace) -> str:
                 run, doc_levels, table, args.k, strict=args.strict
             )
             per_run[report.label] = report
-        if "ndcg" in measures:
-            for name in args.gains:
-                scheme = _resolve_scheme(name, args, scale, table)
-                report = metrics.ndcg_at_k(
-                    run, doc_levels, scheme, discount, args.k,
-                    strict=args.strict, ideal_pool=args.ideal_pool,
-                )
+        if schemes:
+            reports = metrics.ndcg_reports(
+                run, doc_levels, schemes, discount, args.k,
+                strict=args.strict, ideal_pool=args.ideal_pool,
+            )
+            for name, report in zip(args.gains, reports):
                 label = "ndcg" if len(args.gains) == 1 else f"ndcg_{name}"
                 report = replace(report, measure=label)
                 per_run[report.label] = report
@@ -527,15 +539,21 @@ def _ranking_inputs(
     runs = _load_runs(args)
     if len(runs) < 2:
         raise ValidationError("need at least 2 --run files")
+
+    @cache
+    def qrels() -> tuple[corpus.JudgmentSet, corpus.JudgmentSet]:
+        # read once, by the overlap table or else after it
+        u1 = _load_qrels(args, args.qrels, scale, "u1")
+        return u1, _load_qrels(args, args.qrels2, scale, "u2") if args.qrels2 else u1
+
     table = (
-        _resolve_table(args, scale, _pairs_or_overlap) if _needs_table(args.gains) else None
+        _resolve_table(args, scale, partial(_pairs_or_overlap, qrels=qrels))
+        if _needs_table(args.gains) else None
     )
     schemes = {name: _resolve_scheme(name, args, scale, table) for name in args.gains}
-    set_u1 = _load_qrels(args, args.qrels, scale, "u1").doc_levels()
-    set_u2 = (
-        _load_qrels(args, args.qrels2, scale, "u2").doc_levels() if args.qrels2 else set_u1
-    )
-    return runs, set_u1, set_u2, schemes
+    u1, u2 = qrels()
+    set_u1 = u1.doc_levels()
+    return runs, set_u1, set_u1 if u2 is u1 else u2.doc_levels(), schemes
 
 
 def _analyze_tau(args: argparse.Namespace) -> str:
@@ -722,9 +740,15 @@ _COMMANDS = {
 }
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, sub_map = build_parser()
+    # warnings print as one plain line, without the source location
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         args = parser.parse_args(argv)
         if args.config:
@@ -751,6 +775,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -22,11 +22,13 @@ non-relevant"); levels above the scale top are validation errors.
 from __future__ import annotations
 
 import json
+import operator
 import re
 import warnings
 from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO
 
 from .errors import DataWarning, ParseError, ValidationError
 
@@ -38,6 +40,7 @@ __all__ = [
     "PairingResult",
     "RunEntry",
     "RunRanking",
+    "RunEntries",
     "parse_scale",
     "parse_qrels",
     "parse_paired",
@@ -237,59 +240,166 @@ class RunEntry:
     score: float
 
 
-@dataclass(frozen=True)
 class RunRanking:
-    """A system's ranked results, grouped by topic.
+    """A system's ranked results, stored per topic in rank order.
 
-    Per topic, ranks must be exactly 1..n.  When rank order and score
-    order disagree, rank is authoritative and a :class:`DataWarning` is
-    emitted.
+    Per topic, ranks must be exactly 1..n, so a topic is kept as two
+    columns, its doc ids and its scores at ranks 1..n.  When rank order
+    and score order disagree, rank is authoritative and a
+    :class:`DataWarning` is emitted.  Runs compare equal by value.
     """
 
-    system_id: str
-    entries: tuple[RunEntry, ...]
+    __slots__ = ("system_id", "_docs", "_scores", "_n")
 
-    def __post_init__(self) -> None:
-        by_topic: dict[str, list[RunEntry]] = {}
-        seen_docs: set[tuple[str, str]] = set()
-        for e in self.entries:
-            if e.rank < 1:
-                raise ValidationError(f"topic {e.topic_id}: rank {e.rank} < 1")
-            doc_key = (e.topic_id, e.doc_id)
-            if doc_key in seen_docs:
-                raise ValidationError(
-                    f"duplicate (topic, doc) in run {self.system_id}: {doc_key}"
-                )
-            seen_docs.add(doc_key)
-            by_topic.setdefault(e.topic_id, []).append(e)
-        for topic, group in by_topic.items():
-            ranks = sorted(e.rank for e in group)
-            if len(set(ranks)) != len(ranks):
-                raise ValidationError(f"topic {topic}: duplicate rank")
-            if ranks != list(range(1, len(ranks) + 1)):
-                raise ValidationError(
-                    f"topic {topic}: ranks not contiguous 1..{len(ranks)}: {ranks[:5]}..."
-                )
-            ordered = sorted(group, key=lambda e: e.rank)
-            scores = [e.score for e in ordered]
-            if any(b > a for a, b in zip(scores, scores[1:])):
-                warnings.warn(
-                    f"run {self.system_id}, topic {topic}: scores increase down the "
-                    "ranking; keeping rank order",
-                    DataWarning,
-                    stacklevel=2,
-                )
+    def __init__(self, system_id: str, entries: Iterable[RunEntry]) -> None:
+        rows: dict[str, tuple[list, list, list]] = {}
+        for e in entries:
+            _add_row(rows, e.topic_id, e.doc_id, e.rank, e.score)
+        self._adopt(system_id, rows)
 
-    def topics(self) -> set[str]:
-        return {e.topic_id for e in self.entries}
+    @classmethod
+    def _from_rows(
+        cls, system_id: str, rows: Mapping[str, tuple[list, list, list]]
+    ) -> "RunRanking":
+        """A run from per-topic ``(docs, ranks, scores)`` columns in any row order."""
+        run = cls.__new__(cls)
+        run._adopt(system_id, rows)
+        return run
 
-    def topic_slice(self, topic_id: str) -> list[RunEntry]:
-        return sorted(
-            (e for e in self.entries if e.topic_id == topic_id), key=lambda e: e.rank
+    def _adopt(self, system_id: str, rows: Mapping[str, tuple[list, list, list]]) -> None:
+        self.system_id = system_id
+        self._docs, self._scores = _index_run(system_id, rows)
+        self._n = sum(map(len, self._docs.values()))
+
+    @property
+    def entries(self) -> "RunEntries":
+        """Every entry in (topic, rank) order, as a view with an O(1) ``len``."""
+        return RunEntries(self)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RunRanking):
+            return NotImplemented
+        return (self.system_id, self._docs, self._scores) == (
+            other.system_id, other._docs, other._scores
         )
 
+    def __hash__(self) -> int:
+        return hash((self.system_id, self._n))
+
+    def __repr__(self) -> str:
+        return f"RunRanking({self.system_id!r}, {self._n} entries, {len(self._docs)} topics)"
+
+    def topics(self) -> set[str]:
+        return set(self._docs)
+
+    def topic_slice(self, topic_id: str) -> list[RunEntry]:
+        docs, scores = self._docs.get(topic_id, ()), self._scores.get(topic_id, ())
+        return [
+            RunEntry(topic_id, doc, rank, score)
+            for rank, (doc, score) in enumerate(zip(docs, scores), start=1)
+        ]
+
     def doc_ids(self, topic_id: str) -> list[str]:
-        return [e.doc_id for e in self.topic_slice(topic_id)]
+        return list(self._docs.get(topic_id, ()))
+
+
+class RunEntries(Sequence):
+    """Read-only view of a run's entries in (topic, rank) order.
+
+    Its length is stored in the run; entries are built on access.
+    """
+
+    __slots__ = ("_run",)
+
+    def __init__(self, run: RunRanking) -> None:
+        self._run = run
+
+    def __len__(self) -> int:
+        return self._run._n
+
+    def __iter__(self) -> Iterator[RunEntry]:
+        for topic in self._run._docs:
+            yield from self._run.topic_slice(topic)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = index + len(self) if index < 0 else index
+        if not 0 <= i < len(self):
+            raise IndexError("run entry index out of range")
+        for topic, docs in self._run._docs.items():
+            if i < len(docs):
+                return RunEntry(topic, docs[i], i + 1, self._run._scores[topic][i])
+            i -= len(docs)
+
+
+def _add_row(
+    rows: dict[str, tuple[list, list, list]], topic: str, doc: str, rank: int, score: float
+) -> None:
+    cols = rows.get(topic)
+    if cols is None:
+        cols = rows[topic] = ([], [], [])
+    cols[0].append(doc)
+    cols[1].append(rank)
+    cols[2].append(score)
+
+
+def _first_repeat(docs: list[str], ranks: list[int]) -> str | None:
+    """The doc whose second occurrence comes first in rank order."""
+    seen: set[str] = set()
+    for i in sorted(range(len(docs)), key=ranks.__getitem__):
+        if docs[i] in seen:
+            return docs[i]
+        seen.add(docs[i])
+
+
+def _index_run(
+    system_id: str, rows: Mapping[str, tuple[list, list, list]]
+) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[float, ...]]]:
+    """Validate a run's per-topic columns and put each topic in rank order.
+
+    The one validation path of every run.  Faults are reported as if the
+    entries were visited in (topic, rank) order: first any rank below 1
+    or repeated (topic, doc), then per topic a duplicate or missing rank;
+    the score-order warning comes with the second pass.
+    """
+    topics = sorted(rows)
+    for topic in topics:
+        docs, ranks, _ = rows[topic]
+        low = min(ranks)
+        if low < 1:
+            raise ValidationError(f"topic {topic}: rank {low} < 1")
+        if len(set(docs)) != len(docs):
+            doc_key = (topic, _first_repeat(docs, ranks))
+            raise ValidationError(f"duplicate (topic, doc) in run {system_id}: {doc_key}")
+    docs_by_topic: dict[str, tuple[str, ...]] = {}
+    scores_by_topic: dict[str, tuple[float, ...]] = {}
+    for topic in topics:
+        docs, ranks, scores = rows[topic]
+        n = len(ranks)
+        if ranks != list(range(1, n + 1)):
+            ordered = sorted(ranks)
+            if len(set(ordered)) != n:
+                raise ValidationError(f"topic {topic}: duplicate rank")
+            if ordered != list(range(1, n + 1)):
+                raise ValidationError(
+                    f"topic {topic}: ranks not contiguous 1..{n}: {ordered[:5]}..."
+                )
+            slot = [0] * n
+            for i, rank in enumerate(ranks):
+                slot[rank - 1] = i
+            docs = [docs[i] for i in slot]
+            scores = [scores[i] for i in slot]
+        if any(map(operator.gt, scores[1:], scores)):
+            warnings.warn(
+                f"run {system_id}, topic {topic}: scores increase down the "
+                "ranking; keeping rank order",
+                DataWarning,
+                stacklevel=4,
+            )
+        docs_by_topic[topic] = tuple(docs)
+        scores_by_topic[topic] = tuple(scores)
+    return docs_by_topic, scores_by_topic
 
 
 def _records(source: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
@@ -422,8 +532,12 @@ def parse_paired(source: Iterable[str], scale: RelevanceScale) -> list[JudgmentP
 
 
 def parse_run(source: Iterable[str]) -> RunRanking:
-    """Parse ``topic Q0 doc rank score system`` records into a RunRanking."""
-    entries: list[RunEntry] = []
+    """Parse ``topic Q0 doc rank score system`` records into a RunRanking.
+
+    Lines are grouped by topic as they are read; the run is validated and
+    put in rank order once, by the same path as ``RunRanking(...)``.
+    """
+    rows: dict[str, tuple[list, list, list]] = {}
     system_id: str | None = None
     for line_no, fields in _records(source):
         if len(fields) != 6:
@@ -443,11 +557,10 @@ def parse_run(source: Iterable[str]) -> RunRanking:
             raise ValidationError(
                 f"line {line_no}: inconsistent system_id {system!r} != {system_id!r}"
             )
-        entries.append(RunEntry(topic, doc, rank, score))
+        _add_row(rows, topic, doc, rank, score)
     if system_id is None:
         raise ValidationError("run file contains no records")
-    entries.sort(key=lambda e: (e.topic_id, e.rank))
-    return RunRanking(system_id=system_id, entries=tuple(entries))
+    return RunRanking._from_rows(system_id, rows)
 
 
 def parse_intent_probabilities(source: Iterable[str]) -> dict[str, dict[str, float]]:

@@ -56,6 +56,7 @@ __all__ = [
     "estimate_symmetric",
     "estimate",
     "stratified_estimate",
+    "stratum_counts",
     "pair_codes",
     "code_counts",
     "pair_counts",
@@ -441,6 +442,22 @@ def stratified_estimate(
     one_sided_collection: bool = False,
 ) -> dict[str, DisagreementTable]:
     """Estimate a separate table per stratum of a topic -> stratum map."""
+    return {
+        name: table_from_counts(
+            counts, user_model, scale, estimator=estimator,
+            condition=condition, one_sided_collection=one_sided_collection,
+        )
+        for name, counts in stratum_counts(pairs, strata, user_model, scale).items()
+    }
+
+
+def stratum_counts(
+    pairs: Sequence[JudgmentPair],
+    strata: Mapping[str, str],
+    user_model: UserModel,
+    scale: RelevanceScale,
+) -> dict[str, np.ndarray]:
+    """``C[i, j]`` per stratum, by stratum name, after the checks of an estimate."""
     if not pairs:
         raise EstimationError("no judgment pairs to estimate from")
     missing = {p.topic_id for p in pairs} - set(strata)
@@ -448,13 +465,7 @@ def stratified_estimate(
         raise ValidationError(f"topics missing from strata map: {sorted(missing)}")
     user_model.check_against(scale)
     names, per_stratum = group_pair_counts(pairs, scale, lambda p: strata[p.topic_id])
-    return {
-        name: table_from_counts(
-            counts, user_model, scale, estimator=estimator,
-            condition=condition, one_sided_collection=one_sided_collection,
-        )
-        for name, counts in zip(names, per_stratum)
-    }
+    return dict(zip(names, per_stratum))
 
 
 def at_least_m_of_n(p: float, m: int, n: int) -> float:

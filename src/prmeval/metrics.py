@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -52,6 +53,7 @@ __all__ = [
     "topic_dcg",
     "ideal_dcg_at_k",
     "ndcg_at_k",
+    "ndcg_reports",
 ]
 
 
@@ -463,37 +465,90 @@ def ndcg_at_k(
     per-topic value in [0, 1] for any gain scheme; ``"run"`` restricts the
     pool to the run's own retrieved documents (self-normalization).
     Topics whose ideal DCG is zero are excluded from the mean with a
-    warning.
+    warning.  One scheme of :func:`ndcg_reports`.
+    """
+    return ndcg_reports(
+        run, judgments, [scheme], discount, k, strict=strict, ideal_pool=ideal_pool
+    )[0]
+
+
+def ndcg_reports(
+    run: RunRanking,
+    judgments: JudgmentSet | Mapping[str, Mapping[str, int]],
+    schemes: Sequence[GainScheme],
+    discount: DiscountFunction,
+    k: int,
+    *,
+    strict: bool = False,
+    ideal_pool: str = "qrels",
+) -> list[MetricReport]:
+    """nDCG@k of one run under every gain scheme, one report per scheme.
+
+    Per topic the run's levels are looked up once (unjudged documents
+    count as level 0) and every scheme's gains are gathered from that one
+    level vector; the ideal DCG comes from the pool's level histogram.
+    Values equal :func:`topic_dcg` over :func:`ideal_dcg_at_k` bit for
+    bit.  ``strict`` and ``ideal_pool`` are as in :func:`ndcg_at_k`.
     """
     if ideal_pool not in ("qrels", "run"):
         raise ValidationError(f"ideal_pool must be 'qrels' or 'run', got {ideal_pool!r}")
+    if len({len(s.gains) for s in schemes}) > 1:
+        raise ValidationError("gain schemes must cover the same levels")
     doc_levels = _doc_levels_for(judgments)
     topics = _eval_topics(run, set(doc_levels), strict)
     if not topics:
         raise MetricError("no topics with judgments to evaluate")
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
 
-    values: dict[str, float] = {}
-    excluded: list[str] = []
+    gains = np.array([s.gains for s in schemes], dtype=np.float64)  # [S, T+1]
+    top = gains.shape[1] - 1
+    # each scheme's levels by rising gain, to expand a histogram into sorted gains
+    by_gain = [np.argsort(g, kind="stable") for g in gains]
+    retrieved = {topic: run.doc_ids(topic) for topic in topics}
+    depth = min(k, max(map(len, retrieved.values())))
+    weights = np.array([discount.weight(r) for r in range(1, depth + 1)])
+
+    values: list[dict[str, float]] = [{} for _ in schemes]
+    excluded: list[list[str]] = [[] for _ in schemes]
     for topic in topics:
-        levels = doc_levels[topic]
-        retrieved = run.doc_ids(topic)
+        levels, docs = doc_levels[topic], retrieved[topic]
         if ideal_pool == "run":
-            pool = [levels.get(doc, 0) for doc in dict.fromkeys(retrieved)]
+            pool = np.fromiter(map(levels.get, docs, repeat(0)), np.intp, len(docs))
+            n_unjudged = 0
         else:
-            pool = list(levels.values())
-            pool += [0] * sum(1 for doc in dict.fromkeys(retrieved) if doc not in levels)
-        ideal = ideal_dcg_at_k(pool, scheme, discount, k) if pool else 0.0
-        if ideal == 0.0:
-            excluded.append(topic)
-            continue
-        values[topic] = topic_dcg(retrieved, levels, scheme, discount, k) / ideal
-    if excluded:
-        warnings.warn(
-            f"run {run.system_id}: topics with zero ideal DCG excluded from "
-            f"ndcg@{k}: {sorted(excluded)}",
-            DataWarning,
-            stacklevel=2,
-        )
-    if not values:
-        raise MetricError(f"all topics have zero ideal DCG for ndcg@{k}")
-    return MetricReport.from_values(f"ndcg_{scheme.name}", k, values, excluded)
+            pool = np.fromiter(levels.values(), np.intp, len(levels))
+            n_unjudged = len(docs) - len(levels.keys() & docs)
+        lo, hi = (int(pool.min()), int(pool.max())) if pool.size else (0, 0)
+        if lo < 0 or hi > top:
+            raise MetricError(f"level {lo if lo < 0 else hi} outside gain vector 0..{top}")
+        hist = np.bincount(pool, minlength=top + 1)
+        hist[0] += n_unjudged
+        n_ideal = min(k, int(hist.sum()))
+        ideal_weights = discount.weights(n_ideal)
+        ranked = np.fromiter(map(levels.get, docs[:k], repeat(0)), np.intp)
+        # left-to-right sums, as topic_dcg accumulates
+        dcg = (gains[:, ranked] * weights[: len(ranked)]).cumsum(axis=1)
+        for s, order in enumerate(by_gain):
+            # the reversed view, as in ideal_dcg_at_k: numpy's dot sums a
+            # strided view left to right, a contiguous one in BLAS order
+            ideal_gains = np.repeat(gains[s, order], hist[order])[::-1][:k]
+            ideal = float(ideal_gains @ ideal_weights)
+            if ideal == 0.0:
+                excluded[s].append(topic)
+            else:
+                values[s][topic] = float(dcg[s, -1]) / ideal
+
+    reports = []
+    for scheme, vals, skipped in zip(schemes, values, excluded):
+        if skipped:
+            warnings.warn(
+                f"run {run.system_id}: topics with zero ideal DCG excluded from "
+                f"ndcg@{k}: {sorted(skipped)}",
+                DataWarning,
+                stacklevel=2,
+            )
+        if not vals:
+            raise MetricError(f"all topics have zero ideal DCG for ndcg@{k}")
+        reports.append(MetricReport.from_values(f"ndcg_{scheme.name}", k, vals, skipped))
+    return reports

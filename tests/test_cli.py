@@ -836,3 +836,82 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert "p=0.4000" in proc.stdout
+
+
+class TestWarningLines:
+    @pytest.mark.parametrize(
+        "command, text, line",
+        [
+            ("validate", "201 Q0 d1 1 1.0 s\n201 Q0 d2 2 2.0 s\n",
+             "run s, topic 201: scores increase down the ranking; keeping rank order"),
+            ("estimate", "201 a 2 1\n201 b 1 2\n201 c 0 0\n202 x 0 1\n202 y 0 0\n203 p 1 2\n",
+             "non-monotone disagreement estimates: p(level 1) = 0.7500 > "
+             "p(level 2) = 0.0000 beyond noise"),
+        ],
+    )
+    def test_warning_is_one_plain_line(self, ws, tmp_path, command, text, line):
+        import subprocess
+        import sys
+
+        path = tmp_path / "input.txt"
+        path.write_text(text, encoding="utf-8")
+        flag = "--run" if command == "validate" else "--pairs"
+        proc = subprocess.run(
+            [sys.executable, "-m", "prmeval", command, "--scale", ws["scale"], flag, str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == f"warning: {line}\n"
+        assert "<string>" not in proc.stderr
+        assert "DataWarning:" not in proc.stderr
+
+    def test_formatter_restored_after_main(self, capsys, ws):
+        import warnings
+
+        before = warnings.formatwarning
+        assert run_cli(capsys, ["validate", "--scale", ws["scale"]])[0] == 0
+        assert run_cli(capsys, ["validate"])[0] == 1
+        assert warnings.formatwarning is before
+
+
+class TestInputsReadOnce:
+    @pytest.mark.filterwarnings("ignore:non-monotone")
+    @pytest.mark.parametrize("kind", ["tau", "robustness"])
+    def test_each_qrels_file_parsed_once(self, capsys, ws, monkeypatch, kind):
+        from prmeval import corpus
+
+        calls = []
+        parse_qrels = corpus.parse_qrels
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return parse_qrels(*args, **kwargs)
+
+        monkeypatch.setattr(corpus, "parse_qrels", counting)
+        code, _, _ = run_cli(capsys, [
+            "analyze", kind, "--scale", ws["scale"], "--qrels", ws["qrels_u1"],
+            "--qrels2", ws["qrels_u2"], "--run", ws["run_perfect"], "--run", ws["run_reverse"],
+            "--theta", "2", "--gains", "prm",
+        ])
+        assert code == 0
+        assert len(calls) == 2
+
+    def test_estimate_all_counts_pairs_once(self, capsys, ws, monkeypatch):
+        from prmeval import disagreement
+
+        calls = []
+        pair_codes = disagreement.pair_codes
+
+        def counting(pairs, scale):
+            calls.append(len(pairs))
+            return pair_codes(pairs, scale)
+
+        monkeypatch.setattr(disagreement, "pair_codes", counting)
+        code, out, _ = run_cli(capsys, [
+            "estimate", "--scale", ws["scale"], "--pairs", ws["pairs"], "--theta", "2",
+            "--estimator", "all",
+        ])
+        assert code == 0
+        assert out.count("estimator=") == 3
+        assert calls == [20]
