@@ -16,9 +16,7 @@ from .analysis import (
     bootstrap_topics,
     kendall_tau,
     quality_sensitivity,
-    rank_systems,
     robustness_study,
-    scheme_agreement,
     simulate_annotation_rounds,
 )
 from .corpus import (
@@ -41,7 +39,6 @@ from .disagreement import (
     DisagreementCell,
     DisagreementTable,
     UserModel,
-    at_least_m_of_n,
     cell_sigma,
     estimate_one_sided,
     estimate_symmetric,
@@ -95,7 +92,6 @@ __all__ = [
     "SystemRanking",
     "UserModel",
     "ValidationError",
-    "at_least_m_of_n",
     "attach_resources",
     "bootstrap_topics",
     "cell_sigma",
@@ -114,9 +110,7 @@ __all__ = [
     "parse_run",
     "parse_scale",
     "quality_sensitivity",
-    "rank_systems",
     "robustness_study",
-    "scheme_agreement",
     "select_top_intent",
     "simulate_annotation_rounds",
     "stratified_estimate",

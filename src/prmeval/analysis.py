@@ -20,7 +20,7 @@ from .disagreement import (
     UserModel, code_counts, group_pair_counts, pair_codes, table_from_counts,
 )
 from .errors import DataWarning, EstimationError, MetricError, ValidationError
-from .metrics import DiscountFunction, GainScheme, MetricReport, ndcg_reports
+from .metrics import DiscountFunction, GainScheme, ndcg_reports
 
 __all__ = [
     "SystemRanking",
@@ -28,13 +28,11 @@ __all__ = [
     "SensitivityCurve",
     "LevelSeries",
     "kendall_tau",
-    "rank_systems",
     "rank_by_ndcg",
     "bootstrap_topics",
     "simulate_annotation_rounds",
     "quality_sensitivity",
     "robustness_study",
-    "scheme_agreement",
     "bootstrap_to_csv",
 ]
 
@@ -64,13 +62,6 @@ class SystemRanking:
 
     def system_ids(self) -> set[str]:
         return {s for s, _ in self.systems}
-
-
-def rank_systems(measure: str, reports: Mapping[str, MetricReport]) -> SystemRanking:
-    """Order systems by the mean of their per-system reports."""
-    return SystemRanking.from_scores(
-        measure, {system: report.mean for system, report in reports.items()}
-    )
 
 
 def _merge_count(values: list[float]) -> tuple[list[float], int]:
@@ -479,23 +470,7 @@ def quality_sensitivity(
 
 def rank_by_ndcg(
     runs: Sequence[RunRanking],
-    judgments: JudgmentSet | Mapping[str, Mapping[str, int]],
-    scheme: GainScheme,
-    discount: DiscountFunction,
-    k: int,
-    *,
-    strict: bool = False,
-    ideal_pool: str = "qrels",
-) -> SystemRanking:
-    """Rank runs by mean nDCG@k; ``strict`` and ``ideal_pool`` as in ndcg_at_k."""
-    return _rank_by_schemes(
-        runs, judgments, {scheme.name: scheme}, discount, k, strict=strict, ideal_pool=ideal_pool
-    )[scheme.name]
-
-
-def _rank_by_schemes(
-    runs: Sequence[RunRanking],
-    judgments: JudgmentSet | Mapping[str, Mapping[str, int]],
+    doc_levels: Mapping[str, Mapping[str, int]],
     schemes: Mapping[str, GainScheme],
     discount: DiscountFunction,
     k: int,
@@ -503,13 +478,16 @@ def _rank_by_schemes(
     strict: bool = False,
     ideal_pool: str = "qrels",
 ) -> dict[str, SystemRanking]:
-    """One ranking per scheme; each run is scored once for all schemes."""
-    if isinstance(judgments, JudgmentSet):
-        judgments = judgments.doc_levels()
+    """Rank runs by mean nDCG@k, one ranking per gain scheme.
+
+    ``doc_levels`` is the ``topic -> {doc: level}`` map of
+    :meth:`JudgmentSet.doc_levels`.  Each run is scored once for all
+    schemes; ``strict`` and ``ideal_pool`` are as in ndcg_at_k.
+    """
     means: dict[str, dict[str, float]] = {name: {} for name in schemes}
     for run in runs:
         reports = ndcg_reports(
-            run, judgments, list(schemes.values()), discount, k,
+            run, doc_levels, list(schemes.values()), discount, k,
             strict=strict, ideal_pool=ideal_pool,
         )
         for name, report in zip(schemes, reports):
@@ -522,8 +500,8 @@ def _rank_by_schemes(
 
 def robustness_study(
     runs: Sequence[RunRanking],
-    set_u1: JudgmentSet | Mapping[str, Mapping[str, int]],
-    set_u2: JudgmentSet | Mapping[str, Mapping[str, int]],
+    set_u1: Mapping[str, Mapping[str, int]],
+    set_u2: Mapping[str, Mapping[str, int]],
     schemes: Mapping[str, GainScheme],
     k: int,
     discount: DiscountFunction | None = None,
@@ -537,6 +515,7 @@ def robustness_study(
     Scores every run twice, once against each assessor group's judgments
     (the gain vectors stay fixed), ranks systems by mean nDCG@k, and
     reports the rank correlation between the two rankings per scheme.
+    ``set_u1`` and ``set_u2`` are ``topic -> {doc: level}`` maps;
     ``strict`` and ``ideal_pool`` are passed to ndcg_at_k.
     """
     if len(runs) < 2:
@@ -546,30 +525,7 @@ def robustness_study(
         raise ValidationError("duplicate system_id among runs")
     discount = discount or DiscountFunction.log(2.0)
     rank_u1, rank_u2 = (
-        _rank_by_schemes(runs, judged, schemes, discount, k, strict=strict, ideal_pool=ideal_pool)
+        rank_by_ndcg(runs, judged, schemes, discount, k, strict=strict, ideal_pool=ideal_pool)
         for judged in (set_u1, set_u2)
     )
     return {name: kendall_tau(rank_u1[name], rank_u2[name], variant=variant) for name in schemes}
-
-
-def scheme_agreement(
-    runs: Sequence[RunRanking],
-    judgments: JudgmentSet | Mapping[str, Mapping[str, int]],
-    schemes: Mapping[str, GainScheme],
-    k: int,
-    discount: DiscountFunction | None = None,
-    *,
-    variant: str = "b",
-) -> dict[tuple[str, str], float]:
-    """Pairwise rank correlation between gain schemes on one judgment set."""
-    if len(runs) < 2:
-        raise ValidationError("need at least 2 runs to correlate rankings")
-    if len(schemes) < 2:
-        raise ValidationError("need at least 2 schemes to compare")
-    rankings = _rank_by_schemes(runs, judgments, schemes, discount or DiscountFunction.log(2.0), k)
-    names = sorted(schemes)
-    out: dict[tuple[str, str], float] = {}
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            out[(a, b)] = kendall_tau(rankings[a], rankings[b], variant=variant)
-    return out

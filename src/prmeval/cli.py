@@ -16,7 +16,6 @@ import json
 import sys
 import warnings
 from dataclasses import replace
-from functools import cache, partial
 from typing import Sequence
 
 from . import analysis, corpus, disagreement, metrics
@@ -122,7 +121,7 @@ def _add_intent_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="prmeval",
         description="Disagreement-aware evaluation of ranked retrieval runs.",
@@ -169,7 +168,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     val = command("validate", "parse inputs and report, compute nothing")
     val.add_argument("--run", action="append", help="run file (repeatable)")
 
-    return parser, dict(sub.choices)
+    return parser
 
 
 def _split(value: str, what: str, allowed: tuple[str, ...]) -> tuple[str, ...]:
@@ -218,7 +217,14 @@ def _check_args(args: argparse.Namespace) -> None:
         args.estimator = estimator
 
 
-def _load_config(path: str) -> dict:
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The --config file as ``--key=value`` flags, for argparse to check.
+
+    ``true`` becomes a bare flag, ``false`` and ``null`` leave the flag
+    out, and a ``run`` list gives one ``--run`` per item.  The command and
+    analysis kind come from the command line only.
+    """
+    path = args.config
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
@@ -226,7 +232,24 @@ def _load_config(path: str) -> dict:
             raise ValidationError(f"{path}: bad config JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
-    return {str(k).replace("-", "_"): v for k, v in obj.items()}
+    config = {str(k).replace("-", "_"): v for k, v in obj.items()}
+    unknown = [k for k in config if not hasattr(args, k)]
+    if unknown:
+        raise ValidationError(f"unknown config keys for '{args.command}': {sorted(unknown)}")
+    flags = []
+    for key, value in config.items():
+        if key in ("command", "kind") or value is False or value is None:
+            continue
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            flags.append(flag)
+        elif key == "run" and isinstance(value, list):
+            flags += [f"{flag}={v}" for v in value]
+        elif isinstance(value, (str, int, float)):
+            flags.append(f"{flag}={value}")
+        else:
+            raise ValidationError(f"{path}: config key {key!r} takes one value, got {value!r}")
+    return flags
 
 
 def _read_text(path: str) -> str:
@@ -271,36 +294,30 @@ def _load_qrels(
     return js
 
 
-def _pairs_or_overlap(
+def _load_pairs(
     args: argparse.Namespace, scale: corpus.RelevanceScale, qrels=None
 ) -> list[corpus.JudgmentPair]:
     """Double judgments from --pairs, else from the overlap of --qrels and --qrels2.
 
-    ``qrels()``, when given, returns the two qrels files already read.
+    ``qrels`` is the (u1, u2) pair that ``tau`` and ``robustness`` have
+    already read; there --qrels2 is a ranking input too, so it may come
+    with --pairs.  Elsewhere the two sources exclude each other.
     """
     if args.pairs:
+        if args.qrels2 and qrels is None:
+            raise ValidationError(
+                "double judgments must come from exactly one source: "
+                "--pairs or --qrels + --qrels2"
+            )
         return corpus.parse_paired(_read_lines(args.pairs), scale)
-    if args.qrels and args.qrels2:
-        if qrels is None:
-            u1 = _load_qrels(args, args.qrels, scale, "u1")
-            u2 = _load_qrels(args, args.qrels2, scale, "u2")
-        else:
-            u1, u2 = qrels()
-        return list(corpus.pair_judgments(u1, u2).pairs)
-    raise ValidationError(
-        "no double judgments: supply --pairs or both --qrels and --qrels2"
-    )
-
-
-def _load_pairs(
-    args: argparse.Namespace, scale: corpus.RelevanceScale
-) -> list[corpus.JudgmentPair]:
-    if args.pairs and args.qrels2:
+    if not (args.qrels and args.qrels2):
         raise ValidationError(
-            "double judgments must come from exactly one source: "
-            "--pairs or --qrels + --qrels2"
+            "no double judgments: supply --pairs or both --qrels and --qrels2"
         )
-    return _pairs_or_overlap(args, scale)
+    u1, u2 = qrels or (
+        _load_qrels(args, args.qrels, scale, "u1"), _load_qrels(args, args.qrels2, scale, "u2")
+    )
+    return list(corpus.pair_judgments(u1, u2).pairs)
 
 
 def _load_runs(args: argparse.Namespace) -> list[corpus.RunRanking]:
@@ -325,7 +342,7 @@ def _estimator_opts(args: argparse.Namespace) -> dict:
 
 
 def _resolve_table(
-    args: argparse.Namespace, scale: corpus.RelevanceScale, read_pairs=_load_pairs
+    args: argparse.Namespace, scale: corpus.RelevanceScale, qrels=None
 ) -> disagreement.DisagreementTable:
     if args.table:
         table = disagreement.DisagreementTable.from_json(_read_text(args.table))
@@ -335,7 +352,8 @@ def _resolve_table(
             )
     else:
         table = disagreement.estimate(
-            read_pairs(args, scale), _user_model(args, scale), scale, **_estimator_opts(args)
+            _load_pairs(args, scale, qrels), _user_model(args, scale), scale,
+            **_estimator_opts(args),
         )
     return table.with_override(0, 0.0) if args.override_p0 else table
 
@@ -531,7 +549,8 @@ def _ranking_inputs(
 
     Here --qrels2 is the second group's judgments to rank against, so a
     prm/udm table comes from --table, else --pairs, else the overlap of
-    the two qrels.  Without --qrels2 both rankings use --qrels.
+    the two qrels.  Without --qrels2 both rankings use --qrels.  Each
+    qrels file is read once, right after the runs.
     """
     scale = _load_scale(args)
     if not args.qrels:
@@ -539,19 +558,10 @@ def _ranking_inputs(
     runs = _load_runs(args)
     if len(runs) < 2:
         raise ValidationError("need at least 2 --run files")
-
-    @cache
-    def qrels() -> tuple[corpus.JudgmentSet, corpus.JudgmentSet]:
-        # read once, by the overlap table or else after it
-        u1 = _load_qrels(args, args.qrels, scale, "u1")
-        return u1, _load_qrels(args, args.qrels2, scale, "u2") if args.qrels2 else u1
-
-    table = (
-        _resolve_table(args, scale, partial(_pairs_or_overlap, qrels=qrels))
-        if _needs_table(args.gains) else None
-    )
+    u1 = _load_qrels(args, args.qrels, scale, "u1")
+    u2 = _load_qrels(args, args.qrels2, scale, "u2") if args.qrels2 else u1
+    table = _resolve_table(args, scale, (u1, u2)) if _needs_table(args.gains) else None
     schemes = {name: _resolve_scheme(name, args, scale, table) for name in args.gains}
-    u1, u2 = qrels()
     set_u1 = u1.doc_levels()
     return runs, set_u1, set_u1 if u2 is u1 else u2.doc_levels(), schemes
 
@@ -560,12 +570,12 @@ def _analyze_tau(args: argparse.Namespace) -> str:
     if len(args.gains) != 1:
         raise ValidationError("analyze tau uses exactly one gain scheme")
     runs, set_u1, set_u2, schemes = _ranking_inputs(args)
-    scheme, discount = schemes[args.gains[0]], _resolve_discount(args)
+    discount = _resolve_discount(args)
     rank_u1, rank_u2 = (
         analysis.rank_by_ndcg(
-            runs, levels, scheme, discount, args.k,
+            runs, levels, schemes, discount, args.k,
             strict=args.strict, ideal_pool=args.ideal_pool,
-        )
+        )[args.gains[0]]
         for levels in (set_u1, set_u2)
     )
     tau = analysis.kendall_tau(rank_u1, rank_u2, variant=args.tau_variant)
@@ -705,11 +715,10 @@ def cmd_validate(args: argparse.Namespace) -> str:
     if args.scale:
         scale = corpus.parse_scale(_read_text(args.scale))
         lines.append(f"ok: scale with {scale.top_index + 1} levels {scale.labels}")
-    for label, path in (("qrels", args.qrels), ("qrels2", args.qrels2)):
+    for label, path, group in (("qrels", args.qrels, "u1"), ("qrels2", args.qrels2, "u2")):
         if path:
             if scale is None:
                 raise ValidationError("--scale is required to validate qrels")
-            group = "u1" if label == "qrels" else "u2"
             js = corpus.parse_qrels(
                 _read_lines(path), scale, group, intent_field=args.intent_field
             )
@@ -746,22 +755,15 @@ def _format_warning(message, category, filename, lineno, line=None) -> str:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, sub_map = build_parser()
+    parser = build_parser()
     # warnings print as one plain line, without the source location
     formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         args = parser.parse_args(argv)
         if args.config:
-            config = _load_config(args.config)
-            unknown = [k for k in config if not hasattr(args, k)]
-            if unknown:
-                raise ValidationError(
-                    f"unknown config keys for '{args.command}': {sorted(unknown)}"
-                )
-            sub_map[args.command].set_defaults(
-                **{k: v for k, v in config.items() if k != "command"}
-            )
-            args = parser.parse_args(argv)
+            # right after the subcommand, so that the flags that follow win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_flags(args) + argv[at:])
         _check_args(args)
         _emit(_COMMANDS[args.command](args), args.out)
         return 0

@@ -99,7 +99,11 @@ class RelevanceScale:
 
     @classmethod
     def from_descriptor(cls, obj: Mapping) -> "RelevanceScale":
+        if not isinstance(obj, Mapping):
+            raise ValidationError(f"scale descriptor must be a JSON object, got {obj!r}")
         if "labels" in obj:
+            if not isinstance(obj["labels"], (list, tuple)):
+                raise ValidationError(f"bad scale descriptor labels: {obj['labels']!r}")
             labels = tuple(str(x) for x in obj["labels"])
         elif "levels" in obj:
             levels = obj["levels"]
@@ -116,7 +120,11 @@ class RelevanceScale:
             raise ValidationError("scale descriptor needs a 'levels' or 'labels' entry")
         scale = cls(labels)
         declared_top = obj.get("top_index")
-        if declared_top is not None and int(declared_top) != scale.top_index:
+        try:
+            mismatch = declared_top is not None and int(declared_top) != scale.top_index
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"bad scale descriptor top_index: {declared_top!r}") from exc
+        if mismatch:
             raise ValidationError(
                 f"declared top_index {declared_top} != inferred {scale.top_index}"
             )
@@ -145,7 +153,6 @@ class JudgmentSet:
 
     scale: RelevanceScale
     judgments: tuple[Judgment, ...]
-    topic_metadata: Mapping[str, str] | None = None
 
     def __post_init__(self) -> None:
         seen: set[tuple] = set()
@@ -160,12 +167,6 @@ class JudgmentSet:
                     f"group={j.assessor_group}, intent={j.intent_id})"
                 )
             seen.add(j.key)
-        if self.topic_metadata is not None:
-            missing = self.topics() - set(self.topic_metadata)
-            if missing:
-                raise ValidationError(
-                    f"topic_metadata does not cover topics: {sorted(missing)}"
-                )
 
     def __len__(self) -> int:
         return len(self.judgments)
@@ -402,13 +403,21 @@ def _index_run(
     return docs_by_topic, scores_by_topic
 
 
-def _records(source: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line_no, fields) skipping blanks and ``#`` comment lines."""
+def _records(source: Iterable[str], spec: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line_no, fields) skipping blanks and ``#`` comment lines.
+
+    ``spec`` names the fields, space-separated; a record with another
+    number of fields is a ParseError.
+    """
+    n = len(spec.split())
     for line_no, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        yield line_no, line.split()
+        fields = line.split()
+        if len(fields) != n:
+            raise ParseError(f"line {line_no}: expected {n} fields '{spec}', got {len(fields)}")
+        yield line_no, fields
 
 
 def _int_field(value: str, what: str, line_no: int) -> int:
@@ -450,12 +459,7 @@ def parse_qrels(
     judgments: list[Judgment] = []
     zero_intent: list[tuple[int, str, str, int]] = []
     observed_intents: dict[str, set[str]] = {}
-    for line_no, fields in _records(source):
-        if len(fields) != 4:
-            raise ParseError(
-                f"line {line_no}: expected 4 fields 'topic iteration doc level', "
-                f"got {len(fields)}"
-            )
+    for line_no, fields in _records(source, "topic iteration doc level"):
         topic, second, doc, level_str = fields
         level = _int_field(level_str, "level", line_no)
         if level < 0:
@@ -504,12 +508,7 @@ def parse_paired(source: Iterable[str], scale: RelevanceScale) -> list[JudgmentP
     """
     pairs: list[JudgmentPair] = []
     seen: set[tuple[str, str]] = set()
-    for line_no, fields in _records(source):
-        if len(fields) != 4:
-            raise ParseError(
-                f"line {line_no}: expected 4 fields 'topic doc level_u1 level_u2', "
-                f"got {len(fields)}"
-            )
+    for line_no, fields in _records(source, "topic doc level_u1 level_u2"):
         topic, doc, l1_str, l2_str = fields
         l1 = max(0, _int_field(l1_str, "level_u1", line_no))
         l2 = max(0, _int_field(l2_str, "level_u2", line_no))
@@ -539,12 +538,7 @@ def parse_run(source: Iterable[str]) -> RunRanking:
     """
     rows: dict[str, tuple[list, list, list]] = {}
     system_id: str | None = None
-    for line_no, fields in _records(source):
-        if len(fields) != 6:
-            raise ParseError(
-                f"line {line_no}: expected 6 fields 'topic Q0 doc rank score system', "
-                f"got {len(fields)}"
-            )
+    for line_no, fields in _records(source, "topic Q0 doc rank score system"):
         topic, _q0, doc, rank_str, score_str, system = fields
         rank = _int_field(rank_str, "rank", line_no)
         try:
@@ -566,12 +560,7 @@ def parse_run(source: Iterable[str]) -> RunRanking:
 def parse_intent_probabilities(source: Iterable[str]) -> dict[str, dict[str, float]]:
     """Parse ``topic intent probability`` records."""
     out: dict[str, dict[str, float]] = {}
-    for line_no, fields in _records(source):
-        if len(fields) != 3:
-            raise ParseError(
-                f"line {line_no}: expected 3 fields 'topic intent probability', "
-                f"got {len(fields)}"
-            )
+    for line_no, fields in _records(source, "topic intent probability"):
         topic, intent, prob_str = fields
         try:
             prob = float(prob_str)
@@ -588,11 +577,7 @@ def parse_intent_probabilities(source: Iterable[str]) -> dict[str, dict[str, flo
 def parse_strata(source: Iterable[str]) -> dict[str, str]:
     """Parse ``topic stratum`` records into a topic -> stratum map."""
     out: dict[str, str] = {}
-    for line_no, fields in _records(source):
-        if len(fields) != 2:
-            raise ParseError(
-                f"line {line_no}: expected 2 fields 'topic stratum', got {len(fields)}"
-            )
+    for line_no, fields in _records(source, "topic stratum"):
         topic, stratum = fields
         if topic in out:
             raise ValidationError(f"line {line_no}: duplicate topic {topic}")
@@ -603,11 +588,7 @@ def parse_strata(source: Iterable[str]) -> dict[str, str]:
 def parse_resource_map(source: Iterable[str]) -> dict[str, str]:
     """Parse ``doc resource`` records into a doc -> resource map."""
     out: dict[str, str] = {}
-    for line_no, fields in _records(source):
-        if len(fields) != 2:
-            raise ParseError(
-                f"line {line_no}: expected 2 fields 'doc resource', got {len(fields)}"
-            )
+    for line_no, fields in _records(source, "doc resource"):
         doc, resource = fields
         if doc in out and out[doc] != resource:
             raise ValidationError(f"line {line_no}: conflicting resource for doc {doc}")

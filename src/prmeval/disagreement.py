@@ -63,7 +63,6 @@ __all__ = [
     "group_pair_counts",
     "table_from_counts",
     "cell_sigma",
-    "at_least_m_of_n",
 ]
 
 
@@ -466,24 +465,3 @@ def stratum_counts(
     user_model.check_against(scale)
     names, per_stratum = group_pair_counts(pairs, scale, lambda p: strata[p.topic_id])
     return dict(zip(names, per_stratum))
-
-
-def at_least_m_of_n(p: float, m: int, n: int) -> float:
-    """P(at least m of n independent events, each with probability p).
-
-    Useful for questions like "how likely is it that at least 2 of the
-    top 3 results satisfy the user" when each position independently
-    satisfies with probability p.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"p must lie in [0, 1], got {p}")
-    if not 0 <= m <= n or n < 1:
-        raise ValidationError(f"need 0 <= m <= n and n >= 1, got m={m}, n={n}")
-    if m == 0:
-        return 1.0
-    return float(
-        sum(
-            math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
-            for k in range(m, n + 1)
-        )
-    )

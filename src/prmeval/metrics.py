@@ -29,9 +29,10 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -141,8 +142,10 @@ class DiscountFunction:
     def __post_init__(self) -> None:
         if self.kind not in ("log", "zipf"):
             raise ValidationError(f"unknown discount kind {self.kind!r}")
-        if self.kind == "log" and self.base <= 1.0:
+        if self.kind == "log" and not self.base > 1.0:  # `not >` rejects nan too
             raise ValidationError(f"log discount base must be > 1, got {self.base}")
+        if self.kind == "log" and math.isinf(self.base):
+            raise ValidationError(f"log discount base must be finite, got {self.base}")
 
     @classmethod
     def log(cls, base: float = 2.0) -> "DiscountFunction":
@@ -164,9 +167,6 @@ class DiscountFunction:
         if self.kind == "zipf":
             return 1.0 / ranks
         return math.log(self.base) / np.log(ranks + 1.0)
-
-    def describe(self) -> str:
-        return f"log{self.base:g}" if self.kind == "log" else "zipf"
 
 
 def count_binary(level_counts: Mapping[int, int], theta: int) -> float:
@@ -195,12 +195,6 @@ def count_prm(level_counts: Mapping[int, int], table: DisagreementTable) -> floa
     return total
 
 
-def _doc_levels_for(judgments: JudgmentSet | Mapping[str, Mapping[str, int]]) -> Mapping[str, Mapping[str, int]]:
-    if isinstance(judgments, JudgmentSet):
-        return judgments.doc_levels()
-    return judgments
-
-
 def topic_expected_precision(
     doc_ids: Sequence[str],
     levels: Mapping[str, int],
@@ -210,12 +204,7 @@ def topic_expected_precision(
     """Expected precision over the top n of one ranked document list."""
     if n < 1:
         raise ValidationError(f"cutoff must be >= 1, got {n}")
-    top = doc_ids[:n]
-    hist: dict[int, int] = {}
-    for doc in top:
-        lvl = levels.get(doc, 0)
-        hist[lvl] = hist.get(lvl, 0) + 1
-    return count_prm(hist, table) / n
+    return count_prm(Counter(levels.get(doc, 0) for doc in doc_ids[:n]), table) / n
 
 
 def dcg_from_levels(
@@ -373,35 +362,28 @@ class MetricReport:
 
 def _eval_topics(run: RunRanking, judged_topics: set[str], strict: bool) -> list[str]:
     run_topics = run.topics()
-    if strict:
-        missing = run_topics - judged_topics
-        if missing:
-            raise MetricError(
-                f"run {run.system_id} has unjudged topics (strict mode): {sorted(missing)}"
-            )
-        return sorted(run_topics)
     skipped = run_topics - judged_topics
+    if skipped and strict:
+        raise MetricError(
+            f"run {run.system_id} has unjudged topics (strict mode): {sorted(skipped)}"
+        )
     if skipped:
         warnings.warn(
             f"run {run.system_id}: skipping topics without judgments: {sorted(skipped)}",
             DataWarning,
             stacklevel=3,
         )
-    return sorted(run_topics & judged_topics)
+    topics = sorted(run_topics & judged_topics)
+    if not topics:
+        raise MetricError("no topics with judgments to evaluate")
+    return topics
 
 
 def binary_count_report(
     judgments: JudgmentSet, theta: int, *, measure: str = "count_binary"
 ) -> MetricReport:
     """Per-topic binary relevant counts over the judged pool."""
-    levels = judgments.doc_levels()
-    values = {
-        topic: count_binary(_hist(docs.values()), theta)
-        for topic, docs in levels.items()
-    }
-    if not values:
-        raise MetricError("no judged topics")
-    return MetricReport.from_values(measure, None, values)
+    return _pool_report(judgments, measure, lambda hist: count_binary(hist, theta))
 
 
 def expected_count_report(
@@ -411,38 +393,33 @@ def expected_count_report(
     measure: str = "count_prm",
 ) -> MetricReport:
     """Per-topic expected relevant counts over the judged pool."""
-    levels = judgments.doc_levels()
+    return _pool_report(judgments, measure, lambda hist: count_prm(hist, table))
+
+
+def _pool_report(
+    judgments: JudgmentSet, measure: str, count: Callable[[Mapping[int, int]], float]
+) -> MetricReport:
     values = {
-        topic: count_prm(_hist(docs.values()), table)
-        for topic, docs in levels.items()
+        topic: count(Counter(docs.values()))
+        for topic, docs in judgments.doc_levels().items()
     }
     if not values:
         raise MetricError("no judged topics")
     return MetricReport.from_values(measure, None, values)
 
 
-def _hist(levels: Iterable[int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for lvl in levels:
-        out[lvl] = out.get(lvl, 0) + 1
-    return out
-
-
 def expected_precision_report(
     run: RunRanking,
-    judgments: JudgmentSet | Mapping[str, Mapping[str, int]],
+    judgments: Mapping[str, Mapping[str, int]],
     table: DisagreementTable,
     n: int,
     *,
     strict: bool = False,
 ) -> MetricReport:
-    """Expected precision at n for every topic of a run."""
-    doc_levels = _doc_levels_for(judgments)
-    topics = _eval_topics(run, set(doc_levels), strict)
-    if not topics:
-        raise MetricError("no topics with judgments to evaluate")
+    """Expected precision at n for every topic of a run; ``judgments`` as in ndcg_at_k."""
+    topics = _eval_topics(run, set(judgments), strict)
     values = {
-        topic: topic_expected_precision(run.doc_ids(topic), doc_levels[topic], table, n)
+        topic: topic_expected_precision(run.doc_ids(topic), judgments[topic], table, n)
         for topic in topics
     }
     return MetricReport.from_values("expected_precision", n, values)
@@ -450,7 +427,7 @@ def expected_precision_report(
 
 def ndcg_at_k(
     run: RunRanking,
-    judgments: JudgmentSet | Mapping[str, Mapping[str, int]],
+    judgments: Mapping[str, Mapping[str, int]],
     scheme: GainScheme,
     discount: DiscountFunction,
     k: int,
@@ -465,7 +442,8 @@ def ndcg_at_k(
     per-topic value in [0, 1] for any gain scheme; ``"run"`` restricts the
     pool to the run's own retrieved documents (self-normalization).
     Topics whose ideal DCG is zero are excluded from the mean with a
-    warning.  One scheme of :func:`ndcg_reports`.
+    warning.  ``judgments`` is the ``topic -> {doc: level}`` map of
+    :meth:`JudgmentSet.doc_levels`.  One scheme of :func:`ndcg_reports`.
     """
     return ndcg_reports(
         run, judgments, [scheme], discount, k, strict=strict, ideal_pool=ideal_pool
@@ -474,7 +452,7 @@ def ndcg_at_k(
 
 def ndcg_reports(
     run: RunRanking,
-    judgments: JudgmentSet | Mapping[str, Mapping[str, int]],
+    judgments: Mapping[str, Mapping[str, int]],
     schemes: Sequence[GainScheme],
     discount: DiscountFunction,
     k: int,
@@ -494,10 +472,7 @@ def ndcg_reports(
         raise ValidationError(f"ideal_pool must be 'qrels' or 'run', got {ideal_pool!r}")
     if len({len(s.gains) for s in schemes}) > 1:
         raise ValidationError("gain schemes must cover the same levels")
-    doc_levels = _doc_levels_for(judgments)
-    topics = _eval_topics(run, set(doc_levels), strict)
-    if not topics:
-        raise MetricError("no topics with judgments to evaluate")
+    topics = _eval_topics(run, set(judgments), strict)
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
 
@@ -512,7 +487,7 @@ def ndcg_reports(
     values: list[dict[str, float]] = [{} for _ in schemes]
     excluded: list[list[str]] = [[] for _ in schemes]
     for topic in topics:
-        levels, docs = doc_levels[topic], retrieved[topic]
+        levels, docs = judgments[topic], retrieved[topic]
         if ideal_pool == "run":
             pool = np.fromiter(map(levels.get, docs, repeat(0)), np.intp, len(docs))
             n_unjudged = 0

@@ -15,15 +15,13 @@ from prmeval.analysis import (
     bootstrap_topics,
     kendall_tau,
     quality_sensitivity,
-    rank_systems,
     robustness_study,
-    scheme_agreement,
     simulate_annotation_rounds,
 )
 from prmeval.corpus import Judgment, JudgmentPair, JudgmentSet, RelevanceScale
 from prmeval.disagreement import UserModel, estimate_one_sided, estimate_symmetric
 from prmeval.errors import DataWarning, EstimationError, MetricError, ValidationError
-from prmeval.metrics import DiscountFunction, GainScheme, MetricReport
+from prmeval.metrics import DiscountFunction, GainScheme
 
 SCALE3 = synth.SCALE3
 
@@ -199,14 +197,6 @@ class TestSystemRanking:
     def test_disordered_scores_rejected(self):
         with pytest.raises(ValidationError, match="non-increasing"):
             SystemRanking("m", (("a", 0.5), ("b", 1.0)))
-
-    def test_rank_systems_uses_report_means(self):
-        reports = {
-            "sysA": MetricReport.from_values("ndcg", 10, {"t1": 0.25, "t2": 0.75}),
-            "sysB": MetricReport.from_values("ndcg", 10, {"t1": 0.75, "t2": 0.25 + 0.5}),
-        }
-        r = rank_systems("ndcg@10", reports)
-        assert r.systems == (("sysB", 0.75), ("sysA", 0.5))
 
 
 PRIOR = np.array([0.5, 0.3, 0.2])
@@ -605,30 +595,3 @@ class TestRobustness:
             robustness_study(
                 [runs[0], runs[0]], levels_u1, levels_u2, {"b": GainScheme.binary(2, 2)}, 10
             )
-
-    def test_scheme_agreement_pairwise_keys(self):
-        runs, levels_u1, _, _ = synth.robustness_benchmark(4)
-        schemes = {
-            "binary": GainScheme.binary(2, 2),
-            "linear": GainScheme.linear(2),
-            "exponential": GainScheme.exponential(2),
-        }
-        out = scheme_agreement(runs[:6], levels_u1, schemes, 10)
-        assert set(out) == {
-            ("binary", "exponential"),
-            ("binary", "linear"),
-            ("exponential", "linear"),
-        }
-        for tau in out.values():
-            assert -1.0 <= tau <= 1.0
-
-    def test_scheme_agreement_identical_schemes(self):
-        runs, levels_u1, _, _ = synth.robustness_benchmark(5)
-        schemes = {"a": GainScheme.linear(2), "b": GainScheme.linear(2)}
-        out = scheme_agreement(runs[:5], levels_u1, schemes, 10)
-        assert out[("a", "b")] == 1.0
-
-    def test_scheme_agreement_needs_two_schemes(self):
-        runs, levels_u1, _, _ = synth.robustness_benchmark(5)
-        with pytest.raises(ValidationError, match="2 schemes"):
-            scheme_agreement(runs[:5], levels_u1, {"a": GainScheme.linear(2)}, 10)

@@ -822,6 +822,81 @@ class TestModuleEntryPoint:
         assert proc.stderr.startswith(f"error: {message}")
         assert proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"format": "xml"}, "argument --format: invalid choice: 'xml'"),
+            ({"discount": "cosine"}, "argument --discount: invalid choice: 'cosine'"),
+            ({"run": None}, None),  # replaced by the run file's path below
+            ({"k": 2.5}, "argument --k: invalid int value: '2.5'"),
+            ({"k": [1]}, "config key 'k' takes one value, got [1]"),
+            ({"gains": 3}, "unknown gain scheme '3'"),
+        ],
+        ids=["format", "discount", "run", "k_float", "k_list", "gains"],
+    )
+    def test_config_values_are_checked_like_flags(self, ws, tmp_path, config, message):
+        import subprocess
+        import sys
+
+        runs = []
+        if "run" in config:
+            config = {"run": ws["run_perfect"]}
+        else:
+            runs = ["--run", ws["run_perfect"]]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "prmeval", "eval", "--scale", ws["scale"],
+             "--qrels", ws["qrels_u1"], "--theta", "2", *runs, "--config", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert "Traceback" not in proc.stderr
+        if message is None:
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.count("# run ") == 1
+        else:
+            assert proc.returncode == 1
+            assert message in proc.stderr
+            assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"labels": 5}', "bad scale descriptor labels: 5"),
+            ('{"levels": {"0": "a", "1": "b"}, "top_index": "x"}',
+             "bad scale descriptor top_index: 'x'"),
+        ],
+    )
+    def test_malformed_scale_is_an_error(self, tmp_path, text, message):
+        import subprocess
+        import sys
+
+        scale = tmp_path / "scale.json"
+        scale.write_text(text, encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "prmeval", "validate", "--scale", str(scale)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "base, message",
+        [
+            ("nan", "log discount base must be > 1, got nan"),
+            ("inf", "log discount base must be finite, got inf"),
+            ("1", "log discount base must be > 1, got 1.0"),
+        ],
+    )
+    def test_log_base_must_be_finite_and_above_one(self, capsys, ws, base, message):
+        code, out, err = run_cli(capsys, [
+            "eval", "--scale", ws["scale"], "--qrels", ws["qrels_u1"],
+            "--run", ws["run_perfect"], "--theta", "2", "--log-base", base,
+        ])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_python_dash_m(self, ws):
         import subprocess
         import sys

@@ -78,6 +78,21 @@ class TestRelevanceScale:
         with pytest.raises(ParseError, match="JSON"):
             parse_scale("{not json")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"labels": 5}', "bad scale descriptor labels: 5"),
+            ('{"labels": "NRH"}', "bad scale descriptor labels: 'NRH'"),
+            ('{"levels": {"0": "a", "1": "b"}, "top_index": "x"}',
+             "bad scale descriptor top_index: 'x'"),
+            ("[1, 2]", "scale descriptor must be a JSON object, got [1, 2]"),
+        ],
+    )
+    def test_malformed_descriptor_names_the_field(self, text, message):
+        with pytest.raises(ValidationError) as excinfo:
+            parse_scale(text)
+        assert str(excinfo.value) == message
+
 
 class TestParseQrels:
     def test_direct_field_mapping(self, scale3):
@@ -317,6 +332,34 @@ class TestPairing:
         u1 = JudgmentSet(scale3, (Judgment("201", "d1", "u1", 2, intent_id="a"),))
         u2 = JudgmentSet(scale3, (Judgment("201", "d1", "u2", 1, intent_id="b"),))
         assert len(pair_judgments(u1, u2)) == 0
+
+
+SCALE3 = RelevanceScale(("Non", "Rel", "HRel"))
+
+
+@pytest.mark.parametrize(
+    "parse, line, message",
+    [
+        (lambda lines: parse_qrels(lines, SCALE3, "u1"), "201 0 d1",
+         "line 3: expected 4 fields 'topic iteration doc level', got 3"),
+        (lambda lines: parse_paired(lines, SCALE3), "201 d1 1 2 0",
+         "line 3: expected 4 fields 'topic doc level_u1 level_u2', got 5"),
+        (parse_run, "201 Q0 d1 1 2.5",
+         "line 3: expected 6 fields 'topic Q0 doc rank score system', got 5"),
+        (parse_intent_probabilities, "201 i1",
+         "line 3: expected 3 fields 'topic intent probability', got 2"),
+        (parse_strata, "201 easy extra",
+         "line 3: expected 2 fields 'topic stratum', got 3"),
+        (parse_resource_map, "d1",
+         "line 3: expected 2 fields 'doc resource', got 1"),
+    ],
+    ids=["qrels", "paired", "run", "intents", "strata", "resource_map"],
+)
+def test_field_count_message(parse, line, message):
+    # the comment and blank line still count towards the line number
+    with pytest.raises(ParseError) as excinfo:
+        parse(["# header\n", "\n", line + "\n"])
+    assert str(excinfo.value) == message
 
 
 class TestRoundTrip:

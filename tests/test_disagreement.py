@@ -12,7 +12,6 @@ from prmeval.disagreement import (
     DisagreementCell,
     DisagreementTable,
     UserModel,
-    at_least_m_of_n,
     cell_sigma,
     estimate,
     estimate_one_sided,
@@ -275,32 +274,6 @@ class TestSerialization:
         obj = table.to_json_dict()
         assert obj["cells"][3]["p"] is None
         assert "undef" in table.to_text()
-
-
-class TestAtLeastMOfN:
-    def test_golden_two_of_three(self):
-        # 3 * 0.4^2 * 0.6 + 0.4^3
-        assert abs(at_least_m_of_n(0.4, 2, 3) - 0.352) < 1e-12
-
-    def test_edges(self):
-        assert at_least_m_of_n(0.3, 0, 5) == 1.0
-        assert at_least_m_of_n(0.0, 1, 5) == 0.0
-        assert at_least_m_of_n(1.0, 5, 5) == 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            at_least_m_of_n(1.5, 1, 2)
-        with pytest.raises(ValidationError):
-            at_least_m_of_n(0.5, 3, 2)
-
-    def test_matches_complement_of_binomial_cdf(self):
-        # oracle: direct enumeration over all outcomes of 8 trials
-        p, n = 0.37, 8
-        for m in range(n + 1):
-            direct = sum(
-                math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(m, n + 1)
-            )
-            assert abs(at_least_m_of_n(p, m, n) - direct) < 1e-12
 
 
 class TestStatisticalConsistency:

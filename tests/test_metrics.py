@@ -234,6 +234,19 @@ class TestDiscounts:
         with pytest.raises(ValidationError, match="base"):
             DiscountFunction.log(1.0)
 
+    @pytest.mark.parametrize(
+        "base, message",
+        [
+            (float("nan"), "log discount base must be > 1, got nan"),
+            (float("inf"), "log discount base must be finite, got inf"),
+            (1.0, "log discount base must be > 1, got 1.0"),
+        ],
+    )
+    def test_base_must_be_finite_and_above_one(self, base, message):
+        with pytest.raises(ValidationError) as excinfo:
+            DiscountFunction.log(base)
+        assert str(excinfo.value) == message
+
 
 class TestDcg:
     def test_single_top_result(self):
