@@ -33,7 +33,6 @@ __all__ = [
     "simulate_annotation_rounds",
     "quality_sensitivity",
     "robustness_study",
-    "bootstrap_to_csv",
 ]
 
 
@@ -248,22 +247,6 @@ def bootstrap_topics(
     }
 
 
-def bootstrap_to_csv(results: Mapping[int, BootstrapResult]) -> str:
-    """Boxplot-ready summary: one row per level."""
-    lines = ["level,n_samples,n_missing,mean,std,min,q1,median,q3,max"]
-    for lvl in sorted(results):
-        r = results[lvl]
-        cells: list[str] = [str(r.level), str(len(r.samples)), str(r.n_missing)]
-        cells.append("" if r.mean is None else repr(r.mean))
-        cells.append("" if r.std is None else repr(r.std))
-        if r.quartiles is None:
-            cells.extend([""] * 5)
-        else:
-            cells.extend(repr(q) for q in r.quartiles)
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class LevelSeries:
     """One level's trajectory along a sweep: mean estimate and std band."""
@@ -290,15 +273,6 @@ class SensitivityCurve:
                 raise ValidationError(
                     f"series for level {s.level} does not match sweep length"
                 )
-
-    def to_csv(self) -> str:
-        lines = [f"{self.x_name},level,mean,std,n_defined"]
-        for i, x in enumerate(self.x):
-            for s in self.series:
-                mean = "" if s.means[i] is None else repr(s.means[i])
-                std = "" if s.stds[i] is None else repr(s.stds[i])
-                lines.append(f"{x},{s.level},{mean},{std},{s.n_defined[i]}")
-        return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
         return {

@@ -12,14 +12,16 @@ Exit codes: 0 success; 1 for parse/validation/estimation/metric errors
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 import warnings
 from dataclasses import replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import analysis, corpus, disagreement, metrics
-from .errors import PrmError, ValidationError
+from .errors import ParseError, PrmError, ValidationError
 
 FORMULAS = """\
 definitions (levels i = 0..T; a user deems a result relevant iff its
@@ -153,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     an = command("analyze", " | ".join(_ANALYSES), _add_estimator_args, _add_scoring_args)
-    an.add_argument("kind", choices=tuple(_ANALYSES), help="which analysis to run")
+    an.add_argument("kind", choices=_ANALYSES, help="which analysis to run")
     an.add_argument("--seed", type=int, help="RNG seed (required when resampling)")
     an.add_argument("--resamples", type=int, default=300, help="bootstrap resamples")
     an.add_argument("--rounds", type=int, default=50, help="simulated annotation rounds")
@@ -257,9 +259,35 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _read_lines(path: str) -> list[str]:
+def _parse(path: str, parser, *args, **kwargs):
+    """``parser(lines of path, *args, **kwargs)``; its errors name the file."""
     with open(path, encoding="utf-8") as fh:
-        return fh.readlines()
+        lines = fh.readlines()
+    try:
+        return parser(lines, *args, **kwargs)
+    except (ParseError, ValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+class _Report(NamedTuple):
+    """A command's result: the json payload, csv header and rows, text lines."""
+
+    payload: object
+    header: list[str]
+    rows: list[list]
+    text: list[str]
+
+
+def _render(report: _Report, fmt: str) -> str:
+    """json of the payload; csv of the header and rows (None as an empty
+    field, floats as their repr); or the text lines."""
+    if fmt == "json":
+        return json.dumps(report.payload, indent=2, sort_keys=True) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([report.header, *report.rows])
+        return buf.getvalue()
+    return "\n".join(report.text) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -268,10 +296,6 @@ def _emit(text: str, out: str | None) -> None:
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-
-
-def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _load_scale(args: argparse.Namespace) -> corpus.RelevanceScale:
@@ -283,13 +307,11 @@ def _load_scale(args: argparse.Namespace) -> corpus.RelevanceScale:
 def _load_qrels(
     args: argparse.Namespace, path: str, scale: corpus.RelevanceScale, group: str
 ) -> corpus.JudgmentSet:
-    js = corpus.parse_qrels(
-        _read_lines(path), scale, group, intent_field=args.intent_field
-    )
+    js = _parse(path, corpus.parse_qrels, scale, group, intent_field=args.intent_field)
     if args.top_intent_only:
         if not args.intents:
             raise ValidationError("--top-intent-only needs --intents")
-        probs = corpus.parse_intent_probabilities(_read_lines(args.intents))
+        probs = _parse(args.intents, corpus.parse_intent_probabilities)
         js = corpus.select_top_intent(js, probs)
     return js
 
@@ -309,7 +331,7 @@ def _load_pairs(
                 "double judgments must come from exactly one source: "
                 "--pairs or --qrels + --qrels2"
             )
-        return corpus.parse_paired(_read_lines(args.pairs), scale)
+        return _parse(args.pairs, corpus.parse_paired, scale)
     if not (args.qrels and args.qrels2):
         raise ValidationError(
             "no double judgments: supply --pairs or both --qrels and --qrels2"
@@ -323,7 +345,7 @@ def _load_pairs(
 def _load_runs(args: argparse.Namespace) -> list[corpus.RunRanking]:
     if not args.run:
         raise ValidationError("--run is required")
-    runs = [corpus.parse_run(_read_lines(path)) for path in args.run]
+    runs = [_parse(path, corpus.parse_run) for path in args.run]
     ids = [r.system_id for r in runs]
     if len(set(ids)) != len(ids):
         raise ValidationError(f"duplicate system ids among runs: {sorted(ids)}")
@@ -397,26 +419,11 @@ def _needs_table(gains: Sequence[str]) -> bool:
     return any(g in ("prm", "udm") for g in gains)
 
 
-def _table_csv(tables: dict[str, disagreement.DisagreementTable]) -> str:
-    lines = ["stratum,estimator,condition,theta,level,label,n_match,n_total,p,sigma,source"]
-    for stratum in sorted(tables):
-        t = tables[stratum]
-        for c in t.cells:
-            p = "" if c.p is None else repr(c.p)
-            sigma = "" if c.sigma is None else repr(c.sigma)
-            cond = t.condition or ""
-            lines.append(
-                f"{stratum},{t.estimator},{cond},{t.theta},{c.level},"
-                f"{t.scale.label(c.level)},{c.n_match},{c.n_total},{p},{sigma},{c.source}"
-            )
-    return "\n".join(lines) + "\n"
-
-
-def cmd_estimate(args: argparse.Namespace) -> str:
+def cmd_estimate(args: argparse.Namespace) -> _Report:
     scale = _load_scale(args)
     pairs = _load_pairs(args, scale)
     if args.strata:
-        strata = corpus.parse_strata(_read_lines(args.strata))
+        strata = _parse(args.strata, corpus.parse_strata)
     else:
         strata = dict.fromkeys((p.topic_id for p in pairs), "all")
     if args.estimator == "all":
@@ -438,28 +445,32 @@ def cmd_estimate(args: argparse.Namespace) -> str:
                 t.with_override(0, 0.0) if args.override_p0 else t
             )
 
-    if args.format == "json":
-        payload = {
-            stratum: {name: t.to_json_dict() for name, t in variants.items()}
-            for stratum, variants in per_stratum.items()
-        }
-        return _json_dump(payload)
-    if args.format == "csv":
-        flat = {
-            (f"{stratum}/{name}" if len(per_stratum) > 1 or len(variants) > 1 else stratum): t
-            for stratum, variants in per_stratum.items()
-            for name, t in variants.items()
-        }
-        return _table_csv(flat)
-    blocks = []
+    rows: list[list] = []
+    text: list[str] = []
     for stratum, variants in per_stratum.items():
         for name, t in variants.items():
-            header = "" if stratum == "all" and len(per_stratum) == 1 else f"# stratum {stratum}\n"
-            blocks.append(header + t.to_text())
-    return "\n".join(blocks)
+            key = f"{stratum}/{name}" if len(per_stratum) > 1 or len(variants) > 1 else stratum
+            rows += [
+                [key, t.estimator, t.condition, t.theta, c.level, t.scale.label(c.level),
+                 c.n_match, c.n_total, c.p, c.sigma, c.source]
+                for c in t.cells
+            ]
+            if text:
+                text.append("")
+            if stratum != "all" or len(per_stratum) > 1:
+                text.append(f"# stratum {stratum}")
+            text.append(t.to_text().rstrip("\n"))
+    payload = {
+        stratum: {name: t.to_json_dict() for name, t in variants.items()}
+        for stratum, variants in per_stratum.items()
+    }
+    header = ["stratum", "estimator", "condition", "theta", "level", "label",
+              "n_match", "n_total", "p", "sigma", "source"]
+    # csv lists the tables by key; the sort is stable, so levels stay in order
+    return _Report(payload, header, sorted(rows, key=lambda row: row[0]), text)
 
 
-def cmd_eval(args: argparse.Namespace) -> str:
+def cmd_eval(args: argparse.Namespace) -> _Report:
     scale = _load_scale(args)
     if not args.qrels:
         raise ValidationError("--qrels is required")
@@ -507,39 +518,31 @@ def cmd_eval(args: argparse.Namespace) -> str:
                 per_run[report.label] = report
         system_reports[run.system_id] = per_run
 
-    if args.format == "json":
-        payload = {
-            "pool": {name: r.to_json_dict() for name, r in pool_reports.items()},
-            "systems": {
-                system: {label: r.to_json_dict() for label, r in reports.items()}
-                for system, reports in system_reports.items()
-            },
-        }
-        return _json_dump(payload)
-    if args.format == "csv":
-        lines = ["system,measure,topic,value"]
-        for name, r in pool_reports.items():
-            lines += [f"pool,{name},{t},{v!r}" for t, v in r.per_topic]
-            lines.append(f"pool,{name},all,{r.mean!r}")
-            lines.append(f"pool,{name},stderr,{r.stderr_of_mean!r}")
-        for system in sorted(system_reports):
-            for label in sorted(system_reports[system]):
-                r = system_reports[system][label]
-                lines += [f"{system},{label},{t},{v!r}" for t, v in r.per_topic]
-                lines.append(f"{system},{label},all,{r.mean!r}")
-                lines.append(f"{system},{label},stderr,{r.stderr_of_mean!r}")
-        return "\n".join(lines) + "\n"
-    blocks = []
-    for name, r in pool_reports.items():
-        blocks.append(r.to_trec_text())
-    for system in sorted(system_reports):
-        for label in sorted(system_reports[system]):
-            r = system_reports[system][label]
-            block = f"# run {system}\n" + r.to_trec_text()
-            if r.excluded:
-                block += f"# excluded_topics {' '.join(r.excluded)}\n"
-            blocks.append(block)
-    return "\n".join(blocks)
+    rows: list[list] = []
+    text: list[str] = []
+    listed = [("pool", r) for r in pool_reports.values()] + [
+        (system, reports[label])
+        for system, reports in sorted(system_reports.items())
+        for label in sorted(reports)
+    ]
+    for system, r in listed:
+        if text:
+            text.append("")
+        if system != "pool":
+            text.append(f"# run {system}")
+        for topic, value in (*r.per_topic, ("all", r.mean), ("stderr", r.stderr_of_mean)):
+            rows.append([system, r.label, topic, value])
+            text.append(f"{r.label}\t{topic}\t{value:.4f}")
+        if r.excluded:
+            text.append(f"# excluded_topics {' '.join(r.excluded)}")
+    payload = {
+        "pool": {name: r.to_json_dict() for name, r in pool_reports.items()},
+        "systems": {
+            system: {label: r.to_json_dict() for label, r in reports.items()}
+            for system, reports in system_reports.items()
+        },
+    }
+    return _Report(payload, ["system", "measure", "topic", "value"], rows, text)
 
 
 def _ranking_inputs(
@@ -566,7 +569,7 @@ def _ranking_inputs(
     return runs, set_u1, set_u1 if u2 is u1 else u2.doc_levels(), schemes
 
 
-def _analyze_tau(args: argparse.Namespace) -> str:
+def _analyze_tau(args: argparse.Namespace) -> _Report:
     if len(args.gains) != 1:
         raise ValidationError("analyze tau uses exactly one gain scheme")
     runs, set_u1, set_u2, schemes = _ranking_inputs(args)
@@ -579,21 +582,17 @@ def _analyze_tau(args: argparse.Namespace) -> str:
         for levels in (set_u1, set_u2)
     )
     tau = analysis.kendall_tau(rank_u1, rank_u2, variant=args.tau_variant)
-    if args.format == "json":
-        return _json_dump(
-            {
-                "tau": tau,
-                "variant": args.tau_variant,
-                "ranking_u1": [list(s) for s in rank_u1.systems],
-                "ranking_u2": [list(s) for s in rank_u2.systems],
-            }
-        )
-    if args.format == "csv":
-        return f"metric,value\ntau_{args.tau_variant},{tau!r}\n"
-    return f"tau_{args.tau_variant}\t{tau:.4f}\n"
+    metric = f"tau_{args.tau_variant}"
+    payload = {
+        "tau": tau,
+        "variant": args.tau_variant,
+        "ranking_u1": [list(s) for s in rank_u1.systems],
+        "ranking_u2": [list(s) for s in rank_u2.systems],
+    }
+    return _Report(payload, ["metric", "value"], [[metric, tau]], [f"{metric}\t{tau:.4f}"])
 
 
-def _analyze_robustness(args: argparse.Namespace) -> str:
+def _analyze_robustness(args: argparse.Namespace) -> _Report:
     if not (args.qrels and args.qrels2):
         raise ValidationError("robustness needs --qrels and --qrels2")
     runs, set_u1, set_u2, schemes = _ranking_inputs(args)
@@ -601,14 +600,11 @@ def _analyze_robustness(args: argparse.Namespace) -> str:
         runs, set_u1, set_u2, schemes, args.k, _resolve_discount(args),
         variant=args.tau_variant, strict=args.strict, ideal_pool=args.ideal_pool,
     )
-    if args.format == "json":
-        return _json_dump({"tau": taus, "variant": args.tau_variant, "k": args.k})
-    if args.format == "csv":
-        lines = ["scheme,tau"]
-        lines += [f"{name},{taus[name]!r}" for name in sorted(taus)]
-        return "\n".join(lines) + "\n"
-    lines = [f"{name}\t{taus[name]:.4f}" for name in sorted(taus)]
-    return "\n".join(lines) + "\n"
+    rows = [[name, taus[name]] for name in sorted(taus)]
+    return _Report(
+        {"tau": taus, "variant": args.tau_variant, "k": args.k}, ["scheme", "tau"], rows,
+        [f"{name}\t{tau:.4f}" for name, tau in rows],
+    )
 
 
 def _require_seed(args: argparse.Namespace) -> None:
@@ -616,7 +612,7 @@ def _require_seed(args: argparse.Namespace) -> None:
         raise ValidationError("--seed is required: resampling must be reproducible")
 
 
-def _analyze_bootstrap(args: argparse.Namespace) -> str:
+def _analyze_bootstrap(args: argparse.Namespace) -> _Report:
     _require_seed(args)
     scale = _load_scale(args)
     pairs = _load_pairs(args, scale)
@@ -624,64 +620,64 @@ def _analyze_bootstrap(args: argparse.Namespace) -> str:
         pairs, _user_model(args, scale), scale, **_estimator_opts(args),
         n_resamples=args.resamples, seed=args.seed,
     )
-    if args.format == "json":
-        return _json_dump({str(lvl): r.to_json_dict() for lvl, r in results.items()})
-    if args.format == "csv":
-        return analysis.bootstrap_to_csv(results)
-    lines = []
+    rows: list[list] = []
+    text: list[str] = []
     for lvl in sorted(results):
         r = results[lvl]
+        rows.append([r.level, len(r.samples), r.n_missing, r.mean, r.std,
+                     *(r.quartiles or [None] * 5)])
         if r.mean is None:
-            lines.append(f"level {lvl}: undefined in all resamples (missing={r.n_missing})")
+            text.append(f"level {lvl}: undefined in all resamples (missing={r.n_missing})")
             continue
         std = "n/a" if r.std is None else f"{r.std:.4f}"
         assert r.quartiles is not None
         q = " ".join(f"{v:.4f}" for v in r.quartiles)
-        lines.append(
+        text.append(
             f"level {lvl}: mean={r.mean:.4f} std={std} quartiles=[{q}] "
             f"n={len(r.samples)} missing={r.n_missing}"
         )
-    return "\n".join(lines) + "\n"
+    header = ["level", "n_samples", "n_missing", "mean", "std",
+              "min", "q1", "median", "q3", "max"]
+    payload = {str(lvl): r.to_json_dict() for lvl, r in results.items()}
+    return _Report(payload, header, rows, text)
 
 
-def _curve_output(curve: analysis.SensitivityCurve, fmt: str) -> str:
-    if fmt == "json":
-        return _json_dump(curve.to_json_dict())
-    if fmt == "csv":
-        return curve.to_csv()
-    lines = []
+def _curve_report(curve: analysis.SensitivityCurve) -> _Report:
+    rows: list[list] = []
+    text: list[str] = []
     for i, x in enumerate(curve.x):
         parts = [f"{curve.x_name}={x}"]
         for s in curve.series:
+            rows.append([x, s.level, s.means[i], s.stds[i], s.n_defined[i]])
             if s.means[i] is None:
                 parts.append(f"p{s.level}=undef")
             else:
                 band = "" if s.stds[i] is None else f"+-{s.stds[i]:.4f}"
                 parts.append(f"p{s.level}={s.means[i]:.4f}{band}")
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
+        text.append(" ".join(parts))
+    header = [curve.x_name, "level", "mean", "std", "n_defined"]
+    return _Report(curve.to_json_dict(), header, rows, text)
 
 
-def _analyze_budget(args: argparse.Namespace) -> str:
+def _analyze_budget(args: argparse.Namespace) -> _Report:
     _require_seed(args)
     if not args.budgets:
         raise ValidationError("--budgets is required (comma list, e.g. 50,100,200)")
     scale = _load_scale(args)
     pairs = _load_pairs(args, scale)
-    curve = analysis.simulate_annotation_rounds(
+    return _curve_report(analysis.simulate_annotation_rounds(
         pairs, _user_model(args, scale), scale, args.budgets,
         n_rounds=args.rounds, seed=args.seed, **_estimator_opts(args),
-    )
-    return _curve_output(curve, args.format)
+    ))
 
 
-def _analyze_quality(args: argparse.Namespace) -> str:
+def _analyze_quality(args: argparse.Namespace) -> _Report:
     scale = _load_scale(args)
     if not args.qrels:
         raise ValidationError("--qrels is required (reference group judgments)")
     reference = _load_qrels(args, args.qrels, scale, "u1")
     if args.resource_map:
-        mapping = corpus.parse_resource_map(_read_lines(args.resource_map))
+        mapping = _parse(args.resource_map, corpus.parse_resource_map)
         reference = corpus.attach_resources(reference, resource_map=mapping)
     elif args.resource_regex:
         reference = corpus.attach_resources(reference, pattern=args.resource_regex)
@@ -689,63 +685,59 @@ def _analyze_quality(args: argparse.Namespace) -> str:
         raise ValidationError("supply --resource-map or --resource-regex")
     if not args.pairs:
         raise ValidationError("--pairs is required for the quality sweep")
-    pairs = corpus.parse_paired(_read_lines(args.pairs), scale)
-    curve = analysis.quality_sensitivity(
+    pairs = _parse(args.pairs, corpus.parse_paired, scale)
+    return _curve_report(analysis.quality_sensitivity(
         reference, pairs, _user_model(args, scale), **_estimator_opts(args)
-    )
-    return _curve_output(curve, args.format)
+    ))
 
 
-_ANALYSES = {
+def cmd_validate(args: argparse.Namespace) -> _Report:
+    """One row per input: its record count (levels, for the scale), its
+    topic count and, for a run, its system id."""
+    rows: list[list] = []
+    text: list[str] = []
+    scale = None
+    if args.scale:
+        scale = corpus.parse_scale(_read_text(args.scale))
+        rows.append(["scale", args.scale, scale.top_index + 1, None, None])
+        text.append(f"ok: scale with {scale.top_index + 1} levels {scale.labels}")
+    for label, path, group in (("qrels", args.qrels, "u1"), ("qrels2", args.qrels2, "u2")):
+        if path:
+            if scale is None:
+                raise ValidationError("--scale is required to validate qrels")
+            js = _parse(path, corpus.parse_qrels, scale, group, intent_field=args.intent_field)
+            n_topics = len(js.topics())
+            rows.append([label, path, len(js), n_topics, None])
+            text.append(f"ok: {label} with {len(js)} judgments, {n_topics} topics")
+    if args.pairs:
+        if scale is None:
+            raise ValidationError("--scale is required to validate pairs")
+        pairs = _parse(args.pairs, corpus.parse_paired, scale)
+        rows.append(["pairs", args.pairs, len(pairs), len({p.topic_id for p in pairs}), None])
+        text.append(f"ok: pairs with {len(pairs)} double judgments")
+    for path in args.run or ():
+        run = _parse(path, corpus.parse_run)
+        n_entries, n_topics = len(run.entries), len(run.topics())
+        rows.append(["run", path, n_entries, n_topics, run.system_id])
+        text.append(f"ok: run {run.system_id} with {n_entries} entries, {n_topics} topics")
+    if not rows:
+        raise ValidationError("nothing to validate: supply input files")
+    header = ["input", "path", "records", "topics", "system"]
+    return _Report({"inputs": [dict(zip(header, row)) for row in rows]}, header, rows, text)
+
+
+_ANALYSES = ("tau", "bootstrap", "budget", "quality", "robustness")
+
+# keyed by command, and by kind for `analyze`
+_COMMANDS = {
+    "estimate": cmd_estimate,
+    "eval": cmd_eval,
+    "validate": cmd_validate,
     "tau": _analyze_tau,
     "bootstrap": _analyze_bootstrap,
     "budget": _analyze_budget,
     "quality": _analyze_quality,
     "robustness": _analyze_robustness,
-}
-
-
-def cmd_analyze(args: argparse.Namespace) -> str:
-    return _ANALYSES[args.kind](args)
-
-
-def cmd_validate(args: argparse.Namespace) -> str:
-    lines = []
-    scale = None
-    if args.scale:
-        scale = corpus.parse_scale(_read_text(args.scale))
-        lines.append(f"ok: scale with {scale.top_index + 1} levels {scale.labels}")
-    for label, path, group in (("qrels", args.qrels, "u1"), ("qrels2", args.qrels2, "u2")):
-        if path:
-            if scale is None:
-                raise ValidationError("--scale is required to validate qrels")
-            js = corpus.parse_qrels(
-                _read_lines(path), scale, group, intent_field=args.intent_field
-            )
-            lines.append(
-                f"ok: {label} with {len(js)} judgments, {len(js.topics())} topics"
-            )
-    if args.pairs:
-        if scale is None:
-            raise ValidationError("--scale is required to validate pairs")
-        pairs = corpus.parse_paired(_read_lines(args.pairs), scale)
-        lines.append(f"ok: pairs with {len(pairs)} double judgments")
-    for path in args.run or ():
-        run = corpus.parse_run(_read_lines(path))
-        lines.append(
-            f"ok: run {run.system_id} with {len(run.entries)} entries, "
-            f"{len(run.topics())} topics"
-        )
-    if not lines:
-        raise ValidationError("nothing to validate: supply input files")
-    return "\n".join(lines) + "\n"
-
-
-_COMMANDS = {
-    "estimate": cmd_estimate,
-    "eval": cmd_eval,
-    "analyze": cmd_analyze,
-    "validate": cmd_validate,
 }
 
 
@@ -765,7 +757,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             at = argv.index(args.command) + 1
             args = parser.parse_args(argv[:at] + _config_flags(args) + argv[at:])
         _check_args(args)
-        _emit(_COMMANDS[args.command](args), args.out)
+        report = _COMMANDS[getattr(args, "kind", args.command)](args)
+        _emit(_render(report, args.format), args.out)
         return 0
     except SystemExit as exc:
         # argparse --help exits 0; usage errors surface as code 1

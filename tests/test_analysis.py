@@ -11,7 +11,6 @@ from prmeval.analysis import (
     LevelSeries,
     SensitivityCurve,
     SystemRanking,
-    bootstrap_to_csv,
     bootstrap_topics,
     kendall_tau,
     quality_sensitivity,
@@ -317,15 +316,6 @@ class TestBootstrap:
         obj = r.to_json_dict()
         assert obj["n_samples"] == 0 and obj["n_missing"] == 10
 
-    def test_csv_shape(self):
-        pairs = synth.latent_channel_pairs(PRIOR, CHANNEL, 200, seed=1, n_topics=5)
-        results = bootstrap_topics(pairs, UserModel(2), SCALE3, seed=4, n_resamples=20)
-        csv = bootstrap_to_csv(results)
-        lines = csv.strip().split("\n")
-        assert lines[0] == "level,n_samples,n_missing,mean,std,min,q1,median,q3,max"
-        assert len(lines) == 4
-        assert lines[1].startswith("0,20,0,")
-
 
 class TestSensitivityCurve:
     def test_x_must_increase(self):
@@ -335,21 +325,6 @@ class TestSensitivityCurve:
     def test_series_length_checked(self):
         with pytest.raises(ValidationError, match="does not match"):
             SensitivityCurve("budget", (5, 10), (LevelSeries(0, (0.5,), (None,), (1,)),))
-
-    def test_csv_layout(self):
-        curve = SensitivityCurve(
-            "budget",
-            (5, 10),
-            (
-                LevelSeries(0, (0.5, 0.25), (0.1, 0.05), (7, 9)),
-                LevelSeries(1, (None, 0.75), (None, None), (0, 3)),
-            ),
-        )
-        lines = curve.to_csv().strip().split("\n")
-        assert lines[0] == "budget,level,mean,std,n_defined"
-        assert lines[1] == "5,0,0.5,0.1,7"
-        assert lines[2] == "5,1,,,0"
-        assert lines[4] == "10,1,0.75,,3"
 
     def test_json_round_shape(self):
         curve = SensitivityCurve(

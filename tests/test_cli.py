@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import pytest
@@ -762,6 +764,60 @@ class TestValidateCommand:
         )
         assert code == 1
         assert "level 9 > T=2" in err
+
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [
+            ("201 Q0 d2 x 1.0 sysB\n", "line 2: non-integer rank: 'x'"),
+            ("201 Q0 d2 3 1.0 sysB\n", "topic 201: ranks not contiguous"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "eval"])
+    def test_parse_error_names_the_file(self, capsys, ws, tmp_path, command, bad_line, message):
+        runs = []
+        for system in ("sysA", "sysB", "sysC"):
+            second = bad_line if system == "sysB" else f"201 Q0 d2 2 1.0 {system}\n"
+            path = tmp_path / f"run_{system}.txt"
+            path.write_text(f"201 Q0 d1 1 2.0 {system}\n" + second, encoding="utf-8")
+            runs += ["--run", str(path)]
+        head = {
+            "validate": ["validate"],
+            "eval": ["eval", "--qrels", ws["qrels_u1"], "--theta", "2"],
+        }[command]
+        code, out, err = run_cli(capsys, [*head, "--scale", ws["scale"], *runs])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {tmp_path / 'run_sysB.txt'}: {message}")
+        assert err.count("\n") == 1
+
+
+class TestCsvFields:
+    @pytest.mark.filterwarnings("ignore::prmeval.errors.DataWarning")
+    def test_fields_with_commas_are_quoted(self, capsys, tmp_path):
+        files = {
+            "scale.json": json.dumps({"labels": ["Non", "Rel, partly", "HRel"]}),
+            "pairs.txt": "t,1 d1 2 1\nt,1 d2 1 1\nt,1 d3 0 2\nt2 d1 1 0\nt2 d2 2 2\n",
+            "qrels.txt": "t,1 0 d1 2\nt,1 0 d2 1\nt,1 0 d3 0\nt2 0 d1 1\n",
+            "run.txt": "t,1 Q0 d3 1 3.0 sys,A\nt,1 Q0 d1 2 2.0 sys,A\nt2 Q0 d1 1 1.0 sys,A\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        common = ["--scale", str(tmp_path / "scale.json"), "--pairs", str(tmp_path / "pairs.txt"),
+                  "--theta", "2", "--format", "csv"]
+        commands = {
+            "estimate": ["estimate"],
+            "eval": ["eval", "--qrels", str(tmp_path / "qrels.txt"), "--run",
+                     str(tmp_path / "run.txt"), "--gains", "binary,prm"],
+            "bootstrap": ["analyze", "bootstrap", "--seed", "1", "--resamples", "5"],
+        }
+        fields = set()
+        for command, argv in commands.items():
+            code, out, err = run_cli(capsys, [*argv, *common])
+            assert code == 0, err
+            rows = list(csv.reader(io.StringIO(out)))
+            assert len(rows) > 1
+            assert all(len(row) == len(rows[0]) for row in rows), command
+            fields.update(field for row in rows for field in row)
+        assert {"Rel, partly", "t,1", "sys,A"} <= fields
 
 
 class TestModuleEntryPoint:

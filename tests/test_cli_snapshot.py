@@ -1,7 +1,8 @@
 """Byte-level snapshots of every CLI command on the golden fixtures.
 
 Each case runs in text, csv and json and must reproduce the stored
-output in ``tests/snapshots/`` exactly.  A missing snapshot is written
+output in ``tests/snapshots/`` exactly.  A case uses ``scale.json``
+unless it names its own ``--scale``.  A missing snapshot is written
 and the test fails, so a new case is recorded by running the suite
 twice; to re-record one on purpose, delete its file first.
 """
@@ -79,6 +80,29 @@ CASES = {
     "validate": [
         "validate", *TWO_QRELS, "--pairs", "pairs2.txt", *RUNS,
     ],
+    # The top level of scale4.json has no pairs: undefined cells print as
+    # "undef" in text and as empty fields in csv.
+    "estimate_undefined_level": [
+        "estimate", "--pairs", "pairs2.txt", "--scale", "scale4.json", "--theta", "2",
+    ],
+    "bootstrap_one_resample": [
+        "analyze", "bootstrap", "--pairs", "pairs2.txt", "--scale", "scale4.json",
+        "--theta", "2", "--seed", "3", "--resamples", "1",
+    ],
+    "budget_undefined_level": [
+        "analyze", "budget", "--pairs", "pairs2.txt", "--scale", "scale4.json",
+        "--theta", "2", "--seed", "5", "--budgets", "10,40", "--rounds", "5",
+    ],
+    "quality_undefined_level": [
+        "analyze", "quality", "--qrels", "qrels_u1.txt", "--pairs", "pairs.txt",
+        "--scale", "scale4.json", "--resource-regex", r"^d(\d)", "--theta", "2",
+    ],
+    # Every document of the second topic is judged non-relevant, so its
+    # ideal DCG is 0 and the topic is excluded.
+    "eval_zero_ideal_topic": [
+        "eval", "--qrels", "qrels_zero.txt", *RUNS, "--gains", "binary,linear",
+        "--theta", "2", "--k", "5",
+    ],
 }
 
 
@@ -114,8 +138,10 @@ def snapshot_dir(tmp_path, monkeypatch, scale3_json):
     perfect = top + [d for d in docs if d not in top]
     files = {
         "scale.json": scale3_json,
+        "scale4.json": json.dumps({"labels": ["Non", "Rel", "HRel", "Key"]}),
         "qrels_u1.txt": _qrels(PAIR_TOPIC, U1_LABELS) + _qrels(TOPIC2, U1_LABELS),
         "qrels_u2.txt": _qrels(PAIR_TOPIC, U2_LABELS) + _qrels(TOPIC2, U2_ROTATED),
+        "qrels_zero.txt": _qrels(PAIR_TOPIC, U1_LABELS) + _qrels(TOPIC2, (0,) * 20),
         "pairs.txt": _pairs(PAIR_TOPIC, U1_LABELS, U2_LABELS),
         "pairs2.txt": _pairs(PAIR_TOPIC, U1_LABELS, U2_LABELS)
         + _pairs(TOPIC2, U1_LABELS, U2_ROTATED),
@@ -160,7 +186,8 @@ def snapshot_dir(tmp_path, monkeypatch, scale3_json):
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_matches_snapshot(capsys, snapshot_dir, case, fmt):
-    code = main([*CASES[case], "--scale", "scale.json", "--format", fmt])
+    scale = [] if "--scale" in CASES[case] else ["--scale", "scale.json"]
+    code = main([*CASES[case], *scale, "--format", fmt])
     captured = capsys.readouterr()
     assert code == 0, captured.err
     path = SNAPSHOTS / f"{case}.{FORMATS[fmt]}"
