@@ -370,20 +370,16 @@ def quality_sensitivity(
     returned for that query, as a running sum of count matrices over k.
     The std band is each cell's binomial sigma.
 
-    ``judgments`` is the reference group's set and must carry resource
-    ids; every pair's document must be covered by it so that the largest
-    k reproduces the unrestricted estimate.
+    ``judgments`` is the reference group's set with its ``resources``
+    attached; every pair's document must be covered by it so that the
+    largest k reproduces the unrestricted estimate.
     """
     if not pairs:
         raise EstimationError("no judgment pairs to estimate from")
     if not judgments.judgments:
         raise ValidationError("no reference judgments")
-    if len(judgments.groups()) != 1:
-        raise ValidationError(
-            "reference judgments must come from a single assessor group; "
-            "filter with for_group()"
-        )
-    if any(j.resource_id is None for j in judgments.judgments):
+    resources = judgments.resources or {}
+    if any(j.doc_id not in resources for j in judgments.judgments):
         raise ValidationError(
             "no resource metadata on reference judgments; attach_resources first"
         )
@@ -394,14 +390,12 @@ def quality_sensitivity(
     docs_by_topic_resource: dict[str, dict[str, set[str]]] = {}
     strong_counts: dict[str, dict[str, int]] = {}
     for j in judgments.judgments:
-        assert j.resource_id is not None
+        resource = resources[j.doc_id]
         docs_by_topic_resource.setdefault(j.topic_id, {}).setdefault(
-            j.resource_id, set()
+            resource, set()
         ).add(j.doc_id)
         counts = strong_counts.setdefault(j.topic_id, {})
-        counts.setdefault(j.resource_id, 0)
-        if j.level >= scale.top_index - 1:
-            counts[j.resource_id] += 1
+        counts[resource] = counts.get(resource, 0) + (j.level >= scale.top_index - 1)
 
     order_by_topic = {
         topic: sorted(counts, key=lambda res: (-counts[res], res))

@@ -260,13 +260,19 @@ def _read_text(path: str) -> str:
 
 
 def _parse(path: str, parser, *args, **kwargs):
-    """``parser(lines of path, *args, **kwargs)``; its errors name the file."""
+    """``parser(lines of path, *args, **kwargs)``; its errors and warnings
+    name the file."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
     try:
-        return parser(lines, *args, **kwargs)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            return parser(lines, *args, **kwargs)
     except (ParseError, ValidationError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
+    finally:
+        for w in caught:
+            warnings.warn(f"{path}: {w.message}", w.category, stacklevel=2)
 
 
 class _Report(NamedTuple):
@@ -307,11 +313,16 @@ def _load_scale(args: argparse.Namespace) -> corpus.RelevanceScale:
 def _load_qrels(
     args: argparse.Namespace, path: str, scale: corpus.RelevanceScale, group: str
 ) -> corpus.JudgmentSet:
-    js = _parse(path, corpus.parse_qrels, scale, group, intent_field=args.intent_field)
+    """One group's qrels; --intents declares the intents that intent '0'
+    expands over, and --top-intent-only keeps each topic's top intent."""
+    probs = _parse(args.intents, corpus.parse_intent_probabilities) if args.intents else None
+    js = _parse(
+        path, corpus.parse_qrels, scale, group,
+        intent_field=args.intent_field, declared_intents=probs,
+    )
     if args.top_intent_only:
-        if not args.intents:
+        if probs is None:
             raise ValidationError("--top-intent-only needs --intents")
-        probs = _parse(args.intents, corpus.parse_intent_probabilities)
         js = corpus.select_top_intent(js, probs)
     return js
 
@@ -474,8 +485,7 @@ def cmd_eval(args: argparse.Namespace) -> _Report:
     scale = _load_scale(args)
     if not args.qrels:
         raise ValidationError("--qrels is required")
-    judged = _load_qrels(args, args.qrels, scale, "u1")
-    doc_levels = judged.doc_levels()
+    doc_levels = _load_qrels(args, args.qrels, scale, "u1").doc_levels()
     measures = args.measures
     table = (
         _resolve_table(args, scale)
@@ -488,11 +498,11 @@ def cmd_eval(args: argparse.Namespace) -> _Report:
     pool_reports: dict[str, metrics.MetricReport] = {}
     if "count-binary" in measures:
         pool_reports["count_binary"] = metrics.binary_count_report(
-            judged, _user_model(args, scale).theta
+            doc_levels, _user_model(args, scale).theta
         )
     if "count-prm" in measures:
         assert table is not None
-        pool_reports["count_prm"] = metrics.expected_count_report(judged, table)
+        pool_reports["count_prm"] = metrics.expected_count_report(doc_levels, table)
 
     schemes = (
         [_resolve_scheme(name, args, scale, table) for name in args.gains]
@@ -532,7 +542,7 @@ def cmd_eval(args: argparse.Namespace) -> _Report:
             text.append(f"# run {system}")
         for topic, value in (*r.per_topic, ("all", r.mean), ("stderr", r.stderr_of_mean)):
             rows.append([system, r.label, topic, value])
-            text.append(f"{r.label}\t{topic}\t{value:.4f}")
+            text.append(f"{r.label}\t{topic}\t{'n/a' if value is None else f'{value:.4f}'}")
         if r.excluded:
             text.append(f"# excluded_topics {' '.join(r.excluded)}")
     payload = {
@@ -705,7 +715,7 @@ def cmd_validate(args: argparse.Namespace) -> _Report:
         if path:
             if scale is None:
                 raise ValidationError("--scale is required to validate qrels")
-            js = _parse(path, corpus.parse_qrels, scale, group, intent_field=args.intent_field)
+            js = _load_qrels(args, path, scale, group)
             n_topics = len(js.topics())
             rows.append([label, path, len(js), n_topics, None])
             text.append(f"ok: {label} with {len(js)} judgments, {n_topics} topics")

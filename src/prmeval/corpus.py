@@ -133,26 +133,28 @@ class RelevanceScale:
 
 @dataclass(frozen=True)
 class Judgment:
-    """One graded label assigned by an assessor group to a result."""
+    """One graded label assigned to a result, for one intent when given."""
 
     topic_id: str
     doc_id: str
-    assessor_group: str
     level: int
     intent_id: str | None = None
-    resource_id: str | None = None
 
     @property
-    def key(self) -> tuple[str, str, str, str | None]:
-        return (self.topic_id, self.doc_id, self.assessor_group, self.intent_id)
+    def key(self) -> tuple[str, str, str | None]:
+        return (self.topic_id, self.doc_id, self.intent_id)
 
 
 @dataclass(frozen=True)
 class JudgmentSet:
-    """A validated collection of judgments against one scale."""
+    """A validated collection of one assessor group's judgments against
+    one scale; ``resources`` maps each judged doc to its resource once
+    :func:`attach_resources` has run."""
 
     scale: RelevanceScale
     judgments: tuple[Judgment, ...]
+    group: str
+    resources: Mapping[str, str] | None = None
 
     def __post_init__(self) -> None:
         seen: set[tuple] = set()
@@ -164,7 +166,7 @@ class JudgmentSet:
             if j.key in seen:
                 raise ValidationError(
                     f"duplicate judgment key (topic={j.topic_id}, doc={j.doc_id}, "
-                    f"group={j.assessor_group}, intent={j.intent_id})"
+                    f"group={self.group}, intent={j.intent_id})"
                 )
             seen.add(j.key)
 
@@ -174,30 +176,17 @@ class JudgmentSet:
     def topics(self) -> set[str]:
         return {j.topic_id for j in self.judgments}
 
-    def groups(self) -> set[str]:
-        return {j.assessor_group for j in self.judgments}
-
     def level_histogram(self) -> dict[int, int]:
         """Counts per level over all judgments (histogram conservation:
         values sum to ``len(self)``)."""
         return dict(Counter(j.level for j in self.judgments))
 
-    def for_group(self, group: str) -> "JudgmentSet":
-        kept = tuple(j for j in self.judgments if j.assessor_group == group)
-        return replace(self, judgments=kept)
-
     def doc_levels(self) -> dict[str, dict[str, int]]:
         """Per-topic ``doc -> level`` lookup for evaluation.
 
-        Requires an unambiguous level per (topic, doc): a single assessor
-        group and at most one intent per document.  Intent-bearing sets
+        Requires at most one intent per document.  Intent-bearing sets
         must be reduced first (see :func:`select_top_intent`).
         """
-        if len(self.groups()) > 1:
-            raise ValidationError(
-                f"multiple assessor groups {sorted(self.groups())}; "
-                "filter with for_group() before evaluation"
-            )
         out: dict[str, dict[str, int]] = {}
         for j in self.judgments:
             per_topic = out.setdefault(j.topic_id, {})
@@ -218,7 +207,6 @@ class JudgmentPair:
     doc_id: str
     level_u1: int
     level_u2: int
-    intent_id: str | None = None
 
 
 @dataclass(frozen=True)
@@ -473,9 +461,9 @@ def parse_qrels(
                 zero_intent.append((line_no, topic, doc, level))
                 continue
             observed_intents.setdefault(topic, set()).add(second)
-            judgments.append(Judgment(topic, doc, group, level, intent_id=second))
+            judgments.append(Judgment(topic, doc, level, second))
         else:
-            judgments.append(Judgment(topic, doc, group, level))
+            judgments.append(Judgment(topic, doc, level))
 
     for line_no, topic, doc, level in zero_intent:
         if level != 0:
@@ -495,9 +483,9 @@ def parse_qrels(
                 "declared intents to expand it over"
             )
         for intent in intents:
-            judgments.append(Judgment(topic, doc, group, 0, intent_id=intent))
+            judgments.append(Judgment(topic, doc, 0, intent))
 
-    return JudgmentSet(scale=scale, judgments=tuple(judgments))
+    return JudgmentSet(scale, tuple(judgments), group)
 
 
 def parse_paired(source: Iterable[str], scale: RelevanceScale) -> list[JudgmentPair]:
@@ -620,18 +608,12 @@ def pair_judgments(set_u1: JudgmentSet, set_u2: JudgmentSet) -> PairingResult:
     """Inner-join two judgment sets on (topic, doc, intent).
 
     Documents judged by only one group are excluded from the pairs and
-    counted in the coverage summary.  Both sets must use the same scale
-    and contain a single assessor group each.
+    counted in the coverage summary.  Both sets must use the same scale.
     """
     if set_u1.scale.labels != set_u2.scale.labels:
         raise ValidationError(
             f"scale mismatch: {set_u1.scale.labels} != {set_u2.scale.labels}"
         )
-    for name, js in (("u1", set_u1), ("u2", set_u2)):
-        if len(js.groups()) > 1:
-            raise ValidationError(
-                f"{name} set contains multiple assessor groups {sorted(js.groups())}"
-            )
 
     u2_index = {
         (j.topic_id, j.doc_id, j.intent_id): j.level for j in set_u2.judgments
@@ -641,9 +623,7 @@ def pair_judgments(set_u1: JudgmentSet, set_u2: JudgmentSet) -> PairingResult:
     for j in set_u1.judgments:
         key = (j.topic_id, j.doc_id, j.intent_id)
         if key in u2_index:
-            pairs.append(
-                JudgmentPair(j.topic_id, j.doc_id, j.level, u2_index[key], j.intent_id)
-            )
+            pairs.append(JudgmentPair(j.topic_id, j.doc_id, j.level, u2_index[key]))
             matched.add(key)
     unpaired_u1 = len(set_u1.judgments) - len(pairs)
     unpaired_u2 = len(u2_index) - len(matched)
@@ -683,24 +663,22 @@ def attach_resources(
     resource_map: Mapping[str, str] | None = None,
     pattern: str | None = None,
 ) -> JudgmentSet:
-    """Populate ``resource_id`` from a doc -> resource map or from the
-    first capture group of ``pattern`` applied to each doc id."""
+    """The set with ``resources`` mapping each judged doc to its resource,
+    from a doc -> resource map or from the first capture group of
+    ``pattern`` applied to the doc id.  Docs resolve once each, in file
+    order, so a failure names the first doc that cannot be resolved."""
     if (resource_map is None) == (pattern is None):
         raise ValidationError("provide exactly one of resource_map or pattern")
     compiled = re.compile(pattern) if pattern is not None else None
-    out: list[Judgment] = []
-    for j in judgments.judgments:
+    resources: dict[str, str] = {}
+    for doc in dict.fromkeys(j.doc_id for j in judgments.judgments):
         if compiled is not None:
-            m = compiled.search(j.doc_id)
+            m = compiled.search(doc)
             if m is None or not m.groups():
-                raise ValidationError(
-                    f"doc id {j.doc_id!r} does not match resource pattern"
-                )
-            resource = m.group(1)
+                raise ValidationError(f"doc id {doc!r} does not match resource pattern")
+            resources[doc] = m.group(1)
+        elif doc in resource_map:
+            resources[doc] = resource_map[doc]
         else:
-            assert resource_map is not None
-            if j.doc_id not in resource_map:
-                raise ValidationError(f"doc id {j.doc_id!r} missing from resource map")
-            resource = resource_map[j.doc_id]
-        out.append(replace(j, resource_id=resource))
-    return replace(judgments, judgments=tuple(out))
+            raise ValidationError(f"doc id {doc!r} missing from resource map")
+    return replace(judgments, resources=resources)

@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import JudgmentSet, RunRanking
+from .corpus import RunRanking
 from .disagreement import DisagreementTable
 from .errors import DataWarning, MetricError, ValidationError
 
@@ -268,13 +268,19 @@ def ideal_dcg_at_k(
     return float(gains @ discount.weights(len(gains)))
 
 
-def _sample_stats(values: Sequence[float]) -> tuple[float, float]:
+def _sample_stats(values: Sequence[float]) -> tuple[float, float | None]:
     n = len(values)
     mean = math.fsum(values) / n
     if n == 1:
-        return mean, 0.0
+        return mean, None
     var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
     return mean, math.sqrt(var) / math.sqrt(n)
+
+
+def _same(a: float | None, b: float | None) -> bool:
+    if a is None or b is None:
+        return a is b
+    return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
 
 
 @dataclass(frozen=True)
@@ -283,7 +289,7 @@ class MetricReport:
 
     ``per_topic`` is ordered by ascending topic id; the mean is the exact
     sum over that order divided by n, and ``stderr_of_mean`` uses the
-    sample standard deviation (n - 1 denominator; 0.0 when only one topic
+    sample standard deviation (n - 1 denominator; None when only one topic
     was evaluated).  Topics listed in ``excluded`` were skipped because
     their ideal DCG was zero.
     """
@@ -292,7 +298,7 @@ class MetricReport:
     k: int | None
     per_topic: tuple[tuple[str, float], ...]
     mean: float
-    stderr_of_mean: float
+    stderr_of_mean: float | None
     excluded: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -304,8 +310,7 @@ class MetricReport:
         if len(set(topics)) != len(topics):
             raise ValidationError("duplicate topic in report")
         mean, stderr = _sample_stats([v for _, v in self.per_topic])
-        if not (math.isclose(mean, self.mean, rel_tol=1e-9, abs_tol=1e-12)
-                and math.isclose(stderr, self.stderr_of_mean, rel_tol=1e-9, abs_tol=1e-12)):
+        if not (_same(mean, self.mean) and _same(stderr, self.stderr_of_mean)):
             raise ValidationError("stored mean/stderr do not match per-topic values")
 
     @property
@@ -339,7 +344,8 @@ class MetricReport:
         lines = ["topic,value"]
         lines += [f"{topic},{value!r}" for topic, value in self.per_topic]
         lines.append(f"mean,{self.mean!r}")
-        lines.append(f"stderr,{self.stderr_of_mean!r}")
+        stderr = self.stderr_of_mean
+        lines.append(f"stderr,{'' if stderr is None else repr(stderr)}")
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
@@ -356,7 +362,8 @@ class MetricReport:
     def to_trec_text(self) -> str:
         lines = [f"{self.label}\t{topic}\t{value:.4f}" for topic, value in self.per_topic]
         lines.append(f"{self.label}\tall\t{self.mean:.4f}")
-        lines.append(f"{self.label}\tstderr\t{self.stderr_of_mean:.4f}")
+        stderr = self.stderr_of_mean
+        lines.append(f"{self.label}\tstderr\t{'n/a' if stderr is None else f'{stderr:.4f}'}")
         return "\n".join(lines) + "\n"
 
 
@@ -380,29 +387,27 @@ def _eval_topics(run: RunRanking, judged_topics: set[str], strict: bool) -> list
 
 
 def binary_count_report(
-    judgments: JudgmentSet, theta: int, *, measure: str = "count_binary"
+    judgments: Mapping[str, Mapping[str, int]], theta: int
 ) -> MetricReport:
-    """Per-topic binary relevant counts over the judged pool."""
-    return _pool_report(judgments, measure, lambda hist: count_binary(hist, theta))
+    """Per-topic binary relevant counts over the judged pool; ``judgments``
+    as in ndcg_at_k."""
+    return _pool_report(judgments, "count_binary", lambda hist: count_binary(hist, theta))
 
 
 def expected_count_report(
-    judgments: JudgmentSet,
-    table: DisagreementTable,
-    *,
-    measure: str = "count_prm",
+    judgments: Mapping[str, Mapping[str, int]], table: DisagreementTable
 ) -> MetricReport:
-    """Per-topic expected relevant counts over the judged pool."""
-    return _pool_report(judgments, measure, lambda hist: count_prm(hist, table))
+    """Per-topic expected relevant counts over the judged pool; ``judgments``
+    as in ndcg_at_k."""
+    return _pool_report(judgments, "count_prm", lambda hist: count_prm(hist, table))
 
 
 def _pool_report(
-    judgments: JudgmentSet, measure: str, count: Callable[[Mapping[int, int]], float]
+    judgments: Mapping[str, Mapping[str, int]],
+    measure: str,
+    count: Callable[[Mapping[int, int]], float],
 ) -> MetricReport:
-    values = {
-        topic: count(Counter(docs.values()))
-        for topic, docs in judgments.doc_levels().items()
-    }
+    values = {topic: count(Counter(docs.values())) for topic, docs in judgments.items()}
     if not values:
         raise MetricError("no judged topics")
     return MetricReport.from_values(measure, None, values)

@@ -131,6 +131,7 @@ def quality_fixture(
 ) -> tuple[JudgmentSet, list[JudgmentPair]]:
     rng = np.random.default_rng(seed)
     judgments: list[Judgment] = []
+    resources: dict[str, str] = {}
     pairs: list[JudgmentPair] = []
     for t in range(n_topics):
         topic = f"t{t:03d}"
@@ -154,9 +155,10 @@ def quality_fixture(
                 else:
                     u1 = 0
                     u2 = 0
-                judgments.append(Judgment(topic, doc, "ref", u1, resource_id=resource))
+                judgments.append(Judgment(topic, doc, u1))
+                resources[doc] = resource
                 pairs.append(JudgmentPair(topic, doc, u1, u2))
-    return JudgmentSet(SCALE3, tuple(judgments)), pairs
+    return JudgmentSet(SCALE3, tuple(judgments), "ref", resources), pairs
 
 
 # -- randomized evaluation fixtures ----------------------------------------

@@ -481,10 +481,9 @@ class TestQualitySensitivity:
         # tie, so k=1 restricts to its (fully confirmed) documents
         judgments = JudgmentSet(
             SCALE3,
-            (
-                Judgment("t1", "a1", "ref", 2, resource_id="resA"),
-                Judgment("t1", "b1", "ref", 2, resource_id="resB"),
-            ),
+            (Judgment("t1", "a1", 2), Judgment("t1", "b1", 2)),
+            "ref",
+            {"a1": "resA", "b1": "resB"},
         )
         pairs = [JudgmentPair("t1", "a1", 2, 2), JudgmentPair("t1", "b1", 2, 0)]
         curve = quality_sensitivity(judgments, pairs, UserModel(2))
@@ -494,33 +493,18 @@ class TestQualitySensitivity:
         assert top.means[1] == 2 / 3
 
     def test_requires_resource_metadata(self):
-        judgments = JudgmentSet(SCALE3, (Judgment("t1", "a", "ref", 2),))
+        judgments = JudgmentSet(SCALE3, (Judgment("t1", "a", 2),), "ref")
         with pytest.raises(ValidationError, match="resource"):
             quality_sensitivity(judgments, [JudgmentPair("t1", "a", 2, 2)], UserModel(2))
 
-    def test_requires_single_group(self):
-        judgments = JudgmentSet(
-            SCALE3,
-            (
-                Judgment("t1", "a", "u1", 2, resource_id="r"),
-                Judgment("t1", "b", "u2", 2, resource_id="r"),
-            ),
-        )
-        with pytest.raises(ValidationError, match="single assessor group"):
-            quality_sensitivity(judgments, [JudgmentPair("t1", "a", 2, 2)], UserModel(2))
-
     def test_uncovered_pairs_rejected(self):
-        judgments = JudgmentSet(
-            SCALE3, (Judgment("t1", "a", "ref", 2, resource_id="r"),)
-        )
+        judgments = JudgmentSet(SCALE3, (Judgment("t1", "a", 2),), "ref", {"a": "r"})
         pairs = [JudgmentPair("t1", "a", 2, 2), JudgmentPair("t1", "zz", 1, 1)]
         with pytest.raises(ValidationError, match="absent from the reference"):
             quality_sensitivity(judgments, pairs, UserModel(2))
 
     def test_empty_pairs(self):
-        judgments = JudgmentSet(
-            SCALE3, (Judgment("t1", "a", "ref", 2, resource_id="r"),)
-        )
+        judgments = JudgmentSet(SCALE3, (Judgment("t1", "a", 2),), "ref", {"a": "r"})
         with pytest.raises(EstimationError, match="no judgment pairs"):
             quality_sensitivity(judgments, [], UserModel(2))
 

@@ -274,7 +274,7 @@ class TestEvalCommand:
         assert "# run sysA" in out
         assert "ndcg@10\t201\t1.0000" in out
         assert "ndcg@10\tall\t1.0000" in out
-        assert "ndcg@10\tstderr\t0.0000" in out
+        assert "ndcg@10\tstderr\tn/a" in out
 
     def test_binary_and_degenerate_prm_byte_identical(self, capsys, ws):
         for fmt in ("text", "json", "csv"):
@@ -790,6 +790,80 @@ class TestValidateCommand:
         assert err.count("\n") == 1
 
 
+class TestIntentsFile:
+    """--intents declares the intents that an intent-'0' record expands over."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        texts = {
+            # topic 202's top intent, c, appears only in the intents file
+            "qrels.txt": "201 a d1 2\n201 b d2 1\n202 b d3 2\n202 0 d4 0\n",
+            "intents.txt": "201 a 0.9\n201 b 0.1\n202 c 0.8\n202 b 0.2\n",
+            # topic 202 has intent-'0' records only
+            "u1.txt": "201 a d1 2\n201 b d1 1\n201 a d2 1\n202 0 d5 0\n202 0 d6 0\n",
+            "u2.txt": "201 a d1 1\n201 b d1 1\n201 a d2 2\n202 0 d5 0\n202 0 d6 0\n",
+            "pairs_intents.txt": "201 a 0.6\n201 b 0.4\n202 c 0.7\n202 d 0.3\n",
+        }
+        for name, text in texts.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        return {name.split(".")[0]: str(tmp_path / name) for name in texts}
+
+    def test_estimate_expands_over_declared_intents(self, capsys, ws, files):
+        code, out, err = run_cli(capsys, [
+            "estimate", "--scale", ws["scale"], "--qrels", files["u1"], "--qrels2", files["u2"],
+            "--intent-field", "--intents", files["pairs_intents"], "--theta", "2",
+        ])
+        assert code == 0, err
+        # d5 and d6 under intents c and d: four level-0 pairs per group
+        assert "[0/8]" in out
+
+    def test_top_intent_only_keeps_a_declared_intent(self, capsys, ws, files):
+        code, out, err = run_cli(capsys, [
+            "eval", "--scale", ws["scale"], "--qrels", files["qrels"], "--intent-field",
+            "--intents", files["intents"], "--top-intent-only", "--measures", "count-binary",
+            "--theta", "1",
+        ])
+        assert code == 0, err
+        assert "count_binary\t201\t1.0000" in out
+        assert "count_binary\t202\t0.0000" in out
+
+    @pytest.mark.parametrize("top_only, judgments", [(False, 5), (True, 2)])
+    def test_validate_honours_intent_flags(self, capsys, ws, files, top_only, judgments):
+        code, out, err = run_cli(capsys, [
+            "validate", "--scale", ws["scale"], "--qrels", files["qrels"], "--intent-field",
+            "--intents", files["intents"], *(["--top-intent-only"] if top_only else []),
+        ])
+        assert code == 0, err
+        assert f"ok: qrels with {judgments} judgments, 2 topics" in out
+
+
+class TestParseWarnings:
+    def test_paired_file_warnings_name_it_in_order(self, capsys, ws, tmp_path):
+        path = tmp_path / "pairs.txt"
+        path.write_text("201 d1 2 1\n201 d2 0 0\n201 d1 1 1\n201 d2 2 2\n", encoding="utf-8")
+        with pytest.warns(DataWarning) as record:
+            code, _, err = run_cli(capsys, [
+                "estimate", "--scale", ws["scale"], "--pairs", str(path), "--theta", "2",
+            ])
+        assert code == 0, err
+        messages = [str(w.message) for w in record if "extra judgments" in str(w.message)]
+        assert messages == [
+            f"{path}: line {n}: extra judgments for (topic=201, doc={doc}) ignored; "
+            "only the first two are used"
+            for n, doc in ((3, "d1"), (4, "d2"))
+        ]
+
+    def test_run_file_warning_names_it(self, capsys, ws, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_text("201 Q0 d1 1 1.0 s\n201 Q0 d2 2 2.0 s\n", encoding="utf-8")
+        with pytest.warns(DataWarning, match="scores increase") as record:
+            code, _, err = run_cli(capsys, ["validate", "--run", str(path)])
+        assert code == 0, err
+        assert [str(w.message) for w in record] == [
+            f"{path}: run s, topic 201: scores increase down the ranking; keeping rank order"
+        ]
+
+
 class TestCsvFields:
     @pytest.mark.filterwarnings("ignore::prmeval.errors.DataWarning")
     def test_fields_with_commas_are_quoted(self, capsys, tmp_path):
@@ -993,7 +1067,9 @@ class TestWarningLines:
             text=True,
         )
         assert proc.returncode == 0
-        assert proc.stderr == f"warning: {line}\n"
+        # a parser's warning names its file; the estimator's does not
+        prefix = f"{path}: " if command == "validate" else ""
+        assert proc.stderr == f"warning: {prefix}{line}\n"
         assert "<string>" not in proc.stderr
         assert "DataWarning:" not in proc.stderr
 

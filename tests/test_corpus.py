@@ -97,7 +97,7 @@ class TestRelevanceScale:
 class TestParseQrels:
     def test_direct_field_mapping(self, scale3):
         js = parse_qrels(["201 0 d1 2\n"], scale3, "u1")
-        assert js.judgments == (Judgment("201", "d1", "u1", 2),)
+        assert js.judgments == (Judgment("201", "d1", 2),)
 
     def test_level_above_top_rejected(self, scale3):
         with pytest.raises(ValidationError, match="level 9 > T=2"):
@@ -260,40 +260,27 @@ class TestParseRun:
 class TestJudgmentSet:
     def test_level_bounds_checked(self, scale3):
         with pytest.raises(ValidationError, match="level 3 > T=2"):
-            JudgmentSet(scale3, (Judgment("201", "d1", "u1", 3),))
+            JudgmentSet(scale3, (Judgment("201", "d1", 3),), "u1")
 
     def test_doc_levels(self, scale3):
         js = JudgmentSet(
             scale3,
-            (Judgment("201", "d1", "u1", 2), Judgment("202", "d1", "u1", 0)),
+            (Judgment("201", "d1", 2), Judgment("202", "d1", 0)),
+            "u1",
         )
         assert js.doc_levels() == {"201": {"d1": 2}, "202": {"d1": 0}}
-
-    def test_doc_levels_rejects_multiple_groups(self, scale3):
-        js = JudgmentSet(
-            scale3,
-            (Judgment("201", "d1", "u1", 2), Judgment("201", "d2", "u2", 0)),
-        )
-        with pytest.raises(ValidationError, match="groups"):
-            js.doc_levels()
 
     def test_doc_levels_rejects_unreduced_intents(self, scale3):
         js = JudgmentSet(
             scale3,
             (
-                Judgment("201", "d1", "u1", 2, intent_id="a"),
-                Judgment("201", "d1", "u1", 0, intent_id="b"),
+                Judgment("201", "d1", 2, intent_id="a"),
+                Judgment("201", "d1", 0, intent_id="b"),
             ),
+            "u1",
         )
         with pytest.raises(ValidationError, match="intent"):
             js.doc_levels()
-
-    def test_for_group(self, scale3):
-        js = JudgmentSet(
-            scale3,
-            (Judgment("201", "d1", "u1", 2), Judgment("201", "d1", "u2", 1)),
-        )
-        assert js.for_group("u2").level_histogram() == {1: 1}
 
 
 class TestPairing:
@@ -314,23 +301,14 @@ class TestPairing:
         assert result.unpaired_u2 == 1
 
     def test_scale_mismatch_rejected(self, scale3, scale4):
-        u1 = JudgmentSet(scale3, (Judgment("201", "d1", "u1", 1),))
-        u2 = JudgmentSet(scale4, (Judgment("201", "d1", "u2", 1),))
+        u1 = JudgmentSet(scale3, (Judgment("201", "d1", 1),), "u1")
+        u2 = JudgmentSet(scale4, (Judgment("201", "d1", 1),), "u2")
         with pytest.raises(ValidationError, match="scale mismatch"):
             pair_judgments(u1, u2)
 
-    def test_multi_group_rejected(self, scale3):
-        mixed = JudgmentSet(
-            scale3,
-            (Judgment("201", "d1", "u1", 1), Judgment("201", "d2", "x", 1)),
-        )
-        other = JudgmentSet(scale3, (Judgment("201", "d1", "u2", 1),))
-        with pytest.raises(ValidationError, match="multiple assessor groups"):
-            pair_judgments(mixed, other)
-
     def test_intents_join_on_intent(self, scale3):
-        u1 = JudgmentSet(scale3, (Judgment("201", "d1", "u1", 2, intent_id="a"),))
-        u2 = JudgmentSet(scale3, (Judgment("201", "d1", "u2", 1, intent_id="b"),))
+        u1 = JudgmentSet(scale3, (Judgment("201", "d1", 2, intent_id="a"),), "u1")
+        u2 = JudgmentSet(scale3, (Judgment("201", "d1", 1, intent_id="b"),), "u2")
         assert len(pair_judgments(u1, u2)) == 0
 
 
@@ -421,9 +399,10 @@ class TestSelectTopIntent:
         js = JudgmentSet(
             scale3,
             (
-                Judgment("201", "d1", "u1", 2, intent_id="a"),
-                Judgment("201", "d2", "u1", 1, intent_id="b"),
+                Judgment("201", "d1", 2, intent_id="a"),
+                Judgment("201", "d2", 1, intent_id="b"),
             ),
+            "u1",
         )
         kept = select_top_intent(js, {"201": {"a": 0.2, "b": 0.8}})
         assert [j.doc_id for j in kept.judgments] == ["d2"]
@@ -432,46 +411,66 @@ class TestSelectTopIntent:
         js = JudgmentSet(
             scale3,
             (
-                Judgment("201", "d1", "u1", 2, intent_id="b"),
-                Judgment("201", "d2", "u1", 1, intent_id="a"),
+                Judgment("201", "d1", 2, intent_id="b"),
+                Judgment("201", "d2", 1, intent_id="a"),
             ),
+            "u1",
         )
         kept = select_top_intent(js, {"201": {"a": 0.5, "b": 0.5}})
         assert [j.intent_id for j in kept.judgments] == ["a"]
 
     def test_missing_probabilities_rejected(self, scale3):
-        js = JudgmentSet(scale3, (Judgment("201", "d1", "u1", 2, intent_id="a"),))
+        js = JudgmentSet(scale3, (Judgment("201", "d1", 2, intent_id="a"),), "u1")
         with pytest.raises(ValidationError, match="probabilities"):
             select_top_intent(js, {})
 
     def test_intentless_judgments_kept(self, scale3):
-        js = JudgmentSet(scale3, (Judgment("201", "d1", "u1", 2),))
+        js = JudgmentSet(scale3, (Judgment("201", "d1", 2),), "u1")
         assert select_top_intent(js, {}).judgments == js.judgments
 
 
 class TestAttachResources:
     def test_with_map(self, scale3):
-        js = JudgmentSet(scale3, (Judgment("201", "d1", "u1", 2),))
+        js = JudgmentSet(scale3, (Judgment("201", "d1", 2),), "u1")
         out = attach_resources(js, resource_map={"d1": "engineA"})
-        assert out.judgments[0].resource_id == "engineA"
+        assert out.resources == {"d1": "engineA"}
+        assert out.judgments == js.judgments
 
     def test_with_pattern(self, scale3):
-        js = JudgmentSet(scale3, (Judgment("201", "FW-e007-d1", "u1", 2),))
+        js = JudgmentSet(scale3, (Judgment("201", "FW-e007-d1", 2),), "u1")
         out = attach_resources(js, pattern=r"FW-(e\d+)-")
-        assert out.judgments[0].resource_id == "e007"
+        assert out.resources == {"FW-e007-d1": "e007"}
 
     def test_missing_from_map(self, scale3):
-        js = JudgmentSet(scale3, (Judgment("201", "d1", "u1", 2),))
+        js = JudgmentSet(scale3, (Judgment("201", "d1", 2),), "u1")
         with pytest.raises(ValidationError, match="missing"):
             attach_resources(js, resource_map={})
 
     def test_pattern_must_match(self, scale3):
-        js = JudgmentSet(scale3, (Judgment("201", "d1", "u1", 2),))
+        js = JudgmentSet(scale3, (Judgment("201", "d1", 2),), "u1")
         with pytest.raises(ValidationError, match="does not match"):
             attach_resources(js, pattern=r"FW-(e\d+)-")
 
+    def test_each_doc_resolved_once_in_file_order(self, scale3):
+        js = JudgmentSet(
+            scale3,
+            (
+                Judgment("201", "FW-e1-a", 2),
+                Judgment("202", "zz", 1),
+                Judgment("203", "FW-e1-a", 0),
+                Judgment("203", "aa", 0),
+            ),
+            "u1",
+        )
+        with pytest.raises(ValidationError, match="doc id 'zz' does not match"):
+            attach_resources(js, pattern=r"FW-(e\d+)-")
+        with pytest.raises(ValidationError, match="doc id 'zz' missing"):
+            attach_resources(js, resource_map={"FW-e1-a": "e1"})
+        out = attach_resources(js, resource_map={"aa": "x", "FW-e1-a": "e1", "zz": "y"})
+        assert list(out.resources.items()) == [("FW-e1-a", "e1"), ("zz", "y"), ("aa", "x")]
+
     def test_exactly_one_source(self, scale3):
-        js = JudgmentSet(scale3, (Judgment("201", "d1", "u1", 2),))
+        js = JudgmentSet(scale3, (Judgment("201", "d1", 2),), "u1")
         with pytest.raises(ValidationError, match="exactly one"):
             attach_resources(js, resource_map={"d1": "a"}, pattern=r"(d)")
 

@@ -168,9 +168,10 @@ def ref_quality(judgments, pairs, user_model, estimator, condition):
     docs: dict[str, dict[str, set[str]]] = {}
     strong: dict[str, dict[str, int]] = {}
     for j in judgments.judgments:
-        docs.setdefault(j.topic_id, {}).setdefault(j.resource_id, set()).add(j.doc_id)
+        resource = judgments.resources[j.doc_id]
+        docs.setdefault(j.topic_id, {}).setdefault(resource, set()).add(j.doc_id)
         counts = strong.setdefault(j.topic_id, {})
-        counts[j.resource_id] = counts.get(j.resource_id, 0) + (j.level >= scale.top_index - 1)
+        counts[resource] = counts.get(resource, 0) + (j.level >= scale.top_index - 1)
     order = {t: sorted(c, key=lambda res: (-c[res], res)) for t, c in strong.items()}
     ks = range(1, max(len(o) for o in order.values()) + 1)
     levels = range(scale.top_index + 1)
@@ -370,19 +371,18 @@ def test_quality_steps_match_list_filtering(collection, data, choice):
     estimator, condition = choice
     resource = st.sampled_from(["rA", "rB", "rC", "rD"])
     # Every paired document is judged by the reference group, some for a
-    # second intent under another resource; some extra judged documents
-    # belong to no pair.
+    # second intent; some extra judged documents belong to no pair.  Each
+    # document belongs to one resource.
     judged = [
-        Judgment(p.topic_id, p.doc_id, "ref", p.level_u1, intent, data.draw(resource))
+        Judgment(p.topic_id, p.doc_id, p.level_u1, intent)
         for p in pairs
         for intent in (None, "i2")[: data.draw(st.integers(1, 2))]
     ]
     extra = data.draw(st.lists(st.tuples(st.integers(0, 3), resource), max_size=6))
-    judged += [
-        Judgment(f"t{t}", f"x{i}", "ref", scale.top_index, resource_id=r)
-        for i, (t, r) in enumerate(extra)
-    ]
-    reference = JudgmentSet(scale, tuple(judged))
+    judged += [Judgment(f"t{t}", f"x{i}", scale.top_index) for i, (t, _) in enumerate(extra)]
+    resources = {p.doc_id: data.draw(resource) for p in pairs}
+    resources.update((f"x{i}", r) for i, (_, r) in enumerate(extra))
+    reference = JudgmentSet(scale, tuple(judged), "ref", resources)
     got = outcome(lambda: quality_sensitivity(
         reference, pairs, UserModel(theta), estimator=estimator, condition=condition
     ))
@@ -394,9 +394,10 @@ def test_quality_steps_match_list_filtering(collection, data, choice):
 def test_analyses_refuse_symmetric_on_one_sided_collections(analysis):
     scale = RelevanceScale(("a", "b", "c"))
     pairs = [JudgmentPair(f"t{i % 2}", f"d{i}", i % 3, i % 3) for i in range(6)]
-    reference = JudgmentSet(scale, tuple(
-        Judgment(p.topic_id, p.doc_id, "ref", p.level_u1, resource_id="r") for p in pairs
-    ))
+    reference = JudgmentSet(
+        scale, tuple(Judgment(p.topic_id, p.doc_id, p.level_u1) for p in pairs), "ref",
+        dict.fromkeys((p.doc_id for p in pairs), "r"),
+    )
     run = {
         "bootstrap": lambda **kw: bootstrap_topics(
             pairs, UserModel(2), scale, n_resamples=3, seed=0, **kw),

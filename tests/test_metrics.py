@@ -441,8 +441,12 @@ class TestMetricReport:
         assert report.n_topics == 3
 
     def test_single_topic_stderr_zero(self):
+        # one topic gives no standard error: None, not 0.0
         report = MetricReport.from_values("ndcg", 10, {"t1": 0.7})
-        assert report.stderr_of_mean == 0.0
+        assert report.stderr_of_mean is None
+        assert report.to_csv().endswith("\nstderr,\n")
+        assert report.to_trec_text().endswith("ndcg@10\tstderr\tn/a\n")
+        assert report.to_json_dict()["stderr_of_mean"] is None
 
     def test_topics_sorted_ascending(self):
         report = MetricReport.from_values("m", None, {"t2": 1.0, "t10": 2.0, "t1": 3.0})
@@ -483,14 +487,14 @@ class TestCountReports:
         from prmeval.corpus import parse_qrels
 
         js = parse_qrels(golden_qrels_u1.splitlines(), scale3, "u1")
-        report = binary_count_report(js, 2)
+        report = binary_count_report(js.doc_levels(), 2)
         assert report.per_topic == (("201", 4.0),)
 
     def test_expected_count_report(self, scale3, golden_qrels_u1, golden_table):
         from prmeval.corpus import parse_qrels
 
         js = parse_qrels(golden_qrels_u1.splitlines(), scale3, "u1")
-        report = expected_count_report(js, golden_table)
+        report = expected_count_report(js.doc_levels(), golden_table)
         expected = 6 * (1 / 13) + 10 * (5 / 17) + 4 * (4 / 10)
         assert abs(report.per_topic[0][1] - expected) < 1e-12
 
