@@ -22,6 +22,7 @@ from .analysis import (
 from .corpus import (
     Judgment,
     JudgmentPair,
+    JudgmentPairs,
     JudgmentSet,
     PairingResult,
     RelevanceScale,
@@ -78,6 +79,7 @@ __all__ = [
     "GainScheme",
     "Judgment",
     "JudgmentPair",
+    "JudgmentPairs",
     "JudgmentSet",
     "LevelSeries",
     "MetricError",

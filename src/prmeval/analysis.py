@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import JudgmentPair, JudgmentSet, RelevanceScale, RunRanking
+from .corpus import JudgmentPair, JudgmentSet, RelevanceScale, RunRanking, pair_ids
 from .disagreement import (
     UserModel, code_counts, group_pair_counts, pair_codes, table_from_counts,
 )
@@ -225,7 +226,7 @@ def bootstrap_topics(
         raise ValidationError(f"n_resamples must be >= 1, got {n_resamples}")
     if not pairs:
         raise EstimationError("no judgment pairs to bootstrap")
-    if len({p.topic_id for p in pairs}) < 2:
+    if len(set(pair_ids(pairs)[0])) < 2:
         raise EstimationError("bootstrap needs at least 2 topics")
     user_model.check_against(scale)
     topics, per_topic = group_pair_counts(pairs, scale)
@@ -376,45 +377,45 @@ def quality_sensitivity(
     """
     if not pairs:
         raise EstimationError("no judgment pairs to estimate from")
-    if not judgments.judgments:
+    if not judgments:
         raise ValidationError("no reference judgments")
     resources = judgments.resources or {}
-    if any(j.doc_id not in resources for j in judgments.judgments):
+    if not all(map(resources.__contains__, judgments.doc_ids)):
         raise ValidationError(
             "no resource metadata on reference judgments; attach_resources first"
         )
     scale = judgments.scale
     user_model.check_against(scale)
 
-    # docs per (topic, resource) and per-resource top-two-level counts
-    docs_by_topic_resource: dict[str, dict[str, set[str]]] = {}
+    # per topic, each resource's count of judgments in the top two levels;
+    # a document's step is its resource's place in its topic's order
+    in_resource = list(map(resources.__getitem__, judgments.doc_ids))
+    strong = map((scale.top_index - 1).__le__, judgments.levels)
     strong_counts: dict[str, dict[str, int]] = {}
-    for j in judgments.judgments:
-        resource = resources[j.doc_id]
-        docs_by_topic_resource.setdefault(j.topic_id, {}).setdefault(
-            resource, set()
-        ).add(j.doc_id)
-        counts = strong_counts.setdefault(j.topic_id, {})
-        counts[resource] = counts.get(resource, 0) + (j.level >= scale.top_index - 1)
-
-    order_by_topic = {
-        topic: sorted(counts, key=lambda res: (-counts[res], res))
+    for (topic, resource, is_strong), n in Counter(
+        zip(judgments.topic_ids, in_resource, strong)
+    ).items():
+        counts = strong_counts.setdefault(topic, {})
+        counts[resource] = counts.get(resource, 0) + n * is_strong
+    place = {
+        (topic, resource): k
         for topic, counts in strong_counts.items()
+        for k, resource in enumerate(sorted(counts, key=lambda r: (-counts[r], r)))
     }
-    k_max = max(len(order) for order in order_by_topic.values())
-    first_k: dict[tuple[str, str], int] = {}
-    for topic, order in order_by_topic.items():
-        for k, res in enumerate(order):
-            for doc in docs_by_topic_resource[topic][res]:
-                first_k.setdefault((topic, doc), k)
+    judged = set(zip(judgments.topic_ids, judgments.doc_ids))
 
-    uncovered = [(p.topic_id, p.doc_id) for p in pairs if (p.topic_id, p.doc_id) not in first_k]
-    if uncovered:
+    topics, docs = pair_ids(pairs)
+    if not judged.issuperset(zip(topics, docs)):
+        uncovered = [key for key in zip(topics, docs) if key not in judged]
         raise ValidationError(
             f"{len(uncovered)} pairs reference documents absent from the reference "
             f"judgments (first: {uncovered[0]}); the sweep cannot cover them"
         )
-    steps = np.array([first_k[(p.topic_id, p.doc_id)] for p in pairs], dtype=np.int64)
+    steps = np.fromiter(
+        map(place.__getitem__, zip(topics, map(resources.__getitem__, docs))),
+        dtype=np.int64, count=len(docs),
+    )
+    k_max = max(place.values()) + 1
     per_k = code_counts(pair_codes(pairs, scale), scale, steps, k_max).cumsum(axis=0)
 
     tables = [

@@ -260,19 +260,19 @@ def _read_text(path: str) -> str:
 
 
 def _parse(path: str, parser, *args, **kwargs):
-    """``parser(lines of path, *args, **kwargs)``; its errors and warnings
-    name the file."""
+    """``parser(open stream of path, *args, **kwargs)``; its errors and
+    warnings name the file.  The qrels and pairs parsers read the stream
+    whole, the others (runs among them) line by line."""
     with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            return parser(lines, *args, **kwargs)
-    except (ParseError, ValidationError) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
-    finally:
-        for w in caught:
-            warnings.warn(f"{path}: {w.message}", w.category, stacklevel=2)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                return parser(fh, *args, **kwargs)
+        except (ParseError, ValidationError) as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
+        finally:
+            for w in caught:
+                warnings.warn(f"{path}: {w.message}", w.category, stacklevel=2)
 
 
 class _Report(NamedTuple):
@@ -329,7 +329,7 @@ def _load_qrels(
 
 def _load_pairs(
     args: argparse.Namespace, scale: corpus.RelevanceScale, qrels=None
-) -> list[corpus.JudgmentPair]:
+) -> corpus.JudgmentPairs:
     """Double judgments from --pairs, else from the overlap of --qrels and --qrels2.
 
     ``qrels`` is the (u1, u2) pair that ``tau`` and ``robustness`` have
@@ -350,7 +350,7 @@ def _load_pairs(
     u1, u2 = qrels or (
         _load_qrels(args, args.qrels, scale, "u1"), _load_qrels(args, args.qrels2, scale, "u2")
     )
-    return list(corpus.pair_judgments(u1, u2).pairs)
+    return corpus.pair_judgments(u1, u2).pairs
 
 
 def _load_runs(args: argparse.Namespace) -> list[corpus.RunRanking]:
@@ -436,7 +436,7 @@ def cmd_estimate(args: argparse.Namespace) -> _Report:
     if args.strata:
         strata = _parse(args.strata, corpus.parse_strata)
     else:
-        strata = dict.fromkeys((p.topic_id for p in pairs), "all")
+        strata = dict.fromkeys(pairs.topic_ids, "all")
     if args.estimator == "all":
         estimators = [("symmetric", args.condition), ("one_sided", "u1"), ("one_sided", "u2")]
     else:
@@ -723,7 +723,7 @@ def cmd_validate(args: argparse.Namespace) -> _Report:
         if scale is None:
             raise ValidationError("--scale is required to validate pairs")
         pairs = _parse(args.pairs, corpus.parse_paired, scale)
-        rows.append(["pairs", args.pairs, len(pairs), len({p.topic_id for p in pairs}), None])
+        rows.append(["pairs", args.pairs, len(pairs), len(set(pairs.topic_ids)), None])
         text.append(f"ok: pairs with {len(pairs)} double judgments")
     for path in args.run or ():
         run = _parse(path, corpus.parse_run)

@@ -17,18 +17,31 @@ inferred.  An ordered ``"labels"`` list is accepted as a shorthand.
 
 Negative qrels levels are clamped to 0 (a common convention for "judged
 non-relevant"); levels above the scale top are validation errors.
+
+Judgments and double judgments are kept as columns, not one object per
+record: a :class:`JudgmentSet` holds topic, doc, level and intent
+columns, and a :class:`JudgmentPairs` holds topic and doc columns plus
+each pair's cell code ``l1 * (T+1) + l2``.  Their records are built only
+when a caller reads them.  Given a file's whole text or stream,
+``parse_qrels`` and ``parse_paired`` read it with one ``split()`` when
+every line is a plain record, and fall back to the line reader
+otherwise; runs are always read line by line, which bounds their memory.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import operator
 import re
 import warnings
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import repeat
 from typing import IO
+
+import numpy as np
 
 from .errors import DataWarning, ParseError, ValidationError
 
@@ -36,7 +49,9 @@ __all__ = [
     "RelevanceScale",
     "Judgment",
     "JudgmentSet",
+    "JudgmentView",
     "JudgmentPair",
+    "JudgmentPairs",
     "PairingResult",
     "RunEntry",
     "RunRanking",
@@ -54,6 +69,7 @@ __all__ = [
     "pair_judgments",
     "select_top_intent",
     "attach_resources",
+    "pair_ids",
 ]
 
 
@@ -140,46 +156,133 @@ class Judgment:
     level: int
     intent_id: str | None = None
 
-    @property
-    def key(self) -> tuple[str, str, str | None]:
-        return (self.topic_id, self.doc_id, self.intent_id)
+
+class _Records(Sequence):
+    """Read-only view of records kept as columns: a record is built when
+    it is read, and the view equals any sequence of the same records."""
+
+    __slots__ = ()
+    __hash__ = None  # type: ignore[assignment]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = index + len(self) if index < 0 else index
+        if not 0 <= i < len(self):
+            raise IndexError(f"{type(self).__name__} index out of range")
+        return self._record(i)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
 
 
-@dataclass(frozen=True)
 class JudgmentSet:
     """A validated collection of one assessor group's judgments against
-    one scale; ``resources`` maps each judged doc to its resource once
-    :func:`attach_resources` has run."""
+    one scale.
 
-    scale: RelevanceScale
-    judgments: tuple[Judgment, ...]
-    group: str
-    resources: Mapping[str, str] | None = None
+    The judgments are stored as columns: ``topic_ids``, ``doc_ids``,
+    ``levels`` and ``intent_ids`` (None when no judgment has an intent),
+    one entry per judgment in file order; ``judgments`` is a view that
+    builds :class:`Judgment` records on access.  ``resources`` maps each
+    judged doc to its resource once :func:`attach_resources` has run.
+    Sets compare equal by value and are not hashable.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ("scale", "group", "resources", "topic_ids", "doc_ids", "levels", "intent_ids")
+
+    def __init__(
+        self,
+        scale: RelevanceScale,
+        judgments: Iterable[Judgment],
+        group: str,
+        resources: Mapping[str, str] | None = None,
+    ) -> None:
+        rows = tuple(judgments)
+        self._adopt(
+            scale, group, [j.topic_id for j in rows], [j.doc_id for j in rows],
+            [j.level for j in rows], [j.intent_id for j in rows], resources,
+        )
+        self._validate()
+
+    @classmethod
+    def _of(
+        cls,
+        scale: RelevanceScale,
+        group: str,
+        topic_ids: Sequence[str],
+        doc_ids: Sequence[str],
+        levels: Sequence[int],
+        intent_ids: Sequence[str | None] | None = None,
+        resources: Mapping[str, str] | None = None,
+    ) -> "JudgmentSet":
+        """A set from its columns, which the caller has validated."""
+        js = cls.__new__(cls)
+        js._adopt(scale, group, topic_ids, doc_ids, levels, intent_ids, resources)
+        return js
+
+    def _adopt(self, scale, group, topic_ids, doc_ids, levels, intent_ids, resources) -> None:
+        self.scale, self.group, self.resources = scale, group, resources
+        self.topic_ids, self.doc_ids, self.levels = tuple(topic_ids), tuple(doc_ids), tuple(levels)
+        intent_ids = None if intent_ids is None else tuple(intent_ids)
+        if intent_ids is not None and intent_ids.count(None) == len(intent_ids):
+            intent_ids = None
+        self.intent_ids = intent_ids
+
+    def _keys(self) -> Iterator[tuple[str, str, str | None]]:
+        return zip(self.topic_ids, self.doc_ids, self.intent_ids or repeat(None))
+
+    def _validate(self) -> None:
+        """Check, judgment by judgment, that each level is on the scale
+        and each (topic, doc, intent) key occurs once."""
         seen: set[tuple] = set()
-        for j in self.judgments:
-            if not 0 <= j.level <= self.scale.top_index:
+        for (topic, doc, intent), level in zip(self._keys(), self.levels):
+            if not 0 <= level <= self.scale.top_index:
                 raise ValidationError(
-                    f"judgment {j.topic_id}/{j.doc_id}: level {j.level} > T={self.scale.top_index}"
+                    f"judgment {topic}/{doc}: level {level} > T={self.scale.top_index}"
                 )
-            if j.key in seen:
+            if (topic, doc, intent) in seen:
                 raise ValidationError(
-                    f"duplicate judgment key (topic={j.topic_id}, doc={j.doc_id}, "
-                    f"group={self.group}, intent={j.intent_id})"
+                    f"duplicate judgment key (topic={topic}, doc={doc}, "
+                    f"group={self.group}, intent={intent})"
                 )
-            seen.add(j.key)
+            seen.add((topic, doc, intent))
+
+    def _take(self, rows: Iterable[int] | None, resources: Mapping[str, str] | None) -> "JudgmentSet":
+        """The judgments at ``rows`` (all when None), in that order, with ``resources``."""
+        columns = [self.topic_ids, self.doc_ids, self.levels, self.intent_ids]
+        if rows is not None:
+            rows = list(rows)
+            columns = [None if c is None else [c[i] for i in rows] for c in columns]
+        return JudgmentSet._of(self.scale, self.group, *columns, resources)
+
+    @property
+    def judgments(self) -> "JudgmentView":
+        """Every judgment in file order, as a view with an O(1) ``len``."""
+        return JudgmentView(self)
 
     def __len__(self) -> int:
-        return len(self.judgments)
+        return len(self.levels)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, JudgmentSet):
+            return NotImplemented
+        return all(getattr(self, a) == getattr(other, a) for a in self.__slots__)
+
+    def __repr__(self) -> str:
+        return f"JudgmentSet({self.group!r}, {len(self)} judgments, {len(self.topics())} topics)"
 
     def topics(self) -> set[str]:
-        return {j.topic_id for j in self.judgments}
+        return set(self.topic_ids)
 
     def level_histogram(self) -> dict[int, int]:
         """Counts per level over all judgments (histogram conservation:
         values sum to ``len(self)``)."""
-        return dict(Counter(j.level for j in self.judgments))
+        return dict(Counter(self.levels))
 
     def doc_levels(self) -> dict[str, dict[str, int]]:
         """Per-topic ``doc -> level`` lookup for evaluation.
@@ -188,15 +291,38 @@ class JudgmentSet:
         must be reduced first (see :func:`select_top_intent`).
         """
         out: dict[str, dict[str, int]] = {}
-        for j in self.judgments:
-            per_topic = out.setdefault(j.topic_id, {})
-            if j.doc_id in per_topic:
+        for topic, doc, level in zip(self.topic_ids, self.doc_ids, self.levels):
+            per_topic = out.get(topic)
+            if per_topic is None:
+                per_topic = out[topic] = {}
+            if doc in per_topic:
                 raise ValidationError(
-                    f"document {j.doc_id} judged under multiple intents for topic "
-                    f"{j.topic_id}; reduce to a single intent first"
+                    f"document {doc} judged under multiple intents for topic "
+                    f"{topic}; reduce to a single intent first"
                 )
-            per_topic[j.doc_id] = j.level
+            per_topic[doc] = level
         return out
+
+
+class JudgmentView(_Records):
+    """Read-only view of a judgment set's judgments in file order."""
+
+    __slots__ = ("_set",)
+
+    def __init__(self, judgments: JudgmentSet) -> None:
+        self._set = judgments
+
+    def __len__(self) -> int:
+        return len(self._set)
+
+    def __iter__(self) -> Iterator[Judgment]:
+        js = self._set
+        return map(Judgment, js.topic_ids, js.doc_ids, js.levels, js.intent_ids or repeat(None))
+
+    def _record(self, i: int) -> Judgment:
+        js = self._set
+        intent = None if js.intent_ids is None else js.intent_ids[i]
+        return Judgment(js.topic_ids[i], js.doc_ids[i], js.levels[i], intent)
 
 
 @dataclass(frozen=True)
@@ -209,11 +335,71 @@ class JudgmentPair:
     level_u2: int
 
 
+class JudgmentPairs(_Records):
+    """Doubly judged results as columns, read as a sequence of
+    :class:`JudgmentPair`.
+
+    ``topic_ids`` and ``doc_ids`` hold each pair's topic and document, and
+    ``codes`` (a read-only int64 array) its cell code ``l1 * width + l2``,
+    where ``width`` is T+1 of the scale the levels were checked against.
+    ``JudgmentPairs(pairs, scale)`` checks the levels of any pair sequence;
+    the first out-of-range level in input order (pair by pair, U1 before
+    U2) raises.
+    """
+
+    __slots__ = ("topic_ids", "doc_ids", "codes", "width")
+
+    def __init__(self, pairs: Iterable[JudgmentPair], scale: RelevanceScale) -> None:
+        rows = list(pairs)
+        levels = np.array([(p.level_u1, p.level_u2) for p in rows], dtype=np.int64)
+        levels = levels.reshape(-1, 2)
+        bad = np.flatnonzero((levels < 0) | (levels > scale.top_index))
+        if bad.size:
+            scale.check_level(int(levels.flat[bad[0]]))
+        self._adopt(
+            [p.topic_id for p in rows], [p.doc_id for p in rows],
+            levels[:, 0], levels[:, 1], scale.top_index + 1,
+        )
+
+    @classmethod
+    def _of(cls, topic_ids, doc_ids, levels_u1, levels_u2, width: int) -> "JudgmentPairs":
+        """Pairs from their columns, whose levels the caller has checked."""
+        pairs = cls.__new__(cls)
+        pairs._adopt(topic_ids, doc_ids, levels_u1, levels_u2, width)
+        return pairs
+
+    def _adopt(self, topic_ids, doc_ids, levels_u1, levels_u2, width: int) -> None:
+        self.topic_ids, self.doc_ids, self.width = tuple(topic_ids), tuple(doc_ids), width
+        codes = np.asarray(levels_u1, dtype=np.int64) * width
+        codes += np.asarray(levels_u2, dtype=np.int64)
+        codes.flags.writeable = False
+        self.codes = codes
+
+    def __len__(self) -> int:
+        return len(self.topic_ids)
+
+    def __iter__(self) -> Iterator[JudgmentPair]:
+        width = self.width
+        for topic, doc, code in zip(self.topic_ids, self.doc_ids, self.codes.tolist()):
+            yield JudgmentPair(topic, doc, *divmod(code, width))
+
+    def _record(self, i: int) -> JudgmentPair:
+        return JudgmentPair(self.topic_ids[i], self.doc_ids[i], *divmod(int(self.codes[i]), self.width))
+
+
+def pair_ids(pairs: Sequence[JudgmentPair]) -> tuple[Sequence[str], Sequence[str]]:
+    """The topic ids and the doc ids of a pair sequence, in order; a
+    :class:`JudgmentPairs` gives its columns without building records."""
+    if isinstance(pairs, JudgmentPairs):
+        return pairs.topic_ids, pairs.doc_ids
+    return [p.topic_id for p in pairs], [p.doc_id for p in pairs]
+
+
 @dataclass(frozen=True)
 class PairingResult:
     """Inner join of two judgment sets plus a coverage summary."""
 
-    pairs: tuple[JudgmentPair, ...]
+    pairs: JudgmentPairs
     unpaired_u1: int
     unpaired_u2: int
 
@@ -292,7 +478,7 @@ class RunRanking:
         return list(self._docs.get(topic_id, ()))
 
 
-class RunEntries(Sequence):
+class RunEntries(_Records):
     """Read-only view of a run's entries in (topic, rank) order.
 
     Its length is stored in the run; entries are built on access.
@@ -310,12 +496,7 @@ class RunEntries(Sequence):
         for topic in self._run._docs:
             yield from self._run.topic_slice(topic)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = index + len(self) if index < 0 else index
-        if not 0 <= i < len(self):
-            raise IndexError("run entry index out of range")
+    def _record(self, i: int) -> RunEntry:
         for topic, docs in self._run._docs.items():
             if i < len(docs):
                 return RunEntry(topic, docs[i], i + 1, self._run._scores[topic][i])
@@ -415,6 +596,65 @@ def _int_field(value: str, what: str, line_no: int) -> int:
         raise ParseError(f"line {line_no}: non-integer {what}: {value!r}") from exc
 
 
+def _text(source: str | IO[str] | Iterable[str]) -> str | None:
+    """The whole text of a str or a text stream; None for other line iterables."""
+    if isinstance(source, str):
+        return source
+    return source.read() if isinstance(source, io.TextIOBase) else None
+
+
+_SENTINEL = "\0"
+
+
+def _columns(text: str, spec: str) -> list[list[str]] | None:
+    """The field columns of ``text`` if every line holds exactly the
+    fields of ``spec`` and none is a comment; None otherwise.
+
+    One ``split()`` reads the whole text, with each newline first turned
+    into a sentinel token, so that each line's fields end at a sentinel.
+    When the text holds no sentinel of its own, as many tokens as
+    ``fields + 1`` per line with a sentinel at every ``fields + 1``-th
+    place means that no line is blank, short or long.  As in the line
+    reader, only the newline character ends a line, not the other line
+    boundaries of ``str.splitlines`` (such as ``\\x0b`` or ``\\u2028``),
+    which ``split()`` treats as blanks within a line.
+    """
+    if _SENTINEL in text:
+        return None
+    if not text.endswith("\n"):
+        text += "\n"
+    n, n_lines = len(spec.split()), text.count("\n")
+    tokens = text.replace("\n", f" {_SENTINEL} ").split()
+    if len(tokens) != (n + 1) * n_lines or tokens[n :: n + 1].count(_SENTINEL) != n_lines:
+        return None
+    columns = [tokens[i :: n + 1] for i in range(n)]
+    if "#" in text and any(field.startswith("#") for field in columns[0]):
+        return None
+    return columns
+
+
+def _levels(column: list[str], top: int) -> np.ndarray | None:
+    """The integer levels of a field column with negatives clamped to 0,
+    or None if one is not an integer or lies above ``top``."""
+    digits = "".join(column)
+    if len(digits) == len(column) and digits.isascii() and digits.isdigit():
+        # each level is a single digit: its byte minus that of "0"
+        levels = np.frombuffer(digits.encode("ascii"), dtype=np.uint8).astype(np.int64) - 48
+    else:
+        try:
+            levels = np.maximum(np.array(list(map(int, column)), dtype=np.int64), 0)
+        except (ValueError, OverflowError):
+            return None
+    return None if levels.max() > top else levels
+
+
+def _unique(*columns: list[str]) -> bool:
+    """Whether the rows of the key columns (doc ids last) are distinct;
+    doc ids that are distinct on their own settle it without a tuple."""
+    docs = columns[-1]
+    return len(set(docs)) == len(docs) or len(set(zip(*columns))) == len(docs)
+
+
 def parse_scale(source: str | IO[str]) -> RelevanceScale:
     """Read a JSON scale descriptor from a string or stream."""
     text = source if isinstance(source, str) else source.read()
@@ -425,8 +665,12 @@ def parse_scale(source: str | IO[str]) -> RelevanceScale:
     return RelevanceScale.from_descriptor(obj)
 
 
+_QRELS = "topic iteration doc level"
+_PAIRED = "topic doc level_u1 level_u2"
+
+
 def parse_qrels(
-    source: Iterable[str],
+    source: str | IO[str] | Iterable[str],
     scale: RelevanceScale,
     group: str,
     *,
@@ -443,15 +687,28 @@ def parse_qrels(
     given, otherwise from the non-zero intents observed in the file.
 
     Negative levels clamp to 0; levels above the scale top are errors.
+    ``source`` is the file's text or stream, or an iterable of its lines.
+    Text whose every line is a plain record is read in one pass; any
+    other input, and every input that needs an error or a warning, goes
+    through the line reader, which words them.
     """
-    judgments: list[Judgment] = []
+    text = _text(source)
+    columns = None if text is None else _columns(text, _QRELS)
+    if columns is not None:
+        topics, seconds, docs, level_column = columns
+        levels = _levels(level_column, scale.top_index)
+        intents = seconds if intent_field else None
+        keys = (topics, seconds, docs) if intent_field else (topics, docs)
+        if levels is not None and not (intent_field and "0" in seconds) and _unique(*keys):
+            return JudgmentSet._of(scale, group, topics, docs, levels.tolist(), intents)
+
+    topics, docs, levels, intents = [], [], [], []
     zero_intent: list[tuple[int, str, str, int]] = []
     observed_intents: dict[str, set[str]] = {}
-    for line_no, fields in _records(source, "topic iteration doc level"):
+    lines = source if text is None else text.split("\n")
+    for line_no, fields in _records(lines, _QRELS):
         topic, second, doc, level_str = fields
-        level = _int_field(level_str, "level", line_no)
-        if level < 0:
-            level = 0
+        level = max(0, _int_field(level_str, "level", line_no))
         if level > scale.top_index:
             raise ValidationError(
                 f"line {line_no}: level {level} > T={scale.top_index}"
@@ -461,9 +718,10 @@ def parse_qrels(
                 zero_intent.append((line_no, topic, doc, level))
                 continue
             observed_intents.setdefault(topic, set()).add(second)
-            judgments.append(Judgment(topic, doc, level, second))
-        else:
-            judgments.append(Judgment(topic, doc, level))
+            intents.append(second)
+        topics.append(topic)
+        docs.append(doc)
+        levels.append(level)
 
     for line_no, topic, doc, level in zero_intent:
         if level != 0:
@@ -474,29 +732,45 @@ def parse_qrels(
                 stacklevel=2,
             )
         if declared_intents is not None and topic in declared_intents:
-            intents = [str(i) for i in declared_intents[topic]]
+            expanded = [str(i) for i in declared_intents[topic]]
         else:
-            intents = sorted(observed_intents.get(topic, ()))
-        if not intents:
+            expanded = sorted(observed_intents.get(topic, ()))
+        if not expanded:
             raise ValidationError(
                 f"line {line_no}: topic {topic} has an intent-'0' record but no "
                 "declared intents to expand it over"
             )
-        for intent in intents:
-            judgments.append(Judgment(topic, doc, 0, intent))
+        topics += [topic] * len(expanded)
+        docs += [doc] * len(expanded)
+        levels += [0] * len(expanded)
+        intents += expanded
 
-    return JudgmentSet(scale, tuple(judgments), group)
+    js = JudgmentSet._of(scale, group, topics, docs, levels, intents if intent_field else None)
+    js._validate()
+    return js
 
 
-def parse_paired(source: Iterable[str], scale: RelevanceScale) -> list[JudgmentPair]:
+def parse_paired(source: str | IO[str] | Iterable[str], scale: RelevanceScale) -> JudgmentPairs:
     """Parse ``topic doc level_u1 level_u2`` records.
 
     A repeated (topic, doc) line means judgments beyond the first two for
-    that document; those are ignored with a warning.
+    that document; those are ignored with a warning.  ``source`` is read
+    as by :func:`parse_qrels`.
     """
-    pairs: list[JudgmentPair] = []
+    text = _text(source)
+    columns = None if text is None else _columns(text, _PAIRED)
+    width = scale.top_index + 1
+    if columns is not None:
+        topics, docs, l1_column, l2_column = columns
+        l1 = _levels(l1_column, scale.top_index)
+        l2 = None if l1 is None else _levels(l2_column, scale.top_index)
+        if l2 is not None and _unique(topics, docs):
+            return JudgmentPairs._of(topics, docs, l1, l2, width)
+
+    topics, docs, l1s, l2s = [], [], [], []
     seen: set[tuple[str, str]] = set()
-    for line_no, fields in _records(source, "topic doc level_u1 level_u2"):
+    lines = source if text is None else text.split("\n")
+    for line_no, fields in _records(lines, _PAIRED):
         topic, doc, l1_str, l2_str = fields
         l1 = max(0, _int_field(l1_str, "level_u1", line_no))
         l2 = max(0, _int_field(l2_str, "level_u2", line_no))
@@ -514,8 +788,11 @@ def parse_paired(source: Iterable[str], scale: RelevanceScale) -> list[JudgmentP
             )
             continue
         seen.add((topic, doc))
-        pairs.append(JudgmentPair(topic, doc, l1, l2))
-    return pairs
+        topics.append(topic)
+        docs.append(doc)
+        l1s.append(l1)
+        l2s.append(l2)
+    return JudgmentPairs._of(topics, docs, l1s, l2s, width)
 
 
 def parse_run(source: Iterable[str]) -> RunRanking:
@@ -615,19 +892,17 @@ def pair_judgments(set_u1: JudgmentSet, set_u2: JudgmentSet) -> PairingResult:
             f"scale mismatch: {set_u1.scale.labels} != {set_u2.scale.labels}"
         )
 
-    u2_index = {
-        (j.topic_id, j.doc_id, j.intent_id): j.level for j in set_u2.judgments
-    }
-    pairs: list[JudgmentPair] = []
-    matched: set[tuple] = set()
-    for j in set_u1.judgments:
-        key = (j.topic_id, j.doc_id, j.intent_id)
-        if key in u2_index:
-            pairs.append(JudgmentPair(j.topic_id, j.doc_id, j.level, u2_index[key]))
-            matched.add(key)
-    unpaired_u1 = len(set_u1.judgments) - len(pairs)
-    unpaired_u2 = len(u2_index) - len(matched)
-    return PairingResult(tuple(pairs), unpaired_u1, unpaired_u2)
+    u2_levels = dict(zip(set_u2._keys(), set_u2.levels))
+    topics, docs, l1s, l2s = [], [], [], []
+    for key, level in zip(set_u1._keys(), set_u1.levels):
+        other = u2_levels.get(key)
+        if other is not None:
+            topics.append(key[0])
+            docs.append(key[1])
+            l1s.append(level)
+            l2s.append(other)
+    pairs = JudgmentPairs._of(topics, docs, l1s, l2s, set_u1.scale.top_index + 1)
+    return PairingResult(pairs, len(set_u1) - len(pairs), len(u2_levels) - len(pairs))
 
 
 def select_top_intent(
@@ -643,18 +918,19 @@ def select_top_intent(
         for topic, probs in intent_probs.items()
         if probs
     }
-    kept: list[Judgment] = []
-    for j in judgments.judgments:
-        if j.intent_id is None:
-            kept.append(j)
+    kept: list[int] = []
+    intents = judgments.intent_ids or repeat(None)
+    for i, (topic, intent) in enumerate(zip(judgments.topic_ids, intents)):
+        if intent is None:
+            kept.append(i)
             continue
-        if j.topic_id not in top:
+        if topic not in top:
             raise ValidationError(
-                f"topic {j.topic_id} has intents but no intent probabilities"
+                f"topic {topic} has intents but no intent probabilities"
             )
-        if j.intent_id == top[j.topic_id]:
-            kept.append(j)
-    return replace(judgments, judgments=tuple(kept))
+        if intent == top[topic]:
+            kept.append(i)
+    return judgments._take(kept, judgments.resources)
 
 
 def attach_resources(
@@ -669,16 +945,23 @@ def attach_resources(
     order, so a failure names the first doc that cannot be resolved."""
     if (resource_map is None) == (pattern is None):
         raise ValidationError("provide exactly one of resource_map or pattern")
-    compiled = re.compile(pattern) if pattern is not None else None
-    resources: dict[str, str] = {}
-    for doc in dict.fromkeys(j.doc_id for j in judgments.judgments):
-        if compiled is not None:
-            m = compiled.search(doc)
-            if m is None or not m.groups():
-                raise ValidationError(f"doc id {doc!r} does not match resource pattern")
-            resources[doc] = m.group(1)
-        elif doc in resource_map:
-            resources[doc] = resource_map[doc]
-        else:
-            raise ValidationError(f"doc id {doc!r} missing from resource map")
-    return replace(judgments, resources=resources)
+    docs = list(dict.fromkeys(judgments.doc_ids))
+    if pattern is not None:
+        try:
+            compiled = re.compile(pattern)
+        except re.error as exc:
+            raise ValidationError(f"bad resource pattern {pattern!r}: {exc}") from None
+        if not compiled.groups:
+            raise ValidationError(f"resource pattern needs a capture group: {pattern!r}")
+        found = list(map(compiled.search, docs))
+        if None in found:
+            raise ValidationError(
+                f"doc id {docs[found.index(None)]!r} does not match resource pattern"
+            )
+        values = [m[1] for m in found]
+    else:
+        missing = next((doc for doc in docs if doc not in resource_map), None)
+        if missing is not None:
+            raise ValidationError(f"doc id {missing!r} missing from resource map")
+        values = [resource_map[doc] for doc in docs]
+    return judgments._take(None, dict(zip(docs, values)))

@@ -41,11 +41,11 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import IO, Callable, Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import JudgmentPair, RelevanceScale
+from .corpus import JudgmentPair, JudgmentPairs, RelevanceScale, pair_ids
 from .errors import DataWarning, EstimationError, ParseError, ValidationError
 
 __all__ = [
@@ -287,15 +287,13 @@ class DisagreementTable:
 def pair_codes(pairs: Sequence[JudgmentPair], scale: RelevanceScale) -> np.ndarray:
     """Cell code ``l1 * (T+1) + l2`` of every pair, in input order.
 
-    Levels are checked once for the whole list; the first out-of-range
-    level in input order (pair by pair, U1 before U2) raises.
+    The codes of a :class:`JudgmentPairs` checked against a scale of this
+    size are returned as they are (read-only); any other sequence has its
+    levels checked here (see ``JudgmentPairs``).
     """
-    levels = np.array([(p.level_u1, p.level_u2) for p in pairs], dtype=np.int64)
-    levels = levels.reshape(-1, 2)
-    bad = np.flatnonzero((levels < 0) | (levels > scale.top_index))
-    if bad.size:
-        scale.check_level(int(levels.flat[bad[0]]))
-    return levels[:, 0] * (scale.top_index + 1) + levels[:, 1]
+    if not (isinstance(pairs, JudgmentPairs) and pairs.width == scale.top_index + 1):
+        pairs = JudgmentPairs(pairs, scale)
+    return pairs.codes
 
 
 def code_counts(
@@ -320,16 +318,19 @@ def pair_counts(pairs: Sequence[JudgmentPair], scale: RelevanceScale) -> np.ndar
 def group_pair_counts(
     pairs: Sequence[JudgmentPair],
     scale: RelevanceScale,
-    key: Callable[[JudgmentPair], str] = lambda p: p.topic_id,
+    group_of: Mapping[str, str] | None = None,
 ) -> tuple[list[str], np.ndarray]:
     """Sorted group names and ``C[group, i, j]``, one count matrix per group.
 
-    A pair's group is ``key(pair)``, by default its topic.
+    A pair's group is ``group_of[topic]``, by default its topic.
     """
     codes = pair_codes(pairs, scale)
-    names = sorted({key(p) for p in pairs})
+    labels = pair_ids(pairs)[0]
+    if group_of is not None:
+        labels = list(map(group_of.__getitem__, labels))
+    names = sorted(set(labels))
     index = {name: i for i, name in enumerate(names)}
-    groups = np.array([index[key(p)] for p in pairs], dtype=np.int64)
+    groups = np.fromiter(map(index.__getitem__, labels), dtype=np.int64, count=len(labels))
     return names, code_counts(codes, scale, groups, len(names))
 
 
@@ -459,9 +460,9 @@ def stratum_counts(
     """``C[i, j]`` per stratum, by stratum name, after the checks of an estimate."""
     if not pairs:
         raise EstimationError("no judgment pairs to estimate from")
-    missing = {p.topic_id for p in pairs} - set(strata)
+    missing = set(pair_ids(pairs)[0]) - set(strata)
     if missing:
         raise ValidationError(f"topics missing from strata map: {sorted(missing)}")
     user_model.check_against(scale)
-    names, per_stratum = group_pair_counts(pairs, scale, lambda p: strata[p.topic_id])
+    names, per_stratum = group_pair_counts(pairs, scale, strata)
     return dict(zip(names, per_stratum))

@@ -919,6 +919,29 @@ class TestModuleEntryPoint:
         assert proc.stderr.startswith(f"error: {flag} takes a comma list")
 
     @pytest.mark.parametrize(
+        "pattern, message",
+        [
+            ("(", "error: bad resource pattern '(': missing ), unterminated subpattern"),
+            (r"d\d", r"error: resource pattern needs a capture group: 'd\\d'"),
+        ],
+    )
+    def test_bad_resource_regex_is_an_error(self, ws, pattern, message):
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "prmeval", "analyze", "quality", "--scale", ws["scale"],
+             "--qrels", ws["qrels_u1"], "--pairs", ws["pairs"], "--theta", "2",
+             "--resource-regex", pattern],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(message)
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             ('{"theta": 2}', "disagreement table lacks 'scale'"),
@@ -1122,3 +1145,43 @@ class TestInputsReadOnce:
         assert code == 0
         assert out.count("estimator=") == 3
         assert calls == [20]
+
+    @pytest.mark.filterwarnings("ignore:non-monotone")
+    @pytest.mark.parametrize(
+        "kind", ["estimate", "bootstrap", "budget", "quality", "tau", "robustness", "eval"]
+    )
+    def test_no_record_objects(self, capsys, ws, monkeypatch, kind):
+        # judgments and pairs stay in columns from the files to the counts
+        from prmeval import corpus
+
+        created = []
+        for name in ("Judgment", "JudgmentPair"):
+            record = getattr(corpus, name)
+
+            def counting(*args, _record=record, **kwargs):
+                created.append(_record.__name__)
+                return _record(*args, **kwargs)
+
+            monkeypatch.setattr(corpus, name, counting)
+        strata = f"{ws['dir']}/strata.txt"
+        with open(strata, "w", encoding="utf-8") as fh:
+            fh.write("201 all\n")
+        pairs = ["--pairs", ws["pairs"]]
+        two_qrels = ["--qrels", ws["qrels_u1"], "--qrels2", ws["qrels_u2"]]
+        runs = ["--run", ws["run_perfect"], "--run", ws["run_reverse"]]
+        argv = {
+            "estimate": ["estimate", *pairs, "--estimator", "all", "--strata", strata],
+            "bootstrap": ["analyze", "bootstrap", "--pairs", ws["pairs2"], "--seed", "1",
+                          "--resamples", "5"],
+            "budget": ["analyze", "budget", *pairs, "--seed", "1", "--budgets", "5,10"],
+            "quality": ["analyze", "quality", *pairs, "--qrels", ws["qrels_u1"],
+                        "--resource-regex", r"^(d1?)"],
+            "tau": ["analyze", "tau", *two_qrels, *runs, "--gains", "prm"],
+            "robustness": ["analyze", "robustness", *two_qrels, *runs, "--gains", "binary,prm"],
+            "eval": ["eval", "--qrels", ws["qrels_u1"], *pairs, *runs,
+                     "--measures", "count-binary,count-prm,precision,ndcg",
+                     "--gains", "binary,prm"],
+        }[kind]
+        code, out, _ = run_cli(capsys, [*argv, "--scale", ws["scale"], "--theta", "2"])
+        assert (code, bool(out)) == (0, True)
+        assert created == []

@@ -2,7 +2,10 @@
 
 Each example writes qrels, pairs and run files whose lines mix valid
 records with blank lines, ``#`` comments, tabs, CRLF endings, wrong field
-counts, non-integers and commas.  Every command must then exit 0, 1 or 2
+counts, non-integers and commas.  They also hold what the one-pass
+reader of qrels and pairs must reject: NUL tokens, blanks that end no
+line (``\\x0b``, ``\\x85``, ``\\u2028``) and a line a field long next to
+one a field short.  Every command must then exit 0, 1 or 2
 without raising; stderr holds only ``error:``, ``io error:`` and
 ``warning:`` lines; and a successful json or csv output is well formed.
 """
@@ -34,8 +37,12 @@ NOISE = st.lists(
 
 
 def _join(parts) -> str:
-    records, extras, noise, at, sep, eol = parts
-    lines = list(records)
+    records, shift, extras, noise, at, sep, eol = parts
+    lines = [list(fields) for fields in records]
+    if shift is not None and shift + 1 < len(lines):
+        # one line a field long and the next a field short: the file still
+        # holds as many fields as its lines should
+        lines[shift].append(lines[shift + 1].pop(0))
     for i, extra in extras:
         lines.insert(i, extra)
     if noise is not None:
@@ -44,15 +51,22 @@ def _join(parts) -> str:
 
 
 def _file(records):
-    """Valid records with blank and comment lines and, in about a quarter
-    of the files, one random line; fields split by spaces or tabs, lines
-    ended by LF or CRLF."""
+    """Valid records with blank and comment lines, NUL tokens and, in
+    about a quarter of the files each, one random line and two lines of
+    offsetting widths; fields split by spaces, tabs or other blanks,
+    lines ended by LF or CRLF."""
     return st.tuples(
         records,
-        st.lists(st.tuples(st.integers(0, 12), st.sampled_from([[], ["#", "x"]])), max_size=3),
+        st.one_of(st.none(), st.none(), st.none(), st.integers(0, 12)),
+        st.lists(
+            st.tuples(
+                st.integers(0, 12), st.sampled_from([[], ["#", "x"], ["#", "\x00"], ["\x00"]])
+            ),
+            max_size=3,
+        ),
         st.one_of(st.none(), st.none(), st.none(), NOISE),
         st.integers(0, 12),
-        st.sampled_from([" ", "\t"]),
+        st.sampled_from([" ", "\t", "\x0b", "\x85", "\u2028"]),
         st.sampled_from(["\n", "\r\n"]),
     ).map(_join)
 

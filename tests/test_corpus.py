@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 
 import pytest
 
@@ -450,6 +451,18 @@ class TestAttachResources:
         js = JudgmentSet(scale3, (Judgment("201", "d1", 2),), "u1")
         with pytest.raises(ValidationError, match="does not match"):
             attach_resources(js, pattern=r"FW-(e\d+)-")
+
+    @pytest.mark.parametrize(
+        "pattern, message",
+        [
+            ("(", "bad resource pattern '(': missing ), unterminated subpattern"),
+            (r"FW-e\d+-", r"resource pattern needs a capture group: 'FW-e\\d+-'"),
+        ],
+    )
+    def test_pattern_checked_up_front(self, scale3, pattern, message):
+        js = JudgmentSet(scale3, (Judgment("201", "FW-e007-d1", 2),), "u1")
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            attach_resources(js, pattern=pattern)
 
     def test_each_doc_resolved_once_in_file_order(self, scale3):
         js = JudgmentSet(
