@@ -16,9 +16,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import JudgmentPair, JudgmentSet, RelevanceScale, RunRanking, pair_ids
+from .corpus import JudgmentPair, JudgmentSet, RelevanceScale, RunRanking
 from .disagreement import (
-    UserModel, code_counts, group_pair_counts, pair_codes, table_from_counts,
+    UserModel, _as_pairs, code_counts, group_pair_counts, pair_codes, table_from_counts,
 )
 from .errors import DataWarning, EstimationError, MetricError, ValidationError
 from .metrics import DiscountFunction, GainScheme, ndcg_reports
@@ -226,7 +226,8 @@ def bootstrap_topics(
         raise ValidationError(f"n_resamples must be >= 1, got {n_resamples}")
     if not pairs:
         raise EstimationError("no judgment pairs to bootstrap")
-    if len(set(pair_ids(pairs)[0])) < 2:
+    pairs = _as_pairs(pairs, scale)
+    if len(set(pairs.topic_ids)) < 2:
         raise EstimationError("bootstrap needs at least 2 topics")
     user_model.check_against(scale)
     topics, per_topic = group_pair_counts(pairs, scale)
@@ -404,7 +405,8 @@ def quality_sensitivity(
     }
     judged = set(zip(judgments.topic_ids, judgments.doc_ids))
 
-    topics, docs = pair_ids(pairs)
+    pairs = _as_pairs(pairs, scale)
+    topics, docs = pairs.topic_ids, pairs.doc_ids
     if not judged.issuperset(zip(topics, docs)):
         uncovered = [key for key in zip(topics, docs) if key not in judged]
         raise ValidationError(
@@ -416,7 +418,7 @@ def quality_sensitivity(
         dtype=np.int64, count=len(docs),
     )
     k_max = max(place.values()) + 1
-    per_k = code_counts(pair_codes(pairs, scale), scale, steps, k_max).cumsum(axis=0)
+    per_k = code_counts(pairs.codes, scale, steps, k_max).cumsum(axis=0)
 
     tables = [
         table_from_counts(

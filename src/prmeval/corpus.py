@@ -49,7 +49,6 @@ __all__ = [
     "RelevanceScale",
     "Judgment",
     "JudgmentSet",
-    "JudgmentView",
     "JudgmentPair",
     "JudgmentPairs",
     "PairingResult",
@@ -69,7 +68,6 @@ __all__ = [
     "pair_judgments",
     "select_top_intent",
     "attach_resources",
-    "pair_ids",
 ]
 
 
@@ -159,10 +157,9 @@ class Judgment:
 
 class _Records(Sequence):
     """Read-only view of records kept as columns: a record is built when
-    it is read, and the view equals any sequence of the same records."""
+    it is read."""
 
     __slots__ = ()
-    __hash__ = None  # type: ignore[assignment]
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -172,13 +169,16 @@ class _Records(Sequence):
             raise IndexError(f"{type(self).__name__} index out of range")
         return self._record(i)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence) or isinstance(other, str):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({list(self)!r})"
+
+
+def _same_records(view: _Records, other: object) -> bool:
+    """Judgment views equal any sequence of the same records, as the
+    tuple and list that they replace did."""
+    if not isinstance(other, Sequence) or isinstance(other, str):
+        return NotImplemented
+    return len(view) == len(other) and all(map(operator.eq, view, other))
 
 
 class JudgmentSet:
@@ -308,6 +308,8 @@ class JudgmentView(_Records):
     """Read-only view of a judgment set's judgments in file order."""
 
     __slots__ = ("_set",)
+    __eq__ = _same_records
+    __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, judgments: JudgmentSet) -> None:
         self._set = judgments
@@ -348,6 +350,8 @@ class JudgmentPairs(_Records):
     """
 
     __slots__ = ("topic_ids", "doc_ids", "codes", "width")
+    __eq__ = _same_records
+    __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, pairs: Iterable[JudgmentPair], scale: RelevanceScale) -> None:
         rows = list(pairs)
@@ -385,14 +389,6 @@ class JudgmentPairs(_Records):
 
     def _record(self, i: int) -> JudgmentPair:
         return JudgmentPair(self.topic_ids[i], self.doc_ids[i], *divmod(int(self.codes[i]), self.width))
-
-
-def pair_ids(pairs: Sequence[JudgmentPair]) -> tuple[Sequence[str], Sequence[str]]:
-    """The topic ids and the doc ids of a pair sequence, in order; a
-    :class:`JudgmentPairs` gives its columns without building records."""
-    if isinstance(pairs, JudgmentPairs):
-        return pairs.topic_ids, pairs.doc_ids
-    return [p.topic_id for p in pairs], [p.doc_id for p in pairs]
 
 
 @dataclass(frozen=True)
@@ -636,23 +632,16 @@ def _columns(text: str, spec: str) -> list[list[str]] | None:
 def _levels(column: list[str], top: int) -> np.ndarray | None:
     """The integer levels of a field column with negatives clamped to 0,
     or None if one is not an integer or lies above ``top``."""
-    digits = "".join(column)
-    if len(digits) == len(column) and digits.isascii() and digits.isdigit():
-        # each level is a single digit: its byte minus that of "0"
-        levels = np.frombuffer(digits.encode("ascii"), dtype=np.uint8).astype(np.int64) - 48
-    else:
-        try:
-            levels = np.maximum(np.array(list(map(int, column)), dtype=np.int64), 0)
-        except (ValueError, OverflowError):
-            return None
+    try:
+        levels = np.maximum(np.array(list(map(int, column)), dtype=np.int64), 0)
+    except (ValueError, OverflowError):
+        return None
     return None if levels.max() > top else levels
 
 
 def _unique(*columns: list[str]) -> bool:
-    """Whether the rows of the key columns (doc ids last) are distinct;
-    doc ids that are distinct on their own settle it without a tuple."""
-    docs = columns[-1]
-    return len(set(docs)) == len(docs) or len(set(zip(*columns))) == len(docs)
+    """Whether the rows of the key columns are distinct."""
+    return len(set(zip(*columns))) == len(columns[0])
 
 
 def parse_scale(source: str | IO[str]) -> RelevanceScale:

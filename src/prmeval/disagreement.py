@@ -45,7 +45,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import JudgmentPair, JudgmentPairs, RelevanceScale, pair_ids
+from .corpus import JudgmentPair, JudgmentPairs, RelevanceScale
 from .errors import DataWarning, EstimationError, ParseError, ValidationError
 
 __all__ = [
@@ -284,16 +284,19 @@ class DisagreementTable:
         return "\n".join(lines) + "\n"
 
 
-def pair_codes(pairs: Sequence[JudgmentPair], scale: RelevanceScale) -> np.ndarray:
-    """Cell code ``l1 * (T+1) + l2`` of every pair, in input order.
+def _as_pairs(pairs: Sequence[JudgmentPair], scale: RelevanceScale) -> JudgmentPairs:
+    """``pairs`` as :class:`JudgmentPairs` checked against ``scale``: as
+    they are when already checked against a scale of this size, otherwise
+    with their levels checked here (see ``JudgmentPairs``)."""
+    if isinstance(pairs, JudgmentPairs) and pairs.width == scale.top_index + 1:
+        return pairs
+    return JudgmentPairs(pairs, scale)
 
-    The codes of a :class:`JudgmentPairs` checked against a scale of this
-    size are returned as they are (read-only); any other sequence has its
-    levels checked here (see ``JudgmentPairs``).
-    """
-    if not (isinstance(pairs, JudgmentPairs) and pairs.width == scale.top_index + 1):
-        pairs = JudgmentPairs(pairs, scale)
-    return pairs.codes
+
+def pair_codes(pairs: Sequence[JudgmentPair], scale: RelevanceScale) -> np.ndarray:
+    """Cell code ``l1 * (T+1) + l2`` of every pair, in input order
+    (read-only; see :func:`_as_pairs` for the level check)."""
+    return _as_pairs(pairs, scale).codes
 
 
 def code_counts(
@@ -324,14 +327,14 @@ def group_pair_counts(
 
     A pair's group is ``group_of[topic]``, by default its topic.
     """
-    codes = pair_codes(pairs, scale)
-    labels = pair_ids(pairs)[0]
+    pairs = _as_pairs(pairs, scale)
+    labels = pairs.topic_ids
     if group_of is not None:
         labels = list(map(group_of.__getitem__, labels))
     names = sorted(set(labels))
     index = {name: i for i, name in enumerate(names)}
     groups = np.fromiter(map(index.__getitem__, labels), dtype=np.int64, count=len(labels))
-    return names, code_counts(codes, scale, groups, len(names))
+    return names, code_counts(pair_codes(pairs, scale), scale, groups, len(names))
 
 
 def table_from_counts(
@@ -460,7 +463,8 @@ def stratum_counts(
     """``C[i, j]`` per stratum, by stratum name, after the checks of an estimate."""
     if not pairs:
         raise EstimationError("no judgment pairs to estimate from")
-    missing = set(pair_ids(pairs)[0]) - set(strata)
+    pairs = _as_pairs(pairs, scale)
+    missing = set(pairs.topic_ids) - set(strata)
     if missing:
         raise ValidationError(f"topics missing from strata map: {sorted(missing)}")
     user_model.check_against(scale)

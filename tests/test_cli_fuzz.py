@@ -8,6 +8,7 @@ line (``\\x0b``, ``\\x85``, ``\\u2028``) and a line a field long next to
 one a field short.  Every command must then exit 0, 1 or 2
 without raising; stderr holds only ``error:``, ``io error:`` and
 ``warning:`` lines; and a successful json or csv output is well formed.
+On valid records alone every command succeeds.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 import tempfile
 import warnings
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
 from prmeval.cli import main
@@ -36,13 +37,17 @@ NOISE = st.lists(
 )
 
 
-def _join(parts) -> str:
-    records, shift, extras, noise, at, sep, eol = parts
+def _join(parts, hazard=None) -> str:
+    records, extras, noise, at, sep, eol = parts
     lines = [list(fields) for fields in records]
-    if shift is not None and shift + 1 < len(lines):
-        # one line a field long and the next a field short: the file still
-        # holds as many fields as its lines should
-        lines[shift].append(lines[shift + 1].pop(0))
+    if hazard is not None:
+        kind, i = hazard
+        if kind == "nul":
+            lines.insert(i, ["\x00"])
+        elif i + 1 < len(lines):
+            # one line a field long and the next a field short: the file
+            # still holds as many fields as its lines should
+            lines[i].append(lines[i + 1].pop(0))
     for i, extra in extras:
         lines.insert(i, extra)
     if noise is not None:
@@ -51,24 +56,20 @@ def _join(parts) -> str:
 
 
 def _file(records):
-    """Valid records with blank and comment lines, NUL tokens and, in
-    about a quarter of the files each, one random line and two lines of
-    offsetting widths; fields split by spaces, tabs or other blanks,
-    lines ended by LF or CRLF."""
+    """Valid records with blank and comment lines (some holding a NUL)
+    and, in about a quarter of the files, one random line; fields split
+    by spaces, tabs or other blanks, lines ended by LF or CRLF."""
     return st.tuples(
         records,
-        st.one_of(st.none(), st.none(), st.none(), st.integers(0, 12)),
         st.lists(
-            st.tuples(
-                st.integers(0, 12), st.sampled_from([[], ["#", "x"], ["#", "\x00"], ["\x00"]])
-            ),
+            st.tuples(st.integers(0, 12), st.sampled_from([[], ["#", "x"], ["#", "\x00"]])),
             max_size=3,
         ),
         st.one_of(st.none(), st.none(), st.none(), NOISE),
         st.integers(0, 12),
         st.sampled_from([" ", "\t", "\x0b", "\x85", "\u2028"]),
         st.sampled_from(["\n", "\r\n"]),
-    ).map(_join)
+    )
 
 
 # every (topic, doc) judged once, in random order, so that the quality
@@ -95,13 +96,42 @@ def _run(system):
     )
 
 
-INPUTS = st.fixed_dictionaries({
+FILES = {
     "qrels1.txt": QRELS,
     "qrels2.txt": QRELS,
     "pairs.txt": PAIRS,
     "run1.txt": _run("sA"),
     "run2.txt": _run("sB"),
-})
+}
+# In about half the examples one file also holds a line that every reader
+# must reject: a lone NUL token, or a line a field long next to one a
+# field short.  Only one file, so that the commands reading the others
+# still often succeed.
+HAZARD = st.one_of(
+    st.none(),
+    st.tuples(st.sampled_from(sorted(FILES)), st.sampled_from(["nul", "shift"]), st.integers(0, 12)),
+)
+INPUTS = st.tuples(st.fixed_dictionaries(FILES), HAZARD).map(
+    lambda t: {
+        name: _join(parts, t[1][1:] if t[1] is not None and t[1][0] == name else None)
+        for name, parts in t[0].items()
+    }
+)
+
+# valid records alone, on which every command must succeed: each run of
+# the test checks every success path at least once
+CLEAN = {
+    "qrels1.txt": "".join(f"{t} 0 {d} {i % 3}\n" for i, (t, d) in enumerate(GRID)),
+    "qrels2.txt": "".join(f"{t} 0 {d} {i * 2 % 3}\n" for i, (t, d) in enumerate(GRID)),
+    "pairs.txt": "".join(f"{t} {d} {i % 3} {i * 2 % 3}\n" for i, (t, d) in enumerate(GRID)),
+    "run1.txt": "".join(
+        f"{t} Q0 {d} {r} {10.0 - r} sA\n" for t in TOPIC_IDS for r, d in enumerate(DOC_IDS, 1)
+    ),
+    "run2.txt": "".join(
+        f"{t} Q0 {d} {r} {10.0 - r} sB\n"
+        for t in TOPIC_IDS for r, d in enumerate(DOC_IDS[:1:-1], 1)
+    ),
+}
 
 TWO_QRELS = ["--qrels", "qrels1.txt", "--qrels2", "qrels2.txt"]
 RUNS = ["--run", "run1.txt", "--run", "run2.txt"]
@@ -139,6 +169,7 @@ def _run_main(argv):
 
 @settings(max_examples=25, deadline=None)
 @given(INPUTS)
+@example(CLEAN)
 def test_every_command_and_format_survives_random_lines(files):
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as d:
@@ -147,11 +178,14 @@ def test_every_command_and_format_survives_random_lines(files):
                 fh.write(text)
         os.chdir(d)
         try:
+            succeeded = 0
             for command in COMMANDS:
                 for fmt in ("text", "csv", "json"):
                     argv = [*command, "--scale", "scale.json", "--format", fmt]
                     code, out, err = _run_main(argv)
                     assert code in (0, 1, 2), argv
+                    assert code == 0 or files != CLEAN, (argv, err)
+                    succeeded += code == 0
                     for line in err.splitlines():
                         assert line.startswith(("error:", "io error:", "warning:")), (argv, line)
                     if code != 0:
@@ -161,5 +195,7 @@ def test_every_command_and_format_survives_random_lines(files):
                     elif fmt == "csv":
                         rows = list(csv.reader(io.StringIO(out)))
                         assert all(len(row) == len(rows[0]) for row in rows), argv
+            # steer the search towards inputs that reach the output checks
+            target(succeeded, label="command runs that succeed")
         finally:
             os.chdir(cwd)
