@@ -12,6 +12,7 @@ Exit codes: 0 success; 1 for parse/validation/estimation/metric errors
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -227,7 +228,7 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
     analysis kind come from the command line only.
     """
     path = args.config
-    with open(path, encoding="utf-8") as fh:
+    with _open(path) as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -254,16 +255,28 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
     return flags
 
 
+@contextlib.contextmanager
+def _open(path: str):
+    """``path`` open as UTF-8 text without a leading byte-order mark;
+    bytes that are not UTF-8 are a ParseError that names the file."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        bad = f"byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
+        raise ParseError(f"{path}: not UTF-8 text ({bad})") from None
+
+
 def _read_text(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
+    with _open(path) as fh:
         return fh.read()
 
 
 def _parse(path: str, parser, *args, **kwargs):
     """``parser(open stream of path, *args, **kwargs)``; its errors and
     warnings name the file.  The qrels and pairs parsers read the stream
-    whole, the others (runs among them) line by line."""
-    with open(path, encoding="utf-8") as fh:
+    whole, runs in blocks, the others line by line."""
+    with _open(path) as fh:
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")

@@ -25,7 +25,7 @@ each pair's cell code ``l1 * (T+1) + l2``.  Their records are built only
 when a caller reads them.  Given a file's whole text or stream,
 ``parse_qrels`` and ``parse_paired`` read it with one ``split()`` when
 every line is a plain record, and fall back to the line reader
-otherwise; runs are always read line by line, which bounds their memory.
+otherwise; ``parse_run`` does the same one block of a stream at a time.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import warnings
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, compress, repeat
 from typing import IO
 
 import numpy as np
@@ -568,14 +568,15 @@ def _index_run(
     return docs_by_topic, scores_by_topic
 
 
-def _records(source: Iterable[str], spec: str) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line_no, fields) skipping blanks and ``#`` comment lines.
+def _records(source: Iterable[str], spec: str, start: int = 1) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line_no, fields) skipping blanks and ``#`` comment lines,
+    numbering the lines of ``source`` from ``start``.
 
     ``spec`` names the fields, space-separated; a record with another
     number of fields is a ParseError.
     """
     n = len(spec.split())
-    for line_no, raw in enumerate(source, start=1):
+    for line_no, raw in enumerate(source, start=start):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -784,15 +785,58 @@ def parse_paired(source: str | IO[str] | Iterable[str], scale: RelevanceScale) -
     return JudgmentPairs._of(topics, docs, l1s, l2s, width)
 
 
-def parse_run(source: Iterable[str]) -> RunRanking:
+_RUN = "topic Q0 doc rank score system"
+_BLOCK = 1 << 16
+
+
+def _block_rows(block: str, system_id: str | None) -> tuple | None:
+    """The topics, the (doc, rank, score) columns and the system id of a
+    block of plain run records with integer ranks, numeric scores and one
+    system id (``system_id`` when given); None for any other block."""
+    columns = _columns(block, _RUN)
+    if columns is None:
+        return None
+    topics, _, docs, ranks, scores, systems = columns
+    system_id = systems[0] if system_id is None else system_id
+    if systems.count(system_id) != len(systems):
+        return None
+    try:
+        return topics, (docs, list(map(int, ranks)), list(map(float, scores))), system_id
+    except ValueError:
+        return None
+
+
+def parse_run(source: IO[str] | Iterable[str]) -> RunRanking:
     """Parse ``topic Q0 doc rank score system`` records into a RunRanking.
 
-    Lines are grouped by topic as they are read; the run is validated and
-    put in rank order once, by the same path as ``RunRanking(...)``.
+    A text stream is read in blocks of ``_BLOCK`` characters completed to
+    the end of the line they cut; a block of plain records is split at
+    once and appended to its topics' columns one stretch of equal topics
+    at a time.  The first block that is not, with the rest of the stream,
+    goes to the line reader, as does any other iterable of lines; it words
+    every error with the line's number in the file.  The run is validated
+    and put in rank order once, by the same path as ``RunRanking(...)``.
     """
     rows: dict[str, tuple[list, list, list]] = {}
     system_id: str | None = None
-    for line_no, fields in _records(source, "topic Q0 doc rank score system"):
+    lines, start = source, 1
+    if isinstance(source, io.TextIOBase):
+        lines = ()
+        while block := source.read(_BLOCK):
+            if not block.endswith("\n"):
+                block += source.readline()
+            read = _block_rows(block, system_id)
+            if read is None:
+                lines = chain(io.StringIO(block), source)
+                break
+            topics, columns, system_id = read
+            n = len(topics)
+            cuts = [0, *compress(range(1, n), map(operator.ne, topics[1:], topics)), n]
+            for a, b in zip(cuts, cuts[1:]):
+                for column, values in zip(rows.setdefault(topics[a], ([], [], [])), columns):
+                    column.extend(values[a:b])
+            start += block.count("\n")
+    for line_no, fields in _records(lines, _RUN, start):
         topic, _q0, doc, rank_str, score_str, system = fields
         rank = _int_field(rank_str, "rank", line_no)
         try:

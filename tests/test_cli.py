@@ -1050,6 +1050,46 @@ class TestModuleEntryPoint:
         ])
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("flag", ["--scale", "--qrels", "--run"])
+    def test_non_utf8_input_is_one_error_line(self, ws, tmp_path, flag):
+        import subprocess
+        import sys
+
+        # the run's bad byte lies well past the first block that is read
+        text = {
+            "--scale": '{"labels": ["Non", "Rel\xe9", "HRel"]}',
+            "--qrels": "201 0 d1 2\n201 0 caf\xe9 1\n",
+            "--run": "".join(f"201 Q0 d{r} {r} 1.0 s\n" for r in range(1, 20001)) + "# \xe9t\xe9\n",
+        }[flag]
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(text.encode("latin-1"))
+        inputs = {"--scale": str(bad), "--qrels": ws["qrels_u1"], "--run": ws["run_perfect"]}
+        inputs[flag] = str(bad)
+        proc = subprocess.run(
+            [sys.executable, "-m", "prmeval", "validate",
+             *[a for item in inputs.items() for a in item]],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"error: {bad}: not UTF-8 text (byte 0xe9: invalid continuation byte)\n"
+
+    @pytest.mark.parametrize("flag", ["--scale", "--qrels", "--run"])
+    def test_byte_order_mark_is_dropped(self, capsys, ws, tmp_path, flag):
+        from pathlib import Path
+
+        inputs = {"--scale": ws["scale"], "--qrels": ws["qrels_u1"], "--run": ws["run_perfect"]}
+        bom = tmp_path / "bom.txt"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(inputs[flag]).read_bytes())
+        for command in (["validate"], ["eval", "--theta", "2"]):
+            argv = [*command, *[a for item in inputs.items() for a in item]]
+            plain = run_cli(capsys, argv)
+            with_bom = run_cli(capsys, [str(bom) if a == inputs[flag] else a for a in argv])
+            assert plain[0] == 0
+            assert with_bom == tuple(part.replace(inputs[flag], str(bom)) if isinstance(part, str)
+                                     else part for part in plain)
+
     def test_python_dash_m(self, ws):
         import subprocess
         import sys
@@ -1148,14 +1188,15 @@ class TestInputsReadOnce:
 
     @pytest.mark.filterwarnings("ignore:non-monotone")
     @pytest.mark.parametrize(
-        "kind", ["estimate", "bootstrap", "budget", "quality", "tau", "robustness", "eval"]
+        "kind",
+        ["estimate", "bootstrap", "budget", "quality", "tau", "robustness", "eval", "validate"],
     )
     def test_no_record_objects(self, capsys, ws, monkeypatch, kind):
-        # judgments and pairs stay in columns from the files to the counts
+        # judgments, pairs and runs stay in columns from the files to the counts
         from prmeval import corpus
 
         created = []
-        for name in ("Judgment", "JudgmentPair"):
+        for name in ("Judgment", "JudgmentPair", "RunEntry"):
             record = getattr(corpus, name)
 
             def counting(*args, _record=record, **kwargs):
@@ -1181,7 +1222,9 @@ class TestInputsReadOnce:
             "eval": ["eval", "--qrels", ws["qrels_u1"], *pairs, *runs,
                      "--measures", "count-binary,count-prm,precision,ndcg",
                      "--gains", "binary,prm"],
+            "validate": ["validate", *two_qrels, *pairs, *runs],
         }[kind]
-        code, out, _ = run_cli(capsys, [*argv, "--scale", ws["scale"], "--theta", "2"])
+        theta = [] if kind == "validate" else ["--theta", "2"]
+        code, out, _ = run_cli(capsys, [*argv, "--scale", ws["scale"], *theta])
         assert (code, bool(out)) == (0, True)
         assert created == []

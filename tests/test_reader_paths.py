@@ -1,22 +1,27 @@
-"""Differential tests: the whole-file reader against the line reader.
+"""Differential tests: the whole-file and block readers against the line reader.
 
 ``parse_qrels`` and ``parse_paired`` read a str (or a text stream) in one
 ``split()`` when every line is a plain record, and fall back to the line
-reader otherwise; a list of lines always goes through the line reader.
-Both must give the same judgments, doc levels, topics, pairs and codes,
-or the same error, with the same warnings in the same order, on text
-that mixes records with the inputs the one-pass reader has to reject.
+reader otherwise; ``parse_run`` reads a text stream that way one block
+of whole lines at a time, and hands the first block it cannot take, with
+the rest of the stream, to the line reader.  A list of lines always goes
+through the line reader.  Both paths must give the same judgments, doc
+levels, topics, pairs, codes and runs, or the same error, with the same
+warnings in the same order, on text that mixes records with the inputs
+the one-pass reader has to reject.
 """
 
 from __future__ import annotations
 
 import io
 import warnings
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prmeval.corpus import JudgmentSet, RelevanceScale, parse_paired, parse_qrels
+from prmeval import corpus
+from prmeval.corpus import JudgmentSet, RelevanceScale, parse_paired, parse_qrels, parse_run
 from prmeval.errors import PrmError, ValidationError
 
 SCALE = RelevanceScale(("Non", "Rel", "HRel"))
@@ -76,6 +81,8 @@ def _texts(record):
 
 def _summary(result):
     """Everything a caller can read from a parse result."""
+    if isinstance(result, corpus.RunRanking):
+        return result.system_id, list(result.entries), len(result.entries), sorted(result.topics())
     if isinstance(result, JudgmentSet):
         try:
             doc_levels = result.doc_levels()
@@ -130,3 +137,86 @@ def test_qrels_paths_agree(kind, text):
 @example("t1 d1 1 2\n\x00\n")
 def test_paired_paths_agree(text):
     _check("paired", text)
+
+
+# -- runs ---------------------------------------------------------------------
+
+GOOD_SCORES = st.sampled_from(["3", "2.5", "1e-3", "-0.5", "0"])
+# a fault that only a whole record shows, given the topic it goes to
+RUN_FAULTS = st.sampled_from([
+    ["Q0", "dz", "x", "1", "s1"],  # non-integer rank
+    ["Q0", "dz", "1.5", "1", "s1"],
+    ["Q0", "dz", "9", "y", "s1"],  # non-numeric score
+    ["Q0", "dz", "9", "1", "s2"],  # another system
+    ["Q0", "d1", "9", "1", "s1"],  # a doc that may repeat
+    ["Q0", "dz", "1", "1", "s1"],  # a rank that repeats
+    ["Q0", "dz", "0", "1", "s1"],
+    ["Q0", "dz", "99", "1", "s1"],  # a rank gap
+    ["Q0", "dz", "+9", "1_0", "s1"],  # spellings int() and float() accept
+    ["Q0", "d" * 60, "9", "nan", "s1"],  # longer than a small block
+])
+RUN_HAZARDS = st.one_of(
+    st.tuples(TOPICS, RUN_FAULTS).map(lambda tf: [tf[0], *tf[1]]),
+    st.lists(st.sampled_from(["t1", "Q0", "d1", "1", "s1", "\x00"]), min_size=1, max_size=7)
+    .filter(lambda fields: len(fields) != 6),
+    st.just(["\x00"]),
+    st.tuples(st.sampled_from(["#", "  #", "\t# x"]), st.sampled_from(["t1", "\x00"])).map(list),
+    st.just([]),  # blank
+)
+
+
+@st.composite
+def _run_texts(draw):
+    """A run of up to three topics with ranks 1..n each, sometimes in
+    rank order, topic by topic, and sometimes shuffled, with up to three
+    faults, comments, blank lines or malformed lines put in at random."""
+    rows = []
+    for topic in draw(st.lists(st.sampled_from(["t1", "t2", "t3"]), min_size=1, unique=True)):
+        n = draw(st.integers(1, 8))
+        falling = draw(st.booleans())
+        for rank in range(1, n + 1):
+            score = str(n - rank) if falling else draw(GOOD_SCORES)
+            rows.append([topic, "Q0", f"d{rank}", str(rank), score, "s1"])
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    for at, hazard in draw(st.lists(st.tuples(st.integers(0, len(rows)), RUN_HAZARDS), max_size=3)):
+        rows.insert(at, hazard)
+    separator = st.one_of(st.just(" "), SEPARATORS)
+    lines = [(fields, draw(separator), draw(st.sampled_from(["", " "]))) for fields in rows]
+    return _join((lines, draw(EOLS), draw(st.booleans())))
+
+
+def _streams(text: str):
+    """The text as the CLI opens a file, and as a StringIO."""
+    yield lambda: io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+    yield lambda: io.StringIO(text)
+
+
+def _check_run(text: str) -> None:
+    for stream in _streams(text):
+        by_lines = _read(parse_run, stream().readlines())
+        for block in (7, 40, 200, corpus._BLOCK):
+            with mock.patch.object(corpus, "_BLOCK", block):
+                assert _read(parse_run, stream()) == by_lines, block
+
+
+def _lines(n: int, topic: str = "t1", first: int = 1) -> str:
+    return "".join(f"{topic} Q0 d{r} {r} {100 - r} s1\n" for r in range(first, first + n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_run_texts())
+@example("t1 Q0 d1 x 1 s1\n" + _lines(20, first=2))  # a fault in the first block
+@example(_lines(20) + "t1 Q0 d21 21 x s1\n")  # and in a later one
+@example(_lines(20) + "t1 Q0 d21 x 1 s1\n" + _lines(5, first=22))
+@example(_lines(3) + f"t1 Q0 {'d' * 300} 4 1 s1\n" + _lines(20, first=5))  # a line longer than a block
+@example(_lines(20).rstrip("\n"))  # no final newline
+@example(_lines(20).replace("\n", "\r\n"))
+@example(_lines(10) + "# a comment\n\n" + _lines(10, first=11))
+@example(_lines(10) + "\x00\n" + _lines(10, first=11))
+@example(_lines(5) + "t1 Q0\x0bd6 6 1 s1\nt1\x85Q0 d7 7 1\u2028s1\n" + _lines(20, first=8))
+@example(_lines(20) + "t1 Q0 d21 21 1 s2\n")  # another system in a later block
+@example(_lines(10, "t1") + _lines(10, "t2") + _lines(10, "t1", 11))  # a topic comes back
+@example(_lines(10, "t1") + _lines(10, "t2") + _lines(10, "t1", 10))  # and repeats a rank
+def test_run_paths_agree(text):
+    _check_run(text)
