@@ -200,8 +200,23 @@ def _summaries(
     arr = np.asarray(samples, dtype=np.float64)
     mean = float(arr.mean())
     std = float(arr.std(ddof=1)) if len(samples) > 1 else None
-    quart = tuple(float(q) for q in np.percentile(arr, [0, 25, 50, 75, 100]))
-    return mean, std, quart
+    return mean, std, _quartiles(samples)
+
+
+def _quartiles(samples: Sequence[float]) -> tuple[float, ...]:
+    """Min, quartiles and max of ``samples`` as ``np.percentile(samples,
+    [0, 25, 50, 75, 100])`` gives them (its default ``linear`` rule), by
+    the same float operations, without loading ``numpy.ma`` as its first
+    call does."""
+    xs = sorted(samples)
+    top = len(xs) - 1
+    out = []
+    for q in (0.0, 0.25, 0.5, 0.75, 1.0):
+        at = q * top
+        i = int(at)
+        a, b, g = xs[i], xs[min(i + 1, top)], at - i
+        out.append(a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g))
+    return tuple(out)
 
 
 def bootstrap_topics(

@@ -7,6 +7,9 @@ to run without an explicit ``--seed``.
 
 Exit codes: 0 success; 1 for parse/validation/estimation/metric errors
 (including bad flag combinations); 2 for I/O errors.
+
+Each handler imports the modules it uses when it runs, so ``--help``, a
+usage error and ``validate`` load no numpy.
 """
 
 from __future__ import annotations
@@ -14,15 +17,25 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import importlib
 import io
 import json
 import sys
 import warnings
-from dataclasses import replace
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from . import analysis, corpus, disagreement, metrics
 from .errors import ParseError, PrmError, ValidationError
+
+if TYPE_CHECKING:
+    from . import analysis, corpus, disagreement, metrics
+
+
+def __getattr__(name: str):
+    # the layers stay readable as ``cli.corpus`` and so on, loaded on first use
+    if name in ("analysis", "corpus", "disagreement", "metrics"):
+        return importlib.import_module(f".{name}", __package__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 FORMULAS = """\
 definitions (levels i = 0..T; a user deems a result relevant iff its
@@ -318,6 +331,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load_scale(args: argparse.Namespace) -> corpus.RelevanceScale:
+    from . import corpus
     if not args.scale:
         raise ValidationError("--scale is required")
     return corpus.parse_scale(_read_text(args.scale))
@@ -328,6 +342,7 @@ def _load_qrels(
 ) -> corpus.JudgmentSet:
     """One group's qrels; --intents declares the intents that intent '0'
     expands over, and --top-intent-only keeps each topic's top intent."""
+    from . import corpus
     probs = _parse(args.intents, corpus.parse_intent_probabilities) if args.intents else None
     js = _parse(
         path, corpus.parse_qrels, scale, group,
@@ -349,6 +364,7 @@ def _load_pairs(
     already read; there --qrels2 is a ranking input too, so it may come
     with --pairs.  Elsewhere the two sources exclude each other.
     """
+    from . import corpus
     if args.pairs:
         if args.qrels2 and qrels is None:
             raise ValidationError(
@@ -367,6 +383,7 @@ def _load_pairs(
 
 
 def _load_runs(args: argparse.Namespace) -> list[corpus.RunRanking]:
+    from . import corpus
     if not args.run:
         raise ValidationError("--run is required")
     runs = [_parse(path, corpus.parse_run) for path in args.run]
@@ -379,6 +396,7 @@ def _load_runs(args: argparse.Namespace) -> list[corpus.RunRanking]:
 def _user_model(
     args: argparse.Namespace, scale: corpus.RelevanceScale
 ) -> disagreement.UserModel:
+    from . import disagreement
     return disagreement.UserModel(scale.top_index if args.theta is None else args.theta)
 
 
@@ -390,6 +408,7 @@ def _estimator_opts(args: argparse.Namespace) -> dict:
 def _resolve_table(
     args: argparse.Namespace, scale: corpus.RelevanceScale, qrels=None
 ) -> disagreement.DisagreementTable:
+    from . import disagreement
     if args.table:
         table = disagreement.DisagreementTable.from_json(_read_text(args.table))
         if table.scale.labels != scale.labels:
@@ -410,6 +429,7 @@ def _resolve_scheme(
     scale: corpus.RelevanceScale,
     table: disagreement.DisagreementTable | None,
 ) -> metrics.GainScheme:
+    from . import metrics
     top = scale.top_index
     if name == "binary":
         return metrics.GainScheme.binary(top, _user_model(args, scale).theta)
@@ -434,6 +454,7 @@ def _resolve_scheme(
 
 
 def _resolve_discount(args: argparse.Namespace) -> metrics.DiscountFunction:
+    from . import metrics
     if args.discount == "zipf":
         return metrics.DiscountFunction.zipf()
     return metrics.DiscountFunction.log(args.log_base)
@@ -444,6 +465,7 @@ def _needs_table(gains: Sequence[str]) -> bool:
 
 
 def cmd_estimate(args: argparse.Namespace) -> _Report:
+    from . import corpus, disagreement
     scale = _load_scale(args)
     pairs = _load_pairs(args, scale)
     if args.strata:
@@ -495,6 +517,9 @@ def cmd_estimate(args: argparse.Namespace) -> _Report:
 
 
 def cmd_eval(args: argparse.Namespace) -> _Report:
+    from dataclasses import replace
+
+    from . import metrics
     scale = _load_scale(args)
     if not args.qrels:
         raise ValidationError("--qrels is required")
@@ -593,6 +618,7 @@ def _ranking_inputs(
 
 
 def _analyze_tau(args: argparse.Namespace) -> _Report:
+    from . import analysis
     if len(args.gains) != 1:
         raise ValidationError("analyze tau uses exactly one gain scheme")
     runs, set_u1, set_u2, schemes = _ranking_inputs(args)
@@ -616,6 +642,7 @@ def _analyze_tau(args: argparse.Namespace) -> _Report:
 
 
 def _analyze_robustness(args: argparse.Namespace) -> _Report:
+    from . import analysis
     if not (args.qrels and args.qrels2):
         raise ValidationError("robustness needs --qrels and --qrels2")
     runs, set_u1, set_u2, schemes = _ranking_inputs(args)
@@ -636,6 +663,7 @@ def _require_seed(args: argparse.Namespace) -> None:
 
 
 def _analyze_bootstrap(args: argparse.Namespace) -> _Report:
+    from . import analysis
     _require_seed(args)
     scale = _load_scale(args)
     pairs = _load_pairs(args, scale)
@@ -683,6 +711,7 @@ def _curve_report(curve: analysis.SensitivityCurve) -> _Report:
 
 
 def _analyze_budget(args: argparse.Namespace) -> _Report:
+    from . import analysis
     _require_seed(args)
     if not args.budgets:
         raise ValidationError("--budgets is required (comma list, e.g. 50,100,200)")
@@ -695,6 +724,7 @@ def _analyze_budget(args: argparse.Namespace) -> _Report:
 
 
 def _analyze_quality(args: argparse.Namespace) -> _Report:
+    from . import analysis, corpus
     scale = _load_scale(args)
     if not args.qrels:
         raise ValidationError("--qrels is required (reference group judgments)")
@@ -717,6 +747,7 @@ def _analyze_quality(args: argparse.Namespace) -> _Report:
 def cmd_validate(args: argparse.Namespace) -> _Report:
     """One row per input: its record count (levels, for the scale), its
     topic count and, for a run, its system id."""
+    from . import corpus
     rows: list[list] = []
     text: list[str] = []
     scale = None

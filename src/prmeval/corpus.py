@@ -35,15 +35,17 @@ import json
 import operator
 import re
 import warnings
+from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
-from typing import IO
-
-import numpy as np
+from itertools import compress, repeat
+from typing import IO, TYPE_CHECKING
 
 from .errors import DataWarning, ParseError, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RelevanceScale",
@@ -344,25 +346,25 @@ class JudgmentPairs(_Records):
     ``topic_ids`` and ``doc_ids`` hold each pair's topic and document, and
     ``codes`` (a read-only int64 array) its cell code ``l1 * width + l2``,
     where ``width`` is T+1 of the scale the levels were checked against.
-    ``JudgmentPairs(pairs, scale)`` checks the levels of any pair sequence;
-    the first out-of-range level in input order (pair by pair, U1 before
-    U2) raises.
+    The codes are kept in an ``array.array``, which ``codes`` shows as a
+    numpy array when first read, so that reading pairs needs no numpy.
+    ``JudgmentPairs(pairs, scale)`` checks the levels of any pair
+    sequence; the first out-of-range level in input order (pair by pair,
+    U1 before U2) raises.
     """
 
-    __slots__ = ("topic_ids", "doc_ids", "codes", "width")
+    __slots__ = ("topic_ids", "doc_ids", "width", "_cells", "_codes")
     __eq__ = _same_records
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, pairs: Iterable[JudgmentPair], scale: RelevanceScale) -> None:
         rows = list(pairs)
-        levels = np.array([(p.level_u1, p.level_u2) for p in rows], dtype=np.int64)
-        levels = levels.reshape(-1, 2)
-        bad = np.flatnonzero((levels < 0) | (levels > scale.top_index))
-        if bad.size:
-            scale.check_level(int(levels.flat[bad[0]]))
+        levels = [int(level) for p in rows for level in (p.level_u1, p.level_u2)]
+        for level in levels:
+            scale.check_level(level)
         self._adopt(
             [p.topic_id for p in rows], [p.doc_id for p in rows],
-            levels[:, 0], levels[:, 1], scale.top_index + 1,
+            levels[0::2], levels[1::2], scale.top_index + 1,
         )
 
     @classmethod
@@ -374,21 +376,29 @@ class JudgmentPairs(_Records):
 
     def _adopt(self, topic_ids, doc_ids, levels_u1, levels_u2, width: int) -> None:
         self.topic_ids, self.doc_ids, self.width = tuple(topic_ids), tuple(doc_ids), width
-        codes = np.asarray(levels_u1, dtype=np.int64) * width
-        codes += np.asarray(levels_u2, dtype=np.int64)
-        codes.flags.writeable = False
-        self.codes = codes
+        self._cells = array("q", [l1 * width + l2 for l1, l2 in zip(levels_u1, levels_u2)])
+        self._codes = None
+
+    @property
+    def codes(self) -> np.ndarray:
+        if self._codes is None:
+            import numpy as np
+
+            codes = np.frombuffer(self._cells, dtype=np.int64)
+            codes.flags.writeable = False
+            self._codes = codes
+        return self._codes
 
     def __len__(self) -> int:
         return len(self.topic_ids)
 
     def __iter__(self) -> Iterator[JudgmentPair]:
         width = self.width
-        for topic, doc, code in zip(self.topic_ids, self.doc_ids, self.codes.tolist()):
+        for topic, doc, code in zip(self.topic_ids, self.doc_ids, self._cells):
             yield JudgmentPair(topic, doc, *divmod(code, width))
 
     def _record(self, i: int) -> JudgmentPair:
-        return JudgmentPair(self.topic_ids[i], self.doc_ids[i], *divmod(int(self.codes[i]), self.width))
+        return JudgmentPair(self.topic_ids[i], self.doc_ids[i], *divmod(self._cells[i], self.width))
 
 
 @dataclass(frozen=True)
@@ -630,14 +640,14 @@ def _columns(text: str, spec: str) -> list[list[str]] | None:
     return columns
 
 
-def _levels(column: list[str], top: int) -> np.ndarray | None:
+def _levels(column: list[str], top: int) -> list[int] | None:
     """The integer levels of a field column with negatives clamped to 0,
     or None if one is not an integer or lies above ``top``."""
     try:
-        levels = np.maximum(np.array(list(map(int, column)), dtype=np.int64), 0)
-    except (ValueError, OverflowError):
+        levels = [level if level > 0 else 0 for level in map(int, column)]
+    except ValueError:
         return None
-    return None if levels.max() > top else levels
+    return None if max(levels) > top else levels
 
 
 def _unique(*columns: list[str]) -> bool:
@@ -690,7 +700,7 @@ def parse_qrels(
         intents = seconds if intent_field else None
         keys = (topics, seconds, docs) if intent_field else (topics, docs)
         if levels is not None and not (intent_field and "0" in seconds) and _unique(*keys):
-            return JudgmentSet._of(scale, group, topics, docs, levels.tolist(), intents)
+            return JudgmentSet._of(scale, group, topics, docs, levels, intents)
 
     topics, docs, levels, intents = [], [], [], []
     zero_intent: list[tuple[int, str, str, int]] = []
@@ -806,36 +816,14 @@ def _block_rows(block: str, system_id: str | None) -> tuple | None:
         return None
 
 
-def parse_run(source: IO[str] | Iterable[str]) -> RunRanking:
-    """Parse ``topic Q0 doc rank score system`` records into a RunRanking.
-
-    A text stream is read in blocks of ``_BLOCK`` characters completed to
-    the end of the line they cut; a block of plain records is split at
-    once and appended to its topics' columns one stretch of equal topics
-    at a time.  The first block that is not, with the rest of the stream,
-    goes to the line reader, as does any other iterable of lines; it words
-    every error with the line's number in the file.  The run is validated
-    and put in rank order once, by the same path as ``RunRanking(...)``.
-    """
-    rows: dict[str, tuple[list, list, list]] = {}
-    system_id: str | None = None
-    lines, start = source, 1
-    if isinstance(source, io.TextIOBase):
-        lines = ()
-        while block := source.read(_BLOCK):
-            if not block.endswith("\n"):
-                block += source.readline()
-            read = _block_rows(block, system_id)
-            if read is None:
-                lines = chain(io.StringIO(block), source)
-                break
-            topics, columns, system_id = read
-            n = len(topics)
-            cuts = [0, *compress(range(1, n), map(operator.ne, topics[1:], topics)), n]
-            for a, b in zip(cuts, cuts[1:]):
-                for column, values in zip(rows.setdefault(topics[a], ([], [], [])), columns):
-                    column.extend(values[a:b])
-            start += block.count("\n")
+def _line_rows(
+    rows: dict[str, tuple[list, list, list]],
+    lines: Iterable[str],
+    start: int,
+    system_id: str | None,
+) -> str | None:
+    """Add the records of ``lines``, numbered from ``start``, to ``rows``
+    by the line reader, which words every error; return the system id."""
     for line_no, fields in _records(lines, _RUN, start):
         topic, _q0, doc, rank_str, score_str, system = fields
         rank = _int_field(rank_str, "rank", line_no)
@@ -850,6 +838,41 @@ def parse_run(source: IO[str] | Iterable[str]) -> RunRanking:
                 f"line {line_no}: inconsistent system_id {system!r} != {system_id!r}"
             )
         _add_row(rows, topic, doc, rank, score)
+    return system_id
+
+
+def parse_run(source: IO[str] | Iterable[str]) -> RunRanking:
+    """Parse ``topic Q0 doc rank score system`` records into a RunRanking.
+
+    A text stream is read in blocks of ``_BLOCK`` characters completed to
+    the end of the line they cut; a block of plain records is split at
+    once and appended to its topics' columns one stretch of equal topics
+    at a time.  Any other block goes to the line reader, numbered from its
+    first line, and reading goes on by blocks after it; any other iterable
+    of lines goes to the line reader whole.  The line reader words every
+    error with the line's number in the file.  The run is validated and
+    put in rank order once, by the same path as ``RunRanking(...)``.
+    """
+    rows: dict[str, tuple[list, list, list]] = {}
+    system_id: str | None = None
+    if isinstance(source, io.TextIOBase):
+        start = 1
+        while block := source.read(_BLOCK):
+            if not block.endswith("\n"):
+                block += source.readline()
+            read = _block_rows(block, system_id)
+            if read is None:
+                system_id = _line_rows(rows, block.split("\n"), start, system_id)
+            else:
+                topics, columns, system_id = read
+                n = len(topics)
+                cuts = [0, *compress(range(1, n), map(operator.ne, topics[1:], topics)), n]
+                for a, b in zip(cuts, cuts[1:]):
+                    for column, values in zip(rows.setdefault(topics[a], ([], [], [])), columns):
+                        column.extend(values[a:b])
+            start += block.count("\n")
+    else:
+        system_id = _line_rows(rows, source, 1, None)
     if system_id is None:
         raise ValidationError("run file contains no records")
     return RunRanking._from_rows(system_id, rows)

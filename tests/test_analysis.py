@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import synth
 from prmeval.analysis import (
@@ -11,6 +13,7 @@ from prmeval.analysis import (
     LevelSeries,
     SensitivityCurve,
     SystemRanking,
+    _quartiles,
     bootstrap_topics,
     kendall_tau,
     quality_sensitivity,
@@ -315,6 +318,30 @@ class TestBootstrap:
         assert r.mean is None and r.std is None and r.quartiles is None
         obj = r.to_json_dict()
         assert obj["n_samples"] == 0 and obj["n_missing"] == 10
+
+
+def _bits(values) -> list[str]:
+    # +0.0 reads -0.0 as 0.0: which of two equal zeros np.percentile's
+    # partition leaves at an index is unspecified, so zeros match by value
+    return [(float(v) + 0.0).hex() for v in values]
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(FINITE, min_size=1, max_size=2),
+    st.lists(FINITE, min_size=1, max_size=40),
+    st.lists(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.1, 1.0]), min_size=1, max_size=12),
+))
+@example([0.7])
+@example([-0.3, 0.1])
+@example([0.4, 0.4, 0.4, 0.1])
+@example([-1.0, -3.0, 2.0, -1.0, 0.1])
+def test_quartiles_match_np_percentile(samples):
+    want = np.percentile(np.asarray(samples, dtype=np.float64), [0, 25, 50, 75, 100])
+    assert _bits(_quartiles(samples)) == _bits(want)
 
 
 class TestSensitivityCurve:

@@ -3,8 +3,8 @@
 ``parse_qrels`` and ``parse_paired`` read a str (or a text stream) in one
 ``split()`` when every line is a plain record, and fall back to the line
 reader otherwise; ``parse_run`` reads a text stream that way one block
-of whole lines at a time, and hands the first block it cannot take, with
-the rest of the stream, to the line reader.  A list of lines always goes
+of whole lines at a time, hands each block it cannot take to the line
+reader, and goes on by blocks after it.  A list of lines always goes
 through the line reader.  Both paths must give the same judgments, doc
 levels, topics, pairs, codes and runs, or the same error, with the same
 warnings in the same order, on text that mixes records with the inputs
@@ -17,12 +17,13 @@ import io
 import warnings
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prmeval import corpus
 from prmeval.corpus import JudgmentSet, RelevanceScale, parse_paired, parse_qrels, parse_run
-from prmeval.errors import PrmError, ValidationError
+from prmeval.errors import ParseError, PrmError, ValidationError
 
 SCALE = RelevanceScale(("Non", "Rel", "HRel"))
 
@@ -218,5 +219,35 @@ def _lines(n: int, topic: str = "t1", first: int = 1) -> str:
 @example(_lines(20) + "t1 Q0 d21 21 1 s2\n")  # another system in a later block
 @example(_lines(10, "t1") + _lines(10, "t2") + _lines(10, "t1", 11))  # a topic comes back
 @example(_lines(10, "t1") + _lines(10, "t2") + _lines(10, "t1", 10))  # and repeats a rank
+# a comment or blank line at the start, in the middle and at the end
+@example("# run s1\n" + _lines(20))
+@example("\n" + _lines(20))
+@example(_lines(10) + "# page 2\n" + _lines(10, first=11) + "\n" + _lines(10, first=21))
+@example(_lines(20) + "# end\n")
+@example(_lines(20) + "\n\n")
+# faults in blocks after the line reader has taken one
+@example("# run s1\n" + _lines(20) + "t1 Q0 d21 x 1 s1\n")
+@example(_lines(5) + "\n" + _lines(15, first=6) + "t1 Q0 d21 21 1 s2\n" + _lines(5, first=22))
+@example("# run s1\n" + _lines(10, "t1") + "# t2\n" + _lines(10, "t2") + _lines(3, "t1", 10))
 def test_run_paths_agree(text):
     _check_run(text)
+
+
+def test_run_error_after_a_resumed_block_names_its_line():
+    # header, 20 records, a blank line, 20 records, then a bad rank on line 43
+    text = "# run s1\n" + _lines(20) + "\n" + _lines(20, first=21) + "t1 Q0 d41 x 1 s1\n"
+    for block in (7, 40, 200):
+        with mock.patch.object(corpus, "_BLOCK", block):
+            with pytest.raises(ParseError, match=r"^line 43: non-integer rank: 'x'$"):
+                parse_run(io.StringIO(text))
+
+
+def test_run_blocks_resume_after_a_comment():
+    text = "# run s1\n" + _lines(200)
+    with mock.patch.object(corpus, "_BLOCK", 64), \
+            mock.patch.object(corpus, "_line_rows", wraps=corpus._line_rows) as line_rows:
+        run = parse_run(io.StringIO(text))
+    assert run == parse_run(text.splitlines())
+    # the line reader sees the first block's lines only
+    assert line_rows.call_count == 1
+    assert len(line_rows.call_args.args[1]) < 10

@@ -1,0 +1,166 @@
+"""Start-up pays only for what the command runs.
+
+``import prmeval`` resolves its public names on first access, and each
+CLI handler imports the modules it uses when it runs, so ``--help``, a
+usage error and ``validate`` load no numpy.  Each check runs in a fresh
+interpreter, because this test process has long since imported
+everything.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# Runs ``main(argv)`` (or only builds the parser when argv is null) and
+# prints, on its last line, the exit code and the loaded modules.
+PROBE = """
+import json, sys
+import prmeval.cli as cli
+argv = json.loads(sys.argv[1])
+if argv is None:
+    cli.build_parser()
+    code = None
+else:
+    code = cli.main(argv)
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+HEAVY = {
+    "numpy", "prmeval.analysis", "prmeval.corpus", "prmeval.disagreement", "prmeval.metrics",
+}
+
+
+def _python(code: str, *args: str, cwd: str | None = None) -> str:
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], cwd=cwd, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _probe(argv: list[str] | None, cwd: str | None = None) -> tuple[int | None, set[str]]:
+    last = _python(PROBE, json.dumps(argv), cwd=cwd).splitlines()[-1]
+    result = json.loads(last)
+    return result["code"], set(result["modules"])
+
+
+@pytest.fixture()
+def inputs(tmp_path, scale3_json, golden_qrels_u1, golden_paired_text) -> str:
+    """A directory with a scale, qrels, pairs over two topics and a run."""
+    (tmp_path / "scale.json").write_text(scale3_json, encoding="utf-8")
+    (tmp_path / "qrels.txt").write_text(golden_qrels_u1, encoding="utf-8")
+    two_topics = golden_paired_text + golden_paired_text.replace("201 ", "202 ")
+    (tmp_path / "pairs.txt").write_text(two_topics, encoding="utf-8")
+    run = "".join(f"201 Q0 d{r} {r} {30 - r} sysA\n" for r in range(1, 21))
+    (tmp_path / "run.txt").write_text(run, encoding="utf-8")
+    return str(tmp_path)
+
+
+PAIRS = ["--scale", "scale.json", "--pairs", "pairs.txt", "--theta", "2"]
+
+
+class TestStartup:
+    def test_parser_loads_no_numpy_and_no_layer(self):
+        _, modules = _probe(None)
+        assert "prmeval.cli" in modules
+        assert not modules & HEAVY
+
+    @pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"], ["nope"]])
+    def test_help_and_usage_errors_load_no_numpy(self, argv):
+        code, modules = _probe(argv)
+        assert code == (1 if argv == ["nope"] else 0)
+        assert "numpy" not in modules
+
+    def test_validate_loads_no_numpy(self, inputs):
+        code, modules = _probe(
+            ["validate", "--scale", "scale.json", "--qrels", "qrels.txt",
+             "--pairs", "pairs.txt", "--run", "run.txt", "--out", "out.txt"],
+            cwd=inputs,
+        )
+        assert code == 0
+        assert "prmeval.corpus" in modules
+        assert not {"numpy", "prmeval.disagreement"} & modules
+
+    def test_estimate_loads_no_analysis_or_metrics(self, inputs):
+        code, modules = _probe(["estimate", *PAIRS, "--out", "out.txt"], cwd=inputs)
+        assert code == 0
+        assert "prmeval.disagreement" in modules
+        assert not {"prmeval.analysis", "prmeval.metrics"} & modules
+
+    @pytest.mark.parametrize("analysis", [
+        ["bootstrap", "--resamples", "20"],
+        ["budget", "--budgets", "5,10", "--rounds", "3"],
+    ])
+    def test_resampling_loads_no_numpy_ma(self, inputs, analysis):
+        argv = ["analyze", analysis[0], *PAIRS, *analysis[1:], "--seed", "1", "--out", "out.txt"]
+        code, modules = _probe(argv, cwd=inputs)
+        assert code == 0
+        assert "numpy" in modules
+        assert "numpy.ma" not in modules
+
+
+    def test_cli_reads_the_layers_as_attributes(self):
+        import importlib
+
+        import prmeval.cli as cli
+
+        for name in ("analysis", "corpus", "disagreement", "metrics"):
+            assert getattr(cli, name) is importlib.import_module(f"prmeval.{name}")
+        with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+            cli.nope  # noqa: B018
+
+
+class TestLazyPackage:
+    def test_every_public_name_resolves(self):
+        # each name is first reached through `from prmeval import <name>`
+        code = """
+import importlib, prmeval
+for name in prmeval.__all__:
+    ns = {}
+    exec(f"from prmeval import {name}", ns)
+    owner = importlib.import_module(f"prmeval.{prmeval._EXPORTS[name]}")
+    assert ns[name] is getattr(owner, name), name
+print("ok")
+"""
+        assert _python(code).split() == ["ok"]
+
+    def test_star_import_resolves_all(self):
+        code = """
+import json
+ns = {}
+exec("from prmeval import *", ns)
+print(json.dumps(sorted(k for k in ns if k != "__builtins__")))
+"""
+        import prmeval
+
+        assert json.loads(_python(code)) == prmeval.__all__
+
+    def test_dir_lists_all_before_any_access(self):
+        code = "import json, prmeval; print(json.dumps(dir(prmeval)))"
+        import prmeval
+
+        assert set(prmeval.__all__) <= set(json.loads(_python(code)))
+
+    def test_import_loads_no_submodule(self):
+        code = "import json, sys, prmeval; print(json.dumps(sorted(sys.modules)))"
+        modules = set(json.loads(_python(code)))
+        assert not {m for m in modules if m.startswith("prmeval.")}
+        assert "numpy" not in modules
+
+    def test_unknown_name_is_an_attribute_error(self):
+        import prmeval
+
+        with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+            prmeval.nope  # noqa: B018
+        with pytest.raises(ImportError):
+            exec("from prmeval import nope", {})
