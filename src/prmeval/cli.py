@@ -287,8 +287,8 @@ def _read_text(path: str) -> str:
 
 def _parse(path: str, parser, *args, **kwargs):
     """``parser(open stream of path, *args, **kwargs)``; its errors and
-    warnings name the file.  The qrels and pairs parsers read the stream
-    whole, runs in blocks, the others line by line."""
+    warnings name the file.  The qrels, pairs and run parsers read the
+    stream in blocks, the others line by line."""
     with _open(path) as fh:
         try:
             with warnings.catch_warnings(record=True) as caught:

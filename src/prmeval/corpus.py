@@ -22,10 +22,11 @@ Judgments and double judgments are kept as columns, not one object per
 record: a :class:`JudgmentSet` holds topic, doc, level and intent
 columns, and a :class:`JudgmentPairs` holds topic and doc columns plus
 each pair's cell code ``l1 * (T+1) + l2``.  Their records are built only
-when a caller reads them.  Given a file's whole text or stream,
-``parse_qrels`` and ``parse_paired`` read it with one ``split()`` when
-every line is a plain record, and fall back to the line reader
-otherwise; ``parse_run`` does the same one block of a stream at a time.
+when a caller reads them.  ``parse_qrels``, ``parse_paired`` and
+``parse_run`` read a file's text or stream in blocks of whole lines
+(``_blocks``): a block of plain records is read with one ``split()``,
+and any other block goes to the line reader, which words every error
+and warning with the line's number in the file.
 """
 
 from __future__ import annotations
@@ -578,14 +579,19 @@ def _index_run(
     return docs_by_topic, scores_by_topic
 
 
-def _records(source: Iterable[str], spec: str, start: int = 1) -> Iterator[tuple[int, list[str]]]:
+def _records(
+    source: str | Iterable[str], spec: str, start: int = 1
+) -> Iterator[tuple[int, list[str]]]:
     """Yield (line_no, fields) skipping blanks and ``#`` comment lines,
-    numbering the lines of ``source`` from ``start``.
+    numbering the lines of ``source`` from ``start``; a str is split into
+    lines at each newline character.
 
     ``spec`` names the fields, space-separated; a record with another
     number of fields is a ParseError.
     """
     n = len(spec.split())
+    if isinstance(source, str):
+        source = source.split("\n")
     for line_no, raw in enumerate(source, start=start):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -603,11 +609,32 @@ def _int_field(value: str, what: str, line_no: int) -> int:
         raise ParseError(f"line {line_no}: non-integer {what}: {value!r}") from exc
 
 
-def _text(source: str | IO[str] | Iterable[str]) -> str | None:
-    """The whole text of a str or a text stream; None for other line iterables."""
+_BLOCK = 1 << 16
+
+
+def _blocks(
+    source: str | IO[str] | Iterable[str], spec: str
+) -> Iterator[tuple[int, str | Iterable[str], list[list[str]] | None]]:
+    """Yield ``(start, lines, columns)`` for each block of whole lines of
+    ``source``, where ``start`` numbers the block's first line.
+
+    A str or a text stream is read ``_BLOCK`` characters at a time, each
+    block completed to the end of the line it cuts, so no file is held
+    whole; ``lines`` is then the block's text and ``columns`` its field
+    columns when every line is a plain record of ``spec``, else None.
+    Any other iterable of lines is one block with no columns.
+    """
     if isinstance(source, str):
-        return source
-    return source.read() if isinstance(source, io.TextIOBase) else None
+        source = io.StringIO(source)
+    if not isinstance(source, io.TextIOBase):
+        yield 1, source, None
+        return
+    start = 1
+    while block := source.read(_BLOCK):
+        if not block.endswith("\n"):
+            block += source.readline()
+        yield start, block, _columns(block, spec)
+        start += block.count("\n")
 
 
 _SENTINEL = "\0"
@@ -650,11 +677,6 @@ def _levels(column: list[str], top: int) -> list[int] | None:
     return None if max(levels) > top else levels
 
 
-def _unique(*columns: list[str]) -> bool:
-    """Whether the rows of the key columns are distinct."""
-    return len(set(zip(*columns))) == len(columns[0])
-
-
 def parse_scale(source: str | IO[str]) -> RelevanceScale:
     """Read a JSON scale descriptor from a string or stream."""
     text = source if isinstance(source, str) else source.read()
@@ -688,41 +710,42 @@ def parse_qrels(
 
     Negative levels clamp to 0; levels above the scale top are errors.
     ``source`` is the file's text or stream, or an iterable of its lines.
-    Text whose every line is a plain record is read in one pass; any
-    other input, and every input that needs an error or a warning, goes
-    through the line reader, which words them.
+    A block of plain records with valid levels and no intent-``0`` record
+    is taken at once; any other block goes through the line reader, which
+    words every error and warning.  Keys are checked once, at the end.
     """
-    text = _text(source)
-    columns = None if text is None else _columns(text, _QRELS)
-    if columns is not None:
-        topics, seconds, docs, level_column = columns
-        levels = _levels(level_column, scale.top_index)
-        intents = seconds if intent_field else None
-        keys = (topics, seconds, docs) if intent_field else (topics, docs)
-        if levels is not None and not (intent_field and "0" in seconds) and _unique(*keys):
-            return JudgmentSet._of(scale, group, topics, docs, levels, intents)
-
+    top = scale.top_index
     topics, docs, levels, intents = [], [], [], []
     zero_intent: list[tuple[int, str, str, int]] = []
-    observed_intents: dict[str, set[str]] = {}
-    lines = source if text is None else text.split("\n")
-    for line_no, fields in _records(lines, _QRELS):
-        topic, second, doc, level_str = fields
-        level = max(0, _int_field(level_str, "level", line_no))
-        if level > scale.top_index:
-            raise ValidationError(
-                f"line {line_no}: level {level} > T={scale.top_index}"
-            )
-        if intent_field:
-            if second == "0":
-                zero_intent.append((line_no, topic, doc, level))
+    for start, lines, columns in _blocks(source, _QRELS):
+        if columns is not None:
+            block_topics, seconds, block_docs, level_column = columns
+            block_levels = _levels(level_column, top)
+            if block_levels is not None and not (intent_field and "0" in seconds):
+                topics += block_topics
+                docs += block_docs
+                levels += block_levels
+                if intent_field:
+                    intents += seconds
                 continue
-            observed_intents.setdefault(topic, set()).add(second)
-            intents.append(second)
-        topics.append(topic)
-        docs.append(doc)
-        levels.append(level)
+        for line_no, fields in _records(lines, _QRELS, start):
+            topic, second, doc, level_str = fields
+            level = max(0, _int_field(level_str, "level", line_no))
+            if level > top:
+                raise ValidationError(f"line {line_no}: level {level} > T={top}")
+            if intent_field:
+                if second == "0":
+                    zero_intent.append((line_no, topic, doc, level))
+                    continue
+                intents.append(second)
+            topics.append(topic)
+            docs.append(doc)
+            levels.append(level)
 
+    observed_intents: dict[str, set[str]] = {}
+    if zero_intent:
+        for topic, intent in zip(topics, intents):
+            observed_intents.setdefault(topic, set()).add(intent)
     for line_no, topic, doc, level in zero_intent:
         if level != 0:
             warnings.warn(
@@ -746,7 +769,8 @@ def parse_qrels(
         intents += expanded
 
     js = JudgmentSet._of(scale, group, topics, docs, levels, intents if intent_field else None)
-    js._validate()
+    if len(set(js._keys())) != len(js):
+        js._validate()  # words the first repeated key
     return js
 
 
@@ -755,124 +779,96 @@ def parse_paired(source: str | IO[str] | Iterable[str], scale: RelevanceScale) -
 
     A repeated (topic, doc) line means judgments beyond the first two for
     that document; those are ignored with a warning.  ``source`` is read
-    as by :func:`parse_qrels`.
+    as by :func:`parse_qrels`: a block of plain records with valid levels
+    and (topic, doc) keys unseen so far is taken at once, and any other
+    block goes through the line reader.
     """
-    text = _text(source)
-    columns = None if text is None else _columns(text, _PAIRED)
-    width = scale.top_index + 1
-    if columns is not None:
-        topics, docs, l1_column, l2_column = columns
-        l1 = _levels(l1_column, scale.top_index)
-        l2 = None if l1 is None else _levels(l2_column, scale.top_index)
-        if l2 is not None and _unique(topics, docs):
-            return JudgmentPairs._of(topics, docs, l1, l2, width)
-
+    top = scale.top_index
     topics, docs, l1s, l2s = [], [], [], []
     seen: set[tuple[str, str]] = set()
-    lines = source if text is None else text.split("\n")
-    for line_no, fields in _records(lines, _PAIRED):
-        topic, doc, l1_str, l2_str = fields
-        l1 = max(0, _int_field(l1_str, "level_u1", line_no))
-        l2 = max(0, _int_field(l2_str, "level_u2", line_no))
-        for lvl in (l1, l2):
-            if lvl > scale.top_index:
-                raise ValidationError(
-                    f"line {line_no}: level {lvl} > T={scale.top_index}"
+    for start, lines, columns in _blocks(source, _PAIRED):
+        if columns is not None:
+            block_topics, block_docs, l1_column, l2_column = columns
+            l1 = _levels(l1_column, top)
+            l2 = None if l1 is None else _levels(l2_column, top)
+            keys = set(zip(block_topics, block_docs))
+            if l2 is not None and len(keys) == len(block_topics) and seen.isdisjoint(keys):
+                seen |= keys
+                topics += block_topics
+                docs += block_docs
+                l1s += l1
+                l2s += l2
+                continue
+        for line_no, fields in _records(lines, _PAIRED, start):
+            topic, doc, l1_str, l2_str = fields
+            l1 = max(0, _int_field(l1_str, "level_u1", line_no))
+            l2 = max(0, _int_field(l2_str, "level_u2", line_no))
+            for lvl in (l1, l2):
+                if lvl > top:
+                    raise ValidationError(f"line {line_no}: level {lvl} > T={top}")
+            if (topic, doc) in seen:
+                warnings.warn(
+                    f"line {line_no}: extra judgments for (topic={topic}, doc={doc}) "
+                    "ignored; only the first two are used",
+                    DataWarning,
+                    stacklevel=2,
                 )
-        if (topic, doc) in seen:
-            warnings.warn(
-                f"line {line_no}: extra judgments for (topic={topic}, doc={doc}) "
-                "ignored; only the first two are used",
-                DataWarning,
-                stacklevel=2,
-            )
-            continue
-        seen.add((topic, doc))
-        topics.append(topic)
-        docs.append(doc)
-        l1s.append(l1)
-        l2s.append(l2)
-    return JudgmentPairs._of(topics, docs, l1s, l2s, width)
+                continue
+            seen.add((topic, doc))
+            topics.append(topic)
+            docs.append(doc)
+            l1s.append(l1)
+            l2s.append(l2)
+    return JudgmentPairs._of(topics, docs, l1s, l2s, top + 1)
 
 
 _RUN = "topic Q0 doc rank score system"
-_BLOCK = 1 << 16
 
 
-def _block_rows(block: str, system_id: str | None) -> tuple | None:
-    """The topics, the (doc, rank, score) columns and the system id of a
-    block of plain run records with integer ranks, numeric scores and one
-    system id (``system_id`` when given); None for any other block."""
-    columns = _columns(block, _RUN)
-    if columns is None:
-        return None
-    topics, _, docs, ranks, scores, systems = columns
-    system_id = systems[0] if system_id is None else system_id
-    if systems.count(system_id) != len(systems):
-        return None
-    try:
-        return topics, (docs, list(map(int, ranks)), list(map(float, scores))), system_id
-    except ValueError:
-        return None
-
-
-def _line_rows(
-    rows: dict[str, tuple[list, list, list]],
-    lines: Iterable[str],
-    start: int,
-    system_id: str | None,
-) -> str | None:
-    """Add the records of ``lines``, numbered from ``start``, to ``rows``
-    by the line reader, which words every error; return the system id."""
-    for line_no, fields in _records(lines, _RUN, start):
-        topic, _q0, doc, rank_str, score_str, system = fields
-        rank = _int_field(rank_str, "rank", line_no)
-        try:
-            score = float(score_str)
-        except ValueError as exc:
-            raise ParseError(f"line {line_no}: non-numeric score: {score_str!r}") from exc
-        if system_id is None:
-            system_id = system
-        elif system != system_id:
-            raise ValidationError(
-                f"line {line_no}: inconsistent system_id {system!r} != {system_id!r}"
-            )
-        _add_row(rows, topic, doc, rank, score)
-    return system_id
-
-
-def parse_run(source: IO[str] | Iterable[str]) -> RunRanking:
+def parse_run(source: str | IO[str] | Iterable[str]) -> RunRanking:
     """Parse ``topic Q0 doc rank score system`` records into a RunRanking.
 
-    A text stream is read in blocks of ``_BLOCK`` characters completed to
-    the end of the line they cut; a block of plain records is split at
-    once and appended to its topics' columns one stretch of equal topics
-    at a time.  Any other block goes to the line reader, numbered from its
-    first line, and reading goes on by blocks after it; any other iterable
-    of lines goes to the line reader whole.  The line reader words every
-    error with the line's number in the file.  The run is validated and
-    put in rank order once, by the same path as ``RunRanking(...)``.
+    ``source`` is read as by :func:`parse_qrels`.  A block of plain
+    records with integer ranks, numeric scores and the run's one system
+    id is appended to its topics' columns one stretch of equal topics at
+    a time; any other block goes through the line reader, which words
+    every error with the line's number in the file.  The run is validated
+    and put in rank order once, by the same path as ``RunRanking(...)``.
     """
     rows: dict[str, tuple[list, list, list]] = {}
     system_id: str | None = None
-    if isinstance(source, io.TextIOBase):
-        start = 1
-        while block := source.read(_BLOCK):
-            if not block.endswith("\n"):
-                block += source.readline()
-            read = _block_rows(block, system_id)
-            if read is None:
-                system_id = _line_rows(rows, block.split("\n"), start, system_id)
-            else:
-                topics, columns, system_id = read
+    for start, lines, columns in _blocks(source, _RUN):
+        if columns is not None:
+            topics, _, docs, rank_column, score_column, systems = columns
+            system = systems[0] if system_id is None else system_id
+            parsed = None
+            if systems.count(system) == len(systems):
+                try:
+                    parsed = docs, list(map(int, rank_column)), list(map(float, score_column))
+                except ValueError:
+                    pass
+            if parsed is not None:
+                system_id = system
                 n = len(topics)
                 cuts = [0, *compress(range(1, n), map(operator.ne, topics[1:], topics)), n]
                 for a, b in zip(cuts, cuts[1:]):
-                    for column, values in zip(rows.setdefault(topics[a], ([], [], [])), columns):
+                    for column, values in zip(rows.setdefault(topics[a], ([], [], [])), parsed):
                         column.extend(values[a:b])
-            start += block.count("\n")
-    else:
-        system_id = _line_rows(rows, source, 1, None)
+                continue
+        for line_no, fields in _records(lines, _RUN, start):
+            topic, _q0, doc, rank_str, score_str, system = fields
+            rank = _int_field(rank_str, "rank", line_no)
+            try:
+                score = float(score_str)
+            except ValueError as exc:
+                raise ParseError(f"line {line_no}: non-numeric score: {score_str!r}") from exc
+            if system_id is None:
+                system_id = system
+            elif system != system_id:
+                raise ValidationError(
+                    f"line {line_no}: inconsistent system_id {system!r} != {system_id!r}"
+                )
+            _add_row(rows, topic, doc, rank, score)
     if system_id is None:
         raise ValidationError("run file contains no records")
     return RunRanking._from_rows(system_id, rows)

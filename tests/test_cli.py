@@ -1050,30 +1050,58 @@ class TestModuleEntryPoint:
         ])
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
-    @pytest.mark.parametrize("flag", ["--scale", "--qrels", "--run"])
-    def test_non_utf8_input_is_one_error_line(self, ws, tmp_path, flag):
+    # a file of 20000 records: a bad byte after it lies well past the
+    # first block that is read
+    LONG = {
+        "--qrels": "".join(f"201 0 d{i} 1\n" for i in range(1, 20001)),
+        "--pairs": "".join(f"201 d{i} 1 2\n" for i in range(1, 20001)),
+        "--run": "".join(f"201 Q0 d{r} {r} 1.0 s\n" for r in range(1, 20001)),
+    }
+
+    @staticmethod
+    def _validate(ws, flag, path):
         import subprocess
         import sys
 
-        # the run's bad byte lies well past the first block that is read
-        text = {
-            "--scale": '{"labels": ["Non", "Rel\xe9", "HRel"]}',
-            "--qrels": "201 0 d1 2\n201 0 caf\xe9 1\n",
-            "--run": "".join(f"201 Q0 d{r} {r} 1.0 s\n" for r in range(1, 20001)) + "# \xe9t\xe9\n",
-        }[flag]
-        bad = tmp_path / "latin1.txt"
-        bad.write_bytes(text.encode("latin-1"))
-        inputs = {"--scale": str(bad), "--qrels": ws["qrels_u1"], "--run": ws["run_perfect"]}
-        inputs[flag] = str(bad)
-        proc = subprocess.run(
+        inputs = {"--scale": ws["scale"], "--qrels": ws["qrels_u1"], "--run": ws["run_perfect"]}
+        inputs[flag] = path
+        return subprocess.run(
             [sys.executable, "-m", "prmeval", "validate",
              *[a for item in inputs.items() for a in item]],
             capture_output=True,
             text=True,
         )
+
+    @pytest.mark.parametrize("flag, text", [
+        pytest.param("--scale", '{"labels": ["Non", "Rel\xe9", "HRel"]}', id="--scale"),
+        pytest.param("--qrels", "201 0 d1 2\n201 0 caf\xe9 1\n", id="--qrels"),
+        pytest.param("--pairs", "201 d1 2 1\n201 caf\xe9 1 1\n", id="--pairs"),
+        pytest.param("--qrels", LONG["--qrels"] + "201 0 caf\xe9 1\n", id="--qrels-past-first-block"),
+        pytest.param("--run", LONG["--run"] + "# \xe9t\xe9\n", id="--run"),
+    ])
+    def test_non_utf8_input_is_one_error_line(self, ws, tmp_path, flag, text):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(text.encode("latin-1"))
+        proc = self._validate(ws, flag, str(bad))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr == f"error: {bad}: not UTF-8 text (byte 0xe9: invalid continuation byte)\n"
+
+    @pytest.mark.parametrize("flag, record", [
+        ("--qrels", "201 0 d0 7\n"),
+        ("--pairs", "201 d0 1 7\n"),
+        ("--run", "201 Q0 d0 x 1.0 s\n"),
+    ], ids=["--qrels", "--pairs", "--run"])
+    def test_fault_before_a_non_utf8_byte_is_reported_first(self, ws, tmp_path, flag, record):
+        # a file is read one block at a time, so a fault in its first block
+        # is found before a byte that is not UTF-8 in a later one
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes((record + self.LONG[flag] + "# \xe9t\xe9\n").encode("latin-1"))
+        proc = self._validate(ws, flag, str(bad))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        fault = "non-integer rank: 'x'" if flag == "--run" else "level 7 > T=2"
+        assert proc.stderr == f"error: {bad}: line 1: {fault}\n"
 
     @pytest.mark.parametrize("flag", ["--scale", "--qrels", "--run"])
     def test_byte_order_mark_is_dropped(self, capsys, ws, tmp_path, flag):

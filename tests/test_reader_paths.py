@@ -1,14 +1,14 @@
-"""Differential tests: the whole-file and block readers against the line reader.
+"""Differential tests: the block reader against the line reader.
 
-``parse_qrels`` and ``parse_paired`` read a str (or a text stream) in one
-``split()`` when every line is a plain record, and fall back to the line
-reader otherwise; ``parse_run`` reads a text stream that way one block
-of whole lines at a time, hands each block it cannot take to the line
-reader, and goes on by blocks after it.  A list of lines always goes
-through the line reader.  Both paths must give the same judgments, doc
-levels, topics, pairs, codes and runs, or the same error, with the same
-warnings in the same order, on text that mixes records with the inputs
-the one-pass reader has to reject.
+``parse_qrels``, ``parse_paired`` and ``parse_run`` read a str or a text
+stream one block of whole lines at a time: a block of plain records is
+read with one ``split()``, each other block goes to the line reader, and
+reading goes on by blocks after it.  A list of lines always goes through
+the line reader.  Both paths must give the same judgments, doc levels,
+topics, pairs, codes and runs, or the same error, with the same warnings
+in the same order, on text that mixes records with the inputs the block
+reader has to reject, at block sizes small enough that keys, intents and
+faults fall in different blocks.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ PARSERS = {
         source, SCALE, "u1", intent_field=True, declared_intents={"t1": ["a", "c"]}
     ),
     "paired": lambda source: parse_paired(source, SCALE),
+    "run": parse_run,
 }
 
 TOPICS = st.sampled_from(["t1", "t2"])
@@ -81,9 +82,11 @@ def _texts(record):
 
 
 def _summary(result):
-    """Everything a caller can read from a parse result."""
+    """Everything a caller can read from a parse result; run entries by
+    ``repr``, so that a NaN score equals a NaN score."""
     if isinstance(result, corpus.RunRanking):
-        return result.system_id, list(result.entries), len(result.entries), sorted(result.topics())
+        entries = repr(list(result.entries))
+        return result.system_id, entries, len(result.entries), sorted(result.topics())
     if isinstance(result, JudgmentSet):
         try:
             doc_levels = result.doc_levels()
@@ -110,11 +113,29 @@ def _read(parse, source):
     return read, [(w.category, str(w.message)) for w in caught]
 
 
-def _check(kind: str, text: str) -> None:
-    parse = PARSERS[kind]
+def _streams(text: str):
+    """The text as the CLI opens a file, and as a StringIO."""
+    yield lambda: io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+    yield lambda: io.StringIO(text)
+
+
+def _check(parse, text: str) -> None:
+    """parse() gives the same from the text's lines, from the text, and
+    from its streams read in blocks of several sizes."""
     by_lines = _read(parse, io.StringIO(text).readlines())
     assert _read(parse, text) == by_lines
-    assert _read(parse, io.StringIO(text)) == by_lines
+    for stream in _streams(text):
+        for block in (7, 40, 200, corpus._BLOCK):
+            with mock.patch.object(corpus, "_BLOCK", block):
+                assert _read(parse, stream()) == by_lines, block
+
+
+def _qrels(n: int, topic: str = "t1", second: str = "0", first: int = 1) -> str:
+    return "".join(f"{topic} {second} d{i} 1\n" for i in range(first, first + n))
+
+
+def _pairs(n: int, topic: str = "t1", first: int = 1) -> str:
+    return "".join(f"{topic} d{i} 1 2\n" for i in range(first, first + n))
 
 
 @settings(max_examples=300, deadline=None)
@@ -126,8 +147,16 @@ def _check(kind: str, text: str) -> None:
 @example("qrels_intents", "t1 a d1 1\nt1 0 d1 0\n")
 # a vertical tab ends no line, so the short line is line 2
 @example("qrels", "t1 0\x0bd1 1\nt2 0 d2\n")
+# a key repeated in a later block, and then a bad level in a block after it
+@example("qrels", _qrels(30) + "t1 0 d1 2\n" + _qrels(5, first=31))
+@example("qrels", _qrels(30) + "t1 0 d1 2\n" + _qrels(30, first=31) + "t1 0 d99 7\n")
+# an intent-0 record whose topic's intents all came in earlier blocks
+@example("qrels_intents", "t1 a d1 1\nt1 c d2 0\n" + _qrels(30, "t2", "b") + "t1 0 d3 1\n")
+@example("qrels_declared", "t1 a d1 1\n" + _qrels(30, "t2", "b") + "t1 0 d1 0\n")
+# a line longer than a block
+@example("qrels", _qrels(3) + f"t1 0 {'d' * 300} 2\n" + _qrels(20, first=4))
 def test_qrels_paths_agree(kind, text):
-    _check(kind, text)
+    _check(PARSERS[kind], text)
 
 
 @settings(max_examples=300, deadline=None)
@@ -136,8 +165,13 @@ def test_qrels_paths_agree(kind, text):
 @example("t1 d1 1 2\nt1 d1 0 0\n")
 @example("t1\x85d1 1 2\nt2 d2 1\n")
 @example("t1 d1 1 2\n\x00\n")
+# a key repeated in a later block (the warning names line 31), and then a
+# bad level in a block after it
+@example(_pairs(30) + "t1 d1 0 0\n" + _pairs(5, first=31))
+@example(_pairs(30) + "t1 d1 0 0\n" + _pairs(30, first=31) + "t1 d99 1 7\n")
+@example(_pairs(3) + f"t1 {'d' * 300} 2 2\n" + _pairs(20, first=4))
 def test_paired_paths_agree(text):
-    _check("paired", text)
+    _check(PARSERS["paired"], text)
 
 
 # -- runs ---------------------------------------------------------------------
@@ -187,20 +221,6 @@ def _run_texts(draw):
     return _join((lines, draw(EOLS), draw(st.booleans())))
 
 
-def _streams(text: str):
-    """The text as the CLI opens a file, and as a StringIO."""
-    yield lambda: io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
-    yield lambda: io.StringIO(text)
-
-
-def _check_run(text: str) -> None:
-    for stream in _streams(text):
-        by_lines = _read(parse_run, stream().readlines())
-        for block in (7, 40, 200, corpus._BLOCK):
-            with mock.patch.object(corpus, "_BLOCK", block):
-                assert _read(parse_run, stream()) == by_lines, block
-
-
 def _lines(n: int, topic: str = "t1", first: int = 1) -> str:
     return "".join(f"{topic} Q0 d{r} {r} {100 - r} s1\n" for r in range(first, first + n))
 
@@ -217,6 +237,7 @@ def _lines(n: int, topic: str = "t1", first: int = 1) -> str:
 @example(_lines(10) + "\x00\n" + _lines(10, first=11))
 @example(_lines(5) + "t1 Q0\x0bd6 6 1 s1\nt1\x85Q0 d7 7 1\u2028s1\n" + _lines(20, first=8))
 @example(_lines(20) + "t1 Q0 d21 21 1 s2\n")  # another system in a later block
+@example("t1 Q0 d1 1 nan s1\n")  # a NaN score equals a NaN score
 @example(_lines(10, "t1") + _lines(10, "t2") + _lines(10, "t1", 11))  # a topic comes back
 @example(_lines(10, "t1") + _lines(10, "t2") + _lines(10, "t1", 10))  # and repeats a rank
 # a comment or blank line at the start, in the middle and at the end
@@ -230,7 +251,7 @@ def _lines(n: int, topic: str = "t1", first: int = 1) -> str:
 @example(_lines(5) + "\n" + _lines(15, first=6) + "t1 Q0 d21 21 1 s2\n" + _lines(5, first=22))
 @example("# run s1\n" + _lines(10, "t1") + "# t2\n" + _lines(10, "t2") + _lines(3, "t1", 10))
 def test_run_paths_agree(text):
-    _check_run(text)
+    _check(parse_run, text)
 
 
 def test_run_error_after_a_resumed_block_names_its_line():
@@ -242,12 +263,39 @@ def test_run_error_after_a_resumed_block_names_its_line():
                 parse_run(io.StringIO(text))
 
 
-def test_run_blocks_resume_after_a_comment():
-    text = "# run s1\n" + _lines(200)
+def _check_blocks_resume(kind, record):
+    parse = PARSERS[kind]
+    text = "# header\n" + "".join(record.format(i) for i in range(1, 201))
     with mock.patch.object(corpus, "_BLOCK", 64), \
-            mock.patch.object(corpus, "_line_rows", wraps=corpus._line_rows) as line_rows:
-        run = parse_run(io.StringIO(text))
-    assert run == parse_run(text.splitlines())
+            mock.patch.object(corpus, "_records", wraps=corpus._records) as records:
+        read = parse(io.StringIO(text))
+    assert _summary(read) == _summary(parse(text.splitlines()))
     # the line reader sees the first block's lines only
-    assert line_rows.call_count == 1
-    assert len(line_rows.call_args.args[1]) < 10
+    first_block = records.call_args.args[0]
+    assert records.call_count == 1
+    assert isinstance(first_block, str) and first_block.count("\n") < 10
+
+
+def test_run_blocks_resume_after_a_comment():
+    _check_blocks_resume("run", "t1 Q0 d{0} {0} 1 s1\n")
+
+
+@pytest.mark.parametrize("kind, record", [
+    ("qrels", "t1 0 d{} 1\n"),
+    ("paired", "t1 d{} 1 2\n"),
+], ids=["qrels", "paired"])
+def test_blocks_resume_after_a_comment(kind, record):
+    _check_blocks_resume(kind, record)
+
+
+class _WholeReadForbidden(io.StringIO):
+    def read(self, size=-1):
+        assert size is not None and size >= 0, "the stream was read whole"
+        return super().read(size)
+
+
+@pytest.mark.parametrize("kind", ["qrels", "paired"])
+def test_no_file_is_read_whole(kind):
+    text = "# header\n" + (_qrels(5000) if kind == "qrels" else _pairs(5000))
+    read = PARSERS[kind](_WholeReadForbidden(text))
+    assert _summary(read) == _summary(PARSERS[kind](text.splitlines()))
