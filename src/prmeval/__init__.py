@@ -21,9 +21,8 @@ _EXPORTS = {
     name: module
     for module, names in {
         "analysis": (
-            "BootstrapResult", "LevelSeries", "SensitivityCurve", "SystemRanking",
-            "bootstrap_topics", "kendall_tau", "quality_sensitivity", "robustness_study",
-            "simulate_annotation_rounds",
+            "BootstrapResult", "SystemRanking", "bootstrap_topics", "kendall_tau",
+            "robustness_study", "simulate_annotation_rounds",
         ),
         "corpus": (
             "Judgment", "JudgmentPair", "JudgmentPairs", "JudgmentSet", "PairingResult",
@@ -31,8 +30,9 @@ _EXPORTS = {
             "parse_paired", "parse_qrels", "parse_run", "parse_scale", "select_top_intent",
         ),
         "disagreement": (
-            "DisagreementCell", "DisagreementTable", "UserModel", "cell_sigma",
-            "estimate_one_sided", "estimate_symmetric", "stratified_estimate",
+            "DisagreementCell", "DisagreementTable", "LevelSeries", "SensitivityCurve",
+            "UserModel", "cell_sigma", "estimate_one_sided", "estimate_symmetric",
+            "quality_sensitivity", "stratified_estimate",
         ),
         "errors": (
             "DataWarning", "EstimationError", "MetricError", "ParseError", "PrmError",

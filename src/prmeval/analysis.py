@@ -1,4 +1,5 @@
-"""Meta-analyses: rank correlation, bootstrap, budget and quality sweeps.
+"""Meta-analyses: rank correlation, bootstrap and budget sweeps.  The
+quality sweep only counts, so it lives in ``disagreement``.
 
 Randomized procedures draw from numpy's PCG64 generator.  Every round or
 resample r uses an independent stream seeded as
@@ -10,15 +11,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import JudgmentPair, JudgmentSet, RelevanceScale, RunRanking
-from .disagreement import (
-    UserModel, _as_pairs, code_counts, group_pair_counts, pair_codes, table_from_counts,
+from .corpus import JudgmentPair, RelevanceScale, RunRanking
+from .disagreement import (  # the quality sweep is re-exported from here
+    LevelSeries, SensitivityCurve, UserModel, _as_pairs, group_pair_counts, pair_codes,
+    quality_sensitivity, table_from_counts,
 )
 from .errors import DataWarning, EstimationError, MetricError, ValidationError
 from .metrics import DiscountFunction, GainScheme, ndcg_reports
@@ -247,11 +248,12 @@ def bootstrap_topics(
     user_model.check_against(scale)
     topics, per_topic = group_pair_counts(pairs, scale)
     n = len(topics)
+    per_topic = np.asarray(per_topic)
     ps = []  # per resample, p per level (None where undefined)
     for r in range(n_resamples):
         drawn = _round_rng(seed, r).integers(0, n, size=n)
         table = table_from_counts(
-            np.tensordot(np.bincount(drawn, minlength=n), per_topic, axes=1),
+            np.tensordot(np.bincount(drawn, minlength=n), per_topic, axes=1).tolist(),
             user_model, scale, estimator=estimator, condition=condition,
             one_sided_collection=one_sided_collection,
         )
@@ -262,49 +264,6 @@ def bootstrap_topics(
         )
         for lvl in range(scale.top_index + 1)
     }
-
-
-@dataclass(frozen=True)
-class LevelSeries:
-    """One level's trajectory along a sweep: mean estimate and std band."""
-
-    level: int
-    means: tuple[float | None, ...]
-    stds: tuple[float | None, ...]
-    n_defined: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SensitivityCurve:
-    """Per-level estimate trajectories along a sweep coordinate."""
-
-    x_name: str
-    x: tuple[int, ...]
-    series: tuple[LevelSeries, ...]
-
-    def __post_init__(self) -> None:
-        if any(b <= a for a, b in zip(self.x, self.x[1:])):
-            raise ValidationError("sweep coordinate must be strictly increasing")
-        for s in self.series:
-            if not len(s.means) == len(s.stds) == len(s.n_defined) == len(self.x):
-                raise ValidationError(
-                    f"series for level {s.level} does not match sweep length"
-                )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "x_name": self.x_name,
-            "x": list(self.x),
-            "series": [
-                {
-                    "level": s.level,
-                    "means": list(s.means),
-                    "stds": list(s.stds),
-                    "n_defined": list(s.n_defined),
-                }
-                for s in self.series
-            ],
-        }
 
 
 def simulate_annotation_rounds(
@@ -345,14 +304,16 @@ def simulate_annotation_rounds(
         raise ValidationError(f"budgets must be strictly increasing, got {kept}")
 
     user_model.check_against(scale)
-    codes = pair_codes(pairs, scale)
+    n = scale.top_index + 1
+    codes = np.frombuffer(pair_codes(pairs, scale), dtype=np.int64)
     ps: dict[int, list[list[float | None]]] = {b: [] for b in kept}
     for r in range(n_rounds):
         rng = _round_rng(seed, r)
         draw = rng.integers(0, len(codes), size=kept[-1])
         for b in kept:
+            counts = np.bincount(codes[draw[:b]], minlength=n * n).reshape(n, n)
             table = table_from_counts(
-                code_counts(codes[draw[:b]], scale), user_model, scale,
+                counts.tolist(), user_model, scale,
                 estimator=estimator, condition=condition,
                 one_sided_collection=one_sided_collection,
             )
@@ -367,91 +328,6 @@ def simulate_annotation_rounds(
             tuple(len(v) for v in vals),
         ))
     return SensitivityCurve("budget", tuple(kept), tuple(series))
-
-
-def quality_sensitivity(
-    judgments: JudgmentSet,
-    pairs: Sequence[JudgmentPair],
-    user_model: UserModel,
-    *,
-    estimator: str = "symmetric",
-    condition: str = "u1",
-    one_sided_collection: bool = False,
-) -> SensitivityCurve:
-    """Disagreement estimates restricted to results from top resources.
-
-    Per query, resources are ranked by how many of their judged results
-    the reference group placed in the top two levels (ties break to the
-    lexicographically smaller resource id).  For each k, the table is
-    re-estimated from the pairs whose documents the top-k resources
-    returned for that query, as a running sum of count matrices over k.
-    The std band is each cell's binomial sigma.
-
-    ``judgments`` is the reference group's set with its ``resources``
-    attached; every pair's document must be covered by it so that the
-    largest k reproduces the unrestricted estimate.
-    """
-    if not pairs:
-        raise EstimationError("no judgment pairs to estimate from")
-    if not judgments:
-        raise ValidationError("no reference judgments")
-    resources = judgments.resources or {}
-    if not all(map(resources.__contains__, judgments.doc_ids)):
-        raise ValidationError(
-            "no resource metadata on reference judgments; attach_resources first"
-        )
-    scale = judgments.scale
-    user_model.check_against(scale)
-
-    # per topic, each resource's count of judgments in the top two levels;
-    # a document's step is its resource's place in its topic's order
-    in_resource = list(map(resources.__getitem__, judgments.doc_ids))
-    strong = map((scale.top_index - 1).__le__, judgments.levels)
-    strong_counts: dict[str, dict[str, int]] = {}
-    for (topic, resource, is_strong), n in Counter(
-        zip(judgments.topic_ids, in_resource, strong)
-    ).items():
-        counts = strong_counts.setdefault(topic, {})
-        counts[resource] = counts.get(resource, 0) + n * is_strong
-    place = {
-        (topic, resource): k
-        for topic, counts in strong_counts.items()
-        for k, resource in enumerate(sorted(counts, key=lambda r: (-counts[r], r)))
-    }
-    judged = set(zip(judgments.topic_ids, judgments.doc_ids))
-
-    pairs = _as_pairs(pairs, scale)
-    topics, docs = pairs.topic_ids, pairs.doc_ids
-    if not judged.issuperset(zip(topics, docs)):
-        uncovered = [key for key in zip(topics, docs) if key not in judged]
-        raise ValidationError(
-            f"{len(uncovered)} pairs reference documents absent from the reference "
-            f"judgments (first: {uncovered[0]}); the sweep cannot cover them"
-        )
-    steps = np.fromiter(
-        map(place.__getitem__, zip(topics, map(resources.__getitem__, docs))),
-        dtype=np.int64, count=len(docs),
-    )
-    k_max = max(place.values()) + 1
-    per_k = code_counts(pairs.codes, scale, steps, k_max).cumsum(axis=0)
-
-    tables = [
-        table_from_counts(
-            counts, user_model, scale, estimator=estimator, condition=condition,
-            one_sided_collection=one_sided_collection,
-        )
-        for counts in per_k
-    ]
-    series = tuple(
-        LevelSeries(
-            lvl,
-            tuple(t.cells[lvl].p for t in tables),
-            tuple(t.cells[lvl].sigma for t in tables),
-            tuple(t.cells[lvl].n_total for t in tables),
-        )
-        for lvl in range(scale.top_index + 1)
-    )
-    return SensitivityCurve("top_k_resources", tuple(range(1, k_max + 1)), series)
 
 
 def rank_by_ndcg(

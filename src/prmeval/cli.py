@@ -6,10 +6,12 @@ stochastic subcommands (``analyze bootstrap``, ``analyze budget``) refuse
 to run without an explicit ``--seed``.
 
 Exit codes: 0 success; 1 for parse/validation/estimation/metric errors
-(including bad flag combinations); 2 for I/O errors.
+(including bad flag combinations) and for running out of memory; 2 for
+I/O errors.
 
 Each handler imports the modules it uses when it runs, so ``--help``, a
-usage error and ``validate`` load no numpy.
+usage error, ``validate``, ``estimate`` and ``analyze quality`` load no
+numpy.
 """
 
 from __future__ import annotations
@@ -693,7 +695,7 @@ def _analyze_bootstrap(args: argparse.Namespace) -> _Report:
     return _Report(payload, header, rows, text)
 
 
-def _curve_report(curve: analysis.SensitivityCurve) -> _Report:
+def _curve_report(curve: disagreement.SensitivityCurve) -> _Report:
     rows: list[list] = []
     text: list[str] = []
     for i, x in enumerate(curve.x):
@@ -724,22 +726,23 @@ def _analyze_budget(args: argparse.Namespace) -> _Report:
 
 
 def _analyze_quality(args: argparse.Namespace) -> _Report:
-    from . import analysis, corpus
-    scale = _load_scale(args)
+    from . import corpus, disagreement
+    # every missing flag is reported before any file is read
     if not args.qrels:
         raise ValidationError("--qrels is required (reference group judgments)")
+    if not (args.resource_map or args.resource_regex):
+        raise ValidationError("supply --resource-map or --resource-regex")
+    if not args.pairs:
+        raise ValidationError("--pairs is required for the quality sweep")
+    scale = _load_scale(args)
     reference = _load_qrels(args, args.qrels, scale, "u1")
     if args.resource_map:
         mapping = _parse(args.resource_map, corpus.parse_resource_map)
         reference = corpus.attach_resources(reference, resource_map=mapping)
-    elif args.resource_regex:
-        reference = corpus.attach_resources(reference, pattern=args.resource_regex)
     else:
-        raise ValidationError("supply --resource-map or --resource-regex")
-    if not args.pairs:
-        raise ValidationError("--pairs is required for the quality sweep")
+        reference = corpus.attach_resources(reference, pattern=args.resource_regex)
     pairs = _parse(args.pairs, corpus.parse_paired, scale)
-    return _curve_report(analysis.quality_sensitivity(
+    return _curve_report(disagreement.quality_sensitivity(
         reference, pairs, _user_model(args, scale), **_estimator_opts(args)
     ))
 
@@ -820,6 +823,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if code in (None, 0) else 1
     except PrmError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # e.g. a budget too large for one round's draw
+        print(f"error: not enough memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -345,10 +345,11 @@ class JudgmentPairs(_Records):
     :class:`JudgmentPair`.
 
     ``topic_ids`` and ``doc_ids`` hold each pair's topic and document, and
-    ``codes`` (a read-only int64 array) its cell code ``l1 * width + l2``,
+    ``_cells`` (an ``array('q')``) its cell code ``l1 * width + l2``,
     where ``width`` is T+1 of the scale the levels were checked against.
-    The codes are kept in an ``array.array``, which ``codes`` shows as a
-    numpy array when first read, so that reading pairs needs no numpy.
+    ``disagreement.pair_codes`` hands ``_cells`` to the count kernel, so
+    that reading and counting pairs needs no numpy; ``codes`` shows them
+    as a read-only int64 numpy array when first read.
     ``JudgmentPairs(pairs, scale)`` checks the levels of any pair
     sequence; the first out-of-range level in input order (pair by pair,
     U1 before U2) raises.

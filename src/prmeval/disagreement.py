@@ -25,6 +25,8 @@ C[i, j] counts the pairs with U1 label i and U2 label j: one-sided on U1
 reads the rows of C, on U2 those of C^T, symmetric those of C + C^T.
 Strata, bootstrap resamples, budget rounds and quality-sweep steps only
 re-count or re-weight C; ``table_from_counts`` turns any C into a table.
+C is kept as rows of Python ints, counted with a ``Counter``, so nothing
+here, the quality sweep included, loads numpy.
 
 Each estimate carries a binomial standard error
     sigma = sqrt(phat (1 - phat) / N_D),  phat = N_N / N_D,
@@ -39,13 +41,15 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import warnings
+from array import array
+from collections import Counter
 from dataclasses import dataclass, replace
-from typing import IO, Mapping, Sequence
+from itertools import accumulate, repeat
+from typing import IO, Iterable, Mapping, Sequence
 
-import numpy as np
-
-from .corpus import JudgmentPair, JudgmentPairs, RelevanceScale
+from .corpus import JudgmentPair, JudgmentPairs, JudgmentSet, RelevanceScale
 from .errors import DataWarning, EstimationError, ParseError, ValidationError
 
 __all__ = [
@@ -63,6 +67,9 @@ __all__ = [
     "group_pair_counts",
     "table_from_counts",
     "cell_sigma",
+    "LevelSeries",
+    "SensitivityCurve",
+    "quality_sensitivity",
 ]
 
 
@@ -293,28 +300,31 @@ def _as_pairs(pairs: Sequence[JudgmentPair], scale: RelevanceScale) -> JudgmentP
     return JudgmentPairs(pairs, scale)
 
 
-def pair_codes(pairs: Sequence[JudgmentPair], scale: RelevanceScale) -> np.ndarray:
-    """Cell code ``l1 * (T+1) + l2`` of every pair, in input order
-    (read-only; see :func:`_as_pairs` for the level check)."""
-    return _as_pairs(pairs, scale).codes
+def pair_codes(pairs: Sequence[JudgmentPair], scale: RelevanceScale) -> array:
+    """Cell code ``l1 * (T+1) + l2`` of every pair, in input order, as the
+    pairs' own ``array('q')``: read it, do not change it (see
+    :func:`_as_pairs` for the level check)."""
+    return _as_pairs(pairs, scale)._cells
 
 
 def code_counts(
-    codes: np.ndarray, scale: RelevanceScale, groups: np.ndarray | None = None, n_groups: int = 1
-) -> np.ndarray:
-    """Count matrix ``C[i, j]`` of pair codes, or ``C[g, i, j]`` per group.
+    codes: Iterable[int], scale: RelevanceScale, groups: Iterable[int] | None = None,
+    n_groups: int = 1,
+) -> list:
+    """Count matrix ``C[i][j]`` of pair codes, or ``C[g][i][j]`` per group,
+    as nested lists of ints.
 
     ``groups`` gives each code's group index in ``0..n_groups-1``.
     """
     n = scale.top_index + 1
-    if groups is not None:
-        codes = groups * (n * n) + codes
-    flat = np.bincount(codes, minlength=n_groups * n * n)
-    return flat.reshape((n, n) if groups is None else (n_groups, n, n))
+    out = [[[0] * n for _ in range(n)] for _ in range(n_groups)]
+    for (g, code), count in Counter(zip(repeat(0) if groups is None else groups, codes)).items():
+        out[g][code // n][code % n] = count
+    return out[0] if groups is None else out
 
 
-def pair_counts(pairs: Sequence[JudgmentPair], scale: RelevanceScale) -> np.ndarray:
-    """``C[i, j]``: the number of pairs with U1 label i and U2 label j."""
+def pair_counts(pairs: Sequence[JudgmentPair], scale: RelevanceScale) -> list:
+    """``C[i][j]``: the number of pairs with U1 label i and U2 label j."""
     return code_counts(pair_codes(pairs, scale), scale)
 
 
@@ -322,8 +332,8 @@ def group_pair_counts(
     pairs: Sequence[JudgmentPair],
     scale: RelevanceScale,
     group_of: Mapping[str, str] | None = None,
-) -> tuple[list[str], np.ndarray]:
-    """Sorted group names and ``C[group, i, j]``, one count matrix per group.
+) -> tuple[list[str], list]:
+    """Sorted group names and ``C[group][i][j]``, one count matrix per group.
 
     A pair's group is ``group_of[topic]``, by default its topic.
     """
@@ -333,12 +343,17 @@ def group_pair_counts(
         labels = list(map(group_of.__getitem__, labels))
     names = sorted(set(labels))
     index = {name: i for i, name in enumerate(names)}
-    groups = np.fromiter(map(index.__getitem__, labels), dtype=np.int64, count=len(labels))
+    groups = map(index.__getitem__, labels)
     return names, code_counts(pair_codes(pairs, scale), scale, groups, len(names))
 
 
+def _plus(a: Iterable[Sequence[int]], b: Iterable[Sequence[int]]) -> list:
+    """The entry-wise sum of two count matrices given by their rows."""
+    return [list(map(operator.add, row_a, row_b)) for row_a, row_b in zip(a, b)]
+
+
 def table_from_counts(
-    counts: np.ndarray,
+    counts: Sequence[Sequence[int]],
     user_model: UserModel,
     scale: RelevanceScale,
     *,
@@ -346,7 +361,8 @@ def table_from_counts(
     condition: str = "u1",
     one_sided_collection: bool = False,
 ) -> DisagreementTable:
-    """The named estimator's table from the count matrix ``C[i, j]``.
+    """The named estimator's table from the count matrix ``C[i][j]``, given
+    as rows of ints.
 
     Symmetric pools both directions, ``C + C^T``; one-sided conditions on
     U1's labels (``C``) or U2's (``C^T``).  Level i's total is row i's sum
@@ -363,19 +379,19 @@ def table_from_counts(
                 "results the first round rated above 0; use estimate_one_sided "
                 "with condition='u1'"
             )
-        given, condition = counts + counts.T, None
+        given, condition = _plus(counts, zip(*counts)), None
     elif estimator == "one_sided":
         if condition not in ("u1", "u2"):
             raise ValidationError(f"condition must be 'u1' or 'u2', got {condition!r}")
-        given = counts if condition == "u1" else counts.T
+        given = counts if condition == "u1" else list(zip(*counts))
     else:
         raise ValidationError(f"unknown estimator {estimator!r}")
-    matches = given[:, user_model.theta:].sum(axis=1).tolist()
+    theta = user_model.theta
     cells = tuple(
         DisagreementCell(level, n_match, n_total, n_match / n_total,
                          cell_sigma(n_match, n_total))
         if n_total else DisagreementCell(level, 0, 0, None, None)
-        for level, (n_match, n_total) in enumerate(zip(matches, given.sum(axis=1).tolist()))
+        for level, (n_match, n_total) in enumerate((sum(row[theta:]), sum(row)) for row in given)
     )
     return DisagreementTable(scale, user_model.theta, cells, estimator, condition)
 
@@ -459,8 +475,8 @@ def stratum_counts(
     strata: Mapping[str, str],
     user_model: UserModel,
     scale: RelevanceScale,
-) -> dict[str, np.ndarray]:
-    """``C[i, j]`` per stratum, by stratum name, after the checks of an estimate."""
+) -> dict[str, list]:
+    """``C[i][j]`` per stratum, by stratum name, after the checks of an estimate."""
     if not pairs:
         raise EstimationError("no judgment pairs to estimate from")
     pairs = _as_pairs(pairs, scale)
@@ -470,3 +486,128 @@ def stratum_counts(
     user_model.check_against(scale)
     names, per_stratum = group_pair_counts(pairs, scale, strata)
     return dict(zip(names, per_stratum))
+
+
+@dataclass(frozen=True)
+class LevelSeries:
+    """One level's trajectory along a sweep: mean estimate and std band."""
+
+    level: int
+    means: tuple[float | None, ...]
+    stds: tuple[float | None, ...]
+    n_defined: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class SensitivityCurve:
+    """Per-level estimate trajectories along a sweep coordinate."""
+
+    x_name: str
+    x: tuple[int, ...]
+    series: tuple[LevelSeries, ...]
+
+    def __post_init__(self) -> None:
+        if any(b <= a for a, b in zip(self.x, self.x[1:])):
+            raise ValidationError("sweep coordinate must be strictly increasing")
+        for s in self.series:
+            if not len(s.means) == len(s.stds) == len(s.n_defined) == len(self.x):
+                raise ValidationError(
+                    f"series for level {s.level} does not match sweep length"
+                )
+
+    def to_json_dict(self) -> dict:
+        return {
+            "x_name": self.x_name,
+            "x": list(self.x),
+            "series": [
+                {
+                    "level": s.level,
+                    "means": list(s.means),
+                    "stds": list(s.stds),
+                    "n_defined": list(s.n_defined),
+                }
+                for s in self.series
+            ],
+        }
+
+
+def quality_sensitivity(
+    judgments: JudgmentSet,
+    pairs: Sequence[JudgmentPair],
+    user_model: UserModel,
+    *,
+    estimator: str = "symmetric",
+    condition: str = "u1",
+    one_sided_collection: bool = False,
+) -> SensitivityCurve:
+    """Disagreement estimates restricted to results from top resources.
+
+    Per query, resources are ranked by how many of their judged results
+    the reference group placed in the top two levels (ties break to the
+    lexicographically smaller resource id).  For each k, the table is
+    re-estimated from the pairs whose documents the top-k resources
+    returned for that query, as a running sum of count matrices over k.
+    The std band is each cell's binomial sigma.
+
+    ``judgments`` is the reference group's set with its ``resources``
+    attached; every pair's document must be covered by it so that the
+    largest k reproduces the unrestricted estimate.
+    """
+    if not pairs:
+        raise EstimationError("no judgment pairs to estimate from")
+    if not judgments:
+        raise ValidationError("no reference judgments")
+    resources = judgments.resources or {}
+    if not all(map(resources.__contains__, judgments.doc_ids)):
+        raise ValidationError(
+            "no resource metadata on reference judgments; attach_resources first"
+        )
+    scale = judgments.scale
+    user_model.check_against(scale)
+
+    # per topic, each resource's count of judgments in the top two levels;
+    # a document's step is its resource's place in its topic's order
+    in_resource = list(map(resources.__getitem__, judgments.doc_ids))
+    strong = map((scale.top_index - 1).__le__, judgments.levels)
+    strong_counts: dict[str, dict[str, int]] = {}
+    for (topic, resource, is_strong), n in Counter(
+        zip(judgments.topic_ids, in_resource, strong)
+    ).items():
+        counts = strong_counts.setdefault(topic, {})
+        counts[resource] = counts.get(resource, 0) + n * is_strong
+    place = {
+        (topic, resource): k
+        for topic, counts in strong_counts.items()
+        for k, resource in enumerate(sorted(counts, key=lambda r: (-counts[r], r)))
+    }
+    judged = set(zip(judgments.topic_ids, judgments.doc_ids))
+
+    pairs = _as_pairs(pairs, scale)
+    topics, docs = pairs.topic_ids, pairs.doc_ids
+    if not judged.issuperset(zip(topics, docs)):
+        uncovered = [key for key in zip(topics, docs) if key not in judged]
+        raise ValidationError(
+            f"{len(uncovered)} pairs reference documents absent from the reference "
+            f"judgments (first: {uncovered[0]}); the sweep cannot cover them"
+        )
+    steps = map(place.__getitem__, zip(topics, map(resources.__getitem__, docs)))
+    k_max = max(place.values()) + 1
+    per_k = accumulate(code_counts(pair_codes(pairs, scale), scale, steps, k_max), _plus)
+
+    tables = [
+        table_from_counts(
+            counts, user_model, scale, estimator=estimator, condition=condition,
+            one_sided_collection=one_sided_collection,
+        )
+        for counts in per_k
+    ]
+    series = tuple(
+        LevelSeries(
+            lvl,
+            tuple(t.cells[lvl].p for t in tables),
+            tuple(t.cells[lvl].sigma for t in tables),
+            tuple(t.cells[lvl].n_total for t in tables),
+        )
+        for lvl in range(scale.top_index + 1)
+    )
+    return SensitivityCurve("top_k_resources", tuple(range(1, k_max + 1)), series)

@@ -626,6 +626,47 @@ class TestAnalyzeCommand:
         assert code == 1
         assert "--resource-map or --resource-regex" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--qrels", "broken", "--resource-regex", "^(d1?)"],
+         "--pairs is required for the quality sweep"),
+        (["--qrels", "broken", "--pairs", "pairs"], "supply --resource-map or --resource-regex"),
+        (["--pairs", "broken", "--resource-regex", "^(d1?)"],
+         "--qrels is required (reference group judgments)"),
+        (["--qrels", "qrels_u1", "--resource-regex", "^(d1?)", "--scale", "absent"],
+         "--pairs is required for the quality sweep"),
+    ], ids=["pairs", "resource-source", "qrels", "before-the-scale"])
+    def test_quality_reports_a_missing_flag_before_reading_any_file(
+        self, capsys, ws, tmp_path, flags, message
+    ):
+        broken = tmp_path / "broken.txt"
+        broken.write_text("201 0 d1\n", encoding="utf-8")
+        files = {**ws, "broken": str(broken), "absent": str(tmp_path / "absent.json")}
+        argv = ["analyze", "quality", "--scale", ws["scale"], "--theta", "2"]
+        code, out, err = run_cli(capsys, argv + [files.get(f, f) for f in flags])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("raised, line", [
+        (MemoryError("Unable to allocate 7.28 TiB for an array with shape (999999999999,)"),
+         "error: not enough memory: Unable to allocate 7.28 TiB for an array with shape "
+         "(999999999999,)\n"),
+        (MemoryError(), "error: not enough memory\n"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_is_one_error_line(self, capsys, ws, monkeypatch, raised, line):
+        # the draw of a budget this large cannot be allocated; a stand-in
+        # generator raises in its place, so that the test allocates nothing
+        from prmeval import analysis
+
+        class Exhausted:
+            def integers(self, low, high, size):
+                raise raised
+
+        monkeypatch.setattr(analysis, "_round_rng", lambda seed, r: Exhausted())
+        code, out, err = run_cli(capsys, [
+            "analyze", "budget", "--scale", ws["scale"], "--pairs", ws["pairs"],
+            "--budgets", "999999999999", "--rounds", "1", "--seed", "1",
+        ])
+        assert (code, out, err) == (1, "", line)
+
     @pytest.mark.parametrize("kind", ["bootstrap", "budget", "quality"])
     def test_one_sided_collection_blocks_symmetric(self, capsys, ws, kind):
         _, _, refused = run_cli(

@@ -4,12 +4,15 @@ The references below are the straightforward implementations the kernel
 replaced: estimators that walk the pair list with ``Counter``s, and
 analyses that rebuild the list of pairs for every resample, budget round
 and quality step.  Tables, summaries, warnings (text and order) and
-errors must all match.
+errors must all match.  The count matrices themselves are checked against
+the ``np.bincount`` kernel that counted them before they became nested
+lists of ints.
 """
 
 from __future__ import annotations
 
 import warnings
+from array import array
 from collections import Counter
 
 import numpy as np
@@ -31,10 +34,12 @@ from prmeval.disagreement import (
     DisagreementTable,
     UserModel,
     cell_sigma,
+    code_counts,
     estimate,
     estimate_one_sided,
     estimate_symmetric,
     group_pair_counts,
+    pair_codes,
     pair_counts,
     stratified_estimate,
 )
@@ -199,6 +204,16 @@ def ref_quality(judgments, pairs, user_model, estimator, condition):
     return SensitivityCurve("top_k_resources", tuple(ks), series)
 
 
+def ref_bincount(codes, scale, groups=None, n_groups=1):
+    """``C[i, j]``, or ``C[g, i, j]`` per group, by ``np.bincount``."""
+    n = scale.top_index + 1
+    codes = np.asarray(codes, dtype=np.int64)
+    if groups is not None:
+        codes = np.asarray(groups, dtype=np.int64) * (n * n) + codes
+    flat = np.bincount(codes, minlength=n_groups * n * n)
+    return flat.reshape((n, n) if groups is None else (n_groups, n, n))
+
+
 # -- helpers and strategies ---------------------------------------------------
 
 
@@ -304,14 +319,56 @@ def test_count_matrices():
         JudgmentPair("t2", "d1", 2, 0), JudgmentPair("t1", "d2", 2, 0),
         JudgmentPair("t1", "d3", 0, 1),
     ]
-    assert pair_counts(pairs, scale).tolist() == [[0, 1, 0], [0, 0, 0], [2, 0, 0]]
+    assert pair_counts(pairs, scale) == [[0, 1, 0], [0, 0, 0], [2, 0, 0]]
     topics, per_topic = group_pair_counts(pairs, scale)
     assert topics == ["t1", "t2"]
-    assert per_topic.dtype == np.int64
-    assert per_topic.tolist() == [
+    assert ints_only(per_topic)
+    assert per_topic == [
         [[0, 1, 0], [0, 0, 0], [1, 0, 0]],
         [[0, 0, 0], [0, 0, 0], [1, 0, 0]],
     ]
+
+
+def ints_only(nested):
+    return all(ints_only(x) if isinstance(x, list) else type(x) is int for x in nested)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_code_counts_match_bincount(data):
+    # codes from a subset of the cells, so that some levels go unused, and
+    # groups from a subset of the indices, so that some groups stay empty
+    n = data.draw(st.integers(2, 5))
+    scale = RelevanceScale(tuple(f"L{i}" for i in range(n)))
+    cells = sorted(data.draw(st.sets(st.integers(0, n * n - 1), min_size=1)))
+    codes = data.draw(st.lists(st.sampled_from(cells), max_size=60))
+    n_groups = data.draw(st.integers(1, 6))
+    used = sorted(data.draw(st.sets(st.integers(0, n_groups - 1), min_size=1)))
+    groups = data.draw(st.lists(st.sampled_from(used), min_size=len(codes), max_size=len(codes)))
+    got = code_counts(array("q", codes), scale)
+    assert got == ref_bincount(codes, scale).tolist()
+    assert ints_only(got)
+    got = code_counts(array("q", codes), scale, iter(groups), n_groups)
+    assert got == ref_bincount(codes, scale, groups, n_groups).tolist()
+    assert ints_only(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(collections(), st.data())
+def test_pair_counts_match_bincount(collection, data):
+    scale, pairs = collection
+    n = scale.top_index + 1
+    codes = [p.level_u1 * n + p.level_u2 for p in pairs]
+    assert pair_codes(pairs, scale).tolist() == codes
+    assert pair_counts(pairs, scale) == ref_bincount(codes, scale).tolist()
+    strata = {f"t{t}": data.draw(st.sampled_from(["a", "b", "c"])) for t in range(4)}
+    for group_of in (None, strata):
+        labels = [p.topic_id if group_of is None else group_of[p.topic_id] for p in pairs]
+        names = sorted(set(labels))
+        want = ref_bincount(codes, scale, list(map(names.index, labels)), len(names))
+        got = group_pair_counts(pairs, scale, group_of)
+        assert got == (names, want.tolist())
+        assert ints_only(got[1])
 
 
 @pytest.mark.parametrize(

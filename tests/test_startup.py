@@ -2,9 +2,10 @@
 
 ``import prmeval`` resolves its public names on first access, and each
 CLI handler imports the modules it uses when it runs, so ``--help``, a
-usage error and ``validate`` load no numpy.  Each check runs in a fresh
-interpreter, because this test process has long since imported
-everything.
+usage error and ``validate`` load no numpy, and neither do ``estimate``
+and ``analyze quality``, which only count judgment pairs.  Each check
+runs in a fresh interpreter, because this test process has long since
+imported everything.
 """
 
 from __future__ import annotations
@@ -56,11 +57,15 @@ def _probe(argv: list[str] | None, cwd: str | None = None) -> tuple[int | None, 
 
 @pytest.fixture()
 def inputs(tmp_path, scale3_json, golden_qrels_u1, golden_paired_text) -> str:
-    """A directory with a scale, qrels, pairs over two topics and a run."""
+    """A directory with a scale, qrels, pairs over two topics, the qrels of
+    both topics, a strata map and a run."""
     (tmp_path / "scale.json").write_text(scale3_json, encoding="utf-8")
     (tmp_path / "qrels.txt").write_text(golden_qrels_u1, encoding="utf-8")
     two_topics = golden_paired_text + golden_paired_text.replace("201 ", "202 ")
     (tmp_path / "pairs.txt").write_text(two_topics, encoding="utf-8")
+    both = golden_qrels_u1 + golden_qrels_u1.replace("201 ", "202 ")
+    (tmp_path / "qrels_both.txt").write_text(both, encoding="utf-8")
+    (tmp_path / "strata.txt").write_text("201 a\n202 b\n", encoding="utf-8")
     run = "".join(f"201 Q0 d{r} {r} {30 - r} sysA\n" for r in range(1, 21))
     (tmp_path / "run.txt").write_text(run, encoding="utf-8")
     return str(tmp_path)
@@ -96,6 +101,16 @@ class TestStartup:
         assert code == 0
         assert "prmeval.disagreement" in modules
         assert not {"prmeval.analysis", "prmeval.metrics"} & modules
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", *PAIRS, "--estimator", "all", "--strata", "strata.txt"],
+        ["analyze", "quality", *PAIRS, "--qrels", "qrels_both.txt", "--resource-regex", "^(d1?)"],
+    ], ids=["estimate", "quality"])
+    def test_counting_commands_load_no_numpy(self, inputs, argv):
+        code, modules = _probe([*argv, "--out", "out.txt"], cwd=inputs)
+        assert code == 0
+        assert "prmeval.disagreement" in modules
+        assert not {"numpy", "prmeval.analysis", "prmeval.metrics"} & modules
 
     @pytest.mark.parametrize("analysis", [
         ["bootstrap", "--resamples", "20"],
@@ -156,6 +171,16 @@ print(json.dumps(sorted(k for k in ns if k != "__builtins__")))
         modules = set(json.loads(_python(code)))
         assert not {m for m in modules if m.startswith("prmeval.")}
         assert "numpy" not in modules
+
+    def test_quality_sweep_loads_no_numpy(self):
+        code = """
+import json, sys
+from prmeval import quality_sensitivity
+print(json.dumps(sorted(sys.modules)))
+"""
+        modules = set(json.loads(_python(code)))
+        assert "prmeval.disagreement" in modules
+        assert not {"numpy", "prmeval.analysis", "prmeval.metrics"} & modules
 
     def test_unknown_name_is_an_attribute_error(self):
         import prmeval
