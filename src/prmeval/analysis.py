@@ -149,37 +149,34 @@ class BootstrapResult:
 
     ``samples`` holds the estimate from each resample where the level was
     defined; resamples where it was undefined (no paired judgments at the
-    level) are counted in ``n_missing`` rather than imputed.  ``std`` uses
-    the n - 1 denominator and is None for fewer than 2 samples; quartiles
-    are (min, q1, median, q3, max) with linear interpolation.
+    level) are counted in ``n_missing`` rather than imputed.  The summaries
+    are computed from ``samples`` when read, and are None without samples:
+    ``std`` uses the n - 1 denominator and is None for fewer than 2
+    samples; quartiles are (min, q1, median, q3, max) with linear
+    interpolation.
     """
 
     level: int
     samples: tuple[float, ...]
     n_missing: int
-    mean: float | None
-    std: float | None
-    quartiles: tuple[float, float, float, float, float] | None
 
-    def __post_init__(self) -> None:
-        mean, std, quart = _summaries(self.samples)
-        stored = (self.mean, self.std, self.quartiles)
-        for got, want in zip(stored, (mean, std, quart)):
-            if (got is None) != (want is None):
-                raise ValidationError("bootstrap summary does not match samples")
-        if self.mean is not None and not math.isclose(self.mean, mean, rel_tol=1e-9):
-            raise ValidationError("bootstrap mean does not match samples")
-        if self.std is not None and not math.isclose(self.std, std, rel_tol=1e-9):
-            raise ValidationError("bootstrap std does not match samples")
-        if self.quartiles is not None and not np.allclose(self.quartiles, quart):
-            raise ValidationError("bootstrap quartiles do not match samples")
+    @property
+    def mean(self) -> float | None:
+        return _summaries(self.samples)[0]
+
+    @property
+    def std(self) -> float | None:
+        return _summaries(self.samples)[1]
+
+    @property
+    def quartiles(self) -> tuple[float, float, float, float, float] | None:
+        return _summaries(self.samples)[2]
 
     @classmethod
     def from_samples(
         cls, level: int, samples: Sequence[float], n_missing: int
     ) -> "BootstrapResult":
-        mean, std, quart = _summaries(tuple(samples))
-        return cls(level, tuple(samples), n_missing, mean, std, quart)
+        return cls(level, tuple(samples), n_missing)
 
     def to_json_dict(self) -> dict:
         return {

@@ -282,15 +282,11 @@ def _open(path: str):
         raise ParseError(f"{path}: not UTF-8 text ({bad})") from None
 
 
-def _read_text(path: str) -> str:
-    with _open(path) as fh:
-        return fh.read()
-
-
 def _parse(path: str, parser, *args, **kwargs):
     """``parser(open stream of path, *args, **kwargs)``; its errors and
     warnings name the file.  The qrels, pairs and run parsers read the
-    stream in blocks, the others line by line."""
+    stream in blocks, the scale and table parsers read it whole, the
+    others line by line."""
     with _open(path) as fh:
         try:
             with warnings.catch_warnings(record=True) as caught:
@@ -336,7 +332,7 @@ def _load_scale(args: argparse.Namespace) -> corpus.RelevanceScale:
     from . import corpus
     if not args.scale:
         raise ValidationError("--scale is required")
-    return corpus.parse_scale(_read_text(args.scale))
+    return _parse(args.scale, corpus.parse_scale)
 
 
 def _load_qrels(
@@ -410,9 +406,12 @@ def _estimator_opts(args: argparse.Namespace) -> dict:
 def _resolve_table(
     args: argparse.Namespace, scale: corpus.RelevanceScale, qrels=None
 ) -> disagreement.DisagreementTable:
+    """The --table file, else the estimate from the double judgments;
+    --override-p0 pins p(R|0), and then the table is checked for levels
+    whose p(R|i) falls beyond noise."""
     from . import disagreement
     if args.table:
-        table = disagreement.DisagreementTable.from_json(_read_text(args.table))
+        table = _parse(args.table, disagreement.DisagreementTable.from_json)
         if table.scale.labels != scale.labels:
             raise ValidationError(
                 f"table scale {table.scale.labels} != --scale {scale.labels}"
@@ -422,7 +421,9 @@ def _resolve_table(
             _load_pairs(args, scale, qrels), _user_model(args, scale), scale,
             **_estimator_opts(args),
         )
-    return table.with_override(0, 0.0) if args.override_p0 else table
+    table = table.with_override(0, 0.0) if args.override_p0 else table
+    table.warn_non_monotone()
+    return table
 
 
 def _resolve_scheme(
@@ -489,9 +490,9 @@ def cmd_estimate(args: argparse.Namespace) -> _Report:
                 condition=condition, one_sided_collection=args.one_sided_collection,
             )
             name = f"one_sided_{t.condition}" if t.condition else t.estimator
-            per_stratum.setdefault(stratum, {})[name] = (
-                t.with_override(0, 0.0) if args.override_p0 else t
-            )
+            t = t.with_override(0, 0.0) if args.override_p0 else t
+            t.warn_non_monotone()
+            per_stratum.setdefault(stratum, {})[name] = t
 
     rows: list[list] = []
     text: list[str] = []
@@ -527,11 +528,10 @@ def cmd_eval(args: argparse.Namespace) -> _Report:
         raise ValidationError("--qrels is required")
     doc_levels = _load_qrels(args, args.qrels, scale, "u1").doc_levels()
     measures = args.measures
-    table = (
-        _resolve_table(args, scale)
-        if _needs_table(args.gains) or "count-prm" in measures or "precision" in measures
-        else None
+    needs_table = "count-prm" in measures or "precision" in measures or (
+        "ndcg" in measures and _needs_table(args.gains)
     )
+    table = _resolve_table(args, scale) if needs_table else None
     discount = _resolve_discount(args)
     runs = _load_runs(args) if ("precision" in measures or "ndcg" in measures) else []
 
@@ -755,7 +755,7 @@ def cmd_validate(args: argparse.Namespace) -> _Report:
     text: list[str] = []
     scale = None
     if args.scale:
-        scale = corpus.parse_scale(_read_text(args.scale))
+        scale = _load_scale(args)
         rows.append(["scale", args.scale, scale.top_index + 1, None, None])
         text.append(f"ok: scale with {scale.top_index + 1} levels {scale.labels}")
     for label, path, group in (("qrels", args.qrels, "u1"), ("qrels2", args.qrels2, "u2")):

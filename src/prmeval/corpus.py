@@ -41,12 +41,9 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import compress, repeat
-from typing import IO, TYPE_CHECKING
+from typing import IO
 
 from .errors import DataWarning, ParseError, ValidationError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "RelevanceScale",
@@ -348,14 +345,13 @@ class JudgmentPairs(_Records):
     ``_cells`` (an ``array('q')``) its cell code ``l1 * width + l2``,
     where ``width`` is T+1 of the scale the levels were checked against.
     ``disagreement.pair_codes`` hands ``_cells`` to the count kernel, so
-    that reading and counting pairs needs no numpy; ``codes`` shows them
-    as a read-only int64 numpy array when first read.
+    that reading and counting pairs needs no numpy.
     ``JudgmentPairs(pairs, scale)`` checks the levels of any pair
     sequence; the first out-of-range level in input order (pair by pair,
     U1 before U2) raises.
     """
 
-    __slots__ = ("topic_ids", "doc_ids", "width", "_cells", "_codes")
+    __slots__ = ("topic_ids", "doc_ids", "width", "_cells")
     __eq__ = _same_records
     __hash__ = None  # type: ignore[assignment]
 
@@ -379,17 +375,6 @@ class JudgmentPairs(_Records):
     def _adopt(self, topic_ids, doc_ids, levels_u1, levels_u2, width: int) -> None:
         self.topic_ids, self.doc_ids, self.width = tuple(topic_ids), tuple(doc_ids), width
         self._cells = array("q", [l1 * width + l2 for l1, l2 in zip(levels_u1, levels_u2)])
-        self._codes = None
-
-    @property
-    def codes(self) -> np.ndarray:
-        if self._codes is None:
-            import numpy as np
-
-            codes = np.frombuffer(self._cells, dtype=np.int64)
-            codes.flags.writeable = False
-            self._codes = codes
-        return self._codes
 
     def __len__(self) -> int:
         return len(self.topic_ids)

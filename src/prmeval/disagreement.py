@@ -164,11 +164,11 @@ class DisagreementTable:
             if cell.level != i:
                 raise ValidationError(f"cell {i} has level {cell.level}")
         UserModel(self.theta).check_against(self.scale)
-        self._warn_non_monotone()
 
-    def _warn_non_monotone(self) -> None:
-        # p_{R|i} should not decrease as the level rises; flag drops larger
-        # than the combined noise band 2 (sigma_i + sigma_{i+1}).
+    def warn_non_monotone(self) -> None:
+        """Warn about each drop of p_{R|i} from one level to the next that
+        is larger than the combined noise band 2 (sigma_i + sigma_{i+1});
+        p_{R|i} should not decrease as the level rises."""
         for lo, hi in zip(self.cells, self.cells[1:]):
             if lo.p is None or hi.p is None:
                 continue
@@ -178,7 +178,7 @@ class DisagreementTable:
                     f"non-monotone disagreement estimates: p(level {lo.level}) = "
                     f"{lo.p:.4f} > p(level {hi.level}) = {hi.p:.4f} beyond noise",
                     DataWarning,
-                    stacklevel=3,
+                    stacklevel=2,
                 )
 
     def p(self, level: int) -> float:

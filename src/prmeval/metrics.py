@@ -277,12 +277,6 @@ def _sample_stats(values: Sequence[float]) -> tuple[float, float | None]:
     return mean, math.sqrt(var) / math.sqrt(n)
 
 
-def _same(a: float | None, b: float | None) -> bool:
-    if a is None or b is None:
-        return a is b
-    return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
-
-
 @dataclass(frozen=True)
 class MetricReport:
     """Per-topic metric values with their mean and standard error.
@@ -290,15 +284,14 @@ class MetricReport:
     ``per_topic`` is ordered by ascending topic id; the mean is the exact
     sum over that order divided by n, and ``stderr_of_mean`` uses the
     sample standard deviation (n - 1 denominator; None when only one topic
-    was evaluated).  Topics listed in ``excluded`` were skipped because
-    their ideal DCG was zero.
+    was evaluated).  Both are computed from ``per_topic`` when read.
+    Topics listed in ``excluded`` were skipped because their ideal DCG was
+    zero.
     """
 
     measure: str
     k: int | None
     per_topic: tuple[tuple[str, float], ...]
-    mean: float
-    stderr_of_mean: float | None
     excluded: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -309,9 +302,14 @@ class MetricReport:
             raise ValidationError("per_topic must be sorted by topic id")
         if len(set(topics)) != len(topics):
             raise ValidationError("duplicate topic in report")
-        mean, stderr = _sample_stats([v for _, v in self.per_topic])
-        if not (_same(mean, self.mean) and _same(stderr, self.stderr_of_mean)):
-            raise ValidationError("stored mean/stderr do not match per-topic values")
+
+    @property
+    def mean(self) -> float:
+        return _sample_stats([v for _, v in self.per_topic])[0]
+
+    @property
+    def stderr_of_mean(self) -> float | None:
+        return _sample_stats([v for _, v in self.per_topic])[1]
 
     @property
     def n_topics(self) -> int:
@@ -325,16 +323,7 @@ class MetricReport:
         values: Mapping[str, float],
         excluded: Iterable[str] = (),
     ) -> "MetricReport":
-        ordered = tuple(sorted(values.items()))
-        mean, stderr = _sample_stats([v for _, v in ordered])
-        return cls(
-            measure=measure,
-            k=k,
-            per_topic=ordered,
-            mean=mean,
-            stderr_of_mean=stderr,
-            excluded=tuple(sorted(excluded)),
-        )
+        return cls(measure, k, tuple(sorted(values.items())), tuple(sorted(excluded)))
 
     @property
     def label(self) -> str:
@@ -375,10 +364,11 @@ def _eval_topics(run: RunRanking, judged_topics: set[str], strict: bool) -> list
             f"run {run.system_id} has unjudged topics (strict mode): {sorted(skipped)}"
         )
     if skipped:
+        # warned from this one line, so the default filter shows it once per
+        # run however many measures evaluate that run
         warnings.warn(
             f"run {run.system_id}: skipping topics without judgments: {sorted(skipped)}",
             DataWarning,
-            stacklevel=3,
         )
     topics = sorted(run_topics & judged_topics)
     if not topics:

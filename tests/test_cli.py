@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import random
 
 import pytest
 
@@ -471,7 +472,6 @@ class TestConfigFile:
         assert "config must be a JSON object" in err
 
 
-@pytest.mark.filterwarnings("ignore:non-monotone")
 class TestAnalyzeCommand:
     def test_tau_same_qrels_is_one(self, capsys, ws):
         code, out, _ = run_cli(
@@ -756,7 +756,6 @@ class TestRankingFlags:
         assert code == 1
         assert "run sysC has unjudged topics (strict mode)" in err
 
-    @pytest.mark.filterwarnings("ignore:non-monotone")
     def test_ideal_pool_reaches_both_analyses(self, capsys, ws, tmp_path):
         # two shallow runs, which self-normalise under --ideal-pool run
         runs = [
@@ -1013,7 +1012,7 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith(f"error: {message}")
+        assert proc.stderr.startswith(f"error: {table}: {message}")
         assert proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize(
@@ -1074,7 +1073,7 @@ class TestModuleEntryPoint:
             text=True,
         )
         assert proc.returncode == 1
-        assert proc.stderr == f"error: {message}\n"
+        assert proc.stderr == f"error: {scale}: {message}\n"
 
     @pytest.mark.parametrize(
         "base, message",
@@ -1214,8 +1213,91 @@ class TestWarningLines:
         assert warnings.formatwarning is before
 
 
+def _prmeval(*argv: str):
+    import subprocess
+    import sys
+
+    return subprocess.run(
+        [sys.executable, "-m", "prmeval", *argv], capture_output=True, text=True
+    )
+
+
+class TestTableWarnings:
+    """A table is checked for non-monotone levels where a command shows or
+    scores with it, after --override-p0; resampled tables are not."""
+
+    @staticmethod
+    def _random_pairs() -> str:
+        # 36 pairs of random levels over 6 topics: many resampled tables
+        # drop beyond the noise band somewhere
+        rng = random.Random(0)
+        return "".join(f"t{i % 6} d{i} {rng.randrange(3)} {rng.randrange(3)}\n" for i in range(36))
+
+    # one-sided on U1: p(0) = 1, p(1) = 0, p(2) = 1, each with sigma 0
+    LOW_P1 = "".join(f"201 a{i} 0 2\n201 b{i} 1 0\n201 c{i} 2 2\n" for i in range(10))
+
+    @pytest.mark.parametrize("kind, flags", [
+        ("bootstrap", ["--resamples", "30"]),
+        ("budget", ["--budgets", "5,10,20", "--rounds", "30"]),
+    ])
+    def test_resamples_do_not_warn(self, capsys, ws, tmp_path, kind, flags):
+        import warnings
+
+        pairs = tmp_path / "random.txt"
+        pairs.write_text(self._random_pairs(), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, [
+                "analyze", kind, "--scale", ws["scale"], "--pairs", str(pairs),
+                "--seed", "1", *flags,
+            ])
+        assert (code, err) == (0, "")
+        assert out
+
+    @pytest.mark.parametrize("override", [False, True], ids=["estimate", "override-p0"])
+    @pytest.mark.parametrize("command", ["estimate", "eval"])
+    def test_table_checked_after_override(self, ws, tmp_path, command, override):
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text(self.LOW_P1, encoding="utf-8")
+        argv = [command, "--scale", ws["scale"], "--pairs", str(pairs),
+                "--estimator", "one-sided", "--theta", "2"]
+        if command == "eval":
+            argv += ["--qrels", ws["qrels_u1"], "--run", ws["run_perfect"], "--gains", "prm"]
+        proc = _prmeval(*argv, *(["--override-p0"] if override else []))
+        assert proc.returncode == 0, proc.stderr
+        warning = ("warning: non-monotone disagreement estimates: p(level 0) = 1.0000 > "
+                   "p(level 1) = 0.0000 beyond noise\n")
+        assert proc.stderr == ("" if override else warning)
+
+
+class TestEvalInputs:
+    def test_count_binary_needs_no_table_for_prm_gains(self, ws):
+        # the gains only apply to ndcg, which is not measured here
+        proc = _prmeval("eval", "--scale", ws["scale"], "--qrels", ws["qrels_u1"],
+                        "--theta", "2", "--measures", "count-binary", "--gains", "prm")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("count_binary\t201\t")
+
+    def test_skipped_topics_warned_once_per_run(self, ws, tmp_path):
+        from pathlib import Path
+
+        runs = []
+        for name, system in (("run_perfect", "sysA"), ("run_reverse", "sysB")):
+            path = tmp_path / f"{name}_unjudged.txt"
+            path.write_text(Path(ws[name]).read_text(encoding="utf-8")
+                            + f"999 Q0 d1 1 1.0 {system}\n", encoding="utf-8")
+            runs += ["--run", str(path)]
+        proc = _prmeval("eval", "--scale", ws["scale"], "--qrels", ws["qrels_u1"],
+                        "--pairs", ws["pairs"], "--theta", "2", *runs,
+                        "--measures", "precision,ndcg")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"warning: run {system}: skipping topics without judgments: ['999']"
+            for system in ("sysA", "sysB")
+        ]
+
+
 class TestInputsReadOnce:
-    @pytest.mark.filterwarnings("ignore:non-monotone")
     @pytest.mark.parametrize("kind", ["tau", "robustness"])
     def test_each_qrels_file_parsed_once(self, capsys, ws, monkeypatch, kind):
         from prmeval import corpus
@@ -1255,7 +1337,6 @@ class TestInputsReadOnce:
         assert out.count("estimator=") == 3
         assert calls == [20]
 
-    @pytest.mark.filterwarnings("ignore:non-monotone")
     @pytest.mark.parametrize(
         "kind",
         ["estimate", "bootstrap", "budget", "quality", "tau", "robustness", "eval", "validate"],

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -186,15 +187,17 @@ class TestMonotonicityWarning:
     def test_inverted_estimates_warn(self, scale3):
         pairs = [JudgmentPair("201", f"a{i}", 0, 2) for i in range(10)]
         pairs += [JudgmentPair("201", f"b{i}", 1, 0) for i in range(10)]
-        with pytest.warns(DataWarning, match="non-monotone"):
-            estimate_one_sided(pairs, UserModel(2), scale3)
-
-    def test_noise_band_suppresses_warning(self, golden_pairs, scale3):
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("error", DataWarning)
-            estimate_symmetric(golden_pairs, UserModel(2), scale3)
+            table = estimate_one_sided(pairs, UserModel(2), scale3)  # builds silently
+        with pytest.warns(DataWarning, match="non-monotone"):
+            table.warn_non_monotone()
+
+    def test_noise_band_suppresses_warning(self, golden_pairs, scale3):
+        table = estimate_symmetric(golden_pairs, UserModel(2), scale3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DataWarning)
+            table.warn_non_monotone()
 
 
 class TestStratified:

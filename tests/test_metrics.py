@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -458,9 +459,13 @@ class TestMetricReport:
         assert a == b
         assert repr(a.mean) == repr(b.mean)
 
-    def test_stored_summary_validated(self):
-        with pytest.raises(ValidationError, match="mean"):
-            MetricReport("m", None, (("t1", 0.5),), mean=0.9, stderr_of_mean=0.0)
+    def test_replaced_values_give_their_own_summary(self):
+        # mean and stderr are derived, so a copy with new values reports them
+        report = MetricReport.from_values("m", None, {"t1": 0.5, "t2": 1.0})
+        again = replace(report, per_topic=(("t1", 0.25), ("t2", 0.75)))
+        assert again.mean == 0.5
+        assert again.stderr_of_mean == pytest.approx(0.25)
+        assert replace(report, per_topic=(("t1", 0.5),)).stderr_of_mean is None
 
     def test_trec_text_four_decimals(self):
         report = MetricReport.from_values("ndcg", 10, {"t1": 1 / 3})

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from prmeval import corpus
 from prmeval.corpus import JudgmentSet, RelevanceScale, parse_paired, parse_qrels, parse_run
+from prmeval.disagreement import pair_codes
 from prmeval.errors import ParseError, PrmError, ValidationError
 
 SCALE = RelevanceScale(("Non", "Rel", "HRel"))
@@ -97,7 +98,7 @@ def _summary(result):
             result.level_histogram(), len(result),
         )
     return (
-        list(result), result.codes.tolist(), list(result.topic_ids),
+        list(result), pair_codes(result, SCALE).tolist(), list(result.topic_ids),
         list(result.doc_ids), len(result),
     )
 
