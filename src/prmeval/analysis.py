@@ -205,7 +205,13 @@ def _quartiles(samples: Sequence[float]) -> tuple[float, ...]:
     """Min, quartiles and max of ``samples`` as ``np.percentile(samples,
     [0, 25, 50, 75, 100])`` gives them (its default ``linear`` rule), by
     the same float operations, without loading ``numpy.ma`` as its first
-    call does."""
+    call does.
+
+    Where two neighbours of opposite sign lie so far apart that their
+    difference overflows, which makes ``np.percentile`` give NaN or
+    values out of order, a value that falls on a sample is that sample
+    and one between them is interpolated without the difference.
+    """
     xs = sorted(samples)
     top = len(xs) - 1
     out = []
@@ -213,7 +219,13 @@ def _quartiles(samples: Sequence[float]) -> tuple[float, ...]:
         at = q * top
         i = int(at)
         a, b, g = xs[i], xs[min(i + 1, top)], at - i
-        out.append(a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g))
+        d = b - a
+        if g == 0:
+            out.append(a + 0.0)  # -0.0 reads as 0.0, as in a + d * 0
+        elif math.isinf(d):
+            out.append(a * (1 - g) + b * g)
+        else:
+            out.append(a + d * g if g < 0.5 else b - d * (1 - g))
     return tuple(out)
 
 

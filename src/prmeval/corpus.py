@@ -408,6 +408,11 @@ class RunEntry:
     score: float
 
 
+# Per topic, the ``[docs, ranks, scores]`` columns of a run as read, where
+# ``ranks`` is None while row i has rank i + 1.
+_Rows = dict[str, list]
+
+
 class RunRanking:
     """A system's ranked results, stored per topic in rank order.
 
@@ -420,21 +425,20 @@ class RunRanking:
     __slots__ = ("system_id", "_docs", "_scores", "_n")
 
     def __init__(self, system_id: str, entries: Iterable[RunEntry]) -> None:
-        rows: dict[str, tuple[list, list, list]] = {}
+        rows: _Rows = {}
         for e in entries:
             _add_row(rows, e.topic_id, e.doc_id, e.rank, e.score)
         self._adopt(system_id, rows)
 
     @classmethod
-    def _from_rows(
-        cls, system_id: str, rows: Mapping[str, tuple[list, list, list]]
-    ) -> "RunRanking":
-        """A run from per-topic ``(docs, ranks, scores)`` columns in any row order."""
+    def _from_rows(cls, system_id: str, rows: _Rows) -> "RunRanking":
+        """A run from per-topic ``[docs, ranks, scores]`` columns (see
+        :func:`_index_run`), which it keeps."""
         run = cls.__new__(cls)
         run._adopt(system_id, rows)
         return run
 
-    def _adopt(self, system_id: str, rows: Mapping[str, tuple[list, list, list]]) -> None:
+    def _adopt(self, system_id: str, rows: _Rows) -> None:
         self.system_id = system_id
         self._docs, self._scores = _index_run(system_id, rows)
         self._n = sum(map(len, self._docs.values()))
@@ -496,18 +500,33 @@ class RunEntries(_Records):
             i -= len(docs)
 
 
-def _add_row(
-    rows: dict[str, tuple[list, list, list]], topic: str, doc: str, rank: int, score: float
-) -> None:
+def _add_rows(rows: _Rows, topic: str, docs: list, ranks: list | None, scores: list) -> None:
+    """Append rows to a topic's columns; ``ranks`` None means that their
+    ranks go on counting from the topic's rows so far."""
     cols = rows.get(topic)
     if cols is None:
-        cols = rows[topic] = ([], [], [])
+        cols = rows[topic] = [[], None if ranks is None else [], []]
+    elif ranks is not None and cols[1] is None:
+        cols[1] = list(range(1, len(cols[0]) + 1))
+    cols[0].extend(docs)
+    if ranks is not None:
+        cols[1].extend(ranks)
+    cols[2].extend(scores)
+
+
+def _add_row(rows: _Rows, topic: str, doc: str, rank: int, score: float) -> None:
+    """Append one row with an explicit rank, as :func:`_add_rows` would."""
+    cols = rows.get(topic)
+    if cols is None:
+        cols = rows[topic] = [[], [], []]
+    elif cols[1] is None:
+        cols[1] = list(range(1, len(cols[0]) + 1))
     cols[0].append(doc)
     cols[1].append(rank)
     cols[2].append(score)
 
 
-def _first_repeat(docs: list[str], ranks: list[int]) -> str | None:
+def _first_repeat(docs: list[str], ranks: Sequence[int]) -> str | None:
     """The doc whose second occurrence comes first in rank order."""
     seen: set[str] = set()
     for i in sorted(range(len(docs)), key=ranks.__getitem__):
@@ -517,30 +536,35 @@ def _first_repeat(docs: list[str], ranks: list[int]) -> str | None:
 
 
 def _index_run(
-    system_id: str, rows: Mapping[str, tuple[list, list, list]]
-) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[float, ...]]]:
+    system_id: str, rows: _Rows
+) -> tuple[dict[str, list[str]], dict[str, list[float]]]:
     """Validate a run's per-topic columns and put each topic in rank order.
 
     The one validation path of every run.  Faults are reported as if the
     entries were visited in (topic, rank) order: first any rank below 1
     or repeated (topic, doc), then per topic a duplicate or missing rank;
-    the score-order warning comes with the second pass.
+    the score-order warning comes with the second pass.  A topic whose
+    ranks are None is in rank order 1..n already; its doc and score
+    lists are kept, not copied.
     """
     topics = sorted(rows)
     for topic in topics:
         docs, ranks, _ = rows[topic]
-        low = min(ranks)
-        if low < 1:
-            raise ValidationError(f"topic {topic}: rank {low} < 1")
+        if ranks is None:
+            ranks = range(1, len(docs) + 1)
+        else:
+            low = min(ranks)
+            if low < 1:
+                raise ValidationError(f"topic {topic}: rank {low} < 1")
         if len(set(docs)) != len(docs):
             doc_key = (topic, _first_repeat(docs, ranks))
             raise ValidationError(f"duplicate (topic, doc) in run {system_id}: {doc_key}")
-    docs_by_topic: dict[str, tuple[str, ...]] = {}
-    scores_by_topic: dict[str, tuple[float, ...]] = {}
+    docs_by_topic: dict[str, list[str]] = {}
+    scores_by_topic: dict[str, list[float]] = {}
     for topic in topics:
         docs, ranks, scores = rows[topic]
-        n = len(ranks)
-        if ranks != list(range(1, n + 1)):
+        n = len(docs)
+        if ranks is not None and ranks != list(range(1, n + 1)):
             ordered = sorted(ranks)
             if len(set(ordered)) != n:
                 raise ValidationError(f"topic {topic}: duplicate rank")
@@ -560,8 +584,8 @@ def _index_run(
                 DataWarning,
                 stacklevel=4,
             )
-        docs_by_topic[topic] = tuple(docs)
-        scores_by_topic[topic] = tuple(scores)
+        docs_by_topic[topic] = docs
+        scores_by_topic[topic] = scores
     return docs_by_topic, scores_by_topic
 
 
@@ -811,36 +835,69 @@ def parse_paired(source: str | IO[str] | Iterable[str], scale: RelevanceScale) -
 _RUN = "topic Q0 doc rank score system"
 
 
+def _kept_as_read(
+    rows: _Rows, topics: list[str], cuts: list[int], rank_column: list[str], numerals: list[str]
+) -> list[bool]:
+    """For each stretch ``[a, b)`` of equal topics in a block, whether its
+    rank text is the numerals that go on counting its topic's rows read
+    so far, so that its rows can be kept with no rank; ``numerals`` holds
+    ``"1"``, ``"2"``, ... and grows as needed.
+
+    A topic with explicit ranks is not kept as read, and neither is one
+    that came earlier in the block: its rows there are not appended yet,
+    so a count from its rows so far would let a repeated rank pass.
+    """
+    kept = []
+    seen: set[str] = set()
+    for a, b in zip(cuts, cuts[1:]):
+        topic, as_read = topics[a], False
+        if topic not in seen:
+            seen.add(topic)
+            cols = rows.get(topic)
+            if cols is None or cols[1] is None:
+                m = 0 if cols is None else len(cols[0])
+                if len(numerals) < m + b - a:
+                    numerals.extend(map(str, range(len(numerals) + 1, m + b - a + 1)))
+                as_read = rank_column[a:b] == numerals[m : m + b - a]
+        kept.append(as_read)
+    return kept
+
+
 def parse_run(source: str | IO[str] | Iterable[str]) -> RunRanking:
     """Parse ``topic Q0 doc rank score system`` records into a RunRanking.
 
     ``source`` is read as by :func:`parse_qrels`.  A block of plain
     records with integer ranks, numeric scores and the run's one system
     id is appended to its topics' columns one stretch of equal topics at
-    a time; any other block goes through the line reader, which words
-    every error with the line's number in the file.  The run is validated
-    and put in rank order once, by the same path as ``RunRanking(...)``.
+    a time; a stretch whose rank text counts on ``"1"``, ``"2"``, ... in
+    file order is kept as read, with no rank column.  Any other block
+    goes through the line reader, which words every error with the
+    line's number in the file.  The run is validated and put in rank
+    order once, by the same path as ``RunRanking(...)``.
     """
-    rows: dict[str, tuple[list, list, list]] = {}
+    rows: _Rows = {}
+    numerals: list[str] = []
     system_id: str | None = None
     for start, lines, columns in _blocks(source, _RUN):
         if columns is not None:
             topics, _, docs, rank_column, score_column, systems = columns
             system = systems[0] if system_id is None else system_id
-            parsed = None
             if systems.count(system) == len(systems):
-                try:
-                    parsed = docs, list(map(int, rank_column)), list(map(float, score_column))
-                except ValueError:
-                    pass
-            if parsed is not None:
-                system_id = system
                 n = len(topics)
                 cuts = [0, *compress(range(1, n), map(operator.ne, topics[1:], topics)), n]
-                for a, b in zip(cuts, cuts[1:]):
-                    for column, values in zip(rows.setdefault(topics[a], ([], [], [])), parsed):
-                        column.extend(values[a:b])
-                continue
+                kept = _kept_as_read(rows, topics, cuts, rank_column, numerals)
+                try:
+                    scores = list(map(float, score_column))
+                    ranks = None if all(kept) else list(map(int, rank_column))
+                except ValueError:
+                    pass
+                else:
+                    system_id = system
+                    for a, b, as_read in zip(cuts, cuts[1:], kept):
+                        _add_rows(
+                            rows, topics[a], docs[a:b], None if as_read else ranks[a:b], scores[a:b]
+                        )
+                    continue
         for line_no, fields in _records(lines, _RUN, start):
             topic, _q0, doc, rank_str, score_str, system = fields
             rank = _int_field(rank_str, "rank", line_no)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -337,8 +338,24 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 @example([0.4, 0.4, 0.4, 0.1])
 @example([-1.0, -3.0, 2.0, -1.0, 0.1])
 def test_quartiles_match_np_percentile(samples):
-    want = np.percentile(np.asarray(samples, dtype=np.float64), [0, 25, 50, 75, 100])
-    assert _bits(_quartiles(samples)) == _bits(want)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.percentile(np.asarray(samples, dtype=np.float64), [0, 25, 50, 75, 100])
+    if np.isfinite(want).all() and all(map(operator.le, want[:-1], want[1:])):
+        assert _bits(_quartiles(samples)) == _bits(want)
+    else:  # np.percentile's b - a overflowed
+        assert _quartiles(samples) != tuple(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e308, 1e308), min_size=1, max_size=40))
+@example([-1e308, 1e308])
+@example([-1e308, 1e308, 1e308])
+@example([-1e308, -1e308, 0.0, 1e308, 1e308])
+def test_quartiles_finite_and_ordered(samples):
+    out = _quartiles(samples)
+    assert not any(map(math.isnan, out))
+    assert out[0] == min(samples) and out[-1] == max(samples)
+    assert all(map(operator.le, out[:-1], out[1:]))
 
 
 class TestSensitivityCurve:

@@ -201,18 +201,31 @@ RUN_HAZARDS = st.one_of(
 )
 
 
+# spellings of a rank 0..9 that int() reads but that are not its numeral
+RANK_SPELLINGS = st.sampled_from(
+    ["0{}".format, "+{}".format, "0_{}".format, lambda rank: chr(0x660 + rank)]
+)
+
+
 @st.composite
 def _run_texts(draw):
     """A run of up to three topics with ranks 1..n each, sometimes in
-    rank order, topic by topic, and sometimes shuffled, with up to three
-    faults, comments, blank lines or malformed lines put in at random."""
+    rank order, topic by topic, sometimes with a topic's lines out of
+    rank order, and sometimes shuffled, with some ranks spelled other
+    than as numerals, and up to three faults, comments, blank lines or
+    malformed lines put in at random."""
     rows = []
     for topic in draw(st.lists(st.sampled_from(["t1", "t2", "t3"]), min_size=1, unique=True)):
         n = draw(st.integers(1, 8))
         falling = draw(st.booleans())
-        for rank in range(1, n + 1):
+        ranks = range(1, n + 1)
+        if draw(st.booleans()):
+            ranks = draw(st.permutations(ranks))
+        spelled = draw(st.booleans())
+        for rank in ranks:
             score = str(n - rank) if falling else draw(GOOD_SCORES)
-            rows.append([topic, "Q0", f"d{rank}", str(rank), score, "s1"])
+            text = draw(st.one_of(st.just(str), RANK_SPELLINGS))(rank) if spelled else str(rank)
+            rows.append([topic, "Q0", f"d{rank}", text, score, "s1"])
     if draw(st.booleans()):
         rows = draw(st.permutations(rows))
     for at, hazard in draw(st.lists(st.tuples(st.integers(0, len(rows)), RUN_HAZARDS), max_size=3)):
@@ -222,8 +235,17 @@ def _run_texts(draw):
     return _join((lines, draw(EOLS), draw(st.booleans())))
 
 
-def _lines(n: int, topic: str = "t1", first: int = 1) -> str:
-    return "".join(f"{topic} Q0 d{r} {r} {100 - r} s1\n" for r in range(first, first + n))
+def _lines(n: int, topic: str = "t1", first: int = 1, doc: str = "d") -> str:
+    return "".join(f"{topic} Q0 {doc}{r} {r} {100 - r} s1\n" for r in range(first, first + n))
+
+
+# a topic back from rank 1 with new docs, in the same block or a later one
+_RESTART = _lines(10, "t1") + _lines(10, "t2") + _lines(10, "t1", doc="e")
+# ranks spelled other than as numerals, one topic in rank order
+_SPELLED = (
+    "t1 Q0 d1 01 99 s1\nt1 Q0 d2 +2 98 s1\n" + _lines(7, first=3)
+    + "t1 Q0 d10 1_0 90 s1\nt2 Q0 d1 \u0661 99 s1\n" + _lines(5, "t2", first=2)
+)
 
 
 @settings(max_examples=300, deadline=None)
@@ -241,10 +263,14 @@ def _lines(n: int, topic: str = "t1", first: int = 1) -> str:
 @example("t1 Q0 d1 1 nan s1\n")  # a NaN score equals a NaN score
 @example(_lines(10, "t1") + _lines(10, "t2") + _lines(10, "t1", 11))  # a topic comes back
 @example(_lines(10, "t1") + _lines(10, "t2") + _lines(10, "t1", 10))  # and repeats a rank
+@example(_RESTART)
+@example(_SPELLED)
+@example(_lines(10, "t1") + _SPELLED)
 # a comment or blank line at the start, in the middle and at the end
 @example("# run s1\n" + _lines(20))
 @example("\n" + _lines(20))
 @example(_lines(10) + "# page 2\n" + _lines(10, first=11) + "\n" + _lines(10, first=21))
+@example(_lines(30) + "# page 2\n" + _lines(30, first=31))
 @example(_lines(20) + "# end\n")
 @example(_lines(20) + "\n\n")
 # faults in blocks after the line reader has taken one
@@ -253,6 +279,26 @@ def _lines(n: int, topic: str = "t1", first: int = 1) -> str:
 @example("# run s1\n" + _lines(10, "t1") + "# t2\n" + _lines(10, "t2") + _lines(3, "t1", 10))
 def test_run_paths_agree(text):
     _check(parse_run, text)
+
+
+def test_topic_back_from_rank_1_repeats_a_rank():
+    for block in (7, 40, 200, corpus._BLOCK):
+        with mock.patch.object(corpus, "_BLOCK", block):
+            with pytest.raises(ValidationError, match=r"^topic t1: duplicate rank$"):
+                parse_run(io.StringIO(_RESTART))
+
+
+def test_rows_in_rank_order_keep_no_rank_column():
+    # t1 in rank order across blocks, t2 out of order, t3 spelled "01"
+    text = _lines(60) + _lines(2, "t2", 2) + _lines(1, "t2") + "t3 Q0 d1 01 1 s1\n"
+    for block in (40, 200, corpus._BLOCK):
+        with mock.patch.object(corpus, "_BLOCK", block), \
+                mock.patch.object(corpus, "_index_run", wraps=corpus._index_run) as index:
+            run = parse_run(io.StringIO(text))
+        rows = index.call_args.args[1]
+        assert rows["t1"][1] is None and rows["t2"][1] == [2, 3, 1] and rows["t3"][1] == [1]
+        assert run.doc_ids("t1") == [f"d{r}" for r in range(1, 61)], block
+        assert run.doc_ids("t2") == ["d1", "d2", "d3"]
 
 
 def test_run_error_after_a_resumed_block_names_its_line():
