@@ -5,6 +5,9 @@ Randomized procedures draw from numpy's PCG64 generator.  Every round or
 resample r uses an independent stream seeded as
 ``np.random.default_rng([seed, r])``, so results are identical whether
 rounds run sequentially or in parallel, and reproduce across platforms.
+numpy is imported only by the functions that draw or summarise
+resamples, so ranking and rank correlation (``tau`` and ``robustness``)
+load none of it.
 """
 
 from __future__ import annotations
@@ -12,9 +15,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from itertools import combinations
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .corpus import JudgmentPair, RelevanceScale, RunRanking
 from .disagreement import (  # the quality sweep is re-exported from here
@@ -23,6 +25,9 @@ from .disagreement import (  # the quality sweep is re-exported from here
 )
 from .errors import DataWarning, EstimationError, MetricError, ValidationError
 from .metrics import DiscountFunction, GainScheme, ndcg_reports
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SystemRanking",
@@ -65,28 +70,8 @@ class SystemRanking:
         return {s for s, _ in self.systems}
 
 
-def _merge_count(values: list[float]) -> tuple[list[float], int]:
-    # Count strict inversions (i < j with v_i > v_j) by merge sort.
-    n = len(values)
-    if n < 2:
-        return values, 0
-    mid = n // 2
-    left, inv_l = _merge_count(values[:mid])
-    right, inv_r = _merge_count(values[mid:])
-    merged: list[float] = []
-    inv = inv_l + inv_r
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] <= right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            inv += len(left) - i
-            merged.append(right[j])
-            j += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return merged, inv
+def _sign(a: float, b: float) -> int:
+    return (a > b) - (a < b)
 
 
 def _tie_pairs(values: Iterable[float]) -> int:
@@ -115,16 +100,15 @@ def kendall_tau(a: SystemRanking, b: SystemRanking, *, variant: str = "b") -> fl
         raise ValidationError("need at least 2 systems for a rank correlation")
     score_a = a.score_map()
     score_b = b.score_map()
-    pairs = sorted((score_a[s], score_b[s]) for s in score_a)
-    xs = [x for x, _ in pairs]
-    ys = [y for _, y in pairs]
+    pairs = [(score_a[s], score_b[s]) for s in score_a]
+    # +1 per concordant pair, -1 per discordant one, 0 for a tie in either
+    c_minus_d = sum(
+        _sign(xa, xb) * _sign(ya, yb) for (xa, ya), (xb, yb) in combinations(pairs, 2)
+    )
 
     n0 = n * (n - 1) // 2
-    n1 = _tie_pairs(xs)
-    n2 = _tie_pairs(ys)
-    n3 = _tie_pairs(pairs)  # ties in both coordinates
-    _, dis = _merge_count(ys)  # x-sorted, so strict y-inversions are discordant
-    c_minus_d = n0 - n1 - n2 + n3 - 2 * dis
+    n1 = _tie_pairs(score_a.values())
+    n2 = _tie_pairs(score_b.values())
 
     if variant == "a":
         return c_minus_d / n0
@@ -140,6 +124,7 @@ def _check_seed(seed: int) -> int:
 
 
 def _round_rng(seed: int, round_index: int) -> np.random.Generator:
+    import numpy as np
     return np.random.default_rng([seed, round_index])
 
 
@@ -195,6 +180,7 @@ def _summaries(
 ) -> tuple[float | None, float | None, tuple[float, ...] | None]:
     if not samples:
         return None, None, None
+    import numpy as np
     arr = np.asarray(samples, dtype=np.float64)
     mean = float(arr.mean())
     std = float(arr.std(ddof=1)) if len(samples) > 1 else None
@@ -246,6 +232,7 @@ def bootstrap_topics(
     topics); a drawn topic contributes all its pairs once per draw, so a
     resample's count matrix is the draw counts times the topics' matrices.
     """
+    import numpy as np
     _check_seed(seed)
     if n_resamples < 1:
         raise ValidationError(f"n_resamples must be >= 1, got {n_resamples}")
@@ -294,6 +281,7 @@ def simulate_annotation_rounds(
     are cumulative.  Reported per budget and level: mean and std (n - 1)
     of the estimate across rounds, plus how many rounds defined it.
     """
+    import numpy as np
     _check_seed(seed)
     if not pairs:
         raise EstimationError("no judgment pairs to sample")

@@ -582,7 +582,7 @@ def cmd_eval(args: argparse.Namespace) -> _Report:
             text.append(f"# run {system}")
         for topic, value in (*r.per_topic, ("all", r.mean), ("stderr", r.stderr_of_mean)):
             rows.append([system, r.label, topic, value])
-            text.append(f"{r.label}\t{topic}\t{'n/a' if value is None else f'{value:.4f}'}")
+        text.append(r.to_trec_text().rstrip("\n"))
         if r.excluded:
             text.append(f"# excluded_topics {' '.join(r.excluded)}")
     payload = {

@@ -31,10 +31,8 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable, Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .corpus import RunRanking
 from .disagreement import DisagreementTable
@@ -80,9 +78,6 @@ class GainScheme:
         if not 0 <= level <= self.top_index:
             raise MetricError(f"level {level} outside gain vector 0..{self.top_index}")
         return self.gains[level]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.gains, dtype=np.float64)
 
     @classmethod
     def binary(cls, top_index: int, theta: int) -> "GainScheme":
@@ -162,11 +157,17 @@ class DiscountFunction:
             return 1.0 / rank
         return math.log(self.base) / math.log(rank + 1)
 
-    def weights(self, k: int) -> np.ndarray:
-        ranks = np.arange(1, k + 1, dtype=np.float64)
-        if self.kind == "zipf":
-            return 1.0 / ranks
-        return math.log(self.base) / np.log(ranks + 1.0)
+    def weights(self, k: int) -> list[float]:
+        return [self.weight(r) for r in range(1, k + 1)]
+
+
+def _dcg(gains: Iterable[float], weights: Iterable[float]) -> float:
+    # left to right from 0.0, as topic_dcg accumulates; the builtin sum
+    # compensates float rounding on Python >= 3.12 and would differ
+    total = 0.0
+    for g, w in zip(gains, weights):
+        total += g * w
+    return total
 
 
 def count_binary(level_counts: Mapping[int, int], theta: int) -> float:
@@ -220,10 +221,7 @@ def dcg_from_levels(
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     top = levels_in_rank_order[:k]
-    if not len(top):
-        return 0.0
-    gains = scheme.as_array()[np.asarray(top, dtype=np.intp)]
-    return float(gains @ discount.weights(len(top)))
+    return _dcg(map(scheme.gain, top), discount.weights(len(top)))
 
 
 def topic_dcg(
@@ -264,8 +262,8 @@ def ideal_dcg_at_k(
     if not pool:
         warnings.warn("empty judged pool; ideal DCG is 0", DataWarning, stacklevel=2)
         return 0.0
-    gains = np.sort(scheme.as_array()[np.asarray(pool, dtype=np.intp)])[::-1][:k]
-    return float(gains @ discount.weights(len(gains)))
+    gains = sorted(map(scheme.gain, pool), reverse=True)[:k]
+    return _dcg(gains, discount.weights(len(gains)))
 
 
 def _sample_stats(values: Sequence[float]) -> tuple[float, float | None]:
@@ -465,49 +463,42 @@ def ndcg_reports(
     """
     if ideal_pool not in ("qrels", "run"):
         raise ValidationError(f"ideal_pool must be 'qrels' or 'run', got {ideal_pool!r}")
+    if not schemes:
+        raise ValidationError("need at least one gain scheme")
     if len({len(s.gains) for s in schemes}) > 1:
         raise ValidationError("gain schemes must cover the same levels")
     topics = _eval_topics(run, set(judgments), strict)
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
 
-    gains = np.array([s.gains for s in schemes], dtype=np.float64)  # [S, T+1]
-    top = gains.shape[1] - 1
-    # each scheme's levels by rising gain, to expand a histogram into sorted gains
-    by_gain = [np.argsort(g, kind="stable") for g in gains]
+    top = len(schemes[0].gains) - 1
+    # each scheme's levels by falling gain, to expand a histogram into sorted gains
+    by_gain = [sorted(range(top + 1), key=s.gains.__getitem__, reverse=True) for s in schemes]
     retrieved = {topic: run.doc_ids(topic) for topic in topics}
-    depth = min(k, max(map(len, retrieved.values())))
-    weights = np.array([discount.weight(r) for r in range(1, depth + 1)])
+    # deep enough for every run and every pool: a pool holds at most the
+    # judged and the retrieved documents
+    weights = discount.weights(min(k, max(len(judgments[t]) + len(retrieved[t]) for t in topics)))
 
     values: list[dict[str, float]] = [{} for _ in schemes]
     excluded: list[list[str]] = [[] for _ in schemes]
     for topic in topics:
         levels, docs = judgments[topic], retrieved[topic]
         if ideal_pool == "run":
-            pool = np.fromiter(map(levels.get, docs, repeat(0)), np.intp, len(docs))
-            n_unjudged = 0
+            hist = Counter(map(levels.get, docs, repeat(0)))
         else:
-            pool = np.fromiter(levels.values(), np.intp, len(levels))
-            n_unjudged = len(docs) - len(levels.keys() & docs)
-        lo, hi = (int(pool.min()), int(pool.max())) if pool.size else (0, 0)
+            hist = Counter(levels.values())
+            hist[0] += len(docs) - len(levels.keys() & docs)
+        lo, hi = min(hist), max(hist)
         if lo < 0 or hi > top:
             raise MetricError(f"level {lo if lo < 0 else hi} outside gain vector 0..{top}")
-        hist = np.bincount(pool, minlength=top + 1)
-        hist[0] += n_unjudged
-        n_ideal = min(k, int(hist.sum()))
-        ideal_weights = discount.weights(n_ideal)
-        ranked = np.fromiter(map(levels.get, docs[:k], repeat(0)), np.intp)
-        # left-to-right sums, as topic_dcg accumulates
-        dcg = (gains[:, ranked] * weights[: len(ranked)]).cumsum(axis=1)
-        for s, order in enumerate(by_gain):
-            # the reversed view, as in ideal_dcg_at_k: numpy's dot sums a
-            # strided view left to right, a contiguous one in BLAS order
-            ideal_gains = np.repeat(gains[s, order], hist[order])[::-1][:k]
-            ideal = float(ideal_gains @ ideal_weights)
+        ranked = list(map(levels.get, docs[:k], repeat(0)))
+        for s, (scheme, order) in enumerate(zip(schemes, by_gain)):
+            gains = scheme.gains
+            ideal = _dcg(chain.from_iterable(repeat(gains[i], hist[i]) for i in order), weights)
             if ideal == 0.0:
                 excluded[s].append(topic)
             else:
-                values[s][topic] = float(dcg[s, -1]) / ideal
+                values[s][topic] = _dcg(map(gains.__getitem__, ranked), weights) / ideal
 
     reports = []
     for scheme, vals, skipped in zip(schemes, values, excluded):

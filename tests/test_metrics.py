@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import synth
 from prmeval.corpus import RunEntry, RunRanking
@@ -275,6 +277,35 @@ class TestDcg:
         d = DiscountFunction.log(2.0)
         values = [dcg_from_levels(levels, scheme, d, k) for k in range(1, 31)]
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(0, 2), max_size=40),
+        st.sampled_from([
+            GainScheme.binary(2, 1), GainScheme.linear(2), GainScheme.exponential(2),
+            GainScheme.custom([0.3, 0.7, 2.9]),
+        ]),
+        st.sampled_from([
+            DiscountFunction.log(2.0), DiscountFunction.log(10.0), DiscountFunction.log(1.5),
+            DiscountFunction.zipf(),
+        ]),
+        st.integers(1, 50),
+    )
+    @example([2, 2, 2, 2], GainScheme.exponential(2), DiscountFunction.log(2.0), 4)
+    def test_levels_dcg_is_topic_dcg_bit_for_bit(self, levels, scheme, discount, k):
+        docs = [f"d{i}" for i in range(len(levels))]
+        dcg = topic_dcg(docs, dict(zip(docs, levels)), scheme, discount, k)
+        assert dcg_from_levels(levels, scheme, discount, k) == dcg
+        if levels == sorted(levels, reverse=True) and levels:
+            assert ideal_dcg_at_k(levels, scheme, discount, k) == dcg
+
+    def test_out_of_range_level_is_a_metric_error(self):
+        d = DiscountFunction.zipf()
+        for levels in ([3], [-1]):
+            with pytest.raises(MetricError, match="outside gain vector 0..2"):
+                dcg_from_levels(levels, GainScheme.linear(2), d, 5)
+            with pytest.raises(MetricError, match="outside gain vector 0..2"):
+                ideal_dcg_at_k(levels, GainScheme.linear(2), d, 5)
 
     def test_duplicates_earn_gain_once_but_consume_ranks(self):
         levels = {"a": 2, "b": 1}

@@ -3,16 +3,18 @@
 The references below are the straightforward implementations the fast
 paths replaced: a run validator that walks ``RunEntry`` objects (with
 ``parse_run`` sorting every entry by (topic, rank) first), and nDCG as a
-per-scheme loop over :func:`topic_dcg` and :func:`ideal_dcg_at_k`.
-Outcomes, error messages, warnings, doc lists and nDCG values must match
-exactly.
+per-scheme loop over :func:`topic_dcg` and the numpy ideal DCG that
+:func:`ideal_dcg_at_k` computed before it was plain Python.  Outcomes,
+error messages, warnings, doc lists and nDCG values must match exactly.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,6 +113,23 @@ def ref_parse_run(lines: list[str]) -> RefRun:
     return ref_validate(system_id, tuple(entries))
 
 
+def ref_weights(discount: DiscountFunction, k: int) -> np.ndarray:
+    ranks = np.arange(1, k + 1, dtype=np.float64)
+    if discount.kind == "zipf":
+        return 1.0 / ranks
+    return math.log(discount.base) / np.log(ranks + 1.0)
+
+
+def ref_ideal_dcg_at_k(pool, scheme, discount, k) -> float:
+    # numpy's dot sums a reversed (strided) view left to right, not in BLAS order
+    gains = np.sort(np.asarray(scheme.gains)[np.asarray(pool, dtype=np.intp)])[::-1][:k]
+    return float(gains @ ref_weights(discount, len(gains)))
+
+
+# np.log and math.log first differ at 9170, the log of rank 9169's weight
+MAX_DEPTH = 9168
+
+
 def ref_ndcg(run, doc_levels, scheme, discount, k, ideal_pool):
     values, excluded = {}, []
     for topic in sorted(run.topics() & set(doc_levels)):
@@ -119,7 +138,7 @@ def ref_ndcg(run, doc_levels, scheme, discount, k, ideal_pool):
             pool = [levels.get(doc, 0) for doc in retrieved]
         else:
             pool = list(levels.values()) + [0] * sum(doc not in levels for doc in retrieved)
-        ideal = ideal_dcg_at_k(pool, scheme, discount, k)
+        ideal = ref_ideal_dcg_at_k(pool, scheme, discount, k) if pool else 0.0
         if ideal == 0.0:
             excluded.append(topic)
         else:
@@ -277,6 +296,29 @@ def test_equal_runs_compare_and_hash_equal():
 # -- nDCG ------------------------------------------------------------------
 
 
+DISCOUNTS = [
+    DiscountFunction.log(), DiscountFunction.log(10.0), DiscountFunction.log(1.5),
+    DiscountFunction.zipf(),
+]
+
+
+@st.composite
+def gain_schemes(draw, top):
+    """Binary, linear, exponential, custom (g(0) may exceed 0) or prm-like gains."""
+    gain = st.floats(0.0, 8.0, allow_nan=False, allow_infinity=False)
+    kind = draw(st.sampled_from(["binary", "linear", "exponential", "custom", "prm"]))
+    if kind == "binary":
+        return GainScheme.binary(top, draw(st.integers(1, top)))
+    if kind == "custom":
+        return GainScheme.custom(draw(
+            st.lists(gain, min_size=top + 1, max_size=top + 1).filter(lambda g: any(g))
+        ))
+    if kind == "prm":
+        return GainScheme("prm", tuple(sorted(draw(st.lists(
+            st.floats(0.0, 1.0), min_size=top + 1, max_size=top + 1)))))
+    return getattr(GainScheme, kind)(top)
+
+
 @st.composite
 def scoring_cases(draw):
     """A run, per-topic judgments and gain schemes on one 2-5 level scale."""
@@ -292,22 +334,8 @@ def scoring_cases(draw):
         rows += [(topic, d, r, float(-r)) for r, d in enumerate(ranked, start=1)]
     if not doc_levels:
         doc_levels["Z"] = {"d0": top}
-    gain = st.floats(0.0, 8.0, allow_nan=False, allow_infinity=False)
-    custom = draw(
-        st.lists(gain, min_size=top + 1, max_size=top + 1).filter(lambda g: any(g))
-    )
-    schemes = [
-        GainScheme.binary(top, draw(st.integers(1, top))),
-        GainScheme.linear(top),
-        GainScheme.exponential(top),
-        GainScheme.custom(custom),
-        GainScheme("prm", tuple(sorted(draw(st.lists(
-            st.floats(0.0, 1.0), min_size=top + 1, max_size=top + 1))))),
-    ]
-    schemes = draw(st.lists(st.sampled_from(schemes), min_size=1, max_size=5))
-    discount = draw(st.sampled_from(
-        [DiscountFunction.log(), DiscountFunction.log(10.0), DiscountFunction.zipf()]
-    ))
+    schemes = draw(st.lists(gain_schemes(top), min_size=1, max_size=5))
+    discount = draw(st.sampled_from(DISCOUNTS))
     run = RunRanking("sys", [RunEntry(*r) for r in rows])
     return run, doc_levels, schemes, discount
 
@@ -346,9 +374,52 @@ def test_ndcg_reports_checks():
     disc = DiscountFunction.log()
     with pytest.raises(ValidationError, match="same levels"):
         ndcg_reports(run, {"A": {"d1": 1}}, [three, four], disc, 10)
+    with pytest.raises(ValidationError, match="at least one gain scheme"):
+        ndcg_reports(run, {"A": {"d1": 1}}, [], disc, 10)
     with pytest.raises(ValidationError, match="k must be >= 1"):
         ndcg_reports(run, {"A": {"d1": 1}}, [three], disc, 0)
     with pytest.raises(ValidationError, match="ideal_pool"):
         ndcg_reports(run, {"A": {"d1": 1}}, [three], disc, 10, ideal_pool="x")
     with pytest.raises(MetricError, match="level 3 outside gain vector 0..2"):
         ndcg_reports(run, {"A": {"d1": 3}}, [three], disc, 10)
+
+
+@pytest.mark.parametrize("discount", DISCOUNTS, ids=repr)
+def test_weights_are_the_scalar_weights(discount):
+    weights = discount.weights(MAX_DEPTH)
+    assert weights == [discount.weight(r) for r in range(1, MAX_DEPTH + 1)]
+    assert weights == ref_weights(discount, MAX_DEPTH).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_deep_ideal_dcg_equals_numpy_reference(data):
+    """Pools of up to ~12k documents, ideal depth up to MAX_DEPTH."""
+    top = data.draw(st.integers(1, 4))
+    counts = data.draw(st.lists(st.integers(0, 2500), min_size=top + 1, max_size=top + 1))
+    pool = [level for level, n in enumerate(counts) for _ in range(n)]
+    scheme = data.draw(gain_schemes(top))
+    discount = data.draw(st.sampled_from(DISCOUNTS))
+    k = data.draw(st.integers(1, MAX_DEPTH))
+    if pool:
+        assert ideal_dcg_at_k(pool, scheme, discount, k) == ref_ideal_dcg_at_k(
+            pool, scheme, discount, k
+        )
+    # the pool as one topic's judgments, and a run that retrieves some of
+    # them (in pool order, lowest level first) and some
+    # unjudged documents
+    judged = {f"j{i}": level for i, level in enumerate(pool)}
+    retrieved = data.draw(st.integers(0, len(pool)))
+    docs = [*list(judged)[:retrieved], *(f"u{i}" for i in range(data.draw(st.integers(0, 500))))]
+    if not docs:
+        docs = ["u0"]
+    run = RunRanking("sys", [RunEntry("A", d, r, 0.0) for r, d in enumerate(docs, start=1)])
+    ideal_pool = data.draw(st.sampled_from(["qrels", "run"]))
+    ref = ref_ndcg(run, {"A": judged}, scheme, discount, k, ideal_pool)
+    new, _ = outcome(
+        lambda: ndcg_reports(run, {"A": judged}, [scheme], discount, k, ideal_pool=ideal_pool)
+    )
+    if ref is None:
+        assert new == ("MetricError", f"all topics have zero ideal DCG for ndcg@{k}")
+    else:
+        assert new == [ref]

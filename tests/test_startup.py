@@ -56,11 +56,14 @@ def _probe(argv: list[str] | None, cwd: str | None = None) -> tuple[int | None, 
 
 
 @pytest.fixture()
-def inputs(tmp_path, scale3_json, golden_qrels_u1, golden_paired_text) -> str:
-    """A directory with a scale, qrels, pairs over two topics, the qrels of
-    both topics, a strata map and a run."""
+def inputs(
+    tmp_path, scale3_json, golden_qrels_u1, golden_qrels_u2, golden_paired_text
+) -> str:
+    """A directory with a scale, both groups' qrels, pairs over two topics,
+    the qrels of both topics, a strata map and two runs."""
     (tmp_path / "scale.json").write_text(scale3_json, encoding="utf-8")
     (tmp_path / "qrels.txt").write_text(golden_qrels_u1, encoding="utf-8")
+    (tmp_path / "qrels2.txt").write_text(golden_qrels_u2, encoding="utf-8")
     two_topics = golden_paired_text + golden_paired_text.replace("201 ", "202 ")
     (tmp_path / "pairs.txt").write_text(two_topics, encoding="utf-8")
     both = golden_qrels_u1 + golden_qrels_u1.replace("201 ", "202 ")
@@ -68,6 +71,8 @@ def inputs(tmp_path, scale3_json, golden_qrels_u1, golden_paired_text) -> str:
     (tmp_path / "strata.txt").write_text("201 a\n202 b\n", encoding="utf-8")
     run = "".join(f"201 Q0 d{r} {r} {30 - r} sysA\n" for r in range(1, 21))
     (tmp_path / "run.txt").write_text(run, encoding="utf-8")
+    run2 = "".join(f"201 Q0 d{21 - r} {r} {30 - r} sysB\n" for r in range(1, 21))
+    (tmp_path / "run2.txt").write_text(run2, encoding="utf-8")
     return str(tmp_path)
 
 
@@ -111,6 +116,21 @@ class TestStartup:
         assert code == 0
         assert "prmeval.disagreement" in modules
         assert not {"numpy", "prmeval.analysis", "prmeval.metrics"} & modules
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", *PAIRS, "--qrels", "qrels.txt", "--run", "run.txt",
+         "--measures", "ndcg,precision,count-prm", "--gains", "binary,prm"],
+        ["analyze", "tau", *PAIRS, "--qrels", "qrels.txt", "--run", "run.txt",
+         "--run", "run2.txt", "--gains", "prm"],
+        ["analyze", "robustness", "--scale", "scale.json", "--theta", "2",
+         "--qrels", "qrels.txt", "--qrels2", "qrels2.txt", "--run", "run.txt",
+         "--run", "run2.txt", "--gains", "binary,prm,udm"],
+    ], ids=["eval", "tau", "robustness"])
+    def test_scoring_commands_load_no_numpy(self, inputs, argv):
+        code, modules = _probe([*argv, "--out", "out.txt"], cwd=inputs)
+        assert code == 0
+        assert "prmeval.metrics" in modules
+        assert "numpy" not in modules
 
     @pytest.mark.parametrize("analysis", [
         ["bootstrap", "--resamples", "20"],
