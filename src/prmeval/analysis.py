@@ -97,7 +97,7 @@ def kendall_tau(a: SystemRanking, b: SystemRanking, *, variant: str = "b") -> fl
         )
     n = len(a.systems)
     if n < 2:
-        raise ValidationError("need at least 2 systems for a rank correlation")
+        raise ValidationError("need at least 2 runs to correlate rankings")
     score_a = a.score_map()
     score_b = b.score_map()
     pairs = [(score_a[s], score_b[s]) for s in score_a]
@@ -328,37 +328,45 @@ def simulate_annotation_rounds(
 
 
 def rank_by_ndcg(
-    runs: Sequence[RunRanking],
-    doc_levels: Mapping[str, Mapping[str, int]],
+    runs: Iterable[RunRanking],
+    judged: Sequence[Mapping[str, Mapping[str, int]]],
     schemes: Mapping[str, GainScheme],
     discount: DiscountFunction,
     k: int,
     *,
     strict: bool = False,
     ideal_pool: str = "qrels",
-) -> dict[str, SystemRanking]:
-    """Rank runs by mean nDCG@k, one ranking per gain scheme.
+) -> list[dict[str, SystemRanking]]:
+    """Rank runs by mean nDCG@k, one ranking per gain scheme, for each
+    ``topic -> {doc: level}`` map in ``judged`` (see JudgmentSet.doc_levels).
 
-    ``doc_levels`` is the ``topic -> {doc: level}`` map of
-    :meth:`JudgmentSet.doc_levels`.  Each run is scored once for all
-    schemes; ``strict`` and ``ideal_pool`` are as in ndcg_at_k.
+    ``runs`` may be any iterable: each run is scored against every map for
+    all schemes in one visit, and is not kept.  A repeated system id is a
+    ValidationError.  ``strict`` and ``ideal_pool`` are as in ndcg_at_k.
     """
-    means: dict[str, dict[str, float]] = {name: {} for name in schemes}
+    means: list[dict[str, dict[str, float]]] = [{name: {} for name in schemes} for _ in judged]
+    seen: set[str] = set()
+    scheme_list = list(schemes.values())
     for run in runs:
-        reports = ndcg_reports(
-            run, doc_levels, list(schemes.values()), discount, k,
-            strict=strict, ideal_pool=ideal_pool,
-        )
-        for name, report in zip(schemes, reports):
-            means[name][run.system_id] = report.mean
-    return {
-        name: SystemRanking.from_scores(f"ndcg_{scheme.name}@{k}", means[name])
-        for name, scheme in schemes.items()
-    }
+        if run.system_id in seen:
+            raise ValidationError(f"duplicate system id among runs: {run.system_id!r}")
+        seen.add(run.system_id)
+        for by_scheme, doc_levels in zip(means, judged):
+            reports = ndcg_reports(
+                run, doc_levels, scheme_list, discount, k,
+                strict=strict, ideal_pool=ideal_pool,
+            )
+            for name, report in zip(schemes, reports):
+                by_scheme[name][run.system_id] = report.mean
+    labels = {name: f"ndcg_{scheme.name}@{k}" for name, scheme in schemes.items()}
+    return [
+        {name: SystemRanking.from_scores(labels[name], by_run) for name, by_run in m.items()}
+        for m in means
+    ]
 
 
 def robustness_study(
-    runs: Sequence[RunRanking],
+    runs: Iterable[RunRanking],
     set_u1: Mapping[str, Mapping[str, int]],
     set_u2: Mapping[str, Mapping[str, int]],
     schemes: Mapping[str, GainScheme],
@@ -371,20 +379,13 @@ def robustness_study(
 ) -> dict[str, float]:
     """How stable each gain scheme's system ranking is across assessors.
 
-    Scores every run twice, once against each assessor group's judgments
-    (the gain vectors stay fixed), ranks systems by mean nDCG@k, and
-    reports the rank correlation between the two rankings per scheme.
-    ``set_u1`` and ``set_u2`` are ``topic -> {doc: level}`` maps;
-    ``strict`` and ``ideal_pool`` are passed to ndcg_at_k.
+    Ranks the runs by mean nDCG@k against each assessor group's
+    ``topic -> {doc: level}`` map (the gain vectors stay fixed) and reports
+    the rank correlation between the two rankings per scheme.  ``runs``,
+    ``strict`` and ``ideal_pool`` are as in rank_by_ndcg.
     """
-    if len(runs) < 2:
-        raise ValidationError("need at least 2 runs to correlate rankings")
-    ids = [r.system_id for r in runs]
-    if len(set(ids)) != len(ids):
-        raise ValidationError("duplicate system_id among runs")
-    discount = discount or DiscountFunction.log(2.0)
-    rank_u1, rank_u2 = (
-        rank_by_ndcg(runs, judged, schemes, discount, k, strict=strict, ideal_pool=ideal_pool)
-        for judged in (set_u1, set_u2)
+    rank_u1, rank_u2 = rank_by_ndcg(
+        runs, (set_u1, set_u2), schemes, discount or DiscountFunction.log(2.0), k,
+        strict=strict, ideal_pool=ideal_pool,
     )
     return {name: kendall_tau(rank_u1[name], rank_u2[name], variant=variant) for name in schemes}

@@ -24,7 +24,7 @@ import io
 import json
 import sys
 import warnings
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .errors import ParseError, PrmError, ValidationError
 
@@ -193,11 +193,13 @@ def _split(value: str, what: str, allowed: tuple[str, ...]) -> tuple[str, ...]:
     items = tuple(v.strip() for v in value.split(",") if v.strip())
     if not items:
         raise ValidationError(f"no {what} in {value!r}")
-    for item in items:
+    for i, item in enumerate(items):
         if item not in allowed:
             raise ValidationError(
                 f"unknown {what} {item!r}; choose from {', '.join(allowed)}"
             )
+        if item in items[:i]:
+            raise ValidationError(f"{what} {item!r} given twice in {value!r}")
     return items
 
 
@@ -380,15 +382,12 @@ def _load_pairs(
     return corpus.pair_judgments(u1, u2).pairs
 
 
-def _load_runs(args: argparse.Namespace) -> list[corpus.RunRanking]:
+def _load_runs(args: argparse.Namespace) -> Iterator[corpus.RunRanking]:
+    """The --run files, each parsed when reached; --run is checked on the call."""
     from . import corpus
     if not args.run:
         raise ValidationError("--run is required")
-    runs = [_parse(path, corpus.parse_run) for path in args.run]
-    ids = [r.system_id for r in runs]
-    if len(set(ids)) != len(ids):
-        raise ValidationError(f"duplicate system ids among runs: {sorted(ids)}")
-    return sorted(runs, key=lambda r: r.system_id)
+    return (_parse(path, corpus.parse_run) for path in args.run)
 
 
 def _user_model(
@@ -533,7 +532,7 @@ def cmd_eval(args: argparse.Namespace) -> _Report:
     )
     table = _resolve_table(args, scale) if needs_table else None
     discount = _resolve_discount(args)
-    runs = _load_runs(args) if ("precision" in measures or "ndcg" in measures) else []
+    runs = _load_runs(args) if ("precision" in measures or "ndcg" in measures) else ()
 
     pool_reports: dict[str, metrics.MetricReport] = {}
     if "count-binary" in measures:
@@ -550,7 +549,9 @@ def cmd_eval(args: argparse.Namespace) -> _Report:
     )
     system_reports: dict[str, dict[str, metrics.MetricReport]] = {}
     for run in runs:
-        per_run: dict[str, metrics.MetricReport] = {}
+        if run.system_id in system_reports:
+            raise ValidationError(f"duplicate system id among runs: {run.system_id!r}")
+        per_run = system_reports[run.system_id] = {}
         if "precision" in measures:
             assert table is not None
             report = metrics.expected_precision_report(
@@ -566,7 +567,6 @@ def cmd_eval(args: argparse.Namespace) -> _Report:
                 label = "ndcg" if len(args.gains) == 1 else f"ndcg_{name}"
                 report = replace(report, measure=label)
                 per_run[report.label] = report
-        system_reports[run.system_id] = per_run
 
     rows: list[list] = []
     text: list[str] = []
@@ -597,41 +597,37 @@ def cmd_eval(args: argparse.Namespace) -> _Report:
 
 def _ranking_inputs(
     args: argparse.Namespace,
-) -> tuple[list[corpus.RunRanking], dict, dict, dict[str, metrics.GainScheme]]:
-    """Runs, both groups' doc levels and the gain schemes to rank by.
+) -> tuple[Iterator[corpus.RunRanking], tuple[dict, dict], dict[str, metrics.GainScheme]]:
+    """Runs (read when iterated), both groups' doc levels and the gain schemes.
 
     Here --qrels2 is the second group's judgments to rank against, so a
     prm/udm table comes from --table, else --pairs, else the overlap of
     the two qrels.  Without --qrels2 both rankings use --qrels.  Each
-    qrels file is read once, right after the runs.
+    qrels file is read once, and before any run.
     """
-    scale = _load_scale(args)
     if not args.qrels:
         raise ValidationError("--qrels is required")
     runs = _load_runs(args)
-    if len(runs) < 2:
+    if len(args.run) < 2:
         raise ValidationError("need at least 2 --run files")
+    scale = _load_scale(args)
     u1 = _load_qrels(args, args.qrels, scale, "u1")
     u2 = _load_qrels(args, args.qrels2, scale, "u2") if args.qrels2 else u1
     table = _resolve_table(args, scale, (u1, u2)) if _needs_table(args.gains) else None
     schemes = {name: _resolve_scheme(name, args, scale, table) for name in args.gains}
     set_u1 = u1.doc_levels()
-    return runs, set_u1, set_u1 if u2 is u1 else u2.doc_levels(), schemes
+    return runs, (set_u1, set_u1 if u2 is u1 else u2.doc_levels()), schemes
 
 
 def _analyze_tau(args: argparse.Namespace) -> _Report:
     from . import analysis
     if len(args.gains) != 1:
         raise ValidationError("analyze tau uses exactly one gain scheme")
-    runs, set_u1, set_u2, schemes = _ranking_inputs(args)
-    discount = _resolve_discount(args)
-    rank_u1, rank_u2 = (
-        analysis.rank_by_ndcg(
-            runs, levels, schemes, discount, args.k,
-            strict=args.strict, ideal_pool=args.ideal_pool,
-        )[args.gains[0]]
-        for levels in (set_u1, set_u2)
-    )
+    runs, judged, schemes = _ranking_inputs(args)
+    rank_u1, rank_u2 = (rankings[args.gains[0]] for rankings in analysis.rank_by_ndcg(
+        runs, judged, schemes, _resolve_discount(args), args.k,
+        strict=args.strict, ideal_pool=args.ideal_pool,
+    ))
     tau = analysis.kendall_tau(rank_u1, rank_u2, variant=args.tau_variant)
     metric = f"tau_{args.tau_variant}"
     payload = {
@@ -647,9 +643,9 @@ def _analyze_robustness(args: argparse.Namespace) -> _Report:
     from . import analysis
     if not (args.qrels and args.qrels2):
         raise ValidationError("robustness needs --qrels and --qrels2")
-    runs, set_u1, set_u2, schemes = _ranking_inputs(args)
+    runs, judged, schemes = _ranking_inputs(args)
     taus = analysis.robustness_study(
-        runs, set_u1, set_u2, schemes, args.k, _resolve_discount(args),
+        runs, *judged, schemes, args.k, _resolve_discount(args),
         variant=args.tau_variant, strict=args.strict, ideal_pool=args.ideal_pool,
     )
     rows = [[name, taus[name]] for name in sorted(taus)]

@@ -29,9 +29,11 @@ C is kept as rows of Python ints, counted with a ``Counter``, so nothing
 here, the quality sweep included, loads numpy.
 
 Each estimate carries a binomial standard error
-    sigma = sqrt(phat (1 - phat) / N_D),  phat = N_N / N_D,
-which for the symmetric estimator treats the pooled draws as independent,
-a slight approximation since each pair contributes to both directions.
+    sigma = sqrt(phat (1 - phat) / N_D),  phat = N_N / N_D.
+The symmetric estimator's N_D counts each pair in both directions, as if
+they were independent draws, so its sigma understates the spread: with
+10^4 pairs the top level's mean sigma was 0.0085 against an empirical
+0.0106 (20% low, 200 seeds).  One-sided estimates count each pair once.
 
 Levels with no paired judgments get an explicitly undefined probability,
 never a silent zero.

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import operator
+import weakref
 
 import numpy as np
 import pytest
@@ -18,10 +19,11 @@ from prmeval.analysis import (
     bootstrap_topics,
     kendall_tau,
     quality_sensitivity,
+    rank_by_ndcg,
     robustness_study,
     simulate_annotation_rounds,
 )
-from prmeval.corpus import Judgment, JudgmentPair, JudgmentSet, RelevanceScale
+from prmeval.corpus import Judgment, JudgmentPair, JudgmentSet, RelevanceScale, RunRanking
 from prmeval.disagreement import UserModel, estimate_one_sided, estimate_symmetric
 from prmeval.errors import DataWarning, EstimationError, MetricError, ValidationError
 from prmeval.metrics import DiscountFunction, GainScheme
@@ -593,3 +595,69 @@ class TestRobustness:
             robustness_study(
                 [runs[0], runs[0]], levels_u1, levels_u2, {"b": GainScheme.binary(2, 2)}, 10
             )
+
+    def test_repeated_id_is_caught_where_it_is_read(self):
+        runs, levels_u1, levels_u2, _ = synth.robustness_benchmark(3)
+
+        def stream():
+            yield from (runs[0], runs[1], runs[0])
+            pytest.fail("a run was read after the repeated one")
+
+        with pytest.raises(ValidationError, match=r"^duplicate system id among runs: 'sys00'$"):
+            robustness_study(stream(), levels_u1, levels_u2, {"b": GainScheme.binary(2, 2)}, 10)
+
+
+class _WeakRun(RunRanking):
+    __slots__ = ("__weakref__",)
+
+
+def _ranking_bits(rankings: list[dict[str, SystemRanking]]) -> list:
+    # every score as its exact bit pattern
+    return [
+        {name: (r.measure, [(s, v.hex()) for s, v in r.systems]) for name, r in by_name.items()}
+        for by_name in rankings
+    ]
+
+
+@pytest.mark.filterwarnings("ignore::prmeval.errors.DataWarning")
+class TestRankByNdcg:
+    SCHEMES = {"binary": GainScheme.binary(2, 2), "linear": GainScheme.linear(2)}
+
+    def rank(self, runs, judged, **kwargs):
+        return rank_by_ndcg(runs, judged, self.SCHEMES, DiscountFunction.log(2.0), 10, **kwargs)
+
+    def test_generator_ranks_like_a_list(self):
+        runs, levels_u1, levels_u2, _ = synth.robustness_benchmark(4)
+        for judged in ([levels_u1], [levels_u1, levels_u2]):
+            streamed = self.rank((r for r in runs), judged)
+            assert _ranking_bits(streamed) == _ranking_bits(self.rank(runs, judged))
+
+    @pytest.mark.parametrize("ideal_pool", ["qrels", "run"])
+    def test_two_maps_in_one_call_equal_two_calls(self, ideal_pool):
+        runs, levels_u1, levels_u2, _ = synth.robustness_benchmark(5)
+        both = self.rank(runs, [levels_u1, levels_u2], ideal_pool=ideal_pool)
+        apart = [self.rank(runs, [levels], ideal_pool=ideal_pool)[0]
+                 for levels in (levels_u1, levels_u2)]
+        assert _ranking_bits(both) == _ranking_bits(apart)
+        assert both[0]["binary"].measure == "ndcg_binary@10"
+
+    def test_a_run_is_dropped_before_the_one_after_next_is_read(self):
+        runs, levels_u1, levels_u2, _ = synth.robustness_benchmark(6)
+        refs: list[weakref.ref] = []
+
+        def stream():
+            for i, run in enumerate(runs):
+                if i >= 2:
+                    assert refs[i - 2]() is None, f"run {i - 2} alive when run {i} is read"
+                run = _WeakRun(run.system_id, run.entries)
+                refs.append(weakref.ref(run))
+                yield run
+
+        out = self.rank(stream(), [levels_u1, levels_u2])
+        assert len(refs) == len(runs)
+        assert _ranking_bits(out) == _ranking_bits(self.rank(runs, [levels_u1, levels_u2]))
+
+    def test_repeated_id_names_only_that_id(self):
+        runs, levels_u1, _, _ = synth.robustness_benchmark(7)
+        with pytest.raises(ValidationError, match=r"^duplicate system id among runs: 'sys01'$"):
+            self.rank([runs[0], runs[1], runs[2], runs[1]], [levels_u1])

@@ -1378,3 +1378,155 @@ class TestInputsReadOnce:
         code, out, _ = run_cli(capsys, [*argv, "--scale", ws["scale"], *theta])
         assert (code, bool(out)) == (0, True)
         assert created == []
+
+
+class TestRunStream:
+    """Runs are read one at a time, each scored against every qrels group
+    as it is read and then dropped, so every flag, the qrels, the table and
+    the gain schemes are checked before the first run is read."""
+
+    @staticmethod
+    def write(tmp_path, name: str, text: str) -> str:
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("argv, line", [
+        (["eval", "--gains", "binary,binary"],
+         "gain scheme 'binary' given twice in 'binary,binary'"),
+        (["eval", "--measures", "ndcg,precision,ndcg"],
+         "measure 'ndcg' given twice in 'ndcg,precision,ndcg'"),
+        (["analyze", "tau", "--gains", "prm, prm"], "gain scheme 'prm' given twice in 'prm, prm'"),
+    ], ids=["eval-gains", "eval-measures", "tau-gains"])
+    def test_a_repeated_name_is_an_error_before_any_file_is_read(
+        self, capsys, tmp_path, argv, line
+    ):
+        missing = str(tmp_path / "missing.txt")
+        code, out, err = run_cli(capsys, [
+            *argv, "--scale", missing, "--qrels", missing, "--pairs", missing,
+            "--run", missing, "--run", missing,
+        ])
+        assert (code, out, err) == (1, "", f"error: {line}\n")
+
+    @pytest.mark.parametrize("kind", ["eval", "tau", "robustness"])
+    def test_a_repeated_system_id_is_one_error_line(self, capsys, ws, tmp_path, kind):
+        from pathlib import Path
+
+        copy = self.write(tmp_path, "copy.txt", Path(ws["run_perfect"]).read_text("utf-8"))
+        command = ["eval"] if kind == "eval" else ["analyze", kind, "--qrels2", ws["qrels_u2"]]
+        code, out, err = run_cli(capsys, [
+            *command, "--scale", ws["scale"], "--qrels", ws["qrels_u1"], "--theta", "2",
+            "--run", ws["run_perfect"], "--run", ws["run_reverse"], "--run", copy,
+        ])
+        assert (code, out, err) == (1, "", "error: duplicate system id among runs: 'sysA'\n")
+
+    BAD_RUN = "201 Q0 d1 x 1.0 sysC\n"
+
+    def test_eval_reports_a_gain_fault_before_a_run_fault(self, capsys, ws, tmp_path):
+        bad = self.write(tmp_path, "bad_run.txt", self.BAD_RUN)
+        code, _, err = run_cli(capsys, [
+            "eval", "--scale", ws["scale"], "--qrels", ws["qrels_u1"], "--theta", "2",
+            "--run", ws["run_perfect"], "--run", bad, "--gains", "custom",
+        ])
+        assert (code, err) == (1, "error: custom gains need --custom-gains\n")
+
+    @pytest.mark.parametrize("kind", ["tau", "robustness"])
+    def test_ranking_reports_qrels_and_table_faults_before_a_run_fault(
+        self, capsys, ws, tmp_path, kind
+    ):
+        bad_run = self.write(tmp_path, "bad_run.txt", self.BAD_RUN)
+        bad_qrels = self.write(tmp_path, "bad_qrels.txt", "201 0 d1 7\n")
+        bad_table = self.write(tmp_path, "bad_table.json", '{"theta": 2}')
+        argv = ["analyze", kind, "--scale", ws["scale"], "--theta", "2",
+                "--run", ws["run_perfect"], "--run", bad_run]
+        qrels = ["--qrels", ws["qrels_u1"], "--qrels2"]
+        assert run_cli(capsys, [*argv, "--qrels", bad_qrels, "--qrels2", ws["qrels_u2"]])[::2] == (
+            1, f"error: {bad_qrels}: line 1: level 7 > T=2\n"
+        )
+        assert run_cli(capsys, [*argv, *qrels, ws["qrels_u2"], "--gains", "prm",
+                                "--table", bad_table])[::2] == (
+            1, f"error: {bad_table}: disagreement table lacks 'scale'\n"
+        )
+        code, _, err = run_cli(capsys, [*argv, *qrels, str(tmp_path / "missing.txt")])
+        assert code == 2
+        assert err.startswith("io error: ") and "missing.txt" in err
+        assert run_cli(capsys, [*argv, *qrels, ws["qrels_u2"]])[::2] == (
+            1, f"error: {bad_run}: line 1: non-integer rank: 'x'\n"
+        )
+
+    @pytest.mark.parametrize("kind", ["tau", "robustness"])
+    def test_one_run_is_an_error_before_any_file_is_read(self, capsys, tmp_path, kind):
+        missing = str(tmp_path / "missing.txt")
+        code, out, err = run_cli(capsys, [
+            "analyze", kind, "--scale", missing, "--qrels", missing, "--qrels2", missing,
+            "--run", missing,
+        ])
+        assert (code, out, err) == (1, "", "error: need at least 2 --run files\n")
+
+    @pytest.mark.parametrize("command", [["eval"], ["analyze", "tau", "--qrels2"]])
+    def test_each_runs_warnings_come_together_in_command_line_order(
+        self, ws, tmp_path, command
+    ):
+        # rising scores warn while a run is read, a topic without judgments
+        # while it is scored; sysZ comes first on the command line
+        runs, expected = [], []
+        for system, docs in (("sysZ", ("d1", "d2")), ("sysA", ("d4", "d1"))):
+            path = self.write(tmp_path, f"{system}.txt", "".join(
+                f"{topic} Q0 {doc} {rank} {float(rank)} {system}\n"
+                for topic in ("201", "999") for rank, doc in enumerate(docs, start=1)
+            ))
+            runs += ["--run", path]
+            expected += [
+                f"warning: {path}: run {system}, topic {topic}: scores increase down the "
+                "ranking; keeping rank order" for topic in ("201", "999")
+            ] + [f"warning: run {system}: skipping topics without judgments: ['999']"]
+        if command[-1] == "--qrels2":
+            command = [*command, ws["qrels_u2"]]
+        proc = _prmeval(*command, "--scale", ws["scale"], "--qrels", ws["qrels_u1"],
+                        "--theta", "2", *runs)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == expected
+
+    @staticmethod
+    def collection(tmp_path, n_runs: int) -> list[str]:
+        """Flags for a scale, two groups' qrels over 40 topics, and
+        ``n_runs`` distinct runs of 12000 lines each."""
+        rng = random.Random(0)
+        topics = [f"t{t:02d}" for t in range(40)]
+        docs = [f"doc{d:04d}" for d in range(300)]
+        d = tmp_path / f"runs{n_runs}"
+        d.mkdir()
+        flags = ["--scale", TestRunStream.write(d, "scale.json", '{"labels": ["0", "1", "2"]}')]
+        for flag in ("--qrels", "--qrels2"):
+            qrels = "".join(
+                f"{t} 0 {doc} {2 if i == 0 else rng.randrange(3)}\n"
+                for t in topics for i, doc in enumerate(rng.sample(docs, 30))
+            )
+            flags += [flag, TestRunStream.write(d, f"{flag[2:]}.txt", qrels)]
+        for s in range(n_runs):
+            lines = []
+            for t in topics:
+                ranked = rng.sample(docs, len(docs))
+                lines += [f"{t} Q0 {doc} {r} {1000 - r} sys{s}\n"
+                          for r, doc in enumerate(ranked, start=1)]
+            flags += ["--run", TestRunStream.write(d, f"run{s}.txt", "".join(lines))]
+        return flags
+
+    @pytest.mark.parametrize("command", [["eval"], ["analyze", "tau"]])
+    def test_peak_memory_does_not_grow_with_the_number_of_runs(self, tmp_path, command):
+        import tracemalloc
+
+        out = ["--out", str(tmp_path / "out.txt"), "--gains", "linear", "--theta", "2"]
+        argvs = {n: [*command, *self.collection(tmp_path, n), *out] for n in (2, 8)}
+        if command == ["eval"]:
+            argvs = {n: [a for a in argv if "qrels2" not in a] for n, argv in argvs.items()}
+        assert main(argvs[2]) == 0  # imports and first-call caches stay out of the peaks
+        peaks = {}
+        for n, argv in argvs.items():
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8] < 1.3 * peaks[2], peaks
