@@ -5,18 +5,22 @@ Randomized procedures draw from numpy's PCG64 generator.  Every round or
 resample r uses an independent stream seeded as
 ``np.random.default_rng([seed, r])``, so results are identical whether
 rounds run sequentially or in parallel, and reproduce across platforms.
-numpy is imported only by the functions that draw or summarise
-resamples, so ranking and rank correlation (``tau`` and ``robustness``)
-load none of it.
+The topic bootstrap computes that stream, and the mean and std of its
+samples, in pure Python by numpy's own integer and float operations; the
+tests check both against numpy, so a numpy release that changed them
+fails a test rather than changing the output.  Only the budget sweep,
+which draws far more values, imports numpy, and only when it runs.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .corpus import JudgmentPair, RelevanceScale, RunRanking
 from .disagreement import (  # the quality sweep is re-exported from here
@@ -128,6 +132,89 @@ def _round_rng(seed: int, round_index: int) -> np.random.Generator:
     return np.random.default_rng([seed, round_index])
 
 
+# word masks, and the multiplier of the 128-bit LCG under numpy's PCG64
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _pcg64_words(entropy: Sequence[int]) -> Iterator[int]:
+    """The 32-bit words of ``np.random.PCG64(np.random.SeedSequence(entropy))``
+    as its ``next32`` gives them: each 64-bit output, low half first.
+
+    The entropy ints are split into little-endian 32-bit words, hashed into
+    a 4-word pool and expanded to 8 words, as SeedSequence does; those give
+    the LCG's 128-bit state and increment, and each output is the XSL-RR
+    permutation of the stepped state.
+    """
+    words = [
+        w for v in entropy
+        for w in [(v >> s) & _M32 for s in range(0, v.bit_length(), 32)] or [0]
+    ]
+    const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+
+    const = 0x8B51F9DD
+    seed_words = []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED & _M32
+        value = value * const & _M32
+        seed_words.append(value ^ value >> 16)
+    s = [seed_words[i] | seed_words[i + 1] << 32 for i in range(0, 8, 2)]
+    inc = ((s[2] << 64 | s[3]) << 1 | 1) & _M128
+    # seeding steps from state 0 (to inc), adds the seed and steps again
+    state = ((inc + (s[0] << 64 | s[1])) * _PCG_MULT + inc) & _M128
+    while True:
+        state = (state * _PCG_MULT + inc) & _M128
+        rot = state >> 122
+        x = ((state >> 64) ^ state) & _M64
+        out = (x >> rot | x << (64 - rot)) & _M64
+        yield out & _M32
+        yield out >> 32
+
+
+def _rng_integers(seed: int, stream: int, n: int, size: int) -> list[int]:
+    """``np.random.default_rng([seed, stream]).integers(0, n, size=size).tolist()``
+    for ``1 <= n < 2**32``, without numpy.
+
+    As numpy does, a one-value range draws nothing, and each value is
+    Lemire's multiply-shift of one 32-bit word, redrawn while the low half
+    of the product falls below ``2**32 % n``.
+    """
+    if n == 1:
+        return [0] * size
+    words = _pcg64_words((seed, stream))
+    threshold = (1 << 32) % n
+    out = []
+    for _ in range(size):
+        m = next(words) * n
+        while m & _M32 < threshold:
+            m = next(words) * n
+        out.append(m >> 32)
+    return out
+
+
 @dataclass(frozen=True)
 class BootstrapResult:
     """Resampled estimates of one p_{R|i} parameter.
@@ -178,13 +265,36 @@ class BootstrapResult:
 def _summaries(
     samples: tuple[float, ...]
 ) -> tuple[float | None, float | None, tuple[float, ...] | None]:
+    """Mean, std (n - 1) and quartiles as ``arr.mean()``, ``arr.std(ddof=1)``
+    and ``_quartiles`` give them; numpy's reductions add to 0.0."""
     if not samples:
         return None, None, None
-    import numpy as np
-    arr = np.asarray(samples, dtype=np.float64)
-    mean = float(arr.mean())
-    std = float(arr.std(ddof=1)) if len(samples) > 1 else None
+    n = len(samples)
+    mean = (0.0 + _pairwise_sum(samples)) / n
+    sq = [(x - mean) * (x - mean) for x in samples]
+    std = math.sqrt((0.0 + _pairwise_sum(sq)) / (n - 1)) if n > 1 else None
     return mean, std, _quartiles(samples)
+
+
+def _pairwise_sum(xs: Sequence[float]) -> float:
+    """numpy's pairwise sum of float64 values, by the same float operations.
+
+    Fewer than 8 values add up from 0.0 in order.  Up to 128 values add
+    into 8 interleaved accumulators, which combine as a tree before the
+    tail is added.  A longer run splits in two at a multiple of 8 near its
+    middle.  Every sum is a left fold of ``+``: the built-in ``sum`` of
+    floats is compensated from Python 3.12 on.
+    """
+    n = len(xs)
+    if n < 8:
+        return reduce(operator.add, xs, 0.0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
+    end = n - n % 8
+    r = [reduce(operator.add, xs[j:end:8]) for j in range(8)]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return reduce(operator.add, xs[end:], total)
 
 
 def _quartiles(samples: Sequence[float]) -> tuple[float, ...]:
@@ -232,7 +342,6 @@ def bootstrap_topics(
     topics); a drawn topic contributes all its pairs once per draw, so a
     resample's count matrix is the draw counts times the topics' matrices.
     """
-    import numpy as np
     _check_seed(seed)
     if n_resamples < 1:
         raise ValidationError(f"n_resamples must be >= 1, got {n_resamples}")
@@ -244,12 +353,16 @@ def bootstrap_topics(
     user_model.check_against(scale)
     topics, per_topic = group_pair_counts(pairs, scale)
     n = len(topics)
-    per_topic = np.asarray(per_topic)
+    # C[i][j] of every topic, so a resample's C[i][j] is one dot product
+    # with the topics' draw counts
+    cells = [list(zip(*rows)) for rows in zip(*per_topic)]
     ps = []  # per resample, p per level (None where undefined)
     for r in range(n_resamples):
-        drawn = _round_rng(seed, r).integers(0, n, size=n)
+        times = [0] * n
+        for t in _rng_integers(seed, r, n, n):
+            times[t] += 1
         table = table_from_counts(
-            np.tensordot(np.bincount(drawn, minlength=n), per_topic, axes=1).tolist(),
+            [[sum(map(operator.mul, times, cell)) for cell in row] for row in cells],
             user_model, scale, estimator=estimator, condition=condition,
             one_sided_collection=one_sided_collection,
         )

@@ -597,13 +597,14 @@ def cmd_eval(args: argparse.Namespace) -> _Report:
 
 def _ranking_inputs(
     args: argparse.Namespace,
-) -> tuple[Iterator[corpus.RunRanking], tuple[dict, dict], dict[str, metrics.GainScheme]]:
-    """Runs (read when iterated), both groups' doc levels and the gain schemes.
+) -> tuple[Iterator[corpus.RunRanking], tuple[dict, ...], dict[str, metrics.GainScheme]]:
+    """Runs (read when iterated), each group's doc levels and the gain schemes.
 
     Here --qrels2 is the second group's judgments to rank against, so a
     prm/udm table comes from --table, else --pairs, else the overlap of
-    the two qrels.  Without --qrels2 both rankings use --qrels.  Each
-    qrels file is read once, and before any run.
+    the two qrels.  Without --qrels2 there is one group, --qrels, and the
+    runs are scored against it once.  Each qrels file is read once, and
+    before any run.
     """
     if not args.qrels:
         raise ValidationError("--qrels is required")
@@ -615,8 +616,8 @@ def _ranking_inputs(
     u2 = _load_qrels(args, args.qrels2, scale, "u2") if args.qrels2 else u1
     table = _resolve_table(args, scale, (u1, u2)) if _needs_table(args.gains) else None
     schemes = {name: _resolve_scheme(name, args, scale, table) for name in args.gains}
-    set_u1 = u1.doc_levels()
-    return runs, (set_u1, set_u1 if u2 is u1 else u2.doc_levels()), schemes
+    judged = (u1.doc_levels(),) if u2 is u1 else (u1.doc_levels(), u2.doc_levels())
+    return runs, judged, schemes
 
 
 def _analyze_tau(args: argparse.Namespace) -> _Report:
@@ -624,10 +625,11 @@ def _analyze_tau(args: argparse.Namespace) -> _Report:
     if len(args.gains) != 1:
         raise ValidationError("analyze tau uses exactly one gain scheme")
     runs, judged, schemes = _ranking_inputs(args)
-    rank_u1, rank_u2 = (rankings[args.gains[0]] for rankings in analysis.rank_by_ndcg(
+    ranks = [rankings[args.gains[0]] for rankings in analysis.rank_by_ndcg(
         runs, judged, schemes, _resolve_discount(args), args.k,
         strict=args.strict, ideal_pool=args.ideal_pool,
-    ))
+    )]
+    rank_u1, rank_u2 = ranks[0], ranks[-1]  # one ranking for both without --qrels2
     tau = analysis.kendall_tau(rank_u1, rank_u2, variant=args.tau_variant)
     metric = f"tau_{args.tau_variant}"
     payload = {

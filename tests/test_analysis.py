@@ -16,6 +16,8 @@ from prmeval.analysis import (
     SensitivityCurve,
     SystemRanking,
     _quartiles,
+    _rng_integers,
+    _summaries,
     bootstrap_topics,
     kendall_tau,
     quality_sensitivity,
@@ -358,6 +360,75 @@ def test_quartiles_finite_and_ordered(samples):
     assert not any(map(math.isnan, out))
     assert out[0] == min(samples) and out[-1] == max(samples)
     assert all(map(operator.le, out[:-1], out[1:]))
+
+
+# n just above 2**31 rejects about half of all 32-bit words, so the redraw
+# loop runs often; a stream index past 2**32 and seeds past 2**96 make the
+# entropy longer than SeedSequence's 4-word pool
+RANGES = st.one_of(
+    st.integers(1, 2**32 - 1), st.integers(2**31 + 1, 2**31 + 2**16), st.integers(1, 300),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**70), st.integers(0, 2**40), RANGES, st.integers(0, 300))
+@example(0, 0, 1, 5)
+@example(0, 0, 2, 0)
+@example(2**70, 99, 2**31 + 1, 300)
+@example(1, 0, 2**32 - 1, 50)
+@example(2**160 - 1, 2**40, 100, 100)
+def test_rng_integers_match_numpy(seed, stream, n, size):
+    want = np.random.default_rng([seed, stream]).integers(0, n, size=size).tolist()
+    assert _rng_integers(seed, stream, n, size) == want
+
+
+def _sample_values(n: int, seed: int, kind: str) -> tuple[float, ...]:
+    rng = np.random.default_rng(seed)
+    values = {
+        "unit": lambda: rng.random(n),  # as resampled probabilities are
+        "signed": lambda: rng.uniform(-1e6, 1e6, n),
+        "wide": lambda: rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+        "zeros": lambda: rng.choice([-0.0, 0.0, 0.5, 1.0], n),
+    }[kind]()
+    return tuple(values.tolist())
+
+
+def _np_mean_std(samples) -> tuple[float, float | None]:
+    arr = np.asarray(samples, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(arr.mean()), float(arr.std(ddof=1)) if len(samples) > 1 else None
+
+
+def _hex(value: float | None) -> str | None:
+    return None if value is None else value.hex()
+
+
+# numpy sums blocks of up to 128 values with 8 accumulators and splits
+# longer ones, so the block edges are pinned
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 20000), st.integers(0, 2**32 - 1),
+       st.sampled_from(["unit", "signed", "wide", "zeros"]))
+@example(7, 0, "unit")
+@example(8, 0, "unit")
+@example(128, 1, "unit")
+@example(129, 2, "signed")
+@example(256, 3, "wide")
+@example(20000, 4, "unit")
+@example(9, 5, "zeros")
+def test_summaries_match_numpy(n, seed, kind):
+    samples = _sample_values(n, seed, kind)
+    mean, std, _ = _summaries(samples)
+    assert (_hex(mean), _hex(std)) == tuple(map(_hex, _np_mean_std(samples)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(FINITE, min_size=1, max_size=300))
+@example([-0.0] * 8)
+@example([-0.0, -0.0])
+@example([1e308, 1e308, -1e308])
+def test_summaries_of_any_floats_match_numpy(samples):
+    mean, std, _ = _summaries(tuple(samples))
+    assert (_hex(mean), _hex(std)) == tuple(map(_hex, _np_mean_std(samples)))
 
 
 class TestSensitivityCurve:

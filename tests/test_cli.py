@@ -1298,6 +1298,29 @@ class TestEvalInputs:
 
 
 class TestInputsReadOnce:
+    def test_tau_on_one_qrels_scores_each_run_once(self, capsys, ws, monkeypatch):
+        # without --qrels2 both rankings are the one ranking against --qrels
+        from prmeval import analysis
+
+        calls = []
+        ndcg_reports = analysis.ndcg_reports
+
+        def counting(run, *args, **kwargs):
+            calls.append(run.system_id)
+            return ndcg_reports(run, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "ndcg_reports", counting)
+        code, out, _ = run_cli(capsys, [
+            "analyze", "tau", "--scale", ws["scale"], "--qrels", ws["qrels_u1"],
+            "--run", ws["run_perfect"], "--run", ws["run_reverse"], "--theta", "2",
+            "--format", "json",
+        ])
+        assert code == 0
+        assert sorted(calls) == ["sysA", "sysB"]
+        payload = json.loads(out)
+        assert payload["tau"] == 1.0
+        assert payload["ranking_u1"] == payload["ranking_u2"]
+
     @pytest.mark.parametrize("kind", ["tau", "robustness"])
     def test_each_qrels_file_parsed_once(self, capsys, ws, monkeypatch, kind):
         from prmeval import corpus

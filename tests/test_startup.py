@@ -2,10 +2,11 @@
 
 ``import prmeval`` resolves its public names on first access, and each
 CLI handler imports the modules it uses when it runs, so ``--help``, a
-usage error and ``validate`` load no numpy, and neither do ``estimate``
-and ``analyze quality``, which only count judgment pairs.  Each check
-runs in a fresh interpreter, because this test process has long since
-imported everything.
+usage error and ``validate`` load no numpy.  Neither do ``estimate`` and
+``analyze quality``, which only count judgment pairs, the scoring
+commands or ``analyze bootstrap``: only ``analyze budget`` imports it.
+Each check runs in a fresh interpreter, because this test process has
+long since imported everything.
 """
 
 from __future__ import annotations
@@ -137,10 +138,13 @@ class TestStartup:
         ["budget", "--budgets", "5,10", "--rounds", "3"],
     ])
     def test_resampling_loads_no_numpy_ma(self, inputs, analysis):
+        # the bootstrap draws numpy's stream in pure Python and loads no
+        # numpy at all; only the budget sweep imports it
         argv = ["analyze", analysis[0], *PAIRS, *analysis[1:], "--seed", "1", "--out", "out.txt"]
         code, modules = _probe(argv, cwd=inputs)
         assert code == 0
-        assert "numpy" in modules
+        assert "prmeval.analysis" in modules
+        assert ("numpy" in modules) == (analysis[0] == "budget")
         assert "numpy.ma" not in modules
 
 
