@@ -18,7 +18,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
@@ -222,27 +222,33 @@ class BootstrapResult:
     ``samples`` holds the estimate from each resample where the level was
     defined; resamples where it was undefined (no paired judgments at the
     level) are counted in ``n_missing`` rather than imputed.  The summaries
-    are computed from ``samples`` when read, and are None without samples:
-    ``std`` uses the n - 1 denominator and is None for fewer than 2
-    samples; quartiles are (min, q1, median, q3, max) with linear
-    interpolation.
+    are computed from ``samples`` once, when first read, and are None
+    without samples: ``std`` uses the n - 1 denominator and is None for
+    fewer than 2 samples; quartiles are (min, q1, median, q3, max) with
+    linear interpolation.
     """
 
     level: int
     samples: tuple[float, ...]
     n_missing: int
 
+    @cached_property
+    def _stats(self) -> tuple:
+        # cached_property writes to the instance's __dict__, past the
+        # frozen __setattr__
+        return _summaries(self.samples)
+
     @property
     def mean(self) -> float | None:
-        return _summaries(self.samples)[0]
+        return self._stats[0]
 
     @property
     def std(self) -> float | None:
-        return _summaries(self.samples)[1]
+        return self._stats[1]
 
     @property
     def quartiles(self) -> tuple[float, float, float, float, float] | None:
-        return _summaries(self.samples)[2]
+        return self._stats[2]
 
     @classmethod
     def from_samples(
@@ -420,10 +426,13 @@ def simulate_annotation_rounds(
     for r in range(n_rounds):
         rng = _round_rng(seed, r)
         draw = rng.integers(0, len(codes), size=kept[-1])
+        counts, prev = np.zeros(n * n, dtype=np.int64), 0
         for b in kept:
-            counts = np.bincount(codes[draw[:b]], minlength=n * n).reshape(n, n)
+            # the budget before's counts plus those of the draws it lacks
+            counts += np.bincount(codes[draw[prev:b]], minlength=n * n)
+            prev = b
             table = table_from_counts(
-                counts.tolist(), user_model, scale,
+                counts.reshape(n, n).tolist(), user_model, scale,
                 estimator=estimator, condition=condition,
                 one_sided_collection=one_sided_collection,
             )

@@ -374,7 +374,7 @@ class JudgmentPairs(_Records):
 
     def _adopt(self, topic_ids, doc_ids, levels_u1, levels_u2, width: int) -> None:
         self.topic_ids, self.doc_ids, self.width = tuple(topic_ids), tuple(doc_ids), width
-        self._cells = array("q", [l1 * width + l2 for l1, l2 in zip(levels_u1, levels_u2)])
+        self._cells = array("q", map(operator.add, map(width.__mul__, levels_u1), levels_u2))
 
     def __len__(self) -> int:
         return len(self.topic_ids)
@@ -677,14 +677,59 @@ def _columns(text: str, spec: str) -> list[list[str]] | None:
     return columns
 
 
+_DIGITS = {str(i): i for i in range(10)}
+
+
 def _levels(column: list[str], top: int) -> list[int] | None:
     """The integer levels of a field column with negatives clamped to 0,
-    or None if one is not an integer or lies above ``top``."""
+    or None if one is not an integer or lies above ``top``.
+
+    Tokens ``"0"``...``"9"`` are looked up; only a column with another
+    token (``"+1"``, ``"01"``, ``"-3"``, ...) is read with ``int()``.
+    """
     try:
-        levels = [level if level > 0 else 0 for level in map(int, column)]
-    except ValueError:
-        return None
+        levels = list(map(_DIGITS.__getitem__, column))
+    except KeyError:
+        try:
+            levels = [level if level > 0 else 0 for level in map(int, column)]
+        except ValueError:
+            return None
     return None if max(levels) > top else levels
+
+
+def _cuts(topics: Sequence[str]) -> list[int]:
+    """``[0, ..., n]``: the bounds of each stretch of equal topics (``[0]``
+    when there are none)."""
+    n = len(topics)
+    return [0, *compress(range(1, n), map(operator.ne, topics[1:], topics)), n] if n else [0]
+
+
+def _docs_by_topic(topics: Sequence[str], docs: Sequence[str]) -> dict[str, set[str]]:
+    """Each topic's set of docs, added one stretch of equal topics at a
+    time; the sets' sizes add up to ``len(docs)`` unless some doc occurs
+    twice under one topic."""
+    out: dict[str, set[str]] = {}
+    cuts = _cuts(topics)
+    for a, b in zip(cuts, cuts[1:]):
+        topic = topics[a]
+        if topic in out:
+            out[topic].update(docs[a:b])
+        else:
+            out[topic] = set(docs[a:b])
+    return out
+
+
+def _unseen_docs(
+    seen: Mapping[str, set[str]], topics: Sequence[str], docs: Sequence[str]
+) -> dict[str, set[str]] | None:
+    """A block's docs per topic (see :func:`_docs_by_topic`), or None if a
+    doc repeats under its topic within the block or is in ``seen``."""
+    new = _docs_by_topic(topics, docs)
+    if sum(map(len, new.values())) != len(docs):
+        return None
+    if not all(topic_docs.isdisjoint(seen.get(t, ())) for t, topic_docs in new.items()):
+        return None
+    return new
 
 
 def parse_scale(source: str | IO[str]) -> RelevanceScale:
@@ -722,7 +767,8 @@ def parse_qrels(
     ``source`` is the file's text or stream, or an iterable of its lines.
     A block of plain records with valid levels and no intent-``0`` record
     is taken at once; any other block goes through the line reader, which
-    words every error and warning.  Keys are checked once, at the end.
+    words every error and warning.  Keys are checked once, at the end:
+    with no intents, as each topic's set of doc ids.
     """
     top = scale.top_index
     topics, docs, levels, intents = [], [], [], []
@@ -779,7 +825,11 @@ def parse_qrels(
         intents += expanded
 
     js = JudgmentSet._of(scale, group, topics, docs, levels, intents if intent_field else None)
-    if len(set(js._keys())) != len(js):
+    if js.intent_ids is None:
+        n_keys = sum(map(len, _docs_by_topic(js.topic_ids, js.doc_ids).values()))
+    else:
+        n_keys = len(set(js._keys()))
+    if n_keys != len(js):
         js._validate()  # words the first repeated key
     return js
 
@@ -790,20 +840,26 @@ def parse_paired(source: str | IO[str] | Iterable[str], scale: RelevanceScale) -
     A repeated (topic, doc) line means judgments beyond the first two for
     that document; those are ignored with a warning.  ``source`` is read
     as by :func:`parse_qrels`: a block of plain records with valid levels
-    and (topic, doc) keys unseen so far is taken at once, and any other
-    block goes through the line reader.
+    and no doc that repeats under its topic, in the block or against the
+    topic's docs so far, is taken at once, and any other block goes
+    through the line reader.  The docs so far are kept per topic, and a
+    block's docs join them only once the whole block is taken.
     """
     top = scale.top_index
     topics, docs, l1s, l2s = [], [], [], []
-    seen: set[tuple[str, str]] = set()
+    seen: dict[str, set[str]] = {}
     for start, lines, columns in _blocks(source, _PAIRED):
         if columns is not None:
             block_topics, block_docs, l1_column, l2_column = columns
             l1 = _levels(l1_column, top)
             l2 = None if l1 is None else _levels(l2_column, top)
-            keys = set(zip(block_topics, block_docs))
-            if l2 is not None and len(keys) == len(block_topics) and seen.isdisjoint(keys):
-                seen |= keys
+            new = None if l2 is None else _unseen_docs(seen, block_topics, block_docs)
+            if new is not None:
+                for topic, topic_docs in new.items():
+                    if topic in seen:
+                        seen[topic] |= topic_docs
+                    else:
+                        seen[topic] = topic_docs
                 topics += block_topics
                 docs += block_docs
                 l1s += l1
@@ -816,7 +872,7 @@ def parse_paired(source: str | IO[str] | Iterable[str], scale: RelevanceScale) -
             for lvl in (l1, l2):
                 if lvl > top:
                     raise ValidationError(f"line {line_no}: level {lvl} > T={top}")
-            if (topic, doc) in seen:
+            if doc in seen.get(topic, ()):
                 warnings.warn(
                     f"line {line_no}: extra judgments for (topic={topic}, doc={doc}) "
                     "ignored; only the first two are used",
@@ -824,7 +880,7 @@ def parse_paired(source: str | IO[str] | Iterable[str], scale: RelevanceScale) -
                     stacklevel=2,
                 )
                 continue
-            seen.add((topic, doc))
+            seen.setdefault(topic, set()).add(doc)
             topics.append(topic)
             docs.append(doc)
             l1s.append(l1)
@@ -883,8 +939,7 @@ def parse_run(source: str | IO[str] | Iterable[str]) -> RunRanking:
             topics, _, docs, rank_column, score_column, systems = columns
             system = systems[0] if system_id is None else system_id
             if systems.count(system) == len(systems):
-                n = len(topics)
-                cuts = [0, *compress(range(1, n), map(operator.ne, topics[1:], topics)), n]
+                cuts = _cuts(topics)
                 kept = _kept_as_read(rows, topics, cuts, rank_column, numerals)
                 try:
                     scores = list(map(float, score_column))

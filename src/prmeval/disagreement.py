@@ -48,10 +48,12 @@ import warnings
 from array import array
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, compress
 from typing import IO, Iterable, Mapping, Sequence
 
-from .corpus import JudgmentPair, JudgmentPairs, JudgmentSet, RelevanceScale
+from .corpus import (
+    JudgmentPair, JudgmentPairs, JudgmentSet, RelevanceScale, _cuts, _docs_by_topic,
+)
 from .errors import DataWarning, EstimationError, ParseError, ValidationError
 
 __all__ = [
@@ -309,6 +311,17 @@ def pair_codes(pairs: Sequence[JudgmentPair], scale: RelevanceScale) -> array:
     return _as_pairs(pairs, scale)._cells
 
 
+def _count(keys: Iterable[int], n: int, n_groups: int) -> list:
+    """``C[g][i][j]``: the number of keys ``g * n**2 + i * n + j``."""
+    cells = n * n
+    flat = [0] * (n_groups * cells)
+    for key, count in Counter(keys).items():
+        flat[key] = count
+    return [
+        [flat[g + i : g + i + n] for i in range(0, cells, n)] for g in range(0, len(flat), cells)
+    ]
+
+
 def code_counts(
     codes: Iterable[int], scale: RelevanceScale, groups: Iterable[int] | None = None,
     n_groups: int = 1,
@@ -316,13 +329,13 @@ def code_counts(
     """Count matrix ``C[i][j]`` of pair codes, or ``C[g][i][j]`` per group,
     as nested lists of ints.
 
-    ``groups`` gives each code's group index in ``0..n_groups-1``.
+    ``groups`` gives each code's group index in ``0..n_groups-1``; a code
+    is counted as the one int ``g * (T+1)**2 + code``.
     """
     n = scale.top_index + 1
-    out = [[[0] * n for _ in range(n)] for _ in range(n_groups)]
-    for (g, code), count in Counter(zip(repeat(0) if groups is None else groups, codes)).items():
-        out[g][code // n][code % n] = count
-    return out[0] if groups is None else out
+    if groups is None:
+        return _count(codes, n, 1)[0]
+    return _count(map(operator.add, map((n * n).__mul__, groups), codes), n, n_groups)
 
 
 def pair_counts(pairs: Sequence[JudgmentPair], scale: RelevanceScale) -> list:
@@ -340,13 +353,14 @@ def group_pair_counts(
     A pair's group is ``group_of[topic]``, by default its topic.
     """
     pairs = _as_pairs(pairs, scale)
-    labels = pairs.topic_ids
-    if group_of is not None:
-        labels = list(map(group_of.__getitem__, labels))
-    names = sorted(set(labels))
-    index = {name: i for i, name in enumerate(names)}
-    groups = map(index.__getitem__, labels)
-    return names, code_counts(pair_codes(pairs, scale), scale, groups, len(names))
+    topics = list(dict.fromkeys(pairs.topic_ids))
+    groups = topics if group_of is None else list(map(group_of.__getitem__, topics))
+    names = sorted(set(groups))
+    n = scale.top_index + 1
+    index = {name: g * n * n for g, name in enumerate(names)}
+    offset = dict(zip(topics, map(index.__getitem__, groups)))
+    keys = map(operator.add, map(offset.__getitem__, pairs.topic_ids), pair_codes(pairs, scale))
+    return names, _count(keys, n, len(names))
 
 
 def _plus(a: Iterable[Sequence[int]], b: Iterable[Sequence[int]]) -> list:
@@ -569,31 +583,36 @@ def quality_sensitivity(
 
     # per topic, each resource's count of judgments in the top two levels;
     # a document's step is its resource's place in its topic's order
+    topic_ids = judgments.topic_ids
     in_resource = list(map(resources.__getitem__, judgments.doc_ids))
-    strong = map((scale.top_index - 1).__le__, judgments.levels)
-    strong_counts: dict[str, dict[str, int]] = {}
-    for (topic, resource, is_strong), n in Counter(
-        zip(judgments.topic_ids, in_resource, strong)
-    ).items():
-        counts = strong_counts.setdefault(topic, {})
-        counts[resource] = counts.get(resource, 0) + n * is_strong
+    strong = list(map((scale.top_index - 1).__le__, judgments.levels))
+    strong_counts: dict[str, Counter] = {}
+    cuts = _cuts(topic_ids)
+    for a, b in zip(cuts, cuts[1:]):
+        counts = strong_counts.setdefault(topic_ids[a], Counter())
+        counts.update(compress(in_resource[a:b], strong[a:b]))
+        counts.update(dict.fromkeys(in_resource[a:b], 0))  # a resource with none strong
     place = {
-        (topic, resource): k
+        topic: {r: k for k, r in enumerate(sorted(counts, key=lambda r: (-counts[r], r)))}
         for topic, counts in strong_counts.items()
-        for k, resource in enumerate(sorted(counts, key=lambda r: (-counts[r], r)))
     }
-    judged = set(zip(judgments.topic_ids, judgments.doc_ids))
+    judged = _docs_by_topic(topic_ids, judgments.doc_ids)
 
     pairs = _as_pairs(pairs, scale)
     topics, docs = pairs.topic_ids, pairs.doc_ids
-    if not judged.issuperset(zip(topics, docs)):
-        uncovered = [key for key in zip(topics, docs) if key not in judged]
+    cuts = _cuts(topics)
+    stretches = list(zip(cuts, cuts[1:]))
+    if not all(judged.get(topics[a], set()).issuperset(docs[a:b]) for a, b in stretches):
+        uncovered = [(t, d) for t, d in zip(topics, docs) if d not in judged.get(t, ())]
         raise ValidationError(
             f"{len(uncovered)} pairs reference documents absent from the reference "
             f"judgments (first: {uncovered[0]}); the sweep cannot cover them"
         )
-    steps = map(place.__getitem__, zip(topics, map(resources.__getitem__, docs)))
-    k_max = max(place.values()) + 1
+    steps = chain.from_iterable(
+        map(place[topics[a]].__getitem__, map(resources.__getitem__, docs[a:b]))
+        for a, b in stretches
+    )
+    k_max = max(map(len, place.values()))
     per_k = accumulate(code_counts(pair_codes(pairs, scale), scale, steps, k_max), _plus)
 
     tables = [

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import random
+from unittest import mock
 
 import pytest
 
@@ -539,6 +540,19 @@ class TestAnalyzeCommand:
         assert code == 0
         assert "level 0: mean=" in out
         assert "level 2: mean=" in out
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_bootstrap_summarizes_each_level_once(self, capsys, ws, monkeypatch, fmt):
+        from prmeval import analysis
+
+        summaries = mock.Mock(wraps=analysis._summaries)
+        monkeypatch.setattr(analysis, "_summaries", summaries)
+        code, _, _ = run_cli(capsys, [
+            "analyze", "bootstrap", "--scale", ws["scale"], "--pairs", ws["pairs2"],
+            "--theta", "2", "--seed", "7", "--resamples", "20", "--format", fmt,
+        ])
+        assert code == 0
+        assert summaries.call_count == 3  # one per level of the 3-level scale
 
     def test_budget_requires_seed_and_budgets(self, capsys, ws):
         code, _, err = run_cli(

@@ -175,6 +175,82 @@ def test_paired_paths_agree(text):
     _check(PARSERS["paired"], text)
 
 
+# -- keys by topic, then doc -------------------------------------------------
+
+# mostly levels the digit table holds, sometimes spellings only int() reads
+# and a level above the scale
+KEY_LEVELS = st.one_of(GOOD_LEVELS, GOOD_LEVELS, st.sampled_from(["-1", "+1", "01", "9"]))
+
+
+@st.composite
+def _stretch_texts(draw, kind):
+    """Plain records in stretches of equal topics, where a topic may come
+    back later, in the same block or in a later one.  A doc is mostly new
+    to its topic, and otherwise one that the topic had already, in this
+    stretch or an earlier one; new docs are named ``d0``, ``d1``, ... per
+    topic, so that the same doc under another topic is no repeat."""
+    lines = []
+    docs_of: dict[str, list[str]] = {}
+    for topic in draw(st.lists(st.sampled_from(["t1", "t2", "t3"]), min_size=1, max_size=12)):
+        earlier = docs_of.setdefault(topic, [])
+        for _ in range(draw(st.integers(1, 5))):
+            if earlier and draw(st.integers(0, 4)) == 0:
+                doc = draw(st.sampled_from(earlier))
+            else:
+                doc = f"d{len(earlier)}"
+                earlier.append(doc)
+            level = draw(KEY_LEVELS)
+            if kind == "paired":
+                lines.append(f"{topic} {doc} {level} {draw(KEY_LEVELS)}\n")
+            else:
+                lines.append(f"{topic} 0 {doc} {level}\n")
+    return "".join(lines)
+
+
+# block 2 at 40 characters: t1's new docs, then a t2 doc from block 1; only
+# line 8 is extra, so t1's docs must not count as seen when block 2 is not
+# taken at once
+_BACK_IN_A_LATER_BLOCK = _pairs(4, "t2") + _pairs(3, "t1", first=10) + "t2 d1 0 0\n"
+
+
+@settings(max_examples=500, deadline=None)
+@given(_stretch_texts("paired"))
+@example(_BACK_IN_A_LATER_BLOCK)
+# a doc repeated within its stretch
+@example(_pairs(3) + "t1 d2 0 0\n" + _pairs(3, first=4))
+# a topic back in the same block, with new docs and with a repeated one
+@example(_pairs(2) + _pairs(2, "t2") + _pairs(2, first=3))
+@example(_pairs(2) + _pairs(2, "t2") + "t1 d1 0 0\n")
+# a topic back in a later block, with new docs and with a repeated one
+@example(_pairs(3) + _pairs(30, "t2") + _pairs(3, first=4))
+@example(_pairs(3) + _pairs(30, "t2") + _pairs(3, first=3))
+# the same doc under two topics is no repeat
+@example(_pairs(3) + _pairs(3, "t2") + _pairs(30, "t3") + _pairs(3, "t2", first=4))
+def test_paired_keys_by_topic_agree(text):
+    _check(PARSERS["paired"], text)
+
+
+def test_paired_block_commits_its_docs_once_taken():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with mock.patch.object(corpus, "_BLOCK", 40):
+            pairs = parse_paired(io.StringIO(_BACK_IN_A_LATER_BLOCK), SCALE)
+    assert [str(w.message) for w in caught] == [
+        "line 8: extra judgments for (topic=t2, doc=d1) ignored; only the first two are used"
+    ]
+    assert len(pairs) == 7
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stretch_texts("qrels"))
+@example(_qrels(3) + "t1 0 d2 0\n")
+@example(_qrels(2) + _qrels(2, "t2") + _qrels(2, first=3))
+@example(_qrels(3) + _qrels(30, "t2") + _qrels(3, first=3))
+@example(_qrels(3) + _qrels(3, "t2") + _qrels(30, "t3") + _qrels(3, "t2", first=4))
+def test_qrels_keys_by_topic_agree(text):
+    _check(PARSERS["qrels"], text)
+
+
 # -- runs ---------------------------------------------------------------------
 
 GOOD_SCORES = st.sampled_from(["3", "2.5", "1e-3", "-0.5", "0"])
