@@ -28,7 +28,7 @@ from .disagreement import (  # the quality sweep is re-exported from here
     quality_sensitivity, table_from_counts,
 )
 from .errors import DataWarning, EstimationError, MetricError, ValidationError
-from .metrics import DiscountFunction, GainScheme, ndcg_reports
+from .metrics import DiscountFunction, GainScheme, _Pool, ndcg_reports
 
 if TYPE_CHECKING:
     import numpy as np
@@ -465,17 +465,19 @@ def rank_by_ndcg(
     ``runs`` may be any iterable: each run is scored against every map for
     all schemes in one visit, and is not kept.  A repeated system id is a
     ValidationError.  ``strict`` and ``ideal_pool`` are as in ndcg_at_k.
+    Each map's judged levels are counted once, not once per run.
     """
-    means: list[dict[str, dict[str, float]]] = [{name: {} for name in schemes} for _ in judged]
+    pools = [_Pool(doc_levels) for doc_levels in judged]
+    means: list[dict[str, dict[str, float]]] = [{name: {} for name in schemes} for _ in pools]
     seen: set[str] = set()
     scheme_list = list(schemes.values())
     for run in runs:
         if run.system_id in seen:
             raise ValidationError(f"duplicate system id among runs: {run.system_id!r}")
         seen.add(run.system_id)
-        for by_scheme, doc_levels in zip(means, judged):
+        for by_scheme, pool in zip(means, pools):
             reports = ndcg_reports(
-                run, doc_levels, scheme_list, discount, k,
+                run, pool, scheme_list, discount, k,
                 strict=strict, ideal_pool=ideal_pool,
             )
             for name, report in zip(schemes, reports):

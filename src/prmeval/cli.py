@@ -547,6 +547,7 @@ def cmd_eval(args: argparse.Namespace) -> _Report:
         [_resolve_scheme(name, args, scale, table) for name in args.gains]
         if "ndcg" in measures else []
     )
+    pool = metrics._Pool(doc_levels)  # shared by every run's nDCG
     system_reports: dict[str, dict[str, metrics.MetricReport]] = {}
     for run in runs:
         if run.system_id in system_reports:
@@ -560,7 +561,7 @@ def cmd_eval(args: argparse.Namespace) -> _Report:
             per_run[report.label] = report
         if schemes:
             reports = metrics.ndcg_reports(
-                run, doc_levels, schemes, discount, args.k,
+                run, pool, schemes, discount, args.k,
                 strict=args.strict, ideal_pool=args.ideal_pool,
             )
             for name, report in zip(args.gains, reports):

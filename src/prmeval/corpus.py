@@ -1103,12 +1103,13 @@ def attach_resources(
             raise ValidationError(f"bad resource pattern {pattern!r}: {exc}") from None
         if not compiled.groups:
             raise ValidationError(f"resource pattern needs a capture group: {pattern!r}")
-        found = list(map(compiled.search, docs))
-        if None in found:
+        try:
+            values = [m[1] for m in map(compiled.search, docs)]
+        except TypeError:  # a doc had no match, and None has no group 1
+            missing = next(doc for doc in docs if compiled.search(doc) is None)
             raise ValidationError(
-                f"doc id {docs[found.index(None)]!r} does not match resource pattern"
-            )
-        values = [m[1] for m in found]
+                f"doc id {missing!r} does not match resource pattern"
+            ) from None
     else:
         missing = next((doc for doc in docs if doc not in resource_map), None)
         if missing is not None:

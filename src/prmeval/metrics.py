@@ -31,7 +31,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, filterfalse, islice, repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .corpus import RunRanking
@@ -443,6 +443,38 @@ def ndcg_at_k(
     )[0]
 
 
+class _Pool(Mapping):
+    """One group's ``topic -> {doc: level}`` map, with what nDCG needs
+    of it whatever the run: each topic's judged-level histogram.  Build
+    one per group and pass it to :func:`ndcg_reports` in place of the map
+    for every run scored against that group; a plain map gets a pool of
+    its own per call.
+    """
+
+    __slots__ = ("levels", "_hists")
+
+    def __init__(self, levels: Mapping[str, Mapping[str, int]]) -> None:
+        self.levels = levels
+        # topic -> (level histogram, lowest and highest level with 0 among them)
+        self._hists: dict[str, tuple[Counter, int, int]] = {}
+
+    def __getitem__(self, topic: str) -> Mapping[str, int]:
+        return self.levels[topic]
+
+    def __iter__(self):
+        return iter(self.levels)
+
+    def __len__(self) -> int:
+        return len(self.levels)
+
+    def hist(self, topic: str) -> tuple[Counter, int, int]:
+        found = self._hists.get(topic)
+        if found is None:
+            hist = Counter(self.levels[topic].values())
+            found = self._hists[topic] = (hist, min((0, *hist)), max((0, *hist)))
+        return found
+
+
 def ndcg_reports(
     run: RunRanking,
     judgments: Mapping[str, Mapping[str, int]],
@@ -455,11 +487,18 @@ def ndcg_reports(
 ) -> list[MetricReport]:
     """nDCG@k of one run under every gain scheme, one report per scheme.
 
-    Per topic the run's levels are looked up once (unjudged documents
-    count as level 0) and every scheme's gains are gathered from that one
-    level vector; the ideal DCG comes from the pool's level histogram.
-    Values equal :func:`topic_dcg` over :func:`ideal_dcg_at_k` bit for
-    bit.  ``strict`` and ``ideal_pool`` are as in :func:`ndcg_at_k`.
+    Per topic the run's top k levels are looked up once (unjudged
+    documents count as level 0) and every scheme's gains are gathered
+    from that one level vector; the ideal DCG comes from the pool's level
+    histogram.  Values equal :func:`topic_dcg` over :func:`ideal_dcg_at_k`
+    bit for bit.  ``strict`` and ``ideal_pool`` are as in :func:`ndcg_at_k`.
+
+    With ``ideal_pool="qrels"`` a run changes a topic's ideal DCG only
+    through how many unjudged docs it retrieved, and only up to k of them
+    matter; when g(0) = 0 they add nothing.  So the judged levels are
+    counted once per pool, and a run costs O(k) lookups per topic when no
+    scheme has g(0) > 0 (else its docs are scanned until k unjudged are
+    seen).
     """
     if ideal_pool not in ("qrels", "run"):
         raise ValidationError(f"ideal_pool must be 'qrels' or 'run', got {ideal_pool!r}")
@@ -467,7 +506,9 @@ def ndcg_reports(
         raise ValidationError("need at least one gain scheme")
     if len({len(s.gains) for s in schemes}) > 1:
         raise ValidationError("gain schemes must cover the same levels")
-    topics = _eval_topics(run, set(judgments), strict)
+    pool = judgments if isinstance(judgments, _Pool) else _Pool(judgments)
+    judged = pool.levels
+    topics = _eval_topics(run, set(judged), strict)
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
 
@@ -477,24 +518,30 @@ def ndcg_reports(
     retrieved = {topic: run.doc_ids(topic) for topic in topics}
     # deep enough for every run and every pool: a pool holds at most the
     # judged and the retrieved documents
-    weights = discount.weights(min(k, max(len(judgments[t]) + len(retrieved[t]) for t in topics)))
+    weights = discount.weights(min(k, max(len(judged[t]) + len(retrieved[t]) for t in topics)))
+    # unjudged docs join the pool at level 0; gains are >= 0, so with g(0) = 0
+    # they come last and add +0.0 to every ideal DCG
+    scan = ideal_pool == "qrels" and any(scheme.gains[0] != 0.0 for scheme in schemes)
 
     values: list[dict[str, float]] = [{} for _ in schemes]
     excluded: list[list[str]] = [[] for _ in schemes]
     for topic in topics:
-        levels, docs = judgments[topic], retrieved[topic]
+        levels, docs = judged[topic], retrieved[topic]
         if ideal_pool == "run":
             hist = Counter(map(levels.get, docs, repeat(0)))
+            lo, hi = min(hist), max(hist)
         else:
-            hist = Counter(levels.values())
-            hist[0] += len(docs) - len(levels.keys() & docs)
-        lo, hi = min(hist), max(hist)
+            hist, lo, hi = pool.hist(topic)
         if lo < 0 or hi > top:
             raise MetricError(f"level {lo if lo < 0 else hi} outside gain vector 0..{top}")
         ranked = list(map(levels.get, docs[:k], repeat(0)))
+        # the unjudged docs retrieved, counted up to k
+        unjudged = len(list(islice(filterfalse(levels.__contains__, docs), k))) if scan else 0
         for s, (scheme, order) in enumerate(zip(schemes, by_gain)):
             gains = scheme.gains
-            ideal = _dcg(chain.from_iterable(repeat(gains[i], hist[i]) for i in order), weights)
+            counts = (hist[i] + unjudged if i == 0 else hist[i] for i in order)
+            pool_gains = chain.from_iterable(map(repeat, map(gains.__getitem__, order), counts))
+            ideal = _dcg(pool_gains, weights)
             if ideal == 0.0:
                 excluded[s].append(topic)
             else:

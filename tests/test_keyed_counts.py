@@ -8,11 +8,13 @@ places per topic, where both used to build a ``(group, code)`` or
 versions, kept as they were; results, warnings and errors (the
 uncovered-pairs message included) must match.  ``corpus._levels`` looks
 levels up in a table of ``"0"``...``"9"`` and must read every other
-token as ``int()`` does.
+token as ``int()`` does.  ``attach_resources`` must name the first doc
+its pattern does not match.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
 from collections import Counter
 from itertools import accumulate, repeat
@@ -25,7 +27,7 @@ from hypothesis import strategies as st
 
 from prmeval import corpus
 from prmeval.analysis import simulate_annotation_rounds
-from prmeval.corpus import Judgment, JudgmentPair, JudgmentSet, RelevanceScale
+from prmeval.corpus import Judgment, JudgmentPair, JudgmentSet, RelevanceScale, attach_resources
 from prmeval.disagreement import (
     LevelSeries, SensitivityCurve, UserModel, _as_pairs, _plus, code_counts, group_pair_counts,
     pair_codes, pair_counts, quality_sensitivity, table_from_counts,
@@ -295,3 +297,27 @@ def test_budget_counts_each_drawn_code_once():
     with mock.patch.object(np, "bincount", bincount):
         simulate_annotation_rounds(pairs, UserModel(2), scale, [5, 20, 60], n_rounds=4, seed=3)
     assert sum(len(call.args[0]) for call in bincount.call_args_list) == 4 * 60
+
+
+# -- resources -----------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(["FW-e1-a", "FW-e22-b", "FW-e3-c", "zz", "FW--d", "yy"]),
+                min_size=1, max_size=8))
+def test_resources_from_a_pattern_name_the_first_doc_without_a_match(docs):
+    scale = RelevanceScale(("a", "b"))
+    judgments = JudgmentSet(
+        scale, [Judgment(f"t{i}", doc, 1) for i, doc in enumerate(docs)], "u1"
+    )
+    pattern = r"FW-(e\d+)-"
+    first = list(dict.fromkeys(docs))
+    unmatched = [doc for doc in first if re.search(pattern, doc) is None]
+    if unmatched:
+        with pytest.raises(ValidationError) as info:
+            attach_resources(judgments, pattern=pattern)
+        assert str(info.value) == f"doc id {unmatched[0]!r} does not match resource pattern"
+    else:
+        out = attach_resources(judgments, pattern=pattern)
+        assert out.resources == {doc: re.search(pattern, doc)[1] for doc in first}
+        assert list(out.resources) == first
