@@ -341,9 +341,12 @@ def _load_qrels(
     args: argparse.Namespace, path: str, scale: corpus.RelevanceScale, group: str
 ) -> corpus.JudgmentSet:
     """One group's qrels; --intents declares the intents that intent '0'
-    expands over, and --top-intent-only keeps each topic's top intent."""
+    expands over, and --top-intent-only keeps each topic's top intent.
+    The --intents file is read once per command, with the first qrels."""
     from . import corpus
-    probs = _parse(args.intents, corpus.parse_intent_probabilities) if args.intents else None
+    if args.intents and "intent_probs" not in args:
+        args.intent_probs = _parse(args.intents, corpus.parse_intent_probabilities)
+    probs = getattr(args, "intent_probs", None)
     js = _parse(
         path, corpus.parse_qrels, scale, group,
         intent_field=args.intent_field, declared_intents=probs,
@@ -356,17 +359,18 @@ def _load_qrels(
 
 
 def _load_pairs(
-    args: argparse.Namespace, scale: corpus.RelevanceScale, qrels=None
+    args: argparse.Namespace, scale: corpus.RelevanceScale, u1=None, u2=None
 ) -> corpus.JudgmentPairs:
     """Double judgments from --pairs, else from the overlap of --qrels and --qrels2.
 
-    ``qrels`` is the (u1, u2) pair that ``tau`` and ``robustness`` have
-    already read; there --qrels2 is a ranking input too, so it may come
-    with --pairs.  Elsewhere the two sources exclude each other.
+    ``u1`` and ``u2`` are the --qrels and --qrels2 groups that a command
+    has already read; each one not given is read here.  ``tau`` and
+    ``robustness`` rank against --qrels2 and pass it, so there it may
+    come with --pairs.  Elsewhere the two sources exclude each other.
     """
     from . import corpus
     if args.pairs:
-        if args.qrels2 and qrels is None:
+        if args.qrels2 and u2 is None:
             raise ValidationError(
                 "double judgments must come from exactly one source: "
                 "--pairs or --qrels + --qrels2"
@@ -376,9 +380,8 @@ def _load_pairs(
         raise ValidationError(
             "no double judgments: supply --pairs or both --qrels and --qrels2"
         )
-    u1, u2 = qrels or (
-        _load_qrels(args, args.qrels, scale, "u1"), _load_qrels(args, args.qrels2, scale, "u2")
-    )
+    u1 = _load_qrels(args, args.qrels, scale, "u1") if u1 is None else u1
+    u2 = _load_qrels(args, args.qrels2, scale, "u2") if u2 is None else u2
     return corpus.pair_judgments(u1, u2).pairs
 
 
@@ -403,11 +406,12 @@ def _estimator_opts(args: argparse.Namespace) -> dict:
 
 
 def _resolve_table(
-    args: argparse.Namespace, scale: corpus.RelevanceScale, qrels=None
+    args: argparse.Namespace, scale: corpus.RelevanceScale, u1=None, u2=None
 ) -> disagreement.DisagreementTable:
-    """The --table file, else the estimate from the double judgments;
-    --override-p0 pins p(R|0), and then the table is checked for levels
-    whose p(R|i) falls beyond noise."""
+    """The --table file, else the estimate from the double judgments
+    (``u1`` and ``u2`` as in :func:`_load_pairs`); --override-p0 pins
+    p(R|0), and then the table is checked for levels whose p(R|i) falls
+    beyond noise."""
     from . import disagreement
     if args.table:
         table = _parse(args.table, disagreement.DisagreementTable.from_json)
@@ -417,7 +421,7 @@ def _resolve_table(
             )
     else:
         table = disagreement.estimate(
-            _load_pairs(args, scale, qrels), _user_model(args, scale), scale,
+            _load_pairs(args, scale, u1, u2), _user_model(args, scale), scale,
             **_estimator_opts(args),
         )
     table = table.with_override(0, 0.0) if args.override_p0 else table
@@ -525,28 +529,31 @@ def cmd_eval(args: argparse.Namespace) -> _Report:
     scale = _load_scale(args)
     if not args.qrels:
         raise ValidationError("--qrels is required")
-    doc_levels = _load_qrels(args, args.qrels, scale, "u1").doc_levels()
+    u1 = _load_qrels(args, args.qrels, scale, "u1")
+    doc_levels = u1.doc_levels()
     measures = args.measures
     needs_table = "count-prm" in measures or "precision" in measures or (
         "ndcg" in measures and _needs_table(args.gains)
     )
-    table = _resolve_table(args, scale) if needs_table else None
+    table = _resolve_table(args, scale, u1) if needs_table else None
+    del u1  # its columns are not held while the runs are scored
     discount = _resolve_discount(args)
     runs = _load_runs(args) if ("precision" in measures or "ndcg" in measures) else ()
-
-    pool_reports: dict[str, metrics.MetricReport] = {}
-    if "count-binary" in measures:
-        pool_reports["count_binary"] = metrics.binary_count_report(
-            doc_levels, _user_model(args, scale).theta
-        )
-    if "count-prm" in measures:
-        assert table is not None
-        pool_reports["count_prm"] = metrics.expected_count_report(doc_levels, table)
-
+    # before the counts, so that a binary scheme's own theta error comes first
     schemes = (
         [_resolve_scheme(name, args, scale, table) for name in args.gains]
         if "ndcg" in measures else []
     )
+
+    pool_reports: dict[str, metrics.MetricReport] = {}
+    if "count-binary" in measures:
+        model = _user_model(args, scale)
+        model.check_against(scale)
+        pool_reports["count_binary"] = metrics.binary_count_report(doc_levels, model.theta)
+    if "count-prm" in measures:
+        assert table is not None
+        pool_reports["count_prm"] = metrics.expected_count_report(doc_levels, table)
+
     pool = metrics._Pool(doc_levels)  # shared by every run's nDCG
     system_reports: dict[str, dict[str, metrics.MetricReport]] = {}
     for run in runs:
@@ -615,7 +622,7 @@ def _ranking_inputs(
     scale = _load_scale(args)
     u1 = _load_qrels(args, args.qrels, scale, "u1")
     u2 = _load_qrels(args, args.qrels2, scale, "u2") if args.qrels2 else u1
-    table = _resolve_table(args, scale, (u1, u2)) if _needs_table(args.gains) else None
+    table = _resolve_table(args, scale, u1, u2) if _needs_table(args.gains) else None
     schemes = {name: _resolve_scheme(name, args, scale, table) for name in args.gains}
     judged = (u1.doc_levels(),) if u2 is u1 else (u1.doc_levels(), u2.doc_levels())
     return runs, judged, schemes

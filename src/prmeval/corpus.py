@@ -173,22 +173,14 @@ class _Records(Sequence):
         return f"{type(self).__name__}({list(self)!r})"
 
 
-def _same_records(view: _Records, other: object) -> bool:
-    """Judgment views equal any sequence of the same records, as the
-    tuple and list that they replace did."""
-    if not isinstance(other, Sequence) or isinstance(other, str):
-        return NotImplemented
-    return len(view) == len(other) and all(map(operator.eq, view, other))
-
-
 class JudgmentSet:
     """A validated collection of one assessor group's judgments against
     one scale.
 
     The judgments are stored as columns: ``topic_ids``, ``doc_ids``,
     ``levels`` and ``intent_ids`` (None when no judgment has an intent),
-    one entry per judgment in file order; ``judgments`` is a view that
-    builds :class:`Judgment` records on access.  ``resources`` maps each
+    one entry per judgment in file order; ``judgments`` builds their
+    :class:`Judgment` records when read.  ``resources`` maps each
     judged doc to its resource once :func:`attach_resources` has run.
     Sets compare equal by value and are not hashable.
     """
@@ -261,9 +253,10 @@ class JudgmentSet:
         return JudgmentSet._of(self.scale, self.group, *columns, resources)
 
     @property
-    def judgments(self) -> "JudgmentView":
-        """Every judgment in file order, as a view with an O(1) ``len``."""
-        return JudgmentView(self)
+    def judgments(self) -> tuple[Judgment, ...]:
+        """Every judgment in file order, built when read."""
+        intents = self.intent_ids or repeat(None)
+        return tuple(map(Judgment, self.topic_ids, self.doc_ids, self.levels, intents))
 
     def __len__(self) -> int:
         return len(self.levels)
@@ -304,29 +297,6 @@ class JudgmentSet:
         return out
 
 
-class JudgmentView(_Records):
-    """Read-only view of a judgment set's judgments in file order."""
-
-    __slots__ = ("_set",)
-    __eq__ = _same_records
-    __hash__ = None  # type: ignore[assignment]
-
-    def __init__(self, judgments: JudgmentSet) -> None:
-        self._set = judgments
-
-    def __len__(self) -> int:
-        return len(self._set)
-
-    def __iter__(self) -> Iterator[Judgment]:
-        js = self._set
-        return map(Judgment, js.topic_ids, js.doc_ids, js.levels, js.intent_ids or repeat(None))
-
-    def _record(self, i: int) -> Judgment:
-        js = self._set
-        intent = None if js.intent_ids is None else js.intent_ids[i]
-        return Judgment(js.topic_ids[i], js.doc_ids[i], js.levels[i], intent)
-
-
 @dataclass(frozen=True)
 class JudgmentPair:
     """One result judged independently by both assessor groups."""
@@ -352,7 +322,6 @@ class JudgmentPairs(_Records):
     """
 
     __slots__ = ("topic_ids", "doc_ids", "width", "_cells")
-    __eq__ = _same_records
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, pairs: Iterable[JudgmentPair], scale: RelevanceScale) -> None:
@@ -378,6 +347,12 @@ class JudgmentPairs(_Records):
 
     def __len__(self) -> int:
         return len(self.topic_ids)
+
+    def __eq__(self, other: object) -> bool:
+        # equal to any sequence of the same pairs, a list of JudgmentPair included
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
 
     def __iter__(self) -> Iterator[JudgmentPair]:
         width = self.width
@@ -427,7 +402,7 @@ class RunRanking:
     def __init__(self, system_id: str, entries: Iterable[RunEntry]) -> None:
         rows: _Rows = {}
         for e in entries:
-            _add_row(rows, e.topic_id, e.doc_id, e.rank, e.score)
+            _add_rows(rows, e.topic_id, [e.doc_id], [e.rank], [e.score])
         self._adopt(system_id, rows)
 
     @classmethod
@@ -512,18 +487,6 @@ def _add_rows(rows: _Rows, topic: str, docs: list, ranks: list | None, scores: l
     if ranks is not None:
         cols[1].extend(ranks)
     cols[2].extend(scores)
-
-
-def _add_row(rows: _Rows, topic: str, doc: str, rank: int, score: float) -> None:
-    """Append one row with an explicit rank, as :func:`_add_rows` would."""
-    cols = rows.get(topic)
-    if cols is None:
-        cols = rows[topic] = [[], [], []]
-    elif cols[1] is None:
-        cols[1] = list(range(1, len(cols[0]) + 1))
-    cols[0].append(doc)
-    cols[1].append(rank)
-    cols[2].append(score)
 
 
 def _first_repeat(docs: list[str], ranks: Sequence[int]) -> str | None:
@@ -966,7 +929,7 @@ def parse_run(source: str | IO[str] | Iterable[str]) -> RunRanking:
                 raise ValidationError(
                     f"line {line_no}: inconsistent system_id {system!r} != {system_id!r}"
                 )
-            _add_row(rows, topic, doc, rank, score)
+            _add_rows(rows, topic, [doc], [rank], [score])
     if system_id is None:
         raise ValidationError("run file contains no records")
     return RunRanking._from_rows(system_id, rows)

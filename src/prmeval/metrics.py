@@ -443,7 +443,7 @@ def ndcg_at_k(
     )[0]
 
 
-class _Pool(Mapping):
+class _Pool:
     """One group's ``topic -> {doc: level}`` map, with what nDCG needs
     of it whatever the run: each topic's judged-level histogram.  Build
     one per group and pass it to :func:`ndcg_reports` in place of the map
@@ -458,15 +458,6 @@ class _Pool(Mapping):
         # topic -> (level histogram, lowest and highest level with 0 among them)
         self._hists: dict[str, tuple[Counter, int, int]] = {}
 
-    def __getitem__(self, topic: str) -> Mapping[str, int]:
-        return self.levels[topic]
-
-    def __iter__(self):
-        return iter(self.levels)
-
-    def __len__(self) -> int:
-        return len(self.levels)
-
     def hist(self, topic: str) -> tuple[Counter, int, int]:
         found = self._hists.get(topic)
         if found is None:
@@ -477,7 +468,7 @@ class _Pool(Mapping):
 
 def ndcg_reports(
     run: RunRanking,
-    judgments: Mapping[str, Mapping[str, int]],
+    judgments: Mapping[str, Mapping[str, int]] | _Pool,
     schemes: Sequence[GainScheme],
     discount: DiscountFunction,
     k: int,

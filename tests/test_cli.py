@@ -1292,6 +1292,17 @@ class TestEvalInputs:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.startswith("count_binary\t201\t")
 
+    @pytest.mark.parametrize("measures, message", [
+        # count-binary checks theta against the scale, as the estimators do
+        ("count-binary", "theta 7 > T=2 for scale ('Non', 'Rel', 'HRel')"),
+        # the binary nDCG scheme is resolved first and keeps its message
+        ("count-binary,ndcg", "need 1 <= theta <= T, got theta=7, T=2"),
+    ], ids=["count-binary", "count-binary,ndcg"])
+    def test_theta_above_top_is_an_error(self, ws, measures, message):
+        proc = _prmeval("eval", "--scale", ws["scale"], "--qrels", ws["qrels_u1"],
+                        "--run", ws["run_perfect"], "--measures", measures, "--theta", "7")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+
     def test_skipped_topics_warned_once_per_run(self, ws, tmp_path):
         from pathlib import Path
 
@@ -1354,6 +1365,55 @@ class TestInputsReadOnce:
         ])
         assert code == 0
         assert len(calls) == 2
+
+    # intent '0' records with a level warn each time their file is parsed
+    INTENT_FILES = {
+        "u1.txt": "201 a d1 2\n201 b d1 1\n201 a d2 1\n202 0 d5 1\n202 0 d6 0\n",
+        "u2.txt": "201 a d1 1\n201 b d1 1\n201 a d2 2\n202 0 d5 2\n202 0 d6 0\n",
+        "intents.txt": "201 a 0.6\n201 b 0.4\n202 c 0.7\n202 d 0.3\n",
+    }
+
+    @pytest.mark.parametrize("kind", ["eval", "tau", "robustness", "validate", "estimate"])
+    def test_each_input_parsed_once_with_intents(self, capsys, ws, tmp_path, monkeypatch, kind):
+        # eval and estimate take their pairs from the --qrels/--qrels2 overlap
+        from prmeval import cli
+
+        paths = {}
+        for name, text in self.INTENT_FILES.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+            paths[name] = str(tmp_path / name)
+        parsed = []
+        parse = cli._parse
+
+        def counting(path, *args, **kwargs):
+            parsed.append(path)
+            return parse(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_parse", counting)
+        qrels = ["--qrels", paths["u1.txt"], "--qrels2", paths["u2.txt"],
+                 "--intent-field", "--intents", paths["intents.txt"]]
+        ranked = [*qrels, "--top-intent-only", "--run", ws["run_perfect"],
+                  "--run", ws["run_reverse"]]
+        argv = {
+            "eval": ["eval", *ranked, "--measures", "count-prm,ndcg", "--gains", "prm"],
+            "tau": ["analyze", "tau", *ranked, "--gains", "prm"],
+            "robustness": ["analyze", "robustness", *ranked],
+            "validate": ["validate", *ranked],
+            "estimate": ["estimate", *qrels],
+        }[kind]
+        theta = [] if kind == "validate" else ["--theta", "2"]
+        with pytest.warns(DataWarning) as record:
+            code, out, err = run_cli(capsys, [*argv, "--scale", ws["scale"], *theta])
+        assert (code, bool(out)) == (0, True), err
+        inputs = [ws["scale"], *paths.values()]
+        if kind != "estimate":
+            inputs += [ws["run_perfect"], ws["run_reverse"]]
+        assert sorted(parsed) == sorted(inputs)
+        assert [str(w.message) for w in record if "intent '0'" in str(w.message)] == [
+            f"{paths[name]}: line 4: intent '0' record carries level {level}; "
+            "recorded as non-relevance for every intent"
+            for name, level in (("u1.txt", 1), ("u2.txt", 2))
+        ]
 
     def test_estimate_all_counts_pairs_once(self, capsys, ws, monkeypatch):
         from prmeval import disagreement
