@@ -17,12 +17,11 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from .corpus import JudgmentPair, RelevanceScale, RunRanking
+from .corpus import JudgmentPair, RelevanceScale, RunRanking, _Frozen
 from .disagreement import (  # the quality sweep is re-exported from here
     LevelSeries, SensitivityCurve, UserModel, _as_pairs, group_pair_counts, pair_codes,
     quality_sensitivity, table_from_counts,
@@ -47,8 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SystemRanking:
+class SystemRanking(_Frozen):
     """Systems ordered by non-increasing mean score."""
 
     measure: str
@@ -215,8 +213,7 @@ def _rng_integers(seed: int, stream: int, n: int, size: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class BootstrapResult:
+class BootstrapResult(_Frozen):
     """Resampled estimates of one p_{R|i} parameter.
 
     ``samples`` holds the estimate from each resample where the level was

@@ -212,6 +212,12 @@ def _numbers(value: str, flag: str, kind: type) -> list:
         ) from None
 
 
+# The commands whose double judgments come from --pairs or from the overlap
+# of --qrels and --qrels2, never both.  `tau` and `robustness` rank against
+# --qrels2, so there it may come with --pairs.
+_PAIRED = ("estimate", "eval", "bootstrap", "budget")
+
+
 def _check_args(args: argparse.Namespace) -> None:
     """Parse the comma-list flags and normalise the estimator name, in place.
 
@@ -228,6 +234,11 @@ def _check_args(args: argparse.Namespace) -> None:
         args.custom_gains = _numbers(args.custom_gains, "--custom-gains", float)
     if getattr(args, "budgets", None):
         args.budgets = _numbers(args.budgets, "--budgets", int)
+    if getattr(args, "kind", args.command) in _PAIRED and args.pairs and args.qrels2:
+        raise ValidationError(
+            "double judgments must come from exactly one source: "
+            "--pairs or --qrels + --qrels2"
+        )
     if hasattr(args, "estimator"):
         # 'all' lists every table in `estimate`; the other commands need a
         # single table and take the symmetric one.
@@ -364,17 +375,10 @@ def _load_pairs(
     """Double judgments from --pairs, else from the overlap of --qrels and --qrels2.
 
     ``u1`` and ``u2`` are the --qrels and --qrels2 groups that a command
-    has already read; each one not given is read here.  ``tau`` and
-    ``robustness`` rank against --qrels2 and pass it, so there it may
-    come with --pairs.  Elsewhere the two sources exclude each other.
+    has already read; each one not given is read here.
     """
     from . import corpus
     if args.pairs:
-        if args.qrels2 and u2 is None:
-            raise ValidationError(
-                "double judgments must come from exactly one source: "
-                "--pairs or --qrels + --qrels2"
-            )
         return _parse(args.pairs, corpus.parse_paired, scale)
     if not (args.qrels and args.qrels2):
         raise ValidationError(
@@ -772,6 +776,8 @@ def cmd_validate(args: argparse.Namespace) -> _Report:
             n_topics = len(js.topics())
             rows.append([label, path, len(js), n_topics, None])
             text.append(f"ok: {label} with {len(js)} judgments, {n_topics} topics")
+    if args.intents and "intent_probs" not in args:  # checked without qrels too
+        args.intent_probs = _parse(args.intents, corpus.parse_intent_probabilities)
     if args.pairs:
         if scale is None:
             raise ValidationError("--scale is required to validate pairs")

@@ -39,7 +39,6 @@ import warnings
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import IO
 
@@ -71,8 +70,80 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RelevanceScale:
+class _Frozen:
+    """Base of the immutable value records, in place of
+    ``@dataclass(frozen=True)``, which would import ``inspect`` and
+    ``exec`` generated code for every record class.
+
+    A subclass's fields are its own annotations, in order, and a field's
+    default is the class attribute of that name.  A record takes its
+    fields by position or keyword and then runs ``__post_init__``.  It
+    equals a record of the same class with equal fields, hashes as the
+    tuple of its fields, and raises AttributeError on assignment or
+    deletion.  ``_replace(**changes)`` builds a changed copy, checked again.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(self._fields, args))
+        self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """Every field's value from ``args`` and ``kwargs``, with defaults."""
+        fields, name = self._fields, type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in values:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            values[key] = value
+        values = {**self._defaults, **values}
+        missing = [f for f in fields if f not in values]
+        if missing:
+            raise TypeError(f"{name}() missing required arguments: {', '.join(map(repr, missing))}")
+        return [values[f] for f in fields]
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _astuple(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def _replace(self, **changes) -> "_Frozen":
+        return type(self)(**{**dict(zip(self._fields, self._astuple())), **changes})
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._astuple()))
+        return f"{type(self).__qualname__}({inner})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RelevanceScale(_Frozen):
     """Ordered graded assessment levels 0..T.
 
     Indices are implicit from position, which guarantees they are
@@ -145,8 +216,7 @@ class RelevanceScale:
         return scale
 
 
-@dataclass(frozen=True)
-class Judgment:
+class Judgment(_Frozen):
     """One graded label assigned to a result, for one intent when given."""
 
     topic_id: str
@@ -297,8 +367,7 @@ class JudgmentSet:
         return out
 
 
-@dataclass(frozen=True)
-class JudgmentPair:
+class JudgmentPair(_Frozen):
     """One result judged independently by both assessor groups."""
 
     topic_id: str
@@ -363,8 +432,7 @@ class JudgmentPairs(_Records):
         return JudgmentPair(self.topic_ids[i], self.doc_ids[i], *divmod(self._cells[i], self.width))
 
 
-@dataclass(frozen=True)
-class PairingResult:
+class PairingResult(_Frozen):
     """Inner join of two judgment sets plus a coverage summary."""
 
     pairs: JudgmentPairs
@@ -375,8 +443,7 @@ class PairingResult:
         return len(self.pairs)
 
 
-@dataclass(frozen=True)
-class RunEntry:
+class RunEntry(_Frozen):
     topic_id: str
     doc_id: str
     rank: int

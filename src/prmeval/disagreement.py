@@ -47,12 +47,11 @@ import operator
 import warnings
 from array import array
 from collections import Counter
-from dataclasses import dataclass, replace
 from itertools import accumulate, chain, compress
 from typing import IO, Iterable, Mapping, Sequence
 
 from .corpus import (
-    JudgmentPair, JudgmentPairs, JudgmentSet, RelevanceScale, _cuts, _docs_by_topic,
+    JudgmentPair, JudgmentPairs, JudgmentSet, RelevanceScale, _cuts, _docs_by_topic, _Frozen,
 )
 from .errors import DataWarning, EstimationError, ParseError, ValidationError
 
@@ -77,8 +76,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class UserModel:
+class UserModel(_Frozen):
     """Binary notion of user relevance: level >= theta counts as relevant."""
 
     theta: int
@@ -107,8 +105,7 @@ def cell_sigma(n_match: int, n_total: int) -> float:
     return math.sqrt(phat * (1.0 - phat) / n_total)
 
 
-@dataclass(frozen=True)
-class DisagreementCell:
+class DisagreementCell(_Frozen):
     """Estimate of p_{R|i} for one assessment level.
 
     ``p`` is None when no paired judgments exist for the level (N_D = 0);
@@ -143,8 +140,7 @@ class DisagreementCell:
         return self.p is not None
 
 
-@dataclass(frozen=True)
-class DisagreementTable:
+class DisagreementTable(_Frozen):
     """p_{R|i} for every level of a scale, under one user model.
 
     One cell per level 0..T, in level order.  ``estimator`` is
@@ -201,10 +197,8 @@ class DisagreementTable:
         """Pin one cell to a fixed probability (e.g. p_{R|0} := 0)."""
         self.scale.check_level(level)
         cells = list(self.cells)
-        cells[level] = replace(
-            cells[level], p=float(p), sigma=None, source="override"
-        )
-        return replace(self, cells=tuple(cells))
+        cells[level] = cells[level]._replace(p=float(p), sigma=None, source="override")
+        return self._replace(cells=tuple(cells))
 
     def to_json_dict(self) -> dict:
         return {
@@ -504,8 +498,7 @@ def stratum_counts(
     return dict(zip(names, per_stratum))
 
 
-@dataclass(frozen=True)
-class LevelSeries:
+class LevelSeries(_Frozen):
     """One level's trajectory along a sweep: mean estimate and std band."""
 
     level: int
@@ -514,8 +507,7 @@ class LevelSeries:
     n_defined: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SensitivityCurve:
+class SensitivityCurve(_Frozen):
     """Per-level estimate trajectories along a sweep coordinate."""
 
     x_name: str

@@ -891,6 +891,23 @@ class TestIntentsFile:
         assert f"ok: qrels with {judgments} judgments, 2 topics" in out
 
 
+    def test_validate_reads_intents_without_qrels(self, ws, files, tmp_path):
+        # a missing --intents file is an I/O error, with or without qrels
+        missing = str(tmp_path / "nope.txt")
+        proc = _prmeval("validate", "--scale", ws["scale"], "--intents", missing)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("io error: ") and proc.stderr.count("\n") == 1
+        assert missing in proc.stderr
+        # a good one changes nothing in the output
+        proc = _prmeval("validate", "--scale", ws["scale"], "--intents", files["intents"])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "ok: scale with 3 levels ('Non', 'Rel', 'HRel')\n"
+        # a bad one is a parse error that names it
+        proc = _prmeval("validate", "--scale", ws["scale"], "--intents", files["qrels"])
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith(f"error: {files['qrels']}: ")
+
+
 class TestParseWarnings:
     def test_paired_file_warnings_name_it_in_order(self, capsys, ws, tmp_path):
         path = tmp_path / "pairs.txt"
@@ -1302,6 +1319,32 @@ class TestEvalInputs:
         proc = _prmeval("eval", "--scale", ws["scale"], "--qrels", ws["qrels_u1"],
                         "--run", ws["run_perfect"], "--measures", measures, "--theta", "7")
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+
+    SOURCES = "error: double judgments must come from exactly one source: " \
+        "--pairs or --qrels + --qrels2\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--qrels", "{qrels_u1}", "--measures", "count-binary", "--theta", "2"],
+        ["eval", "--qrels", "{qrels_u1}", "--table", "{degenerate}", "--run", "{run_perfect}"],
+        ["estimate"],
+        ["analyze", "bootstrap", "--seed", "1"],
+        ["analyze", "budget", "--seed", "1", "--budgets", "5"],
+    ], ids=["eval-count-binary", "eval-table", "estimate", "bootstrap", "budget"])
+    def test_pairs_and_qrels2_exclude_each_other(self, ws, tmp_path, argv):
+        # checked before any file is read: neither --pairs nor --qrels2 exists
+        argv = [a.format(**ws) for a in argv]
+        missing = [str(tmp_path / "no_pairs.txt"), str(tmp_path / "no_qrels2.txt")]
+        proc = _prmeval(*argv, "--scale", ws["scale"], "--pairs", missing[0],
+                        "--qrels2", missing[1])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", self.SOURCES)
+
+    @pytest.mark.parametrize("kind", ["tau", "robustness"])
+    def test_ranking_analyses_take_pairs_with_qrels2(self, ws, kind):
+        proc = _prmeval("analyze", kind, "--scale", ws["scale"], "--qrels", ws["qrels_u1"],
+                        "--qrels2", ws["qrels_u2"], "--pairs", ws["pairs"], "--theta", "2",
+                        "--run", ws["run_perfect"], "--run", ws["run_reverse"], "--gains", "prm")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout
 
     def test_skipped_topics_warned_once_per_run(self, ws, tmp_path):
         from pathlib import Path
