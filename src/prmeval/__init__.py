@@ -41,7 +41,7 @@ _EXPORTS = {
         "metrics": (
             "DiscountFunction", "GainScheme", "MetricReport", "count_binary", "count_prm",
             "dcg_from_levels", "expected_precision_report", "ideal_dcg_at_k", "ndcg_at_k",
-            "topic_dcg", "topic_expected_precision",
+            "topic_dcg",
         ),
     }.items()
     for name in names

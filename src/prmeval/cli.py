@@ -217,6 +217,14 @@ def _numbers(value: str, flag: str, kind: type) -> list:
 # --qrels2, so there it may come with --pairs.
 _PAIRED = ("estimate", "eval", "bootstrap", "budget")
 
+# The path flags that an analysis takes with its shared flag groups but
+# never opens; given, they are an error rather than silently ignored.
+_UNREAD = {
+    "bootstrap": ("run", "table", "resource_map"),
+    "budget": ("run", "table", "resource_map"),
+    "quality": ("run", "table", "qrels2"),
+}
+
 
 def _check_args(args: argparse.Namespace) -> None:
     """Parse the comma-list flags and normalise the estimator name, in place.
@@ -239,6 +247,10 @@ def _check_args(args: argparse.Namespace) -> None:
             "double judgments must come from exactly one source: "
             "--pairs or --qrels + --qrels2"
         )
+    for dest in _UNREAD.get(getattr(args, "kind", None), ()):
+        if getattr(args, dest):
+            flag = "--" + dest.replace("_", "-")
+            raise ValidationError(f"analyze {args.kind} does not read {flag}")
     if hasattr(args, "estimator"):
         # 'all' lists every table in `estimate`; the other commands need a
         # single table and take the symmetric one.
@@ -549,36 +561,31 @@ def cmd_eval(args: argparse.Namespace) -> _Report:
         if "ndcg" in measures else []
     )
 
+    pool = metrics._Pool(doc_levels)  # each topic's level histogram, counted once
     pool_reports: dict[str, metrics.MetricReport] = {}
     if "count-binary" in measures:
         model = _user_model(args, scale)
         model.check_against(scale)
-        pool_reports["count_binary"] = metrics.binary_count_report(doc_levels, model.theta)
+        pool_reports["count_binary"] = metrics.binary_count_report(pool, model.theta)
     if "count-prm" in measures:
         assert table is not None
-        pool_reports["count_prm"] = metrics.expected_count_report(doc_levels, table)
+        pool_reports["count_prm"] = metrics.expected_count_report(pool, table)
 
-    pool = metrics._Pool(doc_levels)  # shared by every run's nDCG
+    # one kernel call per run scores every run measure from one level vector
+    # per topic; a single nDCG scheme is labelled plain "ndcg"
+    run_measures = ([table] if "precision" in measures else []) + schemes
     system_reports: dict[str, dict[str, metrics.MetricReport]] = {}
     for run in runs:
         if run.system_id in system_reports:
             raise ValidationError(f"duplicate system id among runs: {run.system_id!r}")
         per_run = system_reports[run.system_id] = {}
-        if "precision" in measures:
-            assert table is not None
-            report = metrics.expected_precision_report(
-                run, doc_levels, table, args.k, strict=args.strict
-            )
+        for report in metrics.ndcg_reports(
+            run, pool, run_measures, discount, args.k,
+            strict=args.strict, ideal_pool=args.ideal_pool,
+        ):
+            if len(schemes) == 1 and report.measure.startswith("ndcg_"):
+                report = replace(report, measure="ndcg")
             per_run[report.label] = report
-        if schemes:
-            reports = metrics.ndcg_reports(
-                run, pool, schemes, discount, args.k,
-                strict=args.strict, ideal_pool=args.ideal_pool,
-            )
-            for name, report in zip(args.gains, reports):
-                label = "ndcg" if len(args.gains) == 1 else f"ndcg_{name}"
-                report = replace(report, measure=label)
-                per_run[report.label] = report
 
     rows: list[list] = []
     text: list[str] = []

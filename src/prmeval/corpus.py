@@ -37,7 +37,6 @@ import operator
 import re
 import warnings
 from array import array
-from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import compress, repeat
 from typing import IO
@@ -341,11 +340,6 @@ class JudgmentSet:
 
     def topics(self) -> set[str]:
         return set(self.topic_ids)
-
-    def level_histogram(self) -> dict[int, int]:
-        """Counts per level over all judgments (histogram conservation:
-        values sum to ``len(self)``)."""
-        return dict(Counter(self.levels))
 
     def doc_levels(self) -> dict[str, dict[str, int]]:
         """Per-topic ``doc -> level`` lookup for evaluation.

@@ -190,9 +190,6 @@ class DisagreementTable(_Frozen):
             )
         return cell.p
 
-    def defined_levels(self) -> tuple[int, ...]:
-        return tuple(c.level for c in self.cells if c.defined)
-
     def with_override(self, level: int, p: float) -> "DisagreementTable":
         """Pin one cell to a fixed probability (e.g. p_{R|0} := 0)."""
         self.scale.check_level(level)

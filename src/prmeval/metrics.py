@@ -44,7 +44,6 @@ __all__ = [
     "MetricReport",
     "count_binary",
     "count_prm",
-    "topic_expected_precision",
     "expected_precision_report",
     "binary_count_report",
     "expected_count_report",
@@ -194,18 +193,6 @@ def count_prm(level_counts: Mapping[int, int], table: DisagreementTable) -> floa
             continue
         total += n * table.p(level)
     return total
-
-
-def topic_expected_precision(
-    doc_ids: Sequence[str],
-    levels: Mapping[str, int],
-    table: DisagreementTable,
-    n: int,
-) -> float:
-    """Expected precision over the top n of one ranked document list."""
-    if n < 1:
-        raise ValidationError(f"cutoff must be >= 1, got {n}")
-    return count_prm(Counter(levels.get(doc, 0) for doc in doc_ids[:n]), table) / n
 
 
 def dcg_from_levels(
@@ -374,80 +361,11 @@ def _eval_topics(run: RunRanking, judged_topics: set[str], strict: bool) -> list
     return topics
 
 
-def binary_count_report(
-    judgments: Mapping[str, Mapping[str, int]], theta: int
-) -> MetricReport:
-    """Per-topic binary relevant counts over the judged pool; ``judgments``
-    as in ndcg_at_k."""
-    return _pool_report(judgments, "count_binary", lambda hist: count_binary(hist, theta))
-
-
-def expected_count_report(
-    judgments: Mapping[str, Mapping[str, int]], table: DisagreementTable
-) -> MetricReport:
-    """Per-topic expected relevant counts over the judged pool; ``judgments``
-    as in ndcg_at_k."""
-    return _pool_report(judgments, "count_prm", lambda hist: count_prm(hist, table))
-
-
-def _pool_report(
-    judgments: Mapping[str, Mapping[str, int]],
-    measure: str,
-    count: Callable[[Mapping[int, int]], float],
-) -> MetricReport:
-    values = {topic: count(Counter(docs.values())) for topic, docs in judgments.items()}
-    if not values:
-        raise MetricError("no judged topics")
-    return MetricReport.from_values(measure, None, values)
-
-
-def expected_precision_report(
-    run: RunRanking,
-    judgments: Mapping[str, Mapping[str, int]],
-    table: DisagreementTable,
-    n: int,
-    *,
-    strict: bool = False,
-) -> MetricReport:
-    """Expected precision at n for every topic of a run; ``judgments`` as in ndcg_at_k."""
-    topics = _eval_topics(run, set(judgments), strict)
-    values = {
-        topic: topic_expected_precision(run.doc_ids(topic), judgments[topic], table, n)
-        for topic in topics
-    }
-    return MetricReport.from_values("expected_precision", n, values)
-
-
-def ndcg_at_k(
-    run: RunRanking,
-    judgments: Mapping[str, Mapping[str, int]],
-    scheme: GainScheme,
-    discount: DiscountFunction,
-    k: int,
-    *,
-    strict: bool = False,
-    ideal_pool: str = "qrels",
-) -> MetricReport:
-    """nDCG@k per topic, normalized by the topic pool's ideal DCG@k.
-
-    ``ideal_pool="qrels"`` ranks the topic's judged documents plus any
-    unjudged documents the run retrieved (as level 0), which keeps every
-    per-topic value in [0, 1] for any gain scheme; ``"run"`` restricts the
-    pool to the run's own retrieved documents (self-normalization).
-    Topics whose ideal DCG is zero are excluded from the mean with a
-    warning.  ``judgments`` is the ``topic -> {doc: level}`` map of
-    :meth:`JudgmentSet.doc_levels`.  One scheme of :func:`ndcg_reports`.
-    """
-    return ndcg_reports(
-        run, judgments, [scheme], discount, k, strict=strict, ideal_pool=ideal_pool
-    )[0]
-
-
 class _Pool:
-    """One group's ``topic -> {doc: level}`` map, with what nDCG needs
-    of it whatever the run: each topic's judged-level histogram.  Build
-    one per group and pass it to :func:`ndcg_reports` in place of the map
-    for every run scored against that group; a plain map gets a pool of
+    """One group's ``topic -> {doc: level}`` map, with what the count
+    reports and nDCG need of it whatever the run: each topic's
+    judged-level histogram.  Build one per group and pass it in place of
+    the map for every report on that group; a plain map gets a pool of
     its own per call.
     """
 
@@ -466,23 +384,94 @@ class _Pool:
         return found
 
 
-def ndcg_reports(
+def binary_count_report(
+    judgments: Mapping[str, Mapping[str, int]] | _Pool, theta: int
+) -> MetricReport:
+    """Per-topic binary relevant counts over the judged pool; ``judgments``
+    as in ndcg_reports."""
+    return _pool_report(judgments, "count_binary", lambda hist: count_binary(hist, theta))
+
+
+def expected_count_report(
+    judgments: Mapping[str, Mapping[str, int]] | _Pool, table: DisagreementTable
+) -> MetricReport:
+    """Per-topic expected relevant counts over the judged pool; ``judgments``
+    as in ndcg_reports."""
+    return _pool_report(judgments, "count_prm", lambda hist: count_prm(hist, table))
+
+
+def _pool_report(
+    judgments: Mapping[str, Mapping[str, int]] | _Pool,
+    measure: str,
+    count: Callable[[Mapping[int, int]], float],
+) -> MetricReport:
+    pool = judgments if isinstance(judgments, _Pool) else _Pool(judgments)
+    values = {topic: count(pool.hist(topic)[0]) for topic in pool.levels}
+    if not values:
+        raise MetricError("no judged topics")
+    return MetricReport.from_values(measure, None, values)
+
+
+def expected_precision_report(
     run: RunRanking,
     judgments: Mapping[str, Mapping[str, int]] | _Pool,
-    schemes: Sequence[GainScheme],
+    table: DisagreementTable,
+    n: int,
+    *,
+    strict: bool = False,
+) -> MetricReport:
+    """Expected precision at n for every topic of a run: the table's
+    measure of :func:`ndcg_reports`."""
+    return ndcg_reports(run, judgments, [table], None, n, strict=strict)[0]
+
+
+def ndcg_at_k(
+    run: RunRanking,
+    judgments: Mapping[str, Mapping[str, int]] | _Pool,
+    scheme: GainScheme,
     discount: DiscountFunction,
     k: int,
     *,
     strict: bool = False,
     ideal_pool: str = "qrels",
-) -> list[MetricReport]:
-    """nDCG@k of one run under every gain scheme, one report per scheme.
+) -> MetricReport:
+    """nDCG@k per topic: one scheme of :func:`ndcg_reports`."""
+    return ndcg_reports(
+        run, judgments, [scheme], discount, k, strict=strict, ideal_pool=ideal_pool
+    )[0]
 
-    Per topic the run's top k levels are looked up once (unjudged
-    documents count as level 0) and every scheme's gains are gathered
-    from that one level vector; the ideal DCG comes from the pool's level
-    histogram.  Values equal :func:`topic_dcg` over :func:`ideal_dcg_at_k`
-    bit for bit.  ``strict`` and ``ideal_pool`` are as in :func:`ndcg_at_k`.
+
+def ndcg_reports(
+    run: RunRanking,
+    judgments: Mapping[str, Mapping[str, int]] | _Pool,
+    measures: Sequence[GainScheme | DisagreementTable],
+    discount: DiscountFunction | None,
+    k: int,
+    *,
+    strict: bool = False,
+    ideal_pool: str = "qrels",
+) -> list[MetricReport]:
+    """Every run measure of one run, one report per measure in list order:
+    nDCG@k for a :class:`GainScheme`, expected precision@k for a
+    :class:`DisagreementTable`.  ``discount`` may be None without schemes.
+
+    ``judgments`` is the ``topic -> {doc: level}`` map of
+    :meth:`JudgmentSet.doc_levels`, or a :class:`_Pool` of it.  Run topics
+    without judgments are skipped with one warning (an error if
+    ``strict``).  Per topic the run's top k levels are looked up once
+    (unjudged documents count as level 0) and every measure reads that one
+    level vector; each measure is then scored in turn, so its warnings and
+    errors come as if it were scored alone.  Expected precision is
+    :func:`count_prm` of the vector's level counts, over k.
+
+    nDCG divides by the ideal DCG@k of the topic's pool sorted by falling
+    gain, which comes from the pool's level histogram; values equal
+    :func:`topic_dcg` over :func:`ideal_dcg_at_k` bit for bit.
+    ``ideal_pool="qrels"`` pools the topic's judged documents and the
+    unjudged ones the run retrieved (as level 0), which keeps every value
+    in [0, 1] for any gain scheme; ``"run"`` pools the run's own documents
+    only (self-normalization).  Topics whose ideal DCG is zero are
+    excluded from that scheme's mean with a warning.
 
     With ``ideal_pool="qrels"`` a run changes a topic's ideal DCG only
     through how many unjudged docs it retrieved, and only up to k of them
@@ -493,8 +482,9 @@ def ndcg_reports(
     """
     if ideal_pool not in ("qrels", "run"):
         raise ValidationError(f"ideal_pool must be 'qrels' or 'run', got {ideal_pool!r}")
-    if not schemes:
-        raise ValidationError("need at least one gain scheme")
+    if not measures:
+        raise ValidationError("need at least one gain scheme or disagreement table")
+    schemes = [m for m in measures if isinstance(m, GainScheme)]
     if len({len(s.gains) for s in schemes}) > 1:
         raise ValidationError("gain schemes must cover the same levels")
     pool = judgments if isinstance(judgments, _Pool) else _Pool(judgments)
@@ -503,51 +493,57 @@ def ndcg_reports(
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
 
-    top = len(schemes[0].gains) - 1
-    # each scheme's levels by falling gain, to expand a histogram into sorted gains
-    by_gain = [sorted(range(top + 1), key=s.gains.__getitem__, reverse=True) for s in schemes]
-    retrieved = {topic: run.doc_ids(topic) for topic in topics}
-    # deep enough for every run and every pool: a pool holds at most the
-    # judged and the retrieved documents
-    weights = discount.weights(min(k, max(len(judged[t]) + len(retrieved[t]) for t in topics)))
-    # unjudged docs join the pool at level 0; gains are >= 0, so with g(0) = 0
-    # they come last and add +0.0 to every ideal DCG
-    scan = ideal_pool == "qrels" and any(scheme.gains[0] != 0.0 for scheme in schemes)
+    retrieved = [run.doc_ids(topic) for topic in topics]
+    ranked = [list(map(judged[t].get, docs[:k], repeat(0))) for t, docs in zip(topics, retrieved)]
+    # per topic, what every scheme's ideal DCG reads: the pool's level
+    # histogram, its lowest and highest level, and the unjudged docs retrieved
+    # (counted up to k) that join it at level 0
+    facts = []
+    if schemes:
+        # deep enough for every run and every pool: a pool holds at most the
+        # judged and the retrieved documents
+        depth = max(len(judged[t]) + len(docs) for t, docs in zip(topics, retrieved))
+        weights = discount.weights(min(k, depth))
+        # gains are >= 0, so with g(0) = 0 the unjudged docs come last and
+        # add +0.0 to every ideal DCG
+        scan = ideal_pool == "qrels" and any(scheme.gains[0] != 0.0 for scheme in schemes)
+        for topic, docs in zip(topics, retrieved):
+            levels = judged[topic]
+            if ideal_pool == "run":
+                hist = Counter(map(levels.get, docs, repeat(0)))
+                facts.append((hist, min(hist), max(hist), 0))
+            else:
+                unjudged = islice(filterfalse(levels.__contains__, docs), k if scan else 0)
+                facts.append((*pool.hist(topic), len(list(unjudged))))
 
-    values: list[dict[str, float]] = [{} for _ in schemes]
-    excluded: list[list[str]] = [[] for _ in schemes]
-    for topic in topics:
-        levels, docs = judged[topic], retrieved[topic]
-        if ideal_pool == "run":
-            hist = Counter(map(levels.get, docs, repeat(0)))
-            lo, hi = min(hist), max(hist)
-        else:
-            hist, lo, hi = pool.hist(topic)
-        if lo < 0 or hi > top:
-            raise MetricError(f"level {lo if lo < 0 else hi} outside gain vector 0..{top}")
-        ranked = list(map(levels.get, docs[:k], repeat(0)))
-        # the unjudged docs retrieved, counted up to k
-        unjudged = len(list(islice(filterfalse(levels.__contains__, docs), k))) if scan else 0
-        for s, (scheme, order) in enumerate(zip(schemes, by_gain)):
-            gains = scheme.gains
+    reports = []
+    for measure in measures:
+        if isinstance(measure, DisagreementTable):
+            values = {t: count_prm(Counter(lv), measure) / k for t, lv in zip(topics, ranked)}
+            reports.append(MetricReport.from_values("expected_precision", k, values))
+            continue
+        gains, top = measure.gains, len(measure.gains) - 1
+        # levels by falling gain, to expand a histogram into sorted gains
+        order = sorted(range(top + 1), key=gains.__getitem__, reverse=True)
+        values, excluded = {}, []
+        for topic, levels, (hist, lo, hi, unjudged) in zip(topics, ranked, facts):
+            if lo < 0 or hi > top:
+                raise MetricError(f"level {lo if lo < 0 else hi} outside gain vector 0..{top}")
             counts = (hist[i] + unjudged if i == 0 else hist[i] for i in order)
             pool_gains = chain.from_iterable(map(repeat, map(gains.__getitem__, order), counts))
             ideal = _dcg(pool_gains, weights)
             if ideal == 0.0:
-                excluded[s].append(topic)
+                excluded.append(topic)
             else:
-                values[s][topic] = _dcg(map(gains.__getitem__, ranked), weights) / ideal
-
-    reports = []
-    for scheme, vals, skipped in zip(schemes, values, excluded):
-        if skipped:
+                values[topic] = _dcg(map(gains.__getitem__, levels), weights) / ideal
+        if excluded:
             warnings.warn(
                 f"run {run.system_id}: topics with zero ideal DCG excluded from "
-                f"ndcg@{k}: {sorted(skipped)}",
+                f"ndcg@{k}: {excluded}",
                 DataWarning,
                 stacklevel=2,
             )
-        if not vals:
+        if not values:
             raise MetricError(f"all topics have zero ideal DCG for ndcg@{k}")
-        reports.append(MetricReport.from_values(f"ndcg_{scheme.name}", k, vals, skipped))
+        reports.append(MetricReport.from_values(f"ndcg_{measure.name}", k, values, excluded))
     return reports

@@ -1365,6 +1365,41 @@ class TestEvalInputs:
         ]
 
 
+class TestUnreadFlags:
+    """An analysis rejects the path flags it takes but never opens, before
+    reading any file: here each names a file that does not exist."""
+
+    BASE = {
+        "bootstrap": ["--pairs", "pairs2", "--seed", "1", "--resamples", "5"],
+        "budget": ["--pairs", "pairs", "--seed", "1", "--budgets", "5", "--rounds", "2"],
+        "quality": ["--pairs", "pairs", "--qrels", "qrels_u1", "--resource-regex", "^(d1?)"],
+    }
+
+    @pytest.mark.parametrize("kind, flag", [
+        (kind, flag)
+        for kinds, flags in ((("bootstrap", "budget"), ("--run", "--table", "--resource-map")),
+                             (("quality",), ("--run", "--table", "--qrels2")))
+        for kind in kinds for flag in flags
+    ])
+    def test_flag_is_one_error_line(self, capsys, ws, tmp_path, kind, flag):
+        base = [ws.get(a, a) for a in self.BASE[kind]]
+        code, out, err = run_cli(capsys, [
+            "analyze", kind, "--scale", ws["scale"], "--theta", "2", *base,
+            flag, str(tmp_path / "never_read.txt"),
+        ])
+        assert (code, out, err) == (1, "", f"error: analyze {kind} does not read {flag}\n")
+
+    def test_config_key_fails_as_its_flag(self, capsys, ws, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"table": str(tmp_path / "never_read.json")}), "utf-8")
+        base = [ws.get(a, a) for a in self.BASE["bootstrap"]]
+        code, out, err = run_cli(capsys, [
+            "analyze", "bootstrap", "--config", str(config), "--scale", ws["scale"],
+            "--theta", "2", *base,
+        ])
+        assert (code, out, err) == (1, "", "error: analyze bootstrap does not read --table\n")
+
+
 class TestInputsReadOnce:
     def test_tau_on_one_qrels_scores_each_run_once(self, capsys, ws, monkeypatch):
         # without --qrels2 both rankings are the one ranking against --qrels
@@ -1388,6 +1423,37 @@ class TestInputsReadOnce:
         payload = json.loads(out)
         assert payload["tau"] == 1.0
         assert payload["ranking_u1"] == payload["ranking_u2"]
+
+    def test_eval_reads_each_run_topic_once_for_every_run_measure(
+        self, capsys, ws, tmp_path, monkeypatch
+    ):
+        # precision and every nDCG scheme read one level vector per (run, topic)
+        from prmeval import corpus
+
+        qrels = tmp_path / "two_topics.txt"
+        text = open(ws["qrels_u1"], encoding="utf-8").read()
+        qrels.write_text(text + text.replace("201 ", "202 "), encoding="utf-8")
+        runs = []
+        for name in ("run_perfect", "run_reverse"):
+            path = tmp_path / f"{name}_two_topics.txt"
+            text = open(ws[name], encoding="utf-8").read()
+            path.write_text(text + text.replace("201 ", "202 "), encoding="utf-8")
+            runs += ["--run", str(path)]
+        calls = []
+        doc_ids = corpus.RunRanking.doc_ids
+
+        def counting(self, topic_id):
+            calls.append((self.system_id, topic_id))
+            return doc_ids(self, topic_id)
+
+        monkeypatch.setattr(corpus.RunRanking, "doc_ids", counting)
+        code, out, err = run_cli(capsys, [
+            "eval", "--scale", ws["scale"], "--qrels", str(qrels), "--pairs", ws["pairs"],
+            "--theta", "2", *runs, "--measures", "ndcg,precision", "--gains", "binary,linear",
+        ])
+        assert (code, err) == (0, "")
+        assert "expected_precision@10\t202\t" in out and "ndcg_linear@10\t202\t" in out
+        assert sorted(calls) == [(s, t) for s in ("sysA", "sysB") for t in ("201", "202")]
 
     @pytest.mark.parametrize("kind", ["tau", "robustness"])
     def test_each_qrels_file_parsed_once(self, capsys, ws, monkeypatch, kind):

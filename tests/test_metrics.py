@@ -25,7 +25,6 @@ from prmeval.metrics import (
     ideal_dcg_at_k,
     ndcg_at_k,
     topic_dcg,
-    topic_expected_precision,
 )
 
 GOLDEN_HIST = {0: 6, 1: 10, 2: 4}
@@ -93,6 +92,12 @@ class TestCountPrm:
         assert abs(combined - (a + b)) < 1e-12
 
 
+def precision_at(docs: list[str], levels: dict[str, int], table, n: int) -> float:
+    """Expected precision at n of one ranked list, scored as a one-topic run."""
+    report = expected_precision_report(_run_from_lists({"t1": docs}), {"t1": levels}, table, n)
+    return report.per_topic[0][1]
+
+
 class TestExpectedPrecision:
     def test_all_top_level(self):
         table = DisagreementTable.from_json_dict(
@@ -109,32 +114,36 @@ class TestExpectedPrecision:
         )
         docs = [f"d{i}" for i in range(10)]
         levels = {d: 3 for d in docs}
-        assert abs(topic_expected_precision(docs, levels, table, 10) - 0.53) < 1e-12
+        assert abs(precision_at(docs, levels, table, 10) - 0.53) < 1e-12
 
     def test_degenerate_equals_classical(self):
         table = degenerate_table(2, 1)
         docs = ["a", "b", "c", "d"]
         levels = {"a": 2, "b": 0, "c": 1, "d": 0}
         # 2 relevant in top 4
-        assert topic_expected_precision(docs, levels, table, 4) == 0.5
+        assert precision_at(docs, levels, table, 4) == 0.5
 
     def test_unjudged_docs_count_as_level_zero(self, golden_table):
         docs = ["a", "unjudged1", "unjudged2"]
         levels = {"a": 2}
-        got = topic_expected_precision(docs, levels, golden_table, 3)
+        got = precision_at(docs, levels, golden_table, 3)
         expected = (4 / 10 + 2 * (1 / 13)) / 3
         assert abs(got - expected) < 1e-12
 
     def test_short_list_divides_by_cutoff(self, golden_table):
-        got = topic_expected_precision(["a"], {"a": 2}, golden_table, 10)
+        got = precision_at(["a"], {"a": 2}, golden_table, 10)
         assert abs(got - (4 / 10) / 10) < 1e-12
+
+    def test_cutoff_below_one_has_the_k_message(self, golden_table):
+        with pytest.raises(ValidationError, match=r"^k must be >= 1, got 0$"):
+            precision_at(["a"], {"a": 2}, golden_table, 0)
 
     def test_monte_carlo_simulation_oracle(self, golden_table):
         rng = np.random.default_rng(42)
         levels_vec = rng.integers(0, 3, size=10)
         docs = [f"d{i}" for i in range(10)]
         levels = {d: int(lvl) for d, lvl in zip(docs, levels_vec)}
-        expected = topic_expected_precision(docs, levels, golden_table, 10)
+        expected = precision_at(docs, levels, golden_table, 10)
         p = np.array([golden_table.p(lvl) for lvl in levels_vec])
         worlds = rng.random((100_000, 10)) < p
         precisions = worlds.mean(axis=1)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import warnings
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -95,7 +96,7 @@ def _summary(result):
             doc_levels = str(exc)
         return (
             list(result.judgments), doc_levels, sorted(result.topics()),
-            result.level_histogram(), len(result),
+            dict(Counter(result.levels)), len(result),
         )
     return (
         list(result), pair_codes(result, SCALE).tolist(), list(result.topic_ids),
