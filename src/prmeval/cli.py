@@ -70,122 +70,106 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_io_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file of flag defaults (flags win)")
-    p.add_argument(
-        "--format", choices=("text", "csv", "json"), default="text",
-        help="output format: text rounds to 4 decimals, csv/json keep full precision",
-    )
-    p.add_argument("--out", help="write output to this file instead of stdout")
+# Every flag, in --help order.  Each parser takes only the flags that its
+# handler reads (see `build_parser`), so argparse rejects any other one.
+_FLAGS: dict[str, dict] = {
+    "--scale": dict(help="JSON descriptor of the assessment scale"),
+    "--pairs": dict(help="paired judgments: topic doc level_u1 level_u2"),
+    "--qrels": dict(help="qrels of the first assessor group"),
+    "--qrels2": dict(help="qrels of the second assessor group"),
+    "--one-sided-collection": dict(action="store_true", help="second round judged only "
+                                   "first-round positives; forbids the symmetric estimator"),
+    "--theta": dict(type=int, help="user-relevance threshold (1..T; default: T)"),
+    "--estimator": dict(choices=("symmetric", "one-sided", "all"), default="symmetric",
+                        help="'all' prints the symmetric and both one-sided tables"),
+    "--condition": dict(choices=("u1", "u2"), default="u1",
+                        help="conditioning direction for the one-sided estimator"),
+    "--override-p0": dict(action="store_true", help="pin p(R|0) to exactly 0"),
+    "--run": dict(action="append", help="run file (repeatable)"),
+    "--gains": dict(default="binary", help="comma list from: " + ", ".join(_GAIN_NAMES)),
+    "--custom-gains": dict(help="comma list of per-level gains"),
+    "--table": dict(help="JSON disagreement table for prm/udm gains"),
+    "--discount": dict(choices=("log", "zipf"), default="log"),
+    "--log-base": dict(type=float, default=2.0),
+    "--k": dict(type=int, default=10, help="rank cutoff"),
+    "--ideal-pool": dict(choices=("qrels", "run"), default="qrels",
+                         help="pool for the ideal DCG: judged docs plus the run's "
+                         "unjudged retrieved docs, or the run's own docs only"),
+    "--strict": dict(action="store_true",
+                     help="error on run topics without judgments instead of skipping"),
+    "--intent-field": dict(action="store_true", help="read the second qrels column as an "
+                           "intent id (intent '0' expands to level 0 for every declared intent)"),
+    "--intents": dict(help="intent sidecar: topic intent probability"),
+    "--top-intent-only": dict(action="store_true",
+                              help="keep only each topic's most probable intent"),
+    "--config": dict(help="JSON file of flag defaults (flags win)"),
+    "--format": dict(choices=("text", "csv", "json"), default="text", help="output format: "
+                     "text rounds to 4 decimals, csv/json keep full precision"),
+    "--out": dict(help="write output to this file instead of stdout"),
+    "--strata": dict(help="topic->stratum map; estimate per stratum"),
+    "--measures": dict(default="ndcg", help="comma list from: " + ", ".join(_MEASURES)
+                       + " (default: %(default)s)"),
+    "--seed": dict(type=int, help="RNG seed (required when resampling)"),
+    "--resamples": dict(type=int, default=300, help="bootstrap resamples"),
+    "--rounds": dict(type=int, default=50, help="simulated annotation rounds"),
+    "--budgets": dict(help="comma list of double-judgment budgets"),
+    "--resource-map": dict(help="doc->resource map file"),
+    "--resource-regex": dict(help="regex whose first group extracts the resource from a doc id"),
+    "--tau-variant": dict(choices=("a", "b"), default="b"),
+}
 
-
-def _add_double_judgment_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pairs", help="paired judgments: topic doc level_u1 level_u2")
-    p.add_argument("--qrels", help="qrels of the first assessor group")
-    p.add_argument("--qrels2", help="qrels of the second assessor group")
-    p.add_argument(
-        "--one-sided-collection", action="store_true",
-        help="second round judged only first-round positives; "
-        "forbids the symmetric estimator",
-    )
-
-
-def _add_estimator_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theta", type=int, help="user-relevance threshold (1..T; default: T)")
-    p.add_argument(
-        "--estimator", choices=("symmetric", "one-sided", "all"),
-        default="symmetric",
-        help="'all' prints the symmetric and both one-sided tables",
-    )
-    p.add_argument(
-        "--condition", choices=("u1", "u2"), default="u1",
-        help="conditioning direction for the one-sided estimator",
-    )
-    p.add_argument(
-        "--override-p0", action="store_true",
-        help="pin p(R|0) to exactly 0",
-    )
-
-
-def _add_scoring_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--run", action="append", help="run file (repeatable)")
-    p.add_argument("--gains", help="comma list from: " + ", ".join(_GAIN_NAMES))
-    p.add_argument("--custom-gains", help="comma list of per-level gains")
-    p.add_argument("--table", help="JSON disagreement table for prm/udm gains")
-    p.add_argument("--discount", choices=("log", "zipf"), default="log")
-    p.add_argument("--log-base", type=float, default=2.0)
-    p.add_argument("--k", type=int, default=10, help="rank cutoff")
-    p.add_argument(
-        "--ideal-pool", choices=("qrels", "run"), default="qrels",
-        help="pool for the ideal DCG: judged docs plus the run's "
-        "unjudged retrieved docs, or the run's own docs only",
-    )
-    p.add_argument(
-        "--strict", action="store_true",
-        help="error on run topics without judgments instead of skipping",
-    )
-
-
-def _add_intent_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--intent-field", action="store_true",
-        help="read the second qrels column as an intent id "
-        "(intent '0' expands to level 0 for every declared intent)",
-    )
-    p.add_argument("--intents", help="intent sidecar: topic intent probability")
-    p.add_argument(
-        "--top-intent-only", action="store_true",
-        help="keep only each topic's most probable intent",
-    )
+# flag groups that several parsers take whole; every parser also takes the
+# intent and output flags
+_JUDGMENTS = ("--scale", "--pairs", "--qrels")
+_ESTIMATOR = ("--one-sided-collection", "--theta", "--estimator", "--condition")
+_SCORING = ("--override-p0", "--run", "--gains", "--custom-gains", "--table",
+            "--discount", "--log-base", "--k", "--ideal-pool", "--strict")
+_SHARED = ("--intent-field", "--intents", "--top-intent-only", "--config", "--format", "--out")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    style = dict(epilog=FORMULAS, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser = _Parser(
         prog="prmeval",
-        description="Disagreement-aware evaluation of ranked retrieval runs.",
-        epilog=FORMULAS,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Disagreement-aware evaluation of ranked retrieval runs.", **style,
     )
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
-    def command(name: str, help: str, *groups) -> argparse.ArgumentParser:
-        p = sub.add_parser(
-            name, help=help, epilog=FORMULAS,
-            formatter_class=argparse.RawDescriptionHelpFormatter,
-        )
-        p.add_argument("--scale", help="JSON descriptor of the assessment scale")
-        for add in (_add_double_judgment_args, *groups, _add_intent_args, _add_io_args):
-            add(p)
+    def command(subs, name: str, help: str, handler, *flags: str):
+        p = subs.add_parser(name, help=help, **style)
+        takes = {*flags, *_SHARED}
+        for flag, spec in _FLAGS.items():
+            if flag in takes:
+                p.add_argument(flag, **spec)
+        p.set_defaults(handler=handler)
         return p
 
-    est = command("estimate", "estimate p(R|i) from double judgments", _add_estimator_args)
-    est.add_argument("--strata", help="topic->stratum map; estimate per stratum")
+    command(sub, "estimate", "estimate p(R|i) from double judgments", cmd_estimate,
+            *_JUDGMENTS, "--qrels2", *_ESTIMATOR, "--override-p0", "--strata")
+    command(sub, "eval", "score runs: counts, expected precision, nDCG@k", cmd_eval,
+            *_JUDGMENTS, "--qrels2", *_ESTIMATOR, *_SCORING, "--measures")
 
-    ev = command(
-        "eval", "score runs: counts, expected precision, nDCG@k",
-        _add_estimator_args, _add_scoring_args,
-    )
-    ev.add_argument(
-        "--measures", default="ndcg",
-        help="comma list from: " + ", ".join(_MEASURES) + " (default: %(default)s)",
-    )
+    an = sub.add_parser("analyze", help="tau | bootstrap | budget | quality | robustness",
+                        **style)
+    kinds = an.add_subparsers(dest="kind", metavar="kind", required=True)
+    ranking = (*_JUDGMENTS, "--qrels2", *_ESTIMATOR, *_SCORING, "--tau-variant")
+    resampling = (*_JUDGMENTS, "--qrels2", *_ESTIMATOR, "--seed")
+    command(kinds, "tau", "Kendall's tau between the rankings of two qrels groups",
+            _analyze_tau, *ranking)
+    command(kinds, "bootstrap", "topic bootstrap of the estimated p(R|i)",
+            _analyze_bootstrap, *resampling, "--resamples")
+    command(kinds, "budget", "spread of p(R|i) against the double-judgment budget",
+            _analyze_budget, *resampling, "--rounds", "--budgets")
+    quality = command(kinds, "quality", "p(R|i) from the documents of the top k resources",
+                      _analyze_quality, *_JUDGMENTS, *_ESTIMATOR)
+    resource = quality.add_mutually_exclusive_group()
+    for flag in ("--resource-map", "--resource-regex"):
+        resource.add_argument(flag, **_FLAGS[flag])
+    command(kinds, "robustness", "tau per gain scheme between two qrels groups",
+            _analyze_robustness, *ranking).set_defaults(gains="binary,linear,exponential")
 
-    an = command("analyze", " | ".join(_ANALYSES), _add_estimator_args, _add_scoring_args)
-    an.add_argument("kind", choices=_ANALYSES, help="which analysis to run")
-    an.add_argument("--seed", type=int, help="RNG seed (required when resampling)")
-    an.add_argument("--resamples", type=int, default=300, help="bootstrap resamples")
-    an.add_argument("--rounds", type=int, default=50, help="simulated annotation rounds")
-    an.add_argument("--budgets", help="comma list of double-judgment budgets")
-    an.add_argument("--resource-map", help="doc->resource map file")
-    an.add_argument(
-        "--resource-regex",
-        help="regex whose first group extracts the resource from a doc id",
-    )
-    an.add_argument("--tau-variant", choices=("a", "b"), default="b")
-
-    val = command("validate", "parse inputs and report, compute nothing")
-    val.add_argument("--run", action="append", help="run file (repeatable)")
-
+    command(sub, "validate", "parse inputs and report, compute nothing", cmd_validate,
+            *_JUDGMENTS, "--qrels2", "--run")
     return parser
 
 
@@ -212,20 +196,6 @@ def _numbers(value: str, flag: str, kind: type) -> list:
         ) from None
 
 
-# The commands whose double judgments come from --pairs or from the overlap
-# of --qrels and --qrels2, never both.  `tau` and `robustness` rank against
-# --qrels2, so there it may come with --pairs.
-_PAIRED = ("estimate", "eval", "bootstrap", "budget")
-
-# The path flags that an analysis takes with its shared flag groups but
-# never opens; given, they are an error rather than silently ignored.
-_UNREAD = {
-    "bootstrap": ("run", "table", "resource_map"),
-    "budget": ("run", "table", "resource_map"),
-    "quality": ("run", "table", "qrels2"),
-}
-
-
 def _check_args(args: argparse.Namespace) -> None:
     """Parse the comma-list flags and normalise the estimator name, in place.
 
@@ -233,24 +203,13 @@ def _check_args(args: argparse.Namespace) -> None:
     values and a malformed flag ends in a ValidationError.
     """
     if hasattr(args, "gains"):
-        robustness = getattr(args, "kind", None) == "robustness"
-        default = "binary,linear,exponential" if robustness else "binary"
-        args.gains = _split(args.gains or default, "gain scheme", _GAIN_NAMES)
+        args.gains = _split(args.gains, "gain scheme", _GAIN_NAMES)
     if hasattr(args, "measures"):
         args.measures = _split(args.measures, "measure", _MEASURES)
     if getattr(args, "custom_gains", None):
         args.custom_gains = _numbers(args.custom_gains, "--custom-gains", float)
     if getattr(args, "budgets", None):
         args.budgets = _numbers(args.budgets, "--budgets", int)
-    if getattr(args, "kind", args.command) in _PAIRED and args.pairs and args.qrels2:
-        raise ValidationError(
-            "double judgments must come from exactly one source: "
-            "--pairs or --qrels + --qrels2"
-        )
-    for dest in _UNREAD.get(getattr(args, "kind", None), ()):
-        if getattr(args, dest):
-            flag = "--" + dest.replace("_", "-")
-            raise ValidationError(f"analyze {args.kind} does not read {flag}")
     if hasattr(args, "estimator"):
         # 'all' lists every table in `estimate`; the other commands need a
         # single table and take the symmetric one.
@@ -265,7 +224,8 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
 
     ``true`` becomes a bare flag, ``false`` and ``null`` leave the flag
     out, and a ``run`` list gives one ``--run`` per item.  The command and
-    analysis kind come from the command line only.
+    analysis kind come from the command line only; any other key that the
+    command does not take is an error.
     """
     path = args.config
     with _open(path) as fh:
@@ -276,9 +236,10 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
     if not isinstance(obj, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
     config = {str(k).replace("-", "_"): v for k, v in obj.items()}
-    unknown = [k for k in config if not hasattr(args, k)]
+    unknown = [k for k in config if k == "handler" or not hasattr(args, k)]
     if unknown:
-        raise ValidationError(f"unknown config keys for '{args.command}': {sorted(unknown)}")
+        name = f"{args.command} {args.kind}" if "kind" in args else args.command
+        raise ValidationError(f"unknown config keys for '{name}': {sorted(unknown)}")
     flags = []
     for key, value in config.items():
         if key in ("command", "kind") or value is False or value is None:
@@ -401,6 +362,46 @@ def _load_pairs(
     return corpus.pair_judgments(u1, u2).pairs
 
 
+def _one_source(args: argparse.Namespace, *qrels: str) -> None:
+    """Double judgments come from --pairs or from the overlap of --qrels and
+    --qrels2, never both: --pairs beside any of ``qrels`` is an error."""
+    if args.pairs and any(getattr(args, q) for q in qrels):
+        raise ValidationError(
+            "double judgments must come from exactly one source: "
+            "--pairs or --qrels + --qrels2"
+        )
+
+
+def _scale_and_pairs(
+    args: argparse.Namespace,
+) -> tuple[corpus.RelevanceScale, corpus.JudgmentPairs]:
+    """The scale and the double judgments, for a command that reads no
+    other input.  --pairs excludes both qrels here and --intents is read
+    with --qrels only; both rules are checked before any file is read."""
+    _one_source(args, "qrels", "qrels2")
+    if args.intents and not args.qrels:
+        raise ValidationError("--intents needs --qrels")
+    scale = _load_scale(args)
+    return scale, _load_pairs(args, scale)
+
+
+def _not_read(args: argparse.Namespace, why: str, *flags: str) -> None:
+    """A usage error for the first of ``flags`` given, which the command
+    does not open: ``why`` says when."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")):
+            raise ValidationError(f"{flag} is not read {why}")
+
+
+def _check_table_inputs(args: argparse.Namespace, needed: bool, *sources: str) -> None:
+    """--table and the double-judgment ``sources`` are read only when a
+    measure or gain scheme needs a table (``needed``); --table replaces them."""
+    if not needed:
+        _not_read(args, "when no measure or gain scheme needs a table", "--table", *sources)
+    elif args.table:
+        _not_read(args, "beside --table", *sources)
+
+
 def _load_runs(args: argparse.Namespace) -> Iterator[corpus.RunRanking]:
     """The --run files, each parsed when reached; --run is checked on the call."""
     from . import corpus
@@ -488,8 +489,7 @@ def _needs_table(gains: Sequence[str]) -> bool:
 
 def cmd_estimate(args: argparse.Namespace) -> _Report:
     from . import corpus, disagreement
-    scale = _load_scale(args)
-    pairs = _load_pairs(args, scale)
+    scale, pairs = _scale_and_pairs(args)
     if args.strata:
         strata = _parse(args.strata, corpus.parse_strata)
     else:
@@ -542,19 +542,24 @@ def cmd_eval(args: argparse.Namespace) -> _Report:
     from dataclasses import replace
 
     from . import metrics
+    measures = args.measures
+    scores_runs = "precision" in measures or "ndcg" in measures
+    needs_table = "count-prm" in measures or "precision" in measures or (
+        "ndcg" in measures and _needs_table(args.gains)
+    )
+    _one_source(args, "qrels2")
+    _check_table_inputs(args, needs_table, "--pairs", "--qrels2")
+    if not scores_runs:
+        _not_read(args, "without a run measure (precision, ndcg)", "--run")
     scale = _load_scale(args)
     if not args.qrels:
         raise ValidationError("--qrels is required")
     u1 = _load_qrels(args, args.qrels, scale, "u1")
     doc_levels = u1.doc_levels()
-    measures = args.measures
-    needs_table = "count-prm" in measures or "precision" in measures or (
-        "ndcg" in measures and _needs_table(args.gains)
-    )
     table = _resolve_table(args, scale, u1) if needs_table else None
     del u1  # its columns are not held while the runs are scored
     discount = _resolve_discount(args)
-    runs = _load_runs(args) if ("precision" in measures or "ndcg" in measures) else ()
+    runs = _load_runs(args) if scores_runs else ()
     # before the counts, so that a binary scheme's own theta error comes first
     schemes = (
         [_resolve_scheme(name, args, scale, table) for name in args.gains]
@@ -620,8 +625,8 @@ def _ranking_inputs(
     """Runs (read when iterated), each group's doc levels and the gain schemes.
 
     Here --qrels2 is the second group's judgments to rank against, so a
-    prm/udm table comes from --table, else --pairs, else the overlap of
-    the two qrels.  Without --qrels2 there is one group, --qrels, and the
+    prm/udm table comes from --table or --pairs (not both), else the
+    overlap of the two qrels.  Without --qrels2 there is one group, --qrels, and the
     runs are scored against it once.  Each qrels file is read once, and
     before any run.
     """
@@ -630,10 +635,12 @@ def _ranking_inputs(
     runs = _load_runs(args)
     if len(args.run) < 2:
         raise ValidationError("need at least 2 --run files")
+    needs_table = _needs_table(args.gains)
+    _check_table_inputs(args, needs_table, "--pairs")
     scale = _load_scale(args)
     u1 = _load_qrels(args, args.qrels, scale, "u1")
     u2 = _load_qrels(args, args.qrels2, scale, "u2") if args.qrels2 else u1
-    table = _resolve_table(args, scale, u1, u2) if _needs_table(args.gains) else None
+    table = _resolve_table(args, scale, u1, u2) if needs_table else None
     schemes = {name: _resolve_scheme(name, args, scale, table) for name in args.gains}
     judged = (u1.doc_levels(),) if u2 is u1 else (u1.doc_levels(), u2.doc_levels())
     return runs, judged, schemes
@@ -684,8 +691,7 @@ def _require_seed(args: argparse.Namespace) -> None:
 def _analyze_bootstrap(args: argparse.Namespace) -> _Report:
     from . import analysis
     _require_seed(args)
-    scale = _load_scale(args)
-    pairs = _load_pairs(args, scale)
+    scale, pairs = _scale_and_pairs(args)
     results = analysis.bootstrap_topics(
         pairs, _user_model(args, scale), scale, **_estimator_opts(args),
         n_resamples=args.resamples, seed=args.seed,
@@ -734,8 +740,7 @@ def _analyze_budget(args: argparse.Namespace) -> _Report:
     _require_seed(args)
     if not args.budgets:
         raise ValidationError("--budgets is required (comma list, e.g. 50,100,200)")
-    scale = _load_scale(args)
-    pairs = _load_pairs(args, scale)
+    scale, pairs = _scale_and_pairs(args)
     return _curve_report(analysis.simulate_annotation_rounds(
         pairs, _user_model(args, scale), scale, args.budgets,
         n_rounds=args.rounds, seed=args.seed, **_estimator_opts(args),
@@ -802,21 +807,6 @@ def cmd_validate(args: argparse.Namespace) -> _Report:
     return _Report({"inputs": [dict(zip(header, row)) for row in rows]}, header, rows, text)
 
 
-_ANALYSES = ("tau", "bootstrap", "budget", "quality", "robustness")
-
-# keyed by command, and by kind for `analyze`
-_COMMANDS = {
-    "estimate": cmd_estimate,
-    "eval": cmd_eval,
-    "validate": cmd_validate,
-    "tau": _analyze_tau,
-    "bootstrap": _analyze_bootstrap,
-    "budget": _analyze_budget,
-    "quality": _analyze_quality,
-    "robustness": _analyze_robustness,
-}
-
-
 def _format_warning(message, category, filename, lineno, line=None) -> str:
     return f"warning: {message}\n"
 
@@ -829,11 +819,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
-            # right after the subcommand, so that the flags that follow win
-            at = argv.index(args.command) + 1
+            # right after the command (and the analysis kind), so that the
+            # flags that follow win
+            at = argv.index(args.command) + (2 if "kind" in args else 1)
             args = parser.parse_args(argv[:at] + _config_flags(args) + argv[at:])
         _check_args(args)
-        report = _COMMANDS[getattr(args, "kind", args.command)](args)
+        report = args.handler(args)
         _emit(_render(report, args.format), args.out)
         return 0
     except SystemExit as exc:

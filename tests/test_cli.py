@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
 import random
+import re
 from unittest import mock
 
 import pytest
 
-from prmeval.cli import main
+from prmeval.cli import build_parser, main
 from prmeval.errors import DataWarning
 
 U1_LEVEL_2_DOCS = ["d1", "d2", "d9", "d13"]
@@ -1316,8 +1318,10 @@ class TestEvalInputs:
         ("count-binary,ndcg", "need 1 <= theta <= T, got theta=7, T=2"),
     ], ids=["count-binary", "count-binary,ndcg"])
     def test_theta_above_top_is_an_error(self, ws, measures, message):
+        # a run is read only for a run measure
+        run = ["--run", ws["run_perfect"]] if "ndcg" in measures else []
         proc = _prmeval("eval", "--scale", ws["scale"], "--qrels", ws["qrels_u1"],
-                        "--run", ws["run_perfect"], "--measures", measures, "--theta", "7")
+                        *run, "--measures", measures, "--theta", "7")
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
 
     SOURCES = "error: double judgments must come from exactly one source: " \
@@ -1365,39 +1369,211 @@ class TestEvalInputs:
         ]
 
 
-class TestUnreadFlags:
-    """An analysis rejects the path flags it takes but never opens, before
-    reading any file: here each names a file that does not exist."""
+def _parsers() -> dict[str, argparse.ArgumentParser]:
+    """Each command's parser, keyed by the words that select it ('analyze tau')."""
+    found = {}
 
-    BASE = {
-        "bootstrap": ["--pairs", "pairs2", "--seed", "1", "--resamples", "5"],
-        "budget": ["--pairs", "pairs", "--seed", "1", "--budgets", "5", "--rounds", "2"],
-        "quality": ["--pairs", "pairs", "--qrels", "qrels_u1", "--resource-regex", "^(d1?)"],
-    }
+    def walk(parser: argparse.ArgumentParser, words: tuple[str, ...]) -> None:
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        for name, sub in (subs[0].choices.items() if subs else ()):
+            walk(sub, (*words, name))
+        if not subs:
+            found[" ".join(words)] = parser
+
+    walk(build_parser(), ())
+    return found
+
+
+def _flags(parser: argparse.ArgumentParser) -> set[str]:
+    return {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+
+
+# what each parser takes, written out: the handler reads every one of them
+SHARED = {"--scale", "--pairs", "--qrels", "--intent-field", "--intents", "--top-intent-only",
+          "--config", "--format", "--out"}
+MODEL = {"--one-sided-collection", "--theta", "--estimator", "--condition"}
+SCORING = {"--override-p0", "--run", "--gains", "--custom-gains", "--table", "--discount",
+           "--log-base", "--k", "--ideal-pool", "--strict"}
+RANKING = SHARED | MODEL | SCORING | {"--qrels2", "--tau-variant"}
+BOOTSTRAP = SHARED | MODEL | {"--qrels2", "--seed", "--resamples"}
+TAKES = {
+    "estimate": SHARED | MODEL | {"--qrels2", "--override-p0", "--strata"},
+    "eval": SHARED | MODEL | SCORING | {"--qrels2", "--measures"},
+    "analyze tau": RANKING,
+    "analyze bootstrap": BOOTSTRAP,
+    "analyze budget": BOOTSTRAP - {"--resamples"} | {"--rounds", "--budgets"},
+    "analyze quality": SHARED | MODEL | {"--resource-map", "--resource-regex"},
+    "analyze robustness": RANKING,
+    "validate": SHARED | {"--qrels2", "--run"},
+}
+PARSERS = _parsers()
+KINDS = [words.split()[1] for words in PARSERS if words.startswith("analyze ")]
+
+# an otherwise valid command line for each parser, with `ws` keys for files
+VALID = {
+    "estimate": ["--pairs", "pairs"],
+    "eval": ["--qrels", "qrels_u1", "--pairs", "pairs", "--run", "run_perfect",
+             "--gains", "prm"],
+    "analyze tau": ["--qrels", "qrels_u1", "--qrels2", "qrels_u2", "--run", "run_perfect",
+                    "--run", "run_reverse", "--gains", "prm"],
+    "analyze bootstrap": ["--pairs", "pairs2", "--seed", "1", "--resamples", "5"],
+    "analyze budget": ["--pairs", "pairs", "--seed", "1", "--budgets", "5", "--rounds", "2"],
+    "analyze quality": ["--pairs", "pairs", "--qrels", "qrels_u1", "--resource-regex", "^(d1?)"],
+    "validate": ["--qrels", "qrels_u1", "--pairs", "pairs"],
+}
+VALID["analyze robustness"] = VALID["analyze tau"]
+
+PATH_FLAGS = ("--scale", "--qrels", "--qrels2", "--pairs", "--run", "--table", "--intents",
+              "--strata", "--resource-map", "--config")
+
+
+def _valid(ws, words: str) -> list[str]:
+    theta = [] if words == "validate" else ["--theta", "2"]
+    files = [ws.get(a, a) for a in VALID[words]]
+    return [*words.split(), "--scale", ws["scale"], *theta, *files]
+
+
+class TestUnreadFlags:
+    """Each command and analysis kind has its own parser, which takes
+    exactly the flags its handler reads; a flag that another kind takes is
+    an unknown argument to argparse, rejected before any file is read
+    (here each names a file that does not exist)."""
+
+    def test_each_parser_takes_the_flags_its_handler_reads(self):
+        assert {words: _flags(p) for words, p in PARSERS.items()} == TAKES
+        sizes = {kind: len(TAKES[f"analyze {kind}"]) for kind in KINDS}
+        assert sizes == {"tau": 25, "bootstrap": 16, "budget": 17, "quality": 15,
+                         "robustness": 25}
+        assert sum(sizes.values()) == 98
+
+    def test_every_valid_command_line_runs(self, capsys, ws):
+        for words in PARSERS:
+            code, out, err = run_cli(capsys, _valid(ws, words))
+            assert (code, err) == (0, ""), words
+            assert out
 
     @pytest.mark.parametrize("kind, flag", [
         (kind, flag)
-        for kinds, flags in ((("bootstrap", "budget"), ("--run", "--table", "--resource-map")),
-                             (("quality",), ("--run", "--table", "--qrels2")))
-        for kind in kinds for flag in flags
+        for kind in KINDS
+        for flag in sorted(set().union(*(TAKES[f"analyze {k}"] for k in KINDS))
+                           - TAKES[f"analyze {kind}"])
     ])
     def test_flag_is_one_error_line(self, capsys, ws, tmp_path, kind, flag):
-        base = [ws.get(a, a) for a in self.BASE[kind]]
-        code, out, err = run_cli(capsys, [
-            "analyze", kind, "--scale", ws["scale"], "--theta", "2", *base,
-            flag, str(tmp_path / "never_read.txt"),
-        ])
-        assert (code, out, err) == (1, "", f"error: analyze {kind} does not read {flag}\n")
+        # a switch is given alone, any other flag with a file that does not exist
+        action = next(a for p in PARSERS.values() for a in p._actions
+                      if flag in a.option_strings)
+        given = [flag, str(tmp_path / "never_read.txt")] if action.nargs != 0 else [flag]
+        code, out, err = run_cli(capsys, [*_valid(ws, f"analyze {kind}"), *given])
+        assert (code, out) == (1, "")
+        assert err == ("usage: prmeval [-h] command ...\n"
+                       f"prmeval: error: unrecognized arguments: {' '.join(given)}\n")
 
     def test_config_key_fails_as_its_flag(self, capsys, ws, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"table": str(tmp_path / "never_read.json")}), "utf-8")
-        base = [ws.get(a, a) for a in self.BASE["bootstrap"]]
+        code, out, err = run_cli(
+            capsys, [*_valid(ws, "analyze bootstrap"), "--config", str(config)],
+        )
+        assert (code, out, err) == (
+            1, "", "error: unknown config keys for 'analyze bootstrap': ['table']\n",
+        )
+
+    @pytest.mark.parametrize("config", [{"handler": False}, {"handler": "cmd_eval"}])
+    def test_handler_is_no_config_key(self, capsys, ws, tmp_path, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), "utf-8")
+        code, out, err = run_cli(capsys, [*_valid(ws, "estimate"), "--config", str(path)])
+        line = "error: unknown config keys for 'estimate': ['handler']\n"
+        assert (code, out, err) == (1, "", line)
+
+    @pytest.mark.parametrize("words, flag", [
+        (words, flag) for words, p in PARSERS.items()
+        for flag in PATH_FLAGS if flag in _flags(p)
+    ], ids=lambda value: value.replace(" ", "-"))
+    def test_a_missing_path_is_read_or_named(self, capsys, ws, tmp_path, words, flag):
+        # every path flag is read (a missing file exits 2) or rejected as
+        # a usage error that names it (exit 1)
+        argv = _valid(ws, words)
+        missing = str(tmp_path / "missing.txt")
+        if flag in argv:
+            argv[argv.index(flag) + 1] = missing
+        else:
+            argv += [flag, missing]
+        code, out, err = run_cli(capsys, argv)
+        lines = err.splitlines()
+        assert out == ""
+        if code == 2:
+            assert len(lines) == 1 and lines[0].startswith("io error: "), lines
+        else:
+            assert code == 1
+            assert any(re.search(re.escape(flag) + r"(?![\w-])", line) for line in lines), lines
+
+
+class TestInputsNotRead:
+    """A path flag that a command would not open, given the other flags, is
+    one error line that names it, exit 1, before any file is read: every
+    file named `missing` here does not exist."""
+
+    TABLE_UNUSED = "is not read when no measure or gain scheme needs a table"
+    RANKING = ["--qrels", "qrels_u1", "--run", "run_perfect", "--run", "run_reverse"]
+    ONE_SOURCE = ("double judgments must come from exactly one source: "
+                  "--pairs or --qrels + --qrels2")
+
+    @pytest.mark.parametrize("argv, line", [
+        (["eval", "--measures", "count-binary", "--qrels", "qrels_u1", "--run", "missing",
+          "--pairs", "missing", "--table", "missing"], f"--table {TABLE_UNUSED}"),
+        (["eval", "--measures", "count-binary", "--qrels", "qrels_u1", "--pairs", "missing"],
+         f"--pairs {TABLE_UNUSED}"),
+        (["eval", "--measures", "count-binary", "--qrels", "qrels_u1", "--qrels2", "missing"],
+         f"--qrels2 {TABLE_UNUSED}"),
+        (["eval", "--measures", "count-binary", "--qrels", "qrels_u1", "--run", "missing"],
+         "--run is not read without a run measure (precision, ndcg)"),
+        (["eval", "--gains", "linear", "--qrels", "qrels_u1", "--run", "run_perfect",
+          "--table", "missing"], f"--table {TABLE_UNUSED}"),
+        (["eval", "--gains", "prm", "--qrels", "qrels_u1", "--run", "run_perfect",
+          "--table", "degenerate", "--pairs", "missing"], "--pairs is not read beside --table"),
+        (["eval", "--measures", "precision", "--qrels", "qrels_u1", "--run", "run_perfect",
+          "--table", "degenerate", "--qrels2", "missing"], "--qrels2 is not read beside --table"),
+        (["analyze", "tau", "--gains", "prm", *RANKING, "--table", "degenerate",
+          "--pairs", "missing"], "--pairs is not read beside --table"),
+        (["analyze", "tau", "--gains", "linear", *RANKING, "--table", "missing",
+          "--pairs", "missing"], f"--table {TABLE_UNUSED}"),
+        (["analyze", "robustness", *RANKING, "--qrels2", "qrels_u2", "--pairs", "missing"],
+         f"--pairs {TABLE_UNUSED}"),
+        (["analyze", "bootstrap", "--pairs", "pairs2", "--seed", "1", "--resamples", "3",
+          "--qrels", "missing", "--intents", "missing"], ONE_SOURCE),
+        (["analyze", "bootstrap", "--pairs", "pairs2", "--seed", "1", "--resamples", "3",
+          "--intents", "missing"], "--intents needs --qrels"),
+        (["analyze", "budget", "--pairs", "pairs", "--seed", "1", "--budgets", "5",
+          "--qrels", "missing"], ONE_SOURCE),
+        (["estimate", "--pairs", "pairs", "--qrels", "missing"], ONE_SOURCE),
+        (["estimate", "--pairs", "pairs", "--intents", "missing"], "--intents needs --qrels"),
+    ], ids=["eval-count-table", "eval-count-pairs", "eval-count-qrels2", "eval-count-run",
+            "eval-linear-table", "eval-table-pairs", "eval-table-qrels2", "tau-table-pairs",
+            "tau-linear-table", "robustness-pairs", "bootstrap-qrels", "bootstrap-intents",
+            "budget-qrels", "estimate-qrels", "estimate-intents"])
+    def test_unread_path_is_one_error_line(self, capsys, ws, tmp_path, argv, line):
+        files = dict(ws, missing=str(tmp_path / "missing.txt"))
         code, out, err = run_cli(capsys, [
-            "analyze", "bootstrap", "--config", str(config), "--scale", ws["scale"],
-            "--theta", "2", *base,
+            *(files.get(a, a) for a in argv), "--scale", ws["scale"], "--theta", "2",
         ])
-        assert (code, out, err) == (1, "", "error: analyze bootstrap does not read --table\n")
+        assert (code, out, err) == (1, "", f"error: {line}\n")
+
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flags", "config"])
+    def test_quality_takes_one_resource_source(self, capsys, ws, tmp_path, via_config):
+        both = {"resource-map": str(tmp_path / "missing.txt"), "resource-regex": "^(d1?)"}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(both), encoding="utf-8")
+        flags = (["--config", str(config)] if via_config
+                 else [a for key, value in both.items() for a in (f"--{key}", value)])
+        code, out, err = run_cli(capsys, [
+            "analyze", "quality", "--scale", ws["scale"], "--pairs", ws["pairs"],
+            "--qrels", ws["qrels_u1"], "--theta", "2", *flags,
+        ])
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: prmeval analyze quality [-h]")
+        assert err.endswith("\nprmeval analyze quality: error: argument --resource-regex: "
+                            "not allowed with argument --resource-map\n")
 
 
 class TestInputsReadOnce:

@@ -92,7 +92,9 @@ class TestStartup:
         assert "prmeval.cli" in modules
         assert not modules & HEAVY
 
-    @pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"], ["nope"]])
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["eval", "--help"], ["nope"], ["analyze", "bootstrap", "--help"],
+    ])
     def test_help_and_usage_errors_load_no_numpy(self, argv):
         code, modules = _probe(argv)
         assert code == (1 if argv == ["nope"] else 0)
