@@ -70,8 +70,34 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _split(value: str, what: str, allowed: tuple[str, ...]) -> tuple[str, ...]:
+    items = tuple(v.strip() for v in value.split(",") if v.strip())
+    if not items:
+        raise ValidationError(f"no {what} in {value!r}")
+    for i, item in enumerate(items):
+        if item not in allowed:
+            raise ValidationError(
+                f"unknown {what} {item!r}; choose from {', '.join(allowed)}"
+            )
+        if item in items[:i]:
+            raise ValidationError(f"{what} {item!r} given twice in {value!r}")
+    return items
+
+
+def _numbers(value: str, flag: str, kind: type) -> list:
+    try:
+        return [kind(v) for v in value.split(",") if v.strip()]
+    except ValueError:
+        raise ValidationError(
+            f"{flag} takes a comma list of {kind.__name__} values, got {value!r}"
+        ) from None
+
+
 # Every flag, in --help order.  Each parser takes only the flags that its
 # handler reads (see `build_parser`), so argparse rejects any other one.
+# A value flag is parsed by its ``type``, string defaults included; the
+# ValidationError of `_split` and `_numbers` is no ValueError, so argparse
+# lets it through to `main` as one ``error:`` line.
 _FLAGS: dict[str, dict] = {
     "--scale": dict(help="JSON descriptor of the assessment scale"),
     "--pairs": dict(help="paired judgments: topic doc level_u1 level_u2"),
@@ -80,14 +106,16 @@ _FLAGS: dict[str, dict] = {
     "--one-sided-collection": dict(action="store_true", help="second round judged only "
                                    "first-round positives; forbids the symmetric estimator"),
     "--theta": dict(type=int, help="user-relevance threshold (1..T; default: T)"),
-    "--estimator": dict(choices=("symmetric", "one-sided", "all"), default="symmetric",
-                        help="'all' prints the symmetric and both one-sided tables"),
+    "--estimator": dict(choices=("symmetric", "one-sided"), default="symmetric",
+                        help="how p(R|i) is estimated (see the definitions below)"),
     "--condition": dict(choices=("u1", "u2"), default="u1",
                         help="conditioning direction for the one-sided estimator"),
     "--override-p0": dict(action="store_true", help="pin p(R|0) to exactly 0"),
     "--run": dict(action="append", help="run file (repeatable)"),
-    "--gains": dict(default="binary", help="comma list from: " + ", ".join(_GAIN_NAMES)),
-    "--custom-gains": dict(help="comma list of per-level gains"),
+    "--gains": dict(default="binary", type=lambda v: _split(v, "gain scheme", _GAIN_NAMES),
+                    help="comma list from: " + ", ".join(_GAIN_NAMES)),
+    "--custom-gains": dict(type=lambda v: _numbers(v, "--custom-gains", float),
+                           help="comma list of per-level gains"),
     "--table": dict(help="JSON disagreement table for prm/udm gains"),
     "--discount": dict(choices=("log", "zipf"), default="log"),
     "--log-base": dict(type=float, default=2.0),
@@ -107,12 +135,14 @@ _FLAGS: dict[str, dict] = {
                      "text rounds to 4 decimals, csv/json keep full precision"),
     "--out": dict(help="write output to this file instead of stdout"),
     "--strata": dict(help="topic->stratum map; estimate per stratum"),
-    "--measures": dict(default="ndcg", help="comma list from: " + ", ".join(_MEASURES)
+    "--measures": dict(default="ndcg", type=lambda v: _split(v, "measure", _MEASURES),
+                       help="comma list from: " + ", ".join(_MEASURES)
                        + " (default: %(default)s)"),
     "--seed": dict(type=int, help="RNG seed (required when resampling)"),
     "--resamples": dict(type=int, default=300, help="bootstrap resamples"),
     "--rounds": dict(type=int, default=50, help="simulated annotation rounds"),
-    "--budgets": dict(help="comma list of double-judgment budgets"),
+    "--budgets": dict(type=lambda v: _numbers(v, "--budgets", int),
+                      help="comma list of double-judgment budgets"),
     "--resource-map": dict(help="doc->resource map file"),
     "--resource-regex": dict(help="regex whose first group extracts the resource from a doc id"),
     "--tau-variant": dict(choices=("a", "b"), default="b"),
@@ -135,17 +165,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
-    def command(subs, name: str, help: str, handler, *flags: str):
+    def command(subs, name: str, help: str, handler, *flags: str, **specs: dict):
+        # a spec in ``specs``, keyed by the flag's name without dashes, replaces its _FLAGS spec
         p = subs.add_parser(name, help=help, **style)
         takes = {*flags, *_SHARED}
         for flag, spec in _FLAGS.items():
             if flag in takes:
-                p.add_argument(flag, **spec)
+                p.add_argument(flag, **specs.get(flag[2:], spec))
         p.set_defaults(handler=handler)
         return p
 
     command(sub, "estimate", "estimate p(R|i) from double judgments", cmd_estimate,
-            *_JUDGMENTS, "--qrels2", *_ESTIMATOR, "--override-p0", "--strata")
+            *_JUDGMENTS, "--qrels2", *_ESTIMATOR, "--override-p0", "--strata",
+            estimator=dict(_FLAGS["--estimator"], choices=("symmetric", "one-sided", "all"),
+                           help="'all' prints the symmetric and both one-sided tables"))
     command(sub, "eval", "score runs: counts, expected precision, nDCG@k", cmd_eval,
             *_JUDGMENTS, "--qrels2", *_ESTIMATOR, *_SCORING, "--measures")
 
@@ -171,52 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     command(sub, "validate", "parse inputs and report, compute nothing", cmd_validate,
             *_JUDGMENTS, "--qrels2", "--run")
     return parser
-
-
-def _split(value: str, what: str, allowed: tuple[str, ...]) -> tuple[str, ...]:
-    items = tuple(v.strip() for v in value.split(",") if v.strip())
-    if not items:
-        raise ValidationError(f"no {what} in {value!r}")
-    for i, item in enumerate(items):
-        if item not in allowed:
-            raise ValidationError(
-                f"unknown {what} {item!r}; choose from {', '.join(allowed)}"
-            )
-        if item in items[:i]:
-            raise ValidationError(f"{what} {item!r} given twice in {value!r}")
-    return items
-
-
-def _numbers(value: str, flag: str, kind: type) -> list:
-    try:
-        return [kind(v) for v in value.split(",") if v.strip()]
-    except ValueError:
-        raise ValidationError(
-            f"{flag} takes a comma list of {kind.__name__} values, got {value!r}"
-        ) from None
-
-
-def _check_args(args: argparse.Namespace) -> None:
-    """Parse the comma-list flags and normalise the estimator name, in place.
-
-    Runs once, before any input is read, so every handler sees parsed
-    values and a malformed flag ends in a ValidationError.
-    """
-    if hasattr(args, "gains"):
-        args.gains = _split(args.gains, "gain scheme", _GAIN_NAMES)
-    if hasattr(args, "measures"):
-        args.measures = _split(args.measures, "measure", _MEASURES)
-    if getattr(args, "custom_gains", None):
-        args.custom_gains = _numbers(args.custom_gains, "--custom-gains", float)
-    if getattr(args, "budgets", None):
-        args.budgets = _numbers(args.budgets, "--budgets", int)
-    if hasattr(args, "estimator"):
-        # 'all' lists every table in `estimate`; the other commands need a
-        # single table and take the symmetric one.
-        estimator = args.estimator.replace("-", "_")
-        if estimator == "all" and args.command != "estimate":
-            estimator = "symmetric"
-        args.estimator = estimator
 
 
 def _config_flags(args: argparse.Namespace) -> list[str]:
@@ -376,30 +363,37 @@ def _scale_and_pairs(
     args: argparse.Namespace,
 ) -> tuple[corpus.RelevanceScale, corpus.JudgmentPairs]:
     """The scale and the double judgments, for a command that reads no
-    other input.  --pairs excludes both qrels here and --intents is read
-    with --qrels only; both rules are checked before any file is read."""
+    other input.  --pairs excludes both qrels here and the intent flags
+    apply to --qrels only; both rules are checked before any file is read."""
     _one_source(args, "qrels", "qrels2")
-    if args.intents and not args.qrels:
-        raise ValidationError("--intents needs --qrels")
+    if not args.qrels:
+        _not_read(args, "needs --qrels", "--intent-field", "--intents", "--top-intent-only")
     scale = _load_scale(args)
     return scale, _load_pairs(args, scale)
 
 
-def _not_read(args: argparse.Namespace, why: str, *flags: str) -> None:
+def _not_read(args: argparse.Namespace, rule: str, *flags: str) -> None:
     """A usage error for the first of ``flags`` given, which the command
-    does not open: ``why`` says when."""
+    does not read: ``rule`` follows the flag's name and says why."""
     for flag in flags:
         if getattr(args, flag[2:].replace("-", "_")):
-            raise ValidationError(f"{flag} is not read {why}")
+            raise ValidationError(f"{flag} {rule}")
 
 
-def _check_table_inputs(args: argparse.Namespace, needed: bool, *sources: str) -> None:
-    """--table and the double-judgment ``sources`` are read only when a
-    measure or gain scheme needs a table (``needed``); --table replaces them."""
+def _check_scoring_inputs(
+    args: argparse.Namespace, gains: Sequence[str], needed: bool, *sources: str
+) -> None:
+    """--table, --override-p0 and the double-judgment ``sources`` are read
+    only when a measure or gain scheme needs a table (``needed``), and
+    --table replaces the sources; --custom-gains is read only when
+    ``gains``, the schemes scored, hold custom."""
     if not needed:
-        _not_read(args, "when no measure or gain scheme needs a table", "--table", *sources)
+        _not_read(args, "is not read when no measure or gain scheme needs a table",
+                  "--table", *sources, "--override-p0")
     elif args.table:
-        _not_read(args, "beside --table", *sources)
+        _not_read(args, "is not read beside --table", *sources)
+    if "custom" not in gains:
+        _not_read(args, "is not read when no custom gains are scored", "--custom-gains")
 
 
 def _load_runs(args: argparse.Namespace) -> Iterator[corpus.RunRanking]:
@@ -418,7 +412,7 @@ def _user_model(
 
 
 def _estimator_opts(args: argparse.Namespace) -> dict:
-    return dict(estimator=args.estimator, condition=args.condition,
+    return dict(estimator=args.estimator.replace("-", "_"), condition=args.condition,
                 one_sided_collection=args.one_sided_collection)
 
 
@@ -494,20 +488,19 @@ def cmd_estimate(args: argparse.Namespace) -> _Report:
         strata = _parse(args.strata, corpus.parse_strata)
     else:
         strata = dict.fromkeys(pairs.topic_ids, "all")
+    opts = _estimator_opts(args)
     if args.estimator == "all":
-        estimators = [("symmetric", args.condition), ("one_sided", "u1"), ("one_sided", "u2")]
+        variants = [dict(opts, estimator="symmetric"),
+                    *(dict(opts, estimator="one_sided", condition=c) for c in ("u1", "u2"))]
     else:
-        estimators = [(args.estimator, args.condition)]
+        variants = [opts]
     model = _user_model(args, scale)
 
     counts = disagreement.stratum_counts(pairs, strata, model, scale)
     per_stratum: dict[str, dict[str, disagreement.DisagreementTable]] = {}
-    for estimator, condition in estimators:
+    for variant in variants:
         for stratum, c in counts.items():
-            t = disagreement.table_from_counts(
-                c, model, scale, estimator=estimator,
-                condition=condition, one_sided_collection=args.one_sided_collection,
-            )
+            t = disagreement.table_from_counts(c, model, scale, **variant)
             name = f"one_sided_{t.condition}" if t.condition else t.estimator
             t = t.with_override(0, 0.0) if args.override_p0 else t
             t.warn_non_monotone()
@@ -544,13 +537,12 @@ def cmd_eval(args: argparse.Namespace) -> _Report:
     from . import metrics
     measures = args.measures
     scores_runs = "precision" in measures or "ndcg" in measures
-    needs_table = "count-prm" in measures or "precision" in measures or (
-        "ndcg" in measures and _needs_table(args.gains)
-    )
+    gains = args.gains if "ndcg" in measures else ()
+    needs_table = "count-prm" in measures or "precision" in measures or _needs_table(gains)
     _one_source(args, "qrels2")
-    _check_table_inputs(args, needs_table, "--pairs", "--qrels2")
+    _check_scoring_inputs(args, gains, needs_table, "--pairs", "--qrels2")
     if not scores_runs:
-        _not_read(args, "without a run measure (precision, ndcg)", "--run")
+        _not_read(args, "is not read without a run measure (precision, ndcg)", "--run")
     scale = _load_scale(args)
     if not args.qrels:
         raise ValidationError("--qrels is required")
@@ -561,10 +553,7 @@ def cmd_eval(args: argparse.Namespace) -> _Report:
     discount = _resolve_discount(args)
     runs = _load_runs(args) if scores_runs else ()
     # before the counts, so that a binary scheme's own theta error comes first
-    schemes = (
-        [_resolve_scheme(name, args, scale, table) for name in args.gains]
-        if "ndcg" in measures else []
-    )
+    schemes = [_resolve_scheme(name, args, scale, table) for name in gains]
 
     pool = metrics._Pool(doc_levels)  # each topic's level histogram, counted once
     pool_reports: dict[str, metrics.MetricReport] = {}
@@ -636,7 +625,7 @@ def _ranking_inputs(
     if len(args.run) < 2:
         raise ValidationError("need at least 2 --run files")
     needs_table = _needs_table(args.gains)
-    _check_table_inputs(args, needs_table, "--pairs")
+    _check_scoring_inputs(args, args.gains, needs_table, "--pairs")
     scale = _load_scale(args)
     u1 = _load_qrels(args, args.qrels, scale, "u1")
     u2 = _load_qrels(args, args.qrels2, scale, "u2") if args.qrels2 else u1
@@ -773,6 +762,8 @@ def cmd_validate(args: argparse.Namespace) -> _Report:
     """One row per input: its record count (levels, for the scale), its
     topic count and, for a run, its system id."""
     from . import corpus
+    if not (args.qrels or args.qrels2):
+        _not_read(args, "needs --qrels", "--intent-field", "--top-intent-only")
     rows: list[list] = []
     text: list[str] = []
     scale = None
@@ -823,7 +814,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             # flags that follow win
             at = argv.index(args.command) + (2 if "kind" in args else 1)
             args = parser.parse_args(argv[:at] + _config_flags(args) + argv[at:])
-        _check_args(args)
         report = args.handler(args)
         _emit(_render(report, args.format), args.out)
         return 0

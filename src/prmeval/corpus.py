@@ -205,6 +205,11 @@ class RelevanceScale(_Frozen):
         scale = cls(labels)
         declared_top = obj.get("top_index")
         try:
+            # int() alone would take a boolean and cut off a fraction
+            if isinstance(declared_top, bool) or (
+                isinstance(declared_top, float) and not declared_top.is_integer()
+            ):
+                raise ValueError(declared_top)
             mismatch = declared_top is not None and int(declared_top) != scale.top_index
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"bad scale descriptor top_index: {declared_top!r}") from exc

@@ -6,6 +6,7 @@ import io
 import json
 import random
 import re
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -1468,6 +1469,38 @@ class TestUnreadFlags:
         assert err == ("usage: prmeval [-h] command ...\n"
                        f"prmeval: error: unrecognized arguments: {' '.join(given)}\n")
 
+    NO_TABLE = "--override-p0 is not read when no measure or gain scheme needs a table"
+    NO_CUSTOM = "--custom-gains is not read when no custom gains are scored"
+
+    @pytest.mark.parametrize("argv, line", [
+        (["analyze", "tau", "--gains", "linear", "--override-p0"], NO_TABLE),
+        (["analyze", "robustness", "--qrels2", "missing", "--gains", "linear", "--override-p0"],
+         NO_TABLE),
+        (["eval", "--measures", "count-binary", "--override-p0"], NO_TABLE),
+        (["eval", "--gains", "prm", "--custom-gains", "1,2,3"], NO_CUSTOM),
+        (["eval", "--measures", "precision", "--gains", "custom", "--custom-gains", "1,2,3"],
+         NO_CUSTOM),
+        (["analyze", "tau", "--gains", "linear", "--custom-gains", "1,2,3"], NO_CUSTOM),
+    ], ids=["tau-override-p0", "robustness-override-p0", "eval-override-p0",
+            "eval-prm-custom-gains", "eval-precision-custom-gains", "tau-custom-gains"])
+    def test_unread_switch_is_one_error_line(self, capsys, tmp_path, argv, line):
+        # a switch that no measure or gain scheme uses is named before any
+        # file is read: every path here names a file that does not exist
+        missing = str(tmp_path / "missing.txt")
+        runs = [] if "count-binary" in argv else ["--run", missing, "--run", missing]
+        code, out, err = run_cli(capsys, [
+            *(missing if a == "missing" else a for a in argv),
+            "--scale", missing, "--qrels", missing, *runs,
+        ])
+        assert (code, out, err) == (1, "", f"error: {line}\n")
+
+    @pytest.mark.parametrize("words", [w for w in PARSERS if w not in ("estimate", "validate")])
+    def test_estimator_all_is_for_estimate_only(self, capsys, ws, words):
+        code, out, err = run_cli(capsys, [*_valid(ws, words), "--estimator", "all"])
+        assert (code, out) == (1, "")
+        assert err.endswith(f"prmeval {words}: error: argument --estimator: invalid choice: "
+                            "'all' (choose from 'symmetric', 'one-sided')\n")
+
     def test_config_key_fails_as_its_flag(self, capsys, ws, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"table": str(tmp_path / "never_read.json")}), "utf-8")
@@ -1510,9 +1543,9 @@ class TestUnreadFlags:
 
 
 class TestInputsNotRead:
-    """A path flag that a command would not open, given the other flags, is
-    one error line that names it, exit 1, before any file is read: every
-    file named `missing` here does not exist."""
+    """A path flag or switch that a command would not read, given the other
+    flags, is one error line that names it, exit 1, before any file is
+    read: every file named `missing` here does not exist."""
 
     TABLE_UNUSED = "is not read when no measure or gain scheme needs a table"
     RANKING = ["--qrels", "qrels_u1", "--run", "run_perfect", "--run", "run_reverse"]
@@ -1548,14 +1581,27 @@ class TestInputsNotRead:
           "--qrels", "missing"], ONE_SOURCE),
         (["estimate", "--pairs", "pairs", "--qrels", "missing"], ONE_SOURCE),
         (["estimate", "--pairs", "pairs", "--intents", "missing"], "--intents needs --qrels"),
+        (["estimate", "--pairs", "pairs", "--intent-field", "--top-intent-only"],
+         "--intent-field needs --qrels"),
+        (["estimate", "--pairs", "pairs", "--top-intent-only"], "--top-intent-only needs --qrels"),
+        (["analyze", "bootstrap", "--pairs", "pairs2", "--seed", "1", "--resamples", "3",
+          "--intent-field"], "--intent-field needs --qrels"),
+        (["analyze", "budget", "--pairs", "pairs", "--seed", "1", "--budgets", "5",
+          "--top-intent-only"], "--top-intent-only needs --qrels"),
+        (["validate", "--pairs", "missing", "--intent-field"], "--intent-field needs --qrels"),
+        (["validate", "--pairs", "missing", "--intents", "missing", "--top-intent-only"],
+         "--top-intent-only needs --qrels"),
     ], ids=["eval-count-table", "eval-count-pairs", "eval-count-qrels2", "eval-count-run",
             "eval-linear-table", "eval-table-pairs", "eval-table-qrels2", "tau-table-pairs",
             "tau-linear-table", "robustness-pairs", "bootstrap-qrels", "bootstrap-intents",
-            "budget-qrels", "estimate-qrels", "estimate-intents"])
+            "budget-qrels", "estimate-qrels", "estimate-intents", "estimate-intent-field",
+            "estimate-top-intent-only", "bootstrap-intent-field", "budget-top-intent-only",
+            "validate-intent-field", "validate-top-intent-only"])
     def test_unread_path_is_one_error_line(self, capsys, ws, tmp_path, argv, line):
         files = dict(ws, missing=str(tmp_path / "missing.txt"))
+        theta = [] if argv[0] == "validate" else ["--theta", "2"]
         code, out, err = run_cli(capsys, [
-            *(files.get(a, a) for a in argv), "--scale", ws["scale"], "--theta", "2",
+            *(files.get(a, a) for a in argv), "--scale", ws["scale"], *theta,
         ])
         assert (code, out, err) == (1, "", f"error: {line}\n")
 
@@ -1607,12 +1653,12 @@ class TestInputsReadOnce:
         from prmeval import corpus
 
         qrels = tmp_path / "two_topics.txt"
-        text = open(ws["qrels_u1"], encoding="utf-8").read()
+        text = Path(ws["qrels_u1"]).read_text(encoding="utf-8")
         qrels.write_text(text + text.replace("201 ", "202 "), encoding="utf-8")
         runs = []
         for name in ("run_perfect", "run_reverse"):
             path = tmp_path / f"{name}_two_topics.txt"
-            text = open(ws[name], encoding="utf-8").read()
+            text = Path(ws[name]).read_text(encoding="utf-8")
             path.write_text(text + text.replace("201 ", "202 "), encoding="utf-8")
             runs += ["--run", str(path)]
         calls = []

@@ -87,6 +87,12 @@ class TestRelevanceScale:
             ('{"labels": "NRH"}', "bad scale descriptor labels: 'NRH'"),
             ('{"levels": {"0": "a", "1": "b"}, "top_index": "x"}',
              "bad scale descriptor top_index: 'x'"),
+            ('{"labels": ["a", "b", "c"], "top_index": 2.9}',
+             "bad scale descriptor top_index: 2.9"),
+            ('{"labels": ["a", "b"], "top_index": 1.5}', "bad scale descriptor top_index: 1.5"),
+            ('{"labels": ["a", "b"], "top_index": true}', "bad scale descriptor top_index: True"),
+            ('{"labels": ["a", "b"], "top_index": Infinity}',
+             "bad scale descriptor top_index: inf"),
             ("[1, 2]", "scale descriptor must be a JSON object, got [1, 2]"),
         ],
     )
