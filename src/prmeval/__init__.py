@@ -32,7 +32,7 @@ _EXPORTS = {
         "disagreement": (
             "DisagreementCell", "DisagreementTable", "LevelSeries", "SensitivityCurve",
             "UserModel", "cell_sigma", "estimate_one_sided", "estimate_symmetric",
-            "quality_sensitivity", "stratified_estimate",
+            "quality_sensitivity",
         ),
         "errors": (
             "DataWarning", "EstimationError", "MetricError", "ParseError", "PrmError",

@@ -422,7 +422,10 @@ def simulate_annotation_rounds(
     ps: dict[int, list[list[float | None]]] = {b: [] for b in kept}
     for r in range(n_rounds):
         rng = _round_rng(seed, r)
-        draw = rng.integers(0, len(codes), size=kept[-1])
+        try:
+            draw = rng.integers(0, len(codes), size=kept[-1])
+        except ValueError as exc:  # a size numpy cannot even represent
+            raise MemoryError(str(exc)) from None
         counts, prev = np.zeros(n * n, dtype=np.int64), 0
         for b in kept:
             # the budget before's counts plus those of the draws it lacks

@@ -108,7 +108,7 @@ _FLAGS: dict[str, dict] = {
     "--theta": dict(type=int, help="user-relevance threshold (1..T; default: T)"),
     "--estimator": dict(choices=("symmetric", "one-sided"), default="symmetric",
                         help="how p(R|i) is estimated (see the definitions below)"),
-    "--condition": dict(choices=("u1", "u2"), default="u1",
+    "--condition": dict(choices=("u1", "u2"),
                         help="conditioning direction for the one-sided estimator"),
     "--override-p0": dict(action="store_true", help="pin p(R|0) to exactly 0"),
     "--run": dict(action="append", help="run file (repeatable)"),
@@ -302,9 +302,16 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load_scale(args: argparse.Namespace) -> corpus.RelevanceScale:
+    """The --scale file, the first input that a command reads; the
+    intent and estimator flags that another flag must enable are checked
+    before it."""
     from . import corpus
     if not args.scale:
         raise ValidationError("--scale is required")
+    if not args.intents:
+        _not_read(args, "needs --intents", "--top-intent-only")
+    if "condition" in args and args.estimator != "one-sided":
+        _not_read(args, "needs --estimator one-sided", "--condition")
     return _parse(args.scale, corpus.parse_scale)
 
 
@@ -323,8 +330,6 @@ def _load_qrels(
         intent_field=args.intent_field, declared_intents=probs,
     )
     if args.top_intent_only:
-        if probs is None:
-            raise ValidationError("--top-intent-only needs --intents")
         js = corpus.select_top_intent(js, probs)
     return js
 
@@ -412,7 +417,7 @@ def _user_model(
 
 
 def _estimator_opts(args: argparse.Namespace) -> dict:
-    return dict(estimator=args.estimator.replace("-", "_"), condition=args.condition,
+    return dict(estimator=args.estimator.replace("-", "_"), condition=args.condition or "u1",
                 one_sided_collection=args.one_sided_collection)
 
 
@@ -542,7 +547,8 @@ def cmd_eval(args: argparse.Namespace) -> _Report:
     _one_source(args, "qrels2")
     _check_scoring_inputs(args, gains, needs_table, "--pairs", "--qrels2")
     if not scores_runs:
-        _not_read(args, "is not read without a run measure (precision, ndcg)", "--run")
+        _not_read(args, "is not read without a run measure (precision, ndcg)",
+                  "--run", "--strict")
     scale = _load_scale(args)
     if not args.qrels:
         raise ValidationError("--qrels is required")

@@ -60,9 +60,6 @@ __all__ = [
     "parse_intent_probabilities",
     "parse_strata",
     "parse_resource_map",
-    "write_qrels",
-    "write_paired",
-    "write_run",
     "pair_judgments",
     "select_top_intent",
     "attach_resources",
@@ -229,24 +226,6 @@ class Judgment(_Frozen):
     intent_id: str | None = None
 
 
-class _Records(Sequence):
-    """Read-only view of records kept as columns: a record is built when
-    it is read."""
-
-    __slots__ = ()
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = index + len(self) if index < 0 else index
-        if not 0 <= i < len(self):
-            raise IndexError(f"{type(self).__name__} index out of range")
-        return self._record(i)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({list(self)!r})"
-
-
 class JudgmentSet:
     """A validated collection of one assessor group's judgments against
     one scale.
@@ -375,7 +354,7 @@ class JudgmentPair(_Frozen):
     level_u2: int
 
 
-class JudgmentPairs(_Records):
+class JudgmentPairs(Sequence):
     """Doubly judged results as columns, read as a sequence of
     :class:`JudgmentPair`.
 
@@ -427,8 +406,14 @@ class JudgmentPairs(_Records):
         for topic, doc, code in zip(self.topic_ids, self.doc_ids, self._cells):
             yield JudgmentPair(topic, doc, *divmod(code, width))
 
-    def _record(self, i: int) -> JudgmentPair:
-        return JudgmentPair(self.topic_ids[i], self.doc_ids[i], *divmod(self._cells[i], self.width))
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        code = self._cells[index]  # an index out of range raises IndexError here
+        return JudgmentPair(self.topic_ids[index], self.doc_ids[index], *divmod(code, self.width))
+
+    def __repr__(self) -> str:
+        return f"JudgmentPairs({list(self)!r})"
 
 
 class PairingResult(_Frozen):
@@ -516,10 +501,10 @@ class RunRanking:
         return list(self._docs.get(topic_id, ()))
 
 
-class RunEntries(_Records):
+class RunEntries:
     """Read-only view of a run's entries in (topic, rank) order.
 
-    Its length is stored in the run; entries are built on access.
+    Its length is stored in the run; entries are built as it is iterated.
     """
 
     __slots__ = ("_run",)
@@ -533,12 +518,6 @@ class RunEntries(_Records):
     def __iter__(self) -> Iterator[RunEntry]:
         for topic in self._run._docs:
             yield from self._run.topic_slice(topic)
-
-    def _record(self, i: int) -> RunEntry:
-        for topic, docs in self._run._docs.items():
-            if i < len(docs):
-                return RunEntry(topic, docs[i], i + 1, self._run._scores[topic][i])
-            i -= len(docs)
 
 
 def _add_rows(rows: _Rows, topic: str, docs: list, ranks: list | None, scores: list) -> None:
@@ -1040,26 +1019,6 @@ def parse_resource_map(source: Iterable[str]) -> dict[str, str]:
     return out
 
 
-def write_qrels(judgments: JudgmentSet, stream: IO[str]) -> None:
-    """Serialize to qrels lines; the ignored iteration field is written as
-    the intent id when present and ``0`` otherwise."""
-    for j in judgments.judgments:
-        second = j.intent_id if j.intent_id is not None else "0"
-        stream.write(f"{j.topic_id} {second} {j.doc_id} {j.level}\n")
-
-
-def write_paired(pairs: Sequence[JudgmentPair], stream: IO[str]) -> None:
-    for p in pairs:
-        stream.write(f"{p.topic_id} {p.doc_id} {p.level_u1} {p.level_u2}\n")
-
-
-def write_run(run: RunRanking, stream: IO[str]) -> None:
-    for e in run.entries:
-        stream.write(
-            f"{e.topic_id} Q0 {e.doc_id} {e.rank} {e.score!r} {run.system_id}\n"
-        )
-
-
 def pair_judgments(set_u1: JudgmentSet, set_u2: JudgmentSet) -> PairingResult:
     """Inner-join two judgment sets on (topic, doc, intent).
 
@@ -1132,13 +1091,11 @@ def attach_resources(
             raise ValidationError(f"bad resource pattern {pattern!r}: {exc}") from None
         if not compiled.groups:
             raise ValidationError(f"resource pattern needs a capture group: {pattern!r}")
-        try:
-            values = [m[1] for m in map(compiled.search, docs)]
-        except TypeError:  # a doc had no match, and None has no group 1
-            missing = next(doc for doc in docs if compiled.search(doc) is None)
-            raise ValidationError(
-                f"doc id {missing!r} does not match resource pattern"
-            ) from None
+        # a match whose group 1 took no part counts as no match
+        values = [m and m[1] for m in map(compiled.search, docs)]
+        if None in values:
+            missing = docs[values.index(None)]
+            raise ValidationError(f"doc id {missing!r} does not match resource pattern")
     else:
         missing = next((doc for doc in docs if doc not in resource_map), None)
         if missing is not None:

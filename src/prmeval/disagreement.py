@@ -62,11 +62,9 @@ __all__ = [
     "estimate_one_sided",
     "estimate_symmetric",
     "estimate",
-    "stratified_estimate",
     "stratum_counts",
     "pair_codes",
     "code_counts",
-    "pair_counts",
     "group_pair_counts",
     "table_from_counts",
     "cell_sigma",
@@ -329,11 +327,6 @@ def code_counts(
     return _count(map(operator.add, map((n * n).__mul__, groups), codes), n, n_groups)
 
 
-def pair_counts(pairs: Sequence[JudgmentPair], scale: RelevanceScale) -> list:
-    """``C[i][j]``: the number of pairs with U1 label i and U2 label j."""
-    return code_counts(pair_codes(pairs, scale), scale)
-
-
 def group_pair_counts(
     pairs: Sequence[JudgmentPair],
     scale: RelevanceScale,
@@ -421,7 +414,7 @@ def estimate(
         raise EstimationError("no judgment pairs to estimate from")
     user_model.check_against(scale)
     return table_from_counts(
-        pair_counts(pairs, scale), user_model, scale, estimator=estimator,
+        code_counts(pair_codes(pairs, scale), scale), user_model, scale, estimator=estimator,
         condition=condition, one_sided_collection=one_sided_collection,
     )
 
@@ -455,26 +448,6 @@ def estimate_symmetric(
     estimator conditioned on the complete first round instead.
     """
     return estimate(pairs, user_model, scale, one_sided_collection=one_sided_collection)
-
-
-def stratified_estimate(
-    pairs: Sequence[JudgmentPair],
-    strata: Mapping[str, str],
-    user_model: UserModel,
-    scale: RelevanceScale,
-    *,
-    estimator: str = "symmetric",
-    condition: str = "u1",
-    one_sided_collection: bool = False,
-) -> dict[str, DisagreementTable]:
-    """Estimate a separate table per stratum of a topic -> stratum map."""
-    return {
-        name: table_from_counts(
-            counts, user_model, scale, estimator=estimator,
-            condition=condition, one_sided_collection=one_sided_collection,
-        )
-        for name, counts in stratum_counts(pairs, strata, user_model, scale).items()
-    }
 
 
 def stratum_counts(

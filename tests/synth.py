@@ -1,10 +1,14 @@
-"""Seeded generators for synthetic judgments, pairs, and runs.
+"""Seeded generators for synthetic judgments, pairs, and runs, and
+writers that serialize them back to the input formats.
 
 All generators take an explicit seed and draw from numpy's default
 generator, so every test using them is reproducible.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
+from typing import IO
 
 import numpy as np
 
@@ -190,3 +194,23 @@ def random_eval_fixture(
         )
     run = RunRanking("rnd", tuple(entries))
     return run, levels, scale, theta
+
+
+def write_qrels(judgments: JudgmentSet, stream: IO[str]) -> None:
+    """Serialize to qrels lines; the ignored iteration field is written as
+    the intent id when present and ``0`` otherwise."""
+    for j in judgments.judgments:
+        second = j.intent_id if j.intent_id is not None else "0"
+        stream.write(f"{j.topic_id} {second} {j.doc_id} {j.level}\n")
+
+
+def write_paired(pairs: Sequence[JudgmentPair], stream: IO[str]) -> None:
+    for p in pairs:
+        stream.write(f"{p.topic_id} {p.doc_id} {p.level_u1} {p.level_u2}\n")
+
+
+def write_run(run: RunRanking, stream: IO[str]) -> None:
+    for e in run.entries:
+        stream.write(
+            f"{e.topic_id} Q0 {e.doc_id} {e.rank} {e.score!r} {run.system_id}\n"
+        )

@@ -684,6 +684,20 @@ class TestAnalyzeCommand:
         ])
         assert (code, out, err) == (1, "", line)
 
+    @pytest.mark.parametrize("budget, reason", [
+        ("99999999999999999999", "Maximum allowed dimension exceeded"),
+        ("9223372036854775807",
+         "array is too big; `arr.size * arr.dtype.itemsize` is larger than the maximum "
+         "possible size."),
+    ], ids=["beyond-int64", "int64-max"])
+    def test_budget_numpy_cannot_size_is_one_error_line(self, capsys, ws, budget, reason):
+        # numpy rejects these sizes before it allocates anything
+        code, out, err = run_cli(capsys, [
+            "analyze", "budget", "--scale", ws["scale"], "--pairs", ws["pairs"],
+            "--budgets", budget, "--rounds", "1", "--seed", "1",
+        ])
+        assert (code, out, err) == (1, "", f"error: not enough memory: {reason}\n")
+
     @pytest.mark.parametrize("kind", ["bootstrap", "budget", "quality"])
     def test_one_sided_collection_blocks_symmetric(self, capsys, ws, kind):
         _, _, refused = run_cli(
@@ -997,6 +1011,8 @@ class TestModuleEntryPoint:
         [
             ("(", "error: bad resource pattern '(': missing ), unterminated subpattern"),
             (r"d\d", r"error: resource pattern needs a capture group: 'd\\d'"),
+            # group 1 takes no part in the match of any doc id, d1 first
+            ("^(x)?d", "error: doc id 'd1' does not match resource pattern"),
         ],
     )
     def test_bad_resource_regex_is_an_error(self, ws, pattern, message):
@@ -1471,6 +1487,7 @@ class TestUnreadFlags:
 
     NO_TABLE = "--override-p0 is not read when no measure or gain scheme needs a table"
     NO_CUSTOM = "--custom-gains is not read when no custom gains are scored"
+    NO_CONDITION = "--condition needs --estimator one-sided"
 
     @pytest.mark.parametrize("argv, line", [
         (["analyze", "tau", "--gains", "linear", "--override-p0"], NO_TABLE),
@@ -1481,13 +1498,32 @@ class TestUnreadFlags:
         (["eval", "--measures", "precision", "--gains", "custom", "--custom-gains", "1,2,3"],
          NO_CUSTOM),
         (["analyze", "tau", "--gains", "linear", "--custom-gains", "1,2,3"], NO_CUSTOM),
+        (["eval", "--measures", "count-binary", "--strict"],
+         "--strict is not read without a run measure (precision, ndcg)"),
+        (["estimate", "--qrels2", "missing", "--condition", "u2"], NO_CONDITION),
+        (["estimate", "--qrels2", "missing", "--estimator", "all", "--condition", "u2"],
+         NO_CONDITION),
+        (["eval", "--condition", "u1"], NO_CONDITION),
+        (["analyze", "tau", "--condition", "u2"], NO_CONDITION),
+        (["analyze", "robustness", "--qrels2", "missing", "--condition", "u2"], NO_CONDITION),
+        (["analyze", "bootstrap", "--qrels2", "missing", "--seed", "1", "--condition", "u2"],
+         NO_CONDITION),
+        (["analyze", "budget", "--qrels2", "missing", "--seed", "1", "--budgets", "5",
+          "--condition", "u2"], NO_CONDITION),
+        (["analyze", "quality", "--pairs", "missing", "--resource-regex", "(d)",
+          "--condition", "u2"], NO_CONDITION),
     ], ids=["tau-override-p0", "robustness-override-p0", "eval-override-p0",
-            "eval-prm-custom-gains", "eval-precision-custom-gains", "tau-custom-gains"])
+            "eval-prm-custom-gains", "eval-precision-custom-gains", "tau-custom-gains",
+            "eval-count-strict", "estimate-condition", "estimate-all-condition",
+            "eval-condition", "tau-condition", "robustness-condition", "bootstrap-condition",
+            "budget-condition", "quality-condition"])
     def test_unread_switch_is_one_error_line(self, capsys, tmp_path, argv, line):
         # a switch that no measure or gain scheme uses is named before any
         # file is read: every path here names a file that does not exist
         missing = str(tmp_path / "missing.txt")
-        runs = [] if "count-binary" in argv else ["--run", missing, "--run", missing]
+        words = " ".join(argv[:2]) if argv[0] == "analyze" else argv[0]
+        takes_runs = "--run" in TAKES[words] and "count-binary" not in argv
+        runs = ["--run", missing, "--run", missing] if takes_runs else []
         code, out, err = run_cli(capsys, [
             *(missing if a == "missing" else a for a in argv),
             "--scale", missing, "--qrels", missing, *runs,
@@ -1551,6 +1587,7 @@ class TestInputsNotRead:
     RANKING = ["--qrels", "qrels_u1", "--run", "run_perfect", "--run", "run_reverse"]
     ONE_SOURCE = ("double judgments must come from exactly one source: "
                   "--pairs or --qrels + --qrels2")
+    NO_INTENTS = "--top-intent-only needs --intents"
 
     @pytest.mark.parametrize("argv, line", [
         (["eval", "--measures", "count-binary", "--qrels", "qrels_u1", "--run", "missing",
@@ -1591,12 +1628,22 @@ class TestInputsNotRead:
         (["validate", "--pairs", "missing", "--intent-field"], "--intent-field needs --qrels"),
         (["validate", "--pairs", "missing", "--intents", "missing", "--top-intent-only"],
          "--top-intent-only needs --qrels"),
+        (["estimate", "--qrels", "missing", "--qrels2", "qrels_u2", "--top-intent-only"],
+         NO_INTENTS),
+        (["eval", "--measures", "count-binary", "--qrels", "missing", "--top-intent-only"],
+         NO_INTENTS),
+        (["analyze", "tau", "--gains", "linear", "--qrels", "missing", "--run", "missing",
+          "--run", "missing", "--top-intent-only"], NO_INTENTS),
+        (["analyze", "quality", "--qrels", "missing", "--pairs", "missing",
+          "--resource-regex", "(d)", "--top-intent-only"], NO_INTENTS),
+        (["validate", "--qrels", "missing", "--top-intent-only"], NO_INTENTS),
     ], ids=["eval-count-table", "eval-count-pairs", "eval-count-qrels2", "eval-count-run",
             "eval-linear-table", "eval-table-pairs", "eval-table-qrels2", "tau-table-pairs",
             "tau-linear-table", "robustness-pairs", "bootstrap-qrels", "bootstrap-intents",
             "budget-qrels", "estimate-qrels", "estimate-intents", "estimate-intent-field",
             "estimate-top-intent-only", "bootstrap-intent-field", "budget-top-intent-only",
-            "validate-intent-field", "validate-top-intent-only"])
+            "validate-intent-field", "validate-top-intent-only", "estimate-no-intents",
+            "eval-no-intents", "tau-no-intents", "quality-no-intents", "validate-no-intents"])
     def test_unread_path_is_one_error_line(self, capsys, ws, tmp_path, argv, line):
         files = dict(ws, missing=str(tmp_path / "missing.txt"))
         theta = [] if argv[0] == "validate" else ["--theta", "2"]

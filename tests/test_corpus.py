@@ -24,11 +24,9 @@ from prmeval.corpus import (
     parse_scale,
     parse_strata,
     select_top_intent,
-    write_paired,
-    write_qrels,
-    write_run,
 )
 from prmeval.errors import DataWarning, ParseError, ValidationError
+from synth import write_paired, write_qrels, write_run
 
 
 class TestRelevanceScale:

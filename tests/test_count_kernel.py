@@ -40,8 +40,8 @@ from prmeval.disagreement import (
     estimate_symmetric,
     group_pair_counts,
     pair_codes,
-    pair_counts,
-    stratified_estimate,
+    stratum_counts,
+    table_from_counts,
 )
 from prmeval.errors import DataWarning, EstimationError, PrmError, ValidationError
 
@@ -297,9 +297,11 @@ def test_strata_sum_per_topic_counts(collection, data, choice):
     theta = data.draw(st.integers(1, scale.top_index))
     estimator, condition = choice
     strata = {f"t{t}": data.draw(st.sampled_from(["a", "b"])) for t in range(4)}
-    got = outcome(lambda: stratified_estimate(
-        pairs, strata, UserModel(theta), scale, estimator=estimator, condition=condition
-    ))
+    model = UserModel(theta)
+    got = outcome(lambda: {
+        s: table_from_counts(c, model, scale, estimator=estimator, condition=condition)
+        for s, c in stratum_counts(pairs, strata, model, scale).items()
+    })
     grouped: dict[str, list[JudgmentPair]] = {}
     for p in pairs:
         grouped.setdefault(strata[p.topic_id], []).append(p)
@@ -319,7 +321,7 @@ def test_count_matrices():
         JudgmentPair("t2", "d1", 2, 0), JudgmentPair("t1", "d2", 2, 0),
         JudgmentPair("t1", "d3", 0, 1),
     ]
-    assert pair_counts(pairs, scale) == [[0, 1, 0], [0, 0, 0], [2, 0, 0]]
+    assert code_counts(pair_codes(pairs, scale), scale) == [[0, 1, 0], [0, 0, 0], [2, 0, 0]]
     topics, per_topic = group_pair_counts(pairs, scale)
     assert topics == ["t1", "t2"]
     assert ints_only(per_topic)
@@ -360,7 +362,7 @@ def test_pair_counts_match_bincount(collection, data):
     n = scale.top_index + 1
     codes = [p.level_u1 * n + p.level_u2 for p in pairs]
     assert pair_codes(pairs, scale).tolist() == codes
-    assert pair_counts(pairs, scale) == ref_bincount(codes, scale).tolist()
+    assert code_counts(pair_codes(pairs, scale), scale) == ref_bincount(codes, scale).tolist()
     strata = {f"t{t}": data.draw(st.sampled_from(["a", "b", "c"])) for t in range(4)}
     for group_of in (None, strata):
         labels = [p.topic_id if group_of is None else group_of[p.topic_id] for p in pairs]
@@ -379,7 +381,7 @@ def test_first_bad_level_in_input_order_raises(levels, message):
     scale = RelevanceScale(("a", "b", "c"))
     pairs = [JudgmentPair("t", f"d{i}", a, b) for i, (a, b) in enumerate(levels)]
     with pytest.raises(ValidationError, match=message):
-        pair_counts(pairs, scale)
+        code_counts(pair_codes(pairs, scale), scale)
 
 
 # -- analyses -----------------------------------------------------------------

@@ -278,16 +278,6 @@ def test_entries_length_does_not_build_entries(monkeypatch):
     assert run.doc_ids("B") == ["y", "x"]
 
 
-def test_entries_view_indexing():
-    run = parse_run(as_lines([("B", "x", 2, 1.0), ("A", "d", 1, 3.0), ("B", "y", 1, 2.0)]))
-    expected = [RunEntry("A", "d", 1, 3.0), RunEntry("B", "y", 1, 2.0), RunEntry("B", "x", 2, 1.0)]
-    assert [run.entries[i] for i in range(3)] == expected
-    assert run.entries[-1] == expected[-1]
-    assert run.entries[1:] == expected[1:]
-    with pytest.raises(IndexError):
-        run.entries[3]
-
-
 def test_equal_runs_compare_and_hash_equal():
     rows = [("B", "x", 2, 1.0), ("A", "d", 1, 3.0), ("B", "y", 1, 2.0)]
     a = parse_run(as_lines(rows))
