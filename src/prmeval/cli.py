@@ -26,7 +26,7 @@ import sys
 import warnings
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
-from .errors import ParseError, PrmError, ValidationError
+from .errors import EstimationError, ParseError, PrmError, ValidationError
 
 if TYPE_CHECKING:
     from . import analysis, corpus, disagreement, metrics
@@ -302,16 +302,13 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load_scale(args: argparse.Namespace) -> corpus.RelevanceScale:
-    """The --scale file, the first input that a command reads; the
-    intent and estimator flags that another flag must enable are checked
-    before it."""
+    """The --scale file, the first input that a command reads;
+    --top-intent-only is checked for its --intents before it."""
     from . import corpus
     if not args.scale:
         raise ValidationError("--scale is required")
     if not args.intents:
         _not_read(args, "needs --intents", "--top-intent-only")
-    if "condition" in args and args.estimator != "one-sided":
-        _not_read(args, "needs --estimator one-sided", "--condition")
     return _parse(args.scale, corpus.parse_scale)
 
 
@@ -345,13 +342,17 @@ def _load_pairs(
     from . import corpus
     if args.pairs:
         return _parse(args.pairs, corpus.parse_paired, scale)
-    if not (args.qrels and args.qrels2):
-        raise ValidationError(
-            "no double judgments: supply --pairs or both --qrels and --qrels2"
-        )
     u1 = _load_qrels(args, args.qrels, scale, "u1") if u1 is None else u1
     u2 = _load_qrels(args, args.qrels2, scale, "u2") if u2 is None else u2
     return corpus.pair_judgments(u1, u2).pairs
+
+
+def _need_pairs(args: argparse.Namespace) -> None:
+    """Double judgments are given: --pairs, or both --qrels and --qrels2."""
+    if not (args.pairs or args.qrels and args.qrels2):
+        raise ValidationError(
+            "no double judgments: supply --pairs or both --qrels and --qrels2"
+        )
 
 
 def _one_source(args: argparse.Namespace, *qrels: str) -> None:
@@ -369,10 +370,11 @@ def _scale_and_pairs(
 ) -> tuple[corpus.RelevanceScale, corpus.JudgmentPairs]:
     """The scale and the double judgments, for a command that reads no
     other input.  --pairs excludes both qrels here and the intent flags
-    apply to --qrels only; both rules are checked before any file is read."""
+    apply to --qrels only; these rules are checked before any file is read."""
     _one_source(args, "qrels", "qrels2")
     if not args.qrels:
         _not_read(args, "needs --qrels", "--intent-field", "--intents", "--top-intent-only")
+    _need_pairs(args)
     scale = _load_scale(args)
     return scale, _load_pairs(args, scale)
 
@@ -388,17 +390,23 @@ def _not_read(args: argparse.Namespace, rule: str, *flags: str) -> None:
 def _check_scoring_inputs(
     args: argparse.Namespace, gains: Sequence[str], needed: bool, *sources: str
 ) -> None:
-    """--table, --override-p0 and the double-judgment ``sources`` are read
-    only when a measure or gain scheme needs a table (``needed``), and
-    --table replaces the sources; --custom-gains is read only when
-    ``gains``, the schemes scored, hold custom."""
+    """--table, --override-p0, the estimator switches and the
+    double-judgment ``sources`` are read only when a measure or gain scheme
+    needs a table (``needed``), and --table replaces the sources and the
+    switches; --custom-gains is read exactly when ``gains``, the schemes
+    scored, hold custom."""
+    switches = ("--one-sided-collection", "--condition")
     if not needed:
         _not_read(args, "is not read when no measure or gain scheme needs a table",
-                  "--table", *sources, "--override-p0")
+                  "--table", *sources, "--override-p0", *switches)
     elif args.table:
-        _not_read(args, "is not read beside --table", *sources)
+        _not_read(args, "is not read beside --table", *sources, *switches)
     if "custom" not in gains:
         _not_read(args, "is not read when no custom gains are scored", "--custom-gains")
+    elif not args.custom_gains:
+        raise ValidationError("custom gains need --custom-gains")
+    if needed and not args.table:
+        _need_pairs(args)
 
 
 def _load_runs(args: argparse.Namespace) -> Iterator[corpus.RunRanking]:
@@ -460,19 +468,14 @@ def _resolve_scheme(
     if name == "exponential":
         return metrics.GainScheme.exponential(top)
     if name in ("prm", "udm"):
-        if table is None:
-            raise ValidationError(f"{name} gains need --table or double judgments")
         return getattr(metrics.GainScheme, name)(table)
-    if name == "custom":
-        if not args.custom_gains:
-            raise ValidationError("custom gains need --custom-gains")
-        if len(args.custom_gains) != top + 1:
-            raise ValidationError(
-                f"--custom-gains needs {top + 1} values for this scale, "
-                f"got {len(args.custom_gains)}"
-            )
-        return metrics.GainScheme.custom(args.custom_gains)
-    raise ValidationError(f"unknown gain scheme {name!r}")
+    # custom, the one name left by `_split`; `_check_scoring_inputs` saw its values given
+    if len(args.custom_gains) != top + 1:
+        raise ValidationError(
+            f"--custom-gains needs {top + 1} values for this scale, "
+            f"got {len(args.custom_gains)}"
+        )
+    return metrics.GainScheme.custom(args.custom_gains)
 
 
 def _resolve_discount(args: argparse.Namespace) -> metrics.DiscountFunction:
@@ -500,11 +503,14 @@ def cmd_estimate(args: argparse.Namespace) -> _Report:
     else:
         variants = [opts]
     model = _user_model(args, scale)
+    if not pairs:
+        raise EstimationError("no judgment pairs to estimate from")
+    names, counts = disagreement.group_pair_counts(pairs, scale, strata)
+    model.check_against(scale)
 
-    counts = disagreement.stratum_counts(pairs, strata, model, scale)
     per_stratum: dict[str, dict[str, disagreement.DisagreementTable]] = {}
     for variant in variants:
-        for stratum, c in counts.items():
+        for stratum, c in zip(names, counts):
             t = disagreement.table_from_counts(c, model, scale, **variant)
             name = f"one_sided_{t.condition}" if t.condition else t.estimator
             t = t.with_override(0, 0.0) if args.override_p0 else t
@@ -549,15 +555,15 @@ def cmd_eval(args: argparse.Namespace) -> _Report:
     if not scores_runs:
         _not_read(args, "is not read without a run measure (precision, ndcg)",
                   "--run", "--strict")
-    scale = _load_scale(args)
     if not args.qrels:
         raise ValidationError("--qrels is required")
+    runs = _load_runs(args) if scores_runs else ()
+    scale = _load_scale(args)
     u1 = _load_qrels(args, args.qrels, scale, "u1")
     doc_levels = u1.doc_levels()
     table = _resolve_table(args, scale, u1) if needs_table else None
     del u1  # its columns are not held while the runs are scored
     discount = _resolve_discount(args)
-    runs = _load_runs(args) if scores_runs else ()
     # before the counts, so that a binary scheme's own theta error comes first
     schemes = [_resolve_scheme(name, args, scale, table) for name in gains]
 
@@ -820,6 +826,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             # flags that follow win
             at = argv.index(args.command) + (2 if "kind" in args else 1)
             args = parser.parse_args(argv[:at] + _config_flags(args) + argv[at:])
+        # a rule between two switches, ahead of each command's own rules:
+        # those name --condition as unread only once it could be read
+        if "condition" in args and args.estimator != "one-sided":
+            _not_read(args, "needs --estimator one-sided", "--condition")
         report = args.handler(args)
         _emit(_render(report, args.format), args.out)
         return 0

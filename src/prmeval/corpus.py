@@ -456,14 +456,6 @@ class RunRanking:
             _add_rows(rows, e.topic_id, [e.doc_id], [e.rank], [e.score])
         self._adopt(system_id, rows)
 
-    @classmethod
-    def _from_rows(cls, system_id: str, rows: _Rows) -> "RunRanking":
-        """A run from per-topic ``[docs, ranks, scores]`` columns (see
-        :func:`_index_run`), which it keeps."""
-        run = cls.__new__(cls)
-        run._adopt(system_id, rows)
-        return run
-
     def _adopt(self, system_id: str, rows: _Rows) -> None:
         self.system_id = system_id
         self._docs, self._scores = _index_run(system_id, rows)
@@ -977,7 +969,11 @@ def parse_run(source: str | IO[str] | Iterable[str]) -> RunRanking:
             _add_rows(rows, topic, [doc], [rank], [score])
     if system_id is None:
         raise ValidationError("run file contains no records")
-    return RunRanking._from_rows(system_id, rows)
+    # adopted at the depth of ``RunRanking(...)``, so that the score-order
+    # warning names the caller
+    run = RunRanking.__new__(RunRanking)
+    run._adopt(system_id, rows)
+    return run
 
 
 def parse_intent_probabilities(source: Iterable[str]) -> dict[str, dict[str, float]]:

@@ -62,7 +62,6 @@ __all__ = [
     "estimate_one_sided",
     "estimate_symmetric",
     "estimate",
-    "stratum_counts",
     "pair_codes",
     "code_counts",
     "group_pair_counts",
@@ -334,11 +333,18 @@ def group_pair_counts(
 ) -> tuple[list[str], list]:
     """Sorted group names and ``C[group][i][j]``, one count matrix per group.
 
-    A pair's group is ``group_of[topic]``, by default its topic.
+    A pair's group is ``group_of[topic]``, by default its topic; a topic
+    that ``group_of`` lacks is a ValidationError.
     """
     pairs = _as_pairs(pairs, scale)
     topics = list(dict.fromkeys(pairs.topic_ids))
-    groups = topics if group_of is None else list(map(group_of.__getitem__, topics))
+    if group_of is None:
+        groups = topics
+    else:
+        missing = [t for t in topics if t not in group_of]
+        if missing:
+            raise ValidationError(f"topics missing from strata map: {sorted(missing)}")
+        groups = list(map(group_of.__getitem__, topics))
     names = sorted(set(groups))
     n = scale.top_index + 1
     index = {name: g * n * n for g, name in enumerate(names)}
@@ -448,24 +454,6 @@ def estimate_symmetric(
     estimator conditioned on the complete first round instead.
     """
     return estimate(pairs, user_model, scale, one_sided_collection=one_sided_collection)
-
-
-def stratum_counts(
-    pairs: Sequence[JudgmentPair],
-    strata: Mapping[str, str],
-    user_model: UserModel,
-    scale: RelevanceScale,
-) -> dict[str, list]:
-    """``C[i][j]`` per stratum, by stratum name, after the checks of an estimate."""
-    if not pairs:
-        raise EstimationError("no judgment pairs to estimate from")
-    pairs = _as_pairs(pairs, scale)
-    missing = set(pairs.topic_ids) - set(strata)
-    if missing:
-        raise ValidationError(f"topics missing from strata map: {sorted(missing)}")
-    user_model.check_against(scale)
-    names, per_stratum = group_pair_counts(pairs, scale, strata)
-    return dict(zip(names, per_stratum))
 
 
 class LevelSeries(_Frozen):

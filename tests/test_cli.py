@@ -1512,11 +1512,25 @@ class TestUnreadFlags:
           "--condition", "u2"], NO_CONDITION),
         (["analyze", "quality", "--pairs", "missing", "--resource-regex", "(d)",
           "--condition", "u2"], NO_CONDITION),
+        (["eval", "--measures", "count-binary", "--estimator", "one-sided", "--condition", "u2"],
+         "--condition is not read when no measure or gain scheme needs a table"),
+        (["analyze", "tau", "--gains", "binary", "--one-sided-collection"],
+         "--one-sided-collection is not read when no measure or gain scheme needs a table"),
+        (["analyze", "robustness", "--qrels2", "missing", "--estimator", "one-sided",
+          "--condition", "u1"],
+         "--condition is not read when no measure or gain scheme needs a table"),
+        (["eval", "--measures", "precision", "--table", "missing", "--override-p0",
+          "--one-sided-collection"], "--one-sided-collection is not read beside --table"),
+        (["analyze", "tau", "--gains", "prm", "--table", "missing", "--override-p0",
+          "--estimator", "one-sided", "--condition", "u2"],
+         "--condition is not read beside --table"),
     ], ids=["tau-override-p0", "robustness-override-p0", "eval-override-p0",
             "eval-prm-custom-gains", "eval-precision-custom-gains", "tau-custom-gains",
             "eval-count-strict", "estimate-condition", "estimate-all-condition",
             "eval-condition", "tau-condition", "robustness-condition", "bootstrap-condition",
-            "budget-condition", "quality-condition"])
+            "budget-condition", "quality-condition", "eval-count-one-sided-condition",
+            "tau-binary-one-sided-collection", "robustness-one-sided-condition",
+            "eval-table-one-sided-collection", "tau-table-one-sided-condition"])
     def test_unread_switch_is_one_error_line(self, capsys, tmp_path, argv, line):
         # a switch that no measure or gain scheme uses is named before any
         # file is read: every path here names a file that does not exist
@@ -1527,6 +1541,36 @@ class TestUnreadFlags:
         code, out, err = run_cli(capsys, [
             *(missing if a == "missing" else a for a in argv),
             "--scale", missing, "--qrels", missing, *runs,
+        ])
+        assert (code, out, err) == (1, "", f"error: {line}\n")
+
+    NO_PAIRS = "no double judgments: supply --pairs or both --qrels and --qrels2"
+    NO_VALUES = "custom gains need --custom-gains"
+    TAU = ["analyze", "tau", "--qrels", "missing", "--run", "missing", "--run", "missing"]
+
+    @pytest.mark.parametrize("argv, line", [
+        (["eval", "--qrels", "missing", "--measures", "ndcg"], "--run is required"),
+        (["eval", "--run", "missing"], "--qrels is required"),
+        (["estimate"], NO_PAIRS),
+        (["estimate", "--qrels", "missing"], NO_PAIRS),
+        (["analyze", "bootstrap", "--seed", "1"], NO_PAIRS),
+        (["analyze", "budget", "--seed", "1", "--budgets", "5"], NO_PAIRS),
+        (["eval", "--qrels", "missing", "--run", "missing", "--measures", "precision"], NO_PAIRS),
+        (["eval", "--qrels", "missing", "--measures", "count-prm"], NO_PAIRS),
+        ([*TAU, "--gains", "prm"], NO_PAIRS),
+        (["eval", "--qrels", "missing", "--run", "missing", "--gains", "custom"], NO_VALUES),
+        ([*TAU, "--gains", "custom"], NO_VALUES),
+        (["analyze", "robustness", *TAU[2:], "--qrels2", "missing", "--gains", "custom,binary"],
+         NO_VALUES),
+    ], ids=["eval-run", "eval-qrels", "estimate-pairs", "estimate-qrels2", "bootstrap-pairs",
+            "budget-pairs", "eval-precision-pairs", "eval-count-prm-pairs", "tau-prm-pairs",
+            "eval-custom", "tau-custom", "robustness-custom"])
+    def test_missing_flag_is_one_error_line(self, capsys, tmp_path, argv, line):
+        # an input that the other flags need is named before any file is
+        # read: every path here names a file that does not exist
+        missing = str(tmp_path / "missing.txt")
+        code, out, err = run_cli(capsys, [
+            *(missing if a == "missing" else a for a in argv), "--scale", missing,
         ])
         assert (code, out, err) == (1, "", f"error: {line}\n")
 

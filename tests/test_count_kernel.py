@@ -40,7 +40,6 @@ from prmeval.disagreement import (
     estimate_symmetric,
     group_pair_counts,
     pair_codes,
-    stratum_counts,
     table_from_counts,
 )
 from prmeval.errors import DataWarning, EstimationError, PrmError, ValidationError
@@ -300,7 +299,7 @@ def test_strata_sum_per_topic_counts(collection, data, choice):
     model = UserModel(theta)
     got = outcome(lambda: {
         s: table_from_counts(c, model, scale, estimator=estimator, condition=condition)
-        for s, c in stratum_counts(pairs, strata, model, scale).items()
+        for s, c in zip(*group_pair_counts(pairs, scale, strata))
     })
     grouped: dict[str, list[JudgmentPair]] = {}
     for p in pairs:

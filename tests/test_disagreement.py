@@ -17,7 +17,7 @@ from prmeval.disagreement import (
     estimate,
     estimate_one_sided,
     estimate_symmetric,
-    stratum_counts,
+    group_pair_counts,
     table_from_counts,
 )
 from prmeval.errors import DataWarning, EstimationError, ValidationError
@@ -206,15 +206,15 @@ class TestStratified:
         pairs = [JudgmentPair("201", f"a{i}", 2, 2) for i in range(5)]
         pairs += [JudgmentPair("202", f"b{i}", 2, 0) for i in range(5)]
         strata = {"201": "web", "202": "news"}
-        counts = stratum_counts(pairs, strata, UserModel(2), scale3)
-        tables = {s: table_from_counts(c, UserModel(2), scale3) for s, c in counts.items()}
+        counts = zip(*group_pair_counts(pairs, scale3, strata))
+        tables = {s: table_from_counts(c, UserModel(2), scale3) for s, c in counts}
         assert set(tables) == {"web", "news"}
         assert tables["web"].p(2) == 1.0
         assert tables["news"].p(2) == 0.0
 
     def test_missing_topic_rejected(self, scale3, golden_pairs):
         with pytest.raises(ValidationError, match="missing from strata"):
-            stratum_counts(golden_pairs, {}, UserModel(2), scale3)
+            group_pair_counts(golden_pairs, scale3, {})
 
 
 class TestEstimateDispatch:

@@ -49,6 +49,9 @@ def ref_group_pair_counts(pairs, scale, group_of=None):
     pairs = _as_pairs(pairs, scale)
     labels = pairs.topic_ids
     if group_of is not None:
+        missing = set(labels) - set(group_of)
+        if missing:
+            raise ValidationError(f"topics missing from strata map: {sorted(missing)}")
         labels = list(map(group_of.__getitem__, labels))
     names = sorted(set(labels))
     index = {name: i for i, name in enumerate(names)}

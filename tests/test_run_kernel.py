@@ -267,6 +267,17 @@ def test_empty_run_file():
     assert outcome(parse_run, ["# x\n", "\n"]) == outcome(ref_parse_run, ["# x\n", "\n"])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: parse_run("t1 Q0 d1 1 1.0 s\nt1 Q0 d2 2 2.0 s\n"),
+    lambda: RunRanking("s", [RunEntry("t1", "d1", 1, 1.0), RunEntry("t1", "d2", 2, 2.0)]),
+], ids=["parse_run", "RunRanking"])
+def test_score_order_warning_names_the_caller(build):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        build()
+    assert [(w.category, w.filename) for w in caught] == [(DataWarning, __file__)]
+
+
 def test_entries_length_does_not_build_entries(monkeypatch):
     run = parse_run(as_lines([("B", "x", 2, 1.0), ("A", "d", 1, 3.0), ("B", "y", 1, 2.0)]))
 
