@@ -9,7 +9,8 @@ The topic bootstrap computes that stream, and the mean and std of its
 samples, in pure Python by numpy's own integer and float operations; the
 tests check both against numpy, so a numpy release that changed them
 fails a test rather than changing the output.  Only the budget sweep,
-which draws far more values, imports numpy, and only when it runs.
+which draws far more values, imports numpy, and only when it runs; numpy
+is the ``budget`` extra, not a dependency of the package.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .disagreement import (  # the quality sweep is re-exported from here
     LevelSeries, SensitivityCurve, UserModel, _as_pairs, group_pair_counts, pair_codes,
     quality_sensitivity, table_from_counts,
 )
-from .errors import DataWarning, EstimationError, MetricError, ValidationError
+from .errors import DataWarning, EstimationError, MetricError, PrmError, ValidationError
 from .metrics import DiscountFunction, GainScheme, _Pool, ndcg_reports
 
 if TYPE_CHECKING:
@@ -395,9 +396,10 @@ def simulate_annotation_rounds(
     Each round draws the largest budget of pairs with replacement; smaller
     budgets reuse the prefix of the same draw, so budgets within a round
     are cumulative.  Reported per budget and level: mean and std (n - 1)
-    of the estimate across rounds, plus how many rounds defined it.
+    of the estimate across rounds, plus how many rounds defined it.  The
+    draw needs numpy, imported once every input is checked; without it
+    the sweep is a PrmError.
     """
-    import numpy as np
     _check_seed(seed)
     if not pairs:
         raise EstimationError("no judgment pairs to sample")
@@ -418,7 +420,15 @@ def simulate_annotation_rounds(
 
     user_model.check_against(scale)
     n = scale.top_index + 1
-    codes = np.frombuffer(pair_codes(pairs, scale), dtype=np.int64)
+    cells = pair_codes(pairs, scale)
+    # the estimator options, on no counts, before numpy is needed
+    table_from_counts([[0] * n] * n, user_model, scale, estimator=estimator,
+                      condition=condition, one_sided_collection=one_sided_collection)
+    try:
+        import numpy as np
+    except ImportError:  # also a module set to None in sys.modules
+        raise PrmError("analyze budget needs numpy; install prmeval[budget]") from None
+    codes = np.frombuffer(cells, dtype=np.int64)
     ps: dict[int, list[list[float | None]]] = {b: [] for b in kept}
     for r in range(n_rounds):
         rng = _round_rng(seed, r)

@@ -9,9 +9,10 @@ Exit codes: 0 success; 1 for parse/validation/estimation/metric errors
 (including bad flag combinations) and for running out of memory; 2 for
 I/O errors.
 
-Each handler imports the modules it uses when it runs, so ``--help``, a
-usage error, ``validate``, ``estimate`` and ``analyze quality`` load no
-numpy.
+Each handler imports the modules it uses when it runs.  Only ``analyze
+budget`` loads numpy, which the package does not require (it is the
+``budget`` extra): without it that command ends, after every input check,
+in one ``error:`` line and exit 1.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ _FLAGS: dict[str, dict] = {
     "--one-sided-collection": dict(action="store_true", help="second round judged only "
                                    "first-round positives; forbids the symmetric estimator"),
     "--theta": dict(type=int, help="user-relevance threshold (1..T; default: T)"),
-    "--estimator": dict(choices=("symmetric", "one-sided"), default="symmetric",
+    "--estimator": dict(choices=("symmetric", "one-sided"),
                         help="how p(R|i) is estimated (see the definitions below)"),
     "--condition": dict(choices=("u1", "u2"),
                         help="conditioning direction for the one-sided estimator"),
@@ -381,26 +382,33 @@ def _scale_and_pairs(
 
 def _not_read(args: argparse.Namespace, rule: str, *flags: str) -> None:
     """A usage error for the first of ``flags`` given, which the command
-    does not read: ``rule`` follows the flag's name and says why."""
+    does not read: ``rule`` follows the flag's name and says why.  A flag
+    is given unless it is None or an unset switch, so ``--theta 0`` is."""
     for flag in flags:
-        if getattr(args, flag[2:].replace("-", "_")):
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value is not False:
             raise ValidationError(f"{flag} {rule}")
 
 
 def _check_scoring_inputs(
-    args: argparse.Namespace, gains: Sequence[str], needed: bool, *sources: str
+    args: argparse.Namespace, gains: Sequence[str], needed: bool, binary: bool,
+    *sources: str,
 ) -> None:
-    """--table, --override-p0, the estimator switches and the
+    """--table, --override-p0, the estimator flags and the
     double-judgment ``sources`` are read only when a measure or gain scheme
     needs a table (``needed``), and --table replaces the sources and the
-    switches; --custom-gains is read exactly when ``gains``, the schemes
-    scored, hold custom."""
-    switches = ("--one-sided-collection", "--condition")
+    estimator flags; --theta is read by an estimated table and when
+    ``binary``, a binary scheme or count, is scored; --custom-gains is read
+    exactly when ``gains``, the schemes scored, hold custom."""
+    estimator_flags = ("--one-sided-collection", "--condition", "--estimator")
     if not needed:
         _not_read(args, "is not read when no measure or gain scheme needs a table",
-                  "--table", *sources, "--override-p0", *switches)
+                  "--table", *sources, "--override-p0", *estimator_flags)
     elif args.table:
-        _not_read(args, "is not read beside --table", *sources, *switches)
+        _not_read(args, "is not read beside --table", *sources, *estimator_flags)
+    if not (binary or needed and not args.table):
+        _not_read(args, "is not read without an estimated table, binary gains or "
+                  "count-binary", "--theta")
     if "custom" not in gains:
         _not_read(args, "is not read when no custom gains are scored", "--custom-gains")
     elif not args.custom_gains:
@@ -425,8 +433,8 @@ def _user_model(
 
 
 def _estimator_opts(args: argparse.Namespace) -> dict:
-    return dict(estimator=args.estimator.replace("-", "_"), condition=args.condition or "u1",
-                one_sided_collection=args.one_sided_collection)
+    return dict(estimator=(args.estimator or "symmetric").replace("-", "_"),
+                condition=args.condition or "u1", one_sided_collection=args.one_sided_collection)
 
 
 def _resolve_table(
@@ -551,7 +559,8 @@ def cmd_eval(args: argparse.Namespace) -> _Report:
     gains = args.gains if "ndcg" in measures else ()
     needs_table = "count-prm" in measures or "precision" in measures or _needs_table(gains)
     _one_source(args, "qrels2")
-    _check_scoring_inputs(args, gains, needs_table, "--pairs", "--qrels2")
+    binary = "binary" in gains or "count-binary" in measures
+    _check_scoring_inputs(args, gains, needs_table, binary, "--pairs", "--qrels2")
     if not scores_runs:
         _not_read(args, "is not read without a run measure (precision, ndcg)",
                   "--run", "--strict")
@@ -637,7 +646,7 @@ def _ranking_inputs(
     if len(args.run) < 2:
         raise ValidationError("need at least 2 --run files")
     needs_table = _needs_table(args.gains)
-    _check_scoring_inputs(args, args.gains, needs_table, "--pairs")
+    _check_scoring_inputs(args, args.gains, needs_table, "binary" in args.gains, "--pairs")
     scale = _load_scale(args)
     u1 = _load_qrels(args, args.qrels, scale, "u1")
     u2 = _load_qrels(args, args.qrels2, scale, "u2") if args.qrels2 else u1

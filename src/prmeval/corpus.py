@@ -139,6 +139,15 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _integral(value) -> int:
+    """``int(value)`` for a JSON field that holds a whole number; int()
+    alone would take a boolean and cut off a fraction, so those raise
+    ValueError here."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"not a whole number: {value!r}")
+    return int(value)
+
+
 class RelevanceScale(_Frozen):
     """Ordered graded assessment levels 0..T.
 
@@ -202,12 +211,7 @@ class RelevanceScale(_Frozen):
         scale = cls(labels)
         declared_top = obj.get("top_index")
         try:
-            # int() alone would take a boolean and cut off a fraction
-            if isinstance(declared_top, bool) or (
-                isinstance(declared_top, float) and not declared_top.is_integer()
-            ):
-                raise ValueError(declared_top)
-            mismatch = declared_top is not None and int(declared_top) != scale.top_index
+            mismatch = declared_top is not None and _integral(declared_top) != scale.top_index
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"bad scale descriptor top_index: {declared_top!r}") from exc
         if mismatch:

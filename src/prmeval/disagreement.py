@@ -52,6 +52,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 from .corpus import (
     JudgmentPair, JudgmentPairs, JudgmentSet, RelevanceScale, _cuts, _docs_by_topic, _Frozen,
+    _integral,
 )
 from .errors import DataWarning, EstimationError, ParseError, ValidationError
 
@@ -123,6 +124,13 @@ class DisagreementCell(_Frozen):
             raise ValidationError(f"unknown cell source {self.source!r}")
         if self.p is not None and not 0.0 <= self.p <= 1.0:
             raise ValidationError(f"p must lie in [0, 1], got {self.p}")
+        if not 0 <= self.n_match <= self.n_total:
+            raise ValidationError(
+                f"level {self.level}: need 0 <= n_match <= n_total, "
+                f"got {self.n_match}/{self.n_total}"
+            )
+        if self.sigma is not None and not 0.0 <= self.sigma < math.inf:
+            raise ValidationError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.source == "estimated":
             if self.n_total == 0 and self.p is not None:
                 raise ValidationError(
@@ -221,22 +229,29 @@ class DisagreementTable(_Frozen):
         for key in ("scale", "theta", "cells"):
             if key not in obj:
                 raise ValidationError(f"disagreement table lacks {key!r}")
+
+        def real(value) -> float | None:
+            # float() alone would take a boolean
+            if isinstance(value, bool):
+                raise ValueError(f"not a number: {value!r}")
+            return None if value is None else float(value)
+
         try:
             scale = RelevanceScale.from_descriptor(obj["scale"])
-            theta = int(obj["theta"])
+            theta = _integral(obj["theta"])
             cells = []
-            for c in sorted(obj["cells"], key=lambda c: int(c["level"])):
-                p = None if c.get("p") is None else float(c["p"])
-                n_total = int(c.get("n_total", 0))
+            for c in sorted(obj["cells"], key=lambda c: _integral(c["level"])):
+                p = real(c.get("p"))
+                n_total = _integral(c.get("n_total", 0))
                 # Hand-written tables give p without counts; treat as pinned.
                 default_source = "override" if (p is not None and n_total == 0) else "estimated"
                 cells.append(
                     DisagreementCell(
-                        level=int(c["level"]),
-                        n_match=int(c.get("n_match", 0)),
+                        level=_integral(c["level"]),
+                        n_match=_integral(c.get("n_match", 0)),
                         n_total=n_total,
                         p=p,
-                        sigma=None if c.get("sigma") is None else float(c["sigma"]),
+                        sigma=real(c.get("sigma")),
                         source=str(c.get("source", default_source)),
                     )
                 )

@@ -68,6 +68,21 @@ def ws(tmp_path, scale3_json, golden_qrels_u1, golden_qrels_u2, golden_paired_te
     return files
 
 
+NOT_WHOLE = "malformed disagreement table: ValueError('not a whole number: "
+NOT_REAL = "malformed disagreement table: ValueError('not a number: True')"
+
+
+def _table(at: int | None = None, **fields) -> str:
+    """A valid table for the 3-level scale of `ws` as JSON, with ``fields``
+    set on the cell of level ``at``, or on the table when ``at`` is None."""
+    table = {"scale": {"labels": ["Non", "Rel", "HRel"]}, "theta": 2, "cells": [
+        {"level": i, "n_match": m, "n_total": 10, "p": m / 10, "sigma": 0.1}
+        for i, m in enumerate((1, 5, 9))
+    ]}
+    (table if at is None else table["cells"][at]).update(fields)
+    return json.dumps(table)
+
+
 def run_cli(capsys, argv: list[str]) -> tuple[int, str, str]:
     code = main(argv)
     captured = capsys.readouterr()
@@ -770,10 +785,12 @@ class TestRankingFlags:
         return str(path)
 
     def argv(self, ws, kind: str, runs: list[str], gains: str) -> list[str]:
+        # --theta only where binary gains read it
+        theta = ["--theta", "2"] if "binary" in gains.split(",") else []
         return [
             "analyze", kind, "--scale", ws["scale"], "--qrels", ws["qrels_u1"],
             "--qrels2", ws["qrels_u2"], *[a for r in runs for a in ("--run", r)],
-            "--theta", "2", "--gains", gains, "--format", "json",
+            *theta, "--gains", gains, "--format", "json",
         ]
 
     @pytest.mark.parametrize("kind", ["tau", "robustness"])
@@ -1043,6 +1060,21 @@ class TestModuleEntryPoint:
             ('{"scale": {"labels": ["a", "b", "c"]}, "theta": 2, "cells": [{"p": 1}]}',
              "malformed disagreement table: KeyError('level')"),
             ("theta: 2\n", "disagreement table is not valid JSON"),
+            # a boolean or a fraction is no whole number, a boolean no real
+            pytest.param(_table(theta=True), NOT_WHOLE + "True')", id="theta-true"),
+            pytest.param(_table(theta=2.7), NOT_WHOLE + "2.7')", id="theta-fraction"),
+            pytest.param(_table(1, level=True), NOT_WHOLE + "True')", id="level-true"),
+            pytest.param(_table(2, level=2.5), NOT_WHOLE + "2.5')", id="level-fraction"),
+            pytest.param(_table(1, n_match=4.5), NOT_WHOLE + "4.5')", id="n-match-fraction"),
+            pytest.param(_table(1, n_total=True), NOT_WHOLE + "True')", id="n-total-true"),
+            pytest.param(_table(2, p=True), NOT_REAL, id="p-true"),
+            pytest.param(_table(1, sigma=True), NOT_REAL, id="sigma-true"),
+            pytest.param(_table(1, n_match=15), "level 1: need 0 <= n_match <= n_total, "
+                         "got 15/10", id="n-match-above-n-total"),
+            pytest.param(_table(0, n_total=-3), "level 0: need 0 <= n_match <= n_total, "
+                         "got 1/-3", id="n-total-negative"),
+            pytest.param(_table(1, sigma=-0.5), "sigma must be finite and >= 0, got -0.5",
+                         id="sigma-negative"),
         ],
     )
     def test_malformed_table_is_an_error(self, ws, tmp_path, text, message):
@@ -1488,6 +1520,7 @@ class TestUnreadFlags:
     NO_TABLE = "--override-p0 is not read when no measure or gain scheme needs a table"
     NO_CUSTOM = "--custom-gains is not read when no custom gains are scored"
     NO_CONDITION = "--condition needs --estimator one-sided"
+    NO_THETA = "--theta is not read without an estimated table, binary gains or count-binary"
 
     @pytest.mark.parametrize("argv, line", [
         (["analyze", "tau", "--gains", "linear", "--override-p0"], NO_TABLE),
@@ -1524,13 +1557,28 @@ class TestUnreadFlags:
         (["analyze", "tau", "--gains", "prm", "--table", "missing", "--override-p0",
           "--estimator", "one-sided", "--condition", "u2"],
          "--condition is not read beside --table"),
+        (["eval", "--gains", "linear", "--estimator", "symmetric"],
+         "--estimator is not read when no measure or gain scheme needs a table"),
+        (["analyze", "tau", "--gains", "prm", "--table", "missing", "--estimator", "one-sided"],
+         "--estimator is not read beside --table"),
+        (["eval", "--table", "missing", "--gains", "prm", "--theta", "1"], NO_THETA),
+        (["eval", "--measures", "count-prm", "--table", "missing", "--theta", "1"], NO_THETA),
+        (["eval", "--gains", "linear", "--theta", "1"], NO_THETA),
+        (["eval", "--gains", "linear", "--theta", "0"], NO_THETA),
+        (["analyze", "tau", "--table", "missing", "--gains", "prm", "--theta", "1"], NO_THETA),
+        (["analyze", "tau", "--gains", "linear", "--theta", "1"], NO_THETA),
+        (["analyze", "robustness", "--qrels2", "missing", "--table", "missing",
+          "--gains", "linear,prm", "--theta", "1"], NO_THETA),
     ], ids=["tau-override-p0", "robustness-override-p0", "eval-override-p0",
             "eval-prm-custom-gains", "eval-precision-custom-gains", "tau-custom-gains",
             "eval-count-strict", "estimate-condition", "estimate-all-condition",
             "eval-condition", "tau-condition", "robustness-condition", "bootstrap-condition",
             "budget-condition", "quality-condition", "eval-count-one-sided-condition",
             "tau-binary-one-sided-collection", "robustness-one-sided-condition",
-            "eval-table-one-sided-collection", "tau-table-one-sided-condition"])
+            "eval-table-one-sided-collection", "tau-table-one-sided-condition",
+            "eval-linear-estimator", "tau-table-estimator", "eval-table-prm-theta",
+            "eval-table-count-prm-theta", "eval-linear-theta", "eval-linear-theta-zero",
+            "tau-table-theta", "tau-linear-theta", "robustness-table-theta"])
     def test_unread_switch_is_one_error_line(self, capsys, tmp_path, argv, line):
         # a switch that no measure or gain scheme uses is named before any
         # file is read: every path here names a file that does not exist
@@ -1608,6 +1656,9 @@ class TestUnreadFlags:
         # a usage error that names it (exit 1)
         argv = _valid(ws, words)
         missing = str(tmp_path / "missing.txt")
+        if flag == "--table":  # beside which the prm gains read no --theta
+            at = argv.index("--theta")
+            del argv[at:at + 2]
         if flag in argv:
             argv[argv.index(flag) + 1] = missing
         else:
@@ -1676,7 +1727,7 @@ class TestInputsNotRead:
          NO_INTENTS),
         (["eval", "--measures", "count-binary", "--qrels", "missing", "--top-intent-only"],
          NO_INTENTS),
-        (["analyze", "tau", "--gains", "linear", "--qrels", "missing", "--run", "missing",
+        (["analyze", "tau", "--gains", "binary", "--qrels", "missing", "--run", "missing",
           "--run", "missing", "--top-intent-only"], NO_INTENTS),
         (["analyze", "quality", "--qrels", "missing", "--pairs", "missing",
           "--resource-regex", "(d)", "--top-intent-only"], NO_INTENTS),
@@ -1944,7 +1995,7 @@ class TestRunStream:
     def test_eval_reports_a_gain_fault_before_a_run_fault(self, capsys, ws, tmp_path):
         bad = self.write(tmp_path, "bad_run.txt", self.BAD_RUN)
         code, _, err = run_cli(capsys, [
-            "eval", "--scale", ws["scale"], "--qrels", ws["qrels_u1"], "--theta", "2",
+            "eval", "--scale", ws["scale"], "--qrels", ws["qrels_u1"],
             "--run", ws["run_perfect"], "--run", bad, "--gains", "custom",
         ])
         assert (code, err) == (1, "error: custom gains need --custom-gains\n")
@@ -1956,7 +2007,7 @@ class TestRunStream:
         bad_run = self.write(tmp_path, "bad_run.txt", self.BAD_RUN)
         bad_qrels = self.write(tmp_path, "bad_qrels.txt", "201 0 d1 7\n")
         bad_table = self.write(tmp_path, "bad_table.json", '{"theta": 2}')
-        argv = ["analyze", kind, "--scale", ws["scale"], "--theta", "2",
+        argv = ["analyze", kind, "--scale", ws["scale"],
                 "--run", ws["run_perfect"], "--run", bad_run]
         qrels = ["--qrels", ws["qrels_u1"], "--qrels2"]
         assert run_cli(capsys, [*argv, "--qrels", bad_qrels, "--qrels2", ws["qrels_u2"]])[::2] == (
@@ -2035,7 +2086,7 @@ class TestRunStream:
     def test_peak_memory_does_not_grow_with_the_number_of_runs(self, tmp_path, command):
         import tracemalloc
 
-        out = ["--out", str(tmp_path / "out.txt"), "--gains", "linear", "--theta", "2"]
+        out = ["--out", str(tmp_path / "out.txt"), "--gains", "linear"]
         argvs = {n: [*command, *self.collection(tmp_path, n), *out] for n in (2, 8)}
         if command == ["eval"]:
             argvs = {n: [a for a in argv if "qrels2" not in a] for n, argv in argvs.items()}

@@ -141,7 +141,7 @@ COMMANDS = [
     ["eval", "--qrels", "qrels1.txt", "--pairs", "pairs.txt", *RUNS, "--k", "3",
      "--measures", "count-binary,count-prm,precision,ndcg", "--gains", "linear,prm", *THETA],
     ["validate", *TWO_QRELS, "--pairs", "pairs.txt", *RUNS],
-    ["analyze", "tau", *TWO_QRELS, *RUNS, "--gains", "linear", *THETA],
+    ["analyze", "tau", *TWO_QRELS, *RUNS, "--gains", "linear"],  # linear reads no --theta
     ["analyze", "robustness", *TWO_QRELS, *RUNS, "--gains", "binary,linear", *THETA],
     ["analyze", "bootstrap", "--pairs", "pairs.txt", "--seed", "1", "--resamples", "3", *THETA],
     ["analyze", "budget", "--pairs", "pairs.txt", "--seed", "1", "--budgets", "2,4",

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import synth
 from prmeval.corpus import JudgmentPair, RelevanceScale
@@ -236,7 +238,36 @@ class TestEstimateDispatch:
             estimate(golden_pairs, UserModel(2), scale3, estimator="one-sided")
 
 
+@st.composite
+def written_tables(draw) -> DisagreementTable:
+    """Any table an estimator writes: symmetric or one-sided on either
+    group, from counts whose empty rows leave undefined cells, pinned at
+    one level or not."""
+    n = draw(st.integers(2, 5))
+    scale = RelevanceScale(tuple(f"L{i}" for i in range(n)))
+    counts = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    # levels that no pair has, in either group, are undefined in every variant
+    empty = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    counts = [[0 if i in empty or j in empty else c for j, c in enumerate(row)]
+              for i, row in enumerate(counts)]
+    variant = draw(st.sampled_from([dict(estimator="symmetric"),
+                                    dict(estimator="one_sided", condition="u1"),
+                                    dict(estimator="one_sided", condition="u2")]))
+    table = table_from_counts(counts, UserModel(draw(st.integers(1, n - 1))), scale, **variant)
+    pin = draw(st.none() | st.tuples(st.integers(0, n - 1), st.floats(0.0, 1.0)))
+    return table if pin is None else table.with_override(*pin)
+
+
 class TestSerialization:
+    @settings(max_examples=200, deadline=None)
+    @given(written_tables())
+    def test_every_written_table_reads_back(self, table):
+        # the reader's checks reject no table that an estimator writes
+        obj = table.to_json_dict()
+        assert DisagreementTable.from_json_dict(obj) == table
+        assert DisagreementTable.from_json(json.dumps(obj)) == table
+
     def test_json_round_trip(self, golden_pairs, scale3):
         table = estimate_symmetric(golden_pairs, UserModel(2), scale3)
         again = DisagreementTable.from_json_dict(table.to_json_dict())

@@ -199,16 +199,19 @@ def test_estimated_table_scores_as_on_the_fly(collection, theta, override):
     out, _ = ok(files, "estimate", "--pairs", "pairs.txt", "--theta", theta, "--format", "json")
     with_table = dict(files, **{"table.json": json.dumps(json.loads(out)["all"]["symmetric"])})
     gains = "prm,udm" if theta == "2" else "prm"  # udm needs the top level as threshold
-    for argv, source in (
+    # beside --table, --theta is read only by binary gains: the table has its own
+    for argv, source, table_theta in (
         (["eval", "--qrels", "qrels1.txt", *RUNS, "--measures", "count-prm,precision,ndcg",
-          "--gains", gains], ["--pairs", "pairs.txt"]),
-        (["analyze", "tau", *TWO_QRELS, *RUNS, "--gains", "prm"], []),
-        (["analyze", "robustness", *TWO_QRELS, *RUNS, "--gains", f"binary,{gains}"], []),
+          "--gains", gains], ["--pairs", "pairs.txt"], []),
+        (["analyze", "tau", *TWO_QRELS, *RUNS, "--gains", "prm"], [], []),
+        (["analyze", "robustness", *TWO_QRELS, *RUNS, "--gains", f"binary,{gains}"], [],
+         ["--theta", theta]),
     ):
         for fmt in ("text", "csv", "json"):
-            common = [*argv, "--theta", theta, *override, "--format", fmt]
-            on_the_fly = cli(files, *common, *source)
-            assert cli(with_table, *common, "--table", "table.json") == on_the_fly, argv
+            common = [*argv, *override, "--format", fmt]
+            on_the_fly = cli(files, *common, "--theta", theta, *source)
+            with_file = cli(with_table, *common, *table_theta, "--table", "table.json")
+            assert with_file == on_the_fly, argv
 
 
 @settings(max_examples=30, deadline=None)

@@ -58,12 +58,14 @@ valid_scales = st.lists(
     st.text("abcxyz", min_size=1, max_size=3), min_size=2, max_size=4, unique=True,
 ).map(lambda labels: RelevanceScale(tuple(labels)))
 sources = st.sampled_from(["estimated", "override", "bogus"])
+# a valid cell's sigma is None or finite and not negative
+sigmas = st.none() | st.floats(0.0, 1.5)
 cells = st.builds(
     lambda level, n, sigma: DisagreementCell(level, n, n, 1.0 if n else None, sigma),
-    st.integers(0, 4), st.integers(0, 3), maybe_real,
+    st.integers(0, 4), st.integers(0, 3), sigmas,
 )
 # cells at levels 0, 1, ... (a table of the right length is valid), or anywhere
-table_cells = st.lists(st.tuples(st.integers(0, 3), maybe_real), max_size=4).map(
+table_cells = st.lists(st.tuples(st.integers(0, 3), sigmas), max_size=4).map(
     lambda xs: tuple(
         DisagreementCell(i, n, n, 1.0 if n else None, s) for i, (n, s) in enumerate(xs)
     )

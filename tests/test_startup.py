@@ -4,11 +4,14 @@
 CLI handler imports the modules it uses when it runs, so ``--help``, a
 usage error and ``validate`` load no numpy.  Neither do ``estimate`` and
 ``analyze quality``, which only count judgment pairs, the scoring
-commands or ``analyze bootstrap``: only ``analyze budget`` imports it.
-The records of ``corpus``, ``disagreement`` and ``analysis`` are not
-dataclasses, so ``validate``, ``estimate`` and ``analyze quality`` load
-neither ``dataclasses`` nor the ``inspect`` it imports; only the
-commands that load ``metrics`` do.  Each check runs in a fresh interpreter, because this test process has
+commands or ``analyze bootstrap``: only ``analyze budget`` imports it,
+so numpy is no dependency of the package.  With numpy blocked, every
+other command gives the same bytes, and ``analyze budget`` one error
+line once its inputs are checked.  The records of ``corpus``,
+``disagreement`` and ``analysis`` are not dataclasses, so ``validate``,
+``estimate`` and ``analyze quality`` load neither ``dataclasses`` nor
+the ``inspect`` it imports; only the commands that load ``metrics`` do.
+Each check runs in a fresh interpreter, because this test process has
 long since imported everything.
 """
 
@@ -221,3 +224,80 @@ print(json.dumps(sorted(sys.modules)))
             prmeval.nope  # noqa: B018
         with pytest.raises(ImportError):
             exec("from prmeval import nope", {})
+
+
+# Runs ``main(argv)`` for each argv in turn, with numpy blocked when asked,
+# and prints each run's exit code, stdout and stderr as one JSON list.
+RUN = """
+import contextlib, io, json, sys
+if json.loads(sys.argv[2]):
+    sys.modules["numpy"] = None  # so every import of numpy raises ImportError
+import prmeval.cli as cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _runs(argvs: list[list[str]], cwd: str, *, numpy: bool) -> list[list]:
+    return json.loads(_python(RUN, json.dumps(argvs), json.dumps(not numpy), cwd=cwd))
+
+
+BUDGET = ["analyze", "budget", *PAIRS, "--budgets", "5,10", "--rounds", "3"]
+
+
+class TestWithoutNumpy:
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_every_other_command_gives_the_same_bytes(self, inputs, fmt):
+        argvs = [[*argv, "--format", fmt] for argv in (
+            ["validate", "--scale", "scale.json", "--qrels", "qrels.txt",
+             "--pairs", "pairs.txt", "--run", "run.txt"],
+            ["estimate", *PAIRS, "--estimator", "all", "--strata", "strata.txt"],
+            ["eval", *PAIRS, "--qrels", "qrels.txt", "--run", "run.txt",
+             "--measures", "ndcg,precision,count-prm", "--gains", "binary,prm"],
+            ["analyze", "tau", *PAIRS, "--qrels", "qrels.txt", "--run", "run.txt",
+             "--run", "run2.txt", "--gains", "prm"],
+            ["analyze", "robustness", "--scale", "scale.json", "--theta", "2",
+             "--qrels", "qrels.txt", "--qrels2", "qrels2.txt", "--run", "run.txt",
+             "--run", "run2.txt", "--gains", "binary,prm,udm"],
+            ["analyze", "bootstrap", *PAIRS, "--resamples", "20", "--seed", "1"],
+            ["analyze", "quality", *PAIRS, "--qrels", "qrels_both.txt",
+             "--resource-regex", "^(d1?)"],
+        )]
+        with_numpy = _runs(argvs, inputs, numpy=True)
+        assert [code for code, _, _ in with_numpy] == [0] * len(argvs)
+        assert _runs(argvs, inputs, numpy=False) == with_numpy
+
+    def test_budget_is_one_error_line(self, inputs):
+        assert _runs([[*BUDGET, "--seed", "1"]], inputs, numpy=False) == [
+            [1, "", "error: analyze budget needs numpy; install prmeval[budget]\n"],
+        ]
+
+    def test_budget_checks_its_inputs_first(self, inputs):
+        # help, a usage error, and the sweep's own checks of its inputs
+        argvs = [
+            ["analyze", "budget", "--help"],
+            BUDGET,
+            [*BUDGET, "--seed", "1", "--budgets", "10,5"],
+            [*BUDGET, "--seed", "1", "--one-sided-collection"],
+            [*BUDGET, "--seed", "1", "--theta", "3"],
+        ]
+        with_numpy = _runs(argvs, inputs, numpy=True)
+        assert [code for code, _, _ in with_numpy] == [0, 1, 1, 1, 1]
+        assert _runs(argvs, inputs, numpy=False) == with_numpy
+
+    def test_star_import_resolves_all(self):
+        code = """
+import json, sys
+sys.modules["numpy"] = None
+ns = {}
+exec("from prmeval import *", ns)
+print(json.dumps(sorted(k for k in ns if k != "__builtins__")))
+"""
+        import prmeval
+
+        assert json.loads(_python(code)) == prmeval.__all__
