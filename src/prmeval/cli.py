@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import importlib
 import io
 import json
@@ -158,7 +157,9 @@ _SCORING = ("--override-p0", "--run", "--gains", "--custom-gains", "--table",
 _SHARED = ("--intent-field", "--intents", "--top-intent-only", "--config", "--format", "--out")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    # given a command line, flags go only to the parser that its first words name
+    words = None if argv is None else [a for a in argv if not a.startswith("-")]
     style = dict(epilog=FORMULAS, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser = _Parser(
         prog="prmeval",
@@ -169,11 +170,14 @@ def build_parser() -> argparse.ArgumentParser:
     def command(subs, name: str, help: str, handler, *flags: str, **specs: dict):
         # a spec in ``specs``, keyed by the flag's name without dashes, replaces its _FLAGS spec
         p = subs.add_parser(name, help=help, **style)
+        p.set_defaults(handler=handler)
+        path = p.prog.split()[1:]
+        if words is not None and words[: len(path)] != path:
+            return None
         takes = {*flags, *_SHARED}
         for flag, spec in _FLAGS.items():
             if flag in takes:
                 p.add_argument(flag, **specs.get(flag[2:], spec))
-        p.set_defaults(handler=handler)
         return p
 
     command(sub, "estimate", "estimate p(R|i) from double judgments", cmd_estimate,
@@ -196,11 +200,13 @@ def build_parser() -> argparse.ArgumentParser:
             _analyze_budget, *resampling, "--rounds", "--budgets")
     quality = command(kinds, "quality", "p(R|i) from the documents of the top k resources",
                       _analyze_quality, *_JUDGMENTS, *_ESTIMATOR)
-    resource = quality.add_mutually_exclusive_group()
-    for flag in ("--resource-map", "--resource-regex"):
-        resource.add_argument(flag, **_FLAGS[flag])
+    if quality:
+        resource = quality.add_mutually_exclusive_group()
+        for flag in ("--resource-map", "--resource-regex"):
+            resource.add_argument(flag, **_FLAGS[flag])
     command(kinds, "robustness", "tau per gain scheme between two qrels groups",
-            _analyze_robustness, *ranking).set_defaults(gains="binary,linear,exponential")
+            _analyze_robustness, *ranking,
+            gains=dict(_FLAGS["--gains"], default="binary,linear,exponential"))
 
     command(sub, "validate", "parse inputs and report, compute nothing", cmd_validate,
             *_JUDGMENTS, "--qrels2", "--run")
@@ -288,6 +294,7 @@ def _render(report: _Report, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report.payload, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
+        import csv
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows([report.header, *report.rows])
         return buf.getvalue()
@@ -451,6 +458,8 @@ def _resolve_table(
             raise ValidationError(
                 f"table scale {table.scale.labels} != --scale {scale.labels}"
             )
+        if args.theta not in (None, table.theta):
+            raise ValidationError(f"--theta {args.theta} != the table's theta {table.theta}")
     else:
         table = disagreement.estimate(
             _load_pairs(args, scale, u1, u2), _user_model(args, scale), scale,
@@ -825,7 +834,7 @@ def _format_warning(message, category, filename, lineno, line=None) -> str:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = build_parser(argv)
     # warnings print as one plain line, without the source location
     formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:

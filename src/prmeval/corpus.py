@@ -38,7 +38,7 @@ import re
 import warnings
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from itertools import compress, repeat
+from itertools import accumulate, groupby, repeat
 from typing import IO
 
 from .errors import DataWarning, ParseError, ValidationError
@@ -380,21 +380,20 @@ class JudgmentPairs(Sequence):
         levels = [int(level) for p in rows for level in (p.level_u1, p.level_u2)]
         for level in levels:
             scale.check_level(level)
-        self._adopt(
-            [p.topic_id for p in rows], [p.doc_id for p in rows],
-            levels[0::2], levels[1::2], scale.top_index + 1,
-        )
+        width = scale.top_index + 1
+        cells = [width * a + b for a, b in zip(levels[0::2], levels[1::2])]
+        self._adopt([p.topic_id for p in rows], [p.doc_id for p in rows], cells, width)
 
     @classmethod
-    def _of(cls, topic_ids, doc_ids, levels_u1, levels_u2, width: int) -> "JudgmentPairs":
-        """Pairs from their columns, whose levels the caller has checked."""
+    def _of(cls, topic_ids, doc_ids, cells, width: int) -> "JudgmentPairs":
+        """Pairs from their columns and cell codes, whose levels the caller has checked."""
         pairs = cls.__new__(cls)
-        pairs._adopt(topic_ids, doc_ids, levels_u1, levels_u2, width)
+        pairs._adopt(topic_ids, doc_ids, cells, width)
         return pairs
 
-    def _adopt(self, topic_ids, doc_ids, levels_u1, levels_u2, width: int) -> None:
+    def _adopt(self, topic_ids, doc_ids, cells, width: int) -> None:
         self.topic_ids, self.doc_ids, self.width = tuple(topic_ids), tuple(doc_ids), width
-        self._cells = array("q", map(operator.add, map(width.__mul__, levels_u1), levels_u2))
+        self._cells = array("q", cells)
 
     def __len__(self) -> int:
         return len(self.topic_ids)
@@ -627,15 +626,16 @@ _BLOCK = 1 << 16
 
 
 def _blocks(
-    source: str | IO[str] | Iterable[str], spec: str
-) -> Iterator[tuple[int, str | Iterable[str], list[list[str]] | None]]:
+    source: str | IO[str] | Iterable[str], spec: str, skip: tuple[int, ...] = ()
+) -> Iterator[tuple[int, str | Iterable[str], list[list[str] | None] | None]]:
     """Yield ``(start, lines, columns)`` for each block of whole lines of
     ``source``, where ``start`` numbers the block's first line.
 
     A str or a text stream is read ``_BLOCK`` characters at a time, each
     block completed to the end of the line it cuts, so no file is held
     whole; ``lines`` is then the block's text and ``columns`` its field
-    columns when every line is a plain record of ``spec``, else None.
+    columns (None at the indices in ``skip``, which the reader does not
+    use) when every line is a plain record of ``spec``, else None.
     Any other iterable of lines is one block with no columns.
     """
     if isinstance(source, str):
@@ -647,16 +647,18 @@ def _blocks(
     while block := source.read(_BLOCK):
         if not block.endswith("\n"):
             block += source.readline()
-        yield start, block, _columns(block, spec)
-        start += block.count("\n")
+        n_lines = block.count("\n")
+        yield start, block, _columns(block, spec, n_lines, skip)
+        start += n_lines
 
 
 _SENTINEL = "\0"
 
 
-def _columns(text: str, spec: str) -> list[list[str]] | None:
-    """The field columns of ``text`` if every line holds exactly the
-    fields of ``spec`` and none is a comment; None otherwise.
+def _columns(text: str, spec: str, n_lines: int, skip: tuple) -> list | None:
+    """The field columns of ``text`` (None at the indices in ``skip``) if
+    each of its ``n_lines`` lines holds the fields of ``spec`` and none is
+    a comment; None otherwise.
 
     One ``split()`` reads the whole text, with each newline first turned
     into a sentinel token, so that each line's fields end at a sentinel.
@@ -671,11 +673,12 @@ def _columns(text: str, spec: str) -> list[list[str]] | None:
         return None
     if not text.endswith("\n"):
         text += "\n"
-    n, n_lines = len(spec.split()), text.count("\n")
+        n_lines += 1
+    n = len(spec.split())
     tokens = text.replace("\n", f" {_SENTINEL} ").split()
     if len(tokens) != (n + 1) * n_lines or tokens[n :: n + 1].count(_SENTINEL) != n_lines:
         return None
-    columns = [tokens[i :: n + 1] for i in range(n)]
+    columns = [None if i in skip else tokens[i :: n + 1] for i in range(n)]
     if "#" in text and any(field.startswith("#") for field in columns[0]):
         return None
     return columns
@@ -704,8 +707,7 @@ def _levels(column: list[str], top: int) -> list[int] | None:
 def _cuts(topics: Sequence[str]) -> list[int]:
     """``[0, ..., n]``: the bounds of each stretch of equal topics (``[0]``
     when there are none)."""
-    n = len(topics)
-    return [0, *compress(range(1, n), map(operator.ne, topics[1:], topics)), n] if n else [0]
+    return list(accumulate((len(list(g)) for _, g in groupby(topics)), initial=0))
 
 
 def _docs_by_topic(topics: Sequence[str], docs: Sequence[str]) -> dict[str, set[str]]:
@@ -777,7 +779,7 @@ def parse_qrels(
     top = scale.top_index
     topics, docs, levels, intents = [], [], [], []
     zero_intent: list[tuple[int, str, str, int]] = []
-    for start, lines, columns in _blocks(source, _QRELS):
+    for start, lines, columns in _blocks(source, _QRELS, () if intent_field else (1,)):
         if columns is not None:
             block_topics, seconds, block_docs, level_column = columns
             block_levels = _levels(level_column, top)
@@ -847,17 +849,23 @@ def parse_paired(source: str | IO[str] | Iterable[str], scale: RelevanceScale) -
     and no doc that repeats under its topic, in the block or against the
     topic's docs so far, is taken at once, and any other block goes
     through the line reader.  The docs so far are kept per topic, and a
-    block's docs join them only once the whole block is taken.
+    block's docs join them only once the whole block is taken.  A pair of
+    one-digit levels up to T is read straight as its cell code.
     """
-    top = scale.top_index
-    topics, docs, l1s, l2s = [], [], [], []
+    top, width = scale.top_index, scale.top_index + 1
+    digits = range(min(top, 9) + 1)
+    codes = {(str(i), str(j)): i * width + j for i in digits for j in digits}
+    topics, docs, cells = [], [], []
     seen: dict[str, set[str]] = {}
     for start, lines, columns in _blocks(source, _PAIRED):
         if columns is not None:
             block_topics, block_docs, l1_column, l2_column = columns
-            l1 = _levels(l1_column, top)
-            l2 = None if l1 is None else _levels(l2_column, top)
-            new = None if l2 is None else _unseen_docs(seen, block_topics, block_docs)
+            try:
+                block_cells = list(map(codes.__getitem__, zip(l1_column, l2_column)))
+            except KeyError:  # another spelling, as in parse_qrels
+                l1, l2 = _levels(l1_column, top), _levels(l2_column, top)
+                block_cells = None if None in (l1, l2) else [width * a + b for a, b in zip(l1, l2)]
+            new = None if block_cells is None else _unseen_docs(seen, block_topics, block_docs)
             if new is not None:
                 for topic, topic_docs in new.items():
                     if topic in seen:
@@ -866,8 +874,7 @@ def parse_paired(source: str | IO[str] | Iterable[str], scale: RelevanceScale) -
                         seen[topic] = topic_docs
                 topics += block_topics
                 docs += block_docs
-                l1s += l1
-                l2s += l2
+                cells += block_cells
                 continue
         for line_no, fields in _records(lines, _PAIRED, start):
             topic, doc, l1_str, l2_str = fields
@@ -887,9 +894,8 @@ def parse_paired(source: str | IO[str] | Iterable[str], scale: RelevanceScale) -
             seen.setdefault(topic, set()).add(doc)
             topics.append(topic)
             docs.append(doc)
-            l1s.append(l1)
-            l2s.append(l2)
-    return JudgmentPairs._of(topics, docs, l1s, l2s, top + 1)
+            cells.append(l1 * width + l2)
+    return JudgmentPairs._of(topics, docs, cells, width)
 
 
 _RUN = "topic Q0 doc rank score system"
@@ -938,7 +944,7 @@ def parse_run(source: str | IO[str] | Iterable[str]) -> RunRanking:
     rows: _Rows = {}
     numerals: list[str] = []
     system_id: str | None = None
-    for start, lines, columns in _blocks(source, _RUN):
+    for start, lines, columns in _blocks(source, _RUN, (1,)):
         if columns is not None:
             topics, _, docs, rank_column, score_column, systems = columns
             system = systems[0] if system_id is None else system_id
@@ -1031,15 +1037,15 @@ def pair_judgments(set_u1: JudgmentSet, set_u2: JudgmentSet) -> PairingResult:
         )
 
     u2_levels = dict(zip(set_u2._keys(), set_u2.levels))
-    topics, docs, l1s, l2s = [], [], [], []
+    width = set_u1.scale.top_index + 1
+    topics, docs, cells = [], [], []
     for key, level in zip(set_u1._keys(), set_u1.levels):
         other = u2_levels.get(key)
         if other is not None:
             topics.append(key[0])
             docs.append(key[1])
-            l1s.append(level)
-            l2s.append(other)
-    pairs = JudgmentPairs._of(topics, docs, l1s, l2s, set_u1.scale.top_index + 1)
+            cells.append(level * width + other)
+    pairs = JudgmentPairs._of(topics, docs, cells, width)
     return PairingResult(pairs, len(set_u1) - len(pairs), len(u2_levels) - len(pairs))
 
 

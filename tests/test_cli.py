@@ -439,6 +439,26 @@ class TestEvalCommand:
         assert code == 1
         assert "scale" in err
 
+    RANKED = ["--qrels2", "{qrels_u2}", "--run", "{run_perfect}", "--run", "{run_reverse}"]
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--run", "{run_perfect}", "--gains", "binary,prm"],
+        ["eval", "--measures", "count-binary,count-prm"],
+        ["analyze", "robustness", *RANKED, "--gains", "binary,prm"],
+    ], ids=["eval-binary-prm", "eval-counts", "robustness"])
+    @pytest.mark.parametrize("theta", ["1", "2"])
+    def test_theta_must_equal_the_tables_theta(self, capsys, ws, argv, theta):
+        # binary gains and count-binary read --theta, the prm scores read
+        # the table's own theta (2): one command scores one threshold
+        code, out, err = run_cli(capsys, [
+            *(a.format(**ws) for a in argv), "--scale", ws["scale"], "--qrels", ws["qrels_u1"],
+            "--table", ws["degenerate"], "--theta", theta,
+        ])
+        if theta == "2":
+            assert (code, err) == (0, "") and out
+        else:
+            assert (code, out, err) == (1, "", "error: --theta 1 != the table's theta 2\n")
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_win(self, capsys, ws, tmp_path):
@@ -1671,6 +1691,59 @@ class TestUnreadFlags:
         else:
             assert code == 1
             assert any(re.search(re.escape(flag) + r"(?![\w-])", line) for line in lines), lines
+
+
+class TestOneParser:
+    """`main` adds flags only to the parser that its command line names;
+    every outcome, usage errors and help included, equals that of
+    `build_parser()` with every parser's flags."""
+
+    OTHER = sorted(set().union(*TAKES.values()))
+
+    @staticmethod
+    def _argvs(ws, tmp_path, words: str) -> list[list[str]]:
+        config = tmp_path / "config.json"
+        other = next(f for f in TestOneParser.OTHER if f not in TAKES[words])
+        config.write_text(json.dumps({"nope": 1, other[2:]: "x"}), "utf-8")
+        valid = _valid(ws, words)
+        return [
+            [*words.split(), "--help"],
+            [*words.split(), "-h", "--scale"],
+            [*words.split(), "--frobnicate"],
+            [*words.split(), other, "x"],  # another parser's flag
+            valid,
+            [*valid, "--config", str(config)],
+            [*valid, "--format"],
+            # an option ahead of the command or kind is no word of the command
+            ["--frobnicate", *valid],
+            [valid[0], "--frobnicate", *valid[1:]],
+            ["--", *valid],
+        ]
+
+    @staticmethod
+    def _outcomes(capsys, argvs, full: bool) -> list[tuple[int, str, str]]:
+        if not full:
+            return [run_cli(capsys, argv) for argv in argvs]
+        parser = build_parser()
+        with mock.patch("prmeval.cli.build_parser", lambda argv=None: parser):
+            return [run_cli(capsys, argv) for argv in argvs]
+
+    @pytest.mark.parametrize("words", list(PARSERS), ids=lambda w: w.replace(" ", "-"))
+    def test_each_parser_as_with_every_parser(self, capsys, ws, tmp_path, words):
+        argvs = self._argvs(ws, tmp_path, words)
+        outcomes = self._outcomes(capsys, argvs, full=False)
+        assert outcomes == self._outcomes(capsys, argvs, full=True)
+        assert [code for code, _, _ in outcomes] == [0, 0, 1, 1, 0, 1, 1, 1, 1, outcomes[-1][0]]
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["-h", "estimate"], ["nope"], ["nope", "--scale", "x"], ["analyze"],
+        ["analyze", "--help"], ["analyze", "nope"], ["analyze", "-h", "tau"],
+        ["analyze", "--seed", "1", "bootstrap"], ["--scale", "x", "estimate"], ["estimate", "tau"],
+        ["analyze", "estimate"], ["-", "estimate"],
+    ], ids=repr)
+    def test_command_and_kind_faults_as_with_every_parser(self, capsys, argv):
+        outcomes = self._outcomes(capsys, [argv], full=False)
+        assert outcomes == self._outcomes(capsys, [argv], full=True)
 
 
 class TestInputsNotRead:

@@ -8,13 +8,19 @@ the line reader.  Both paths must give the same judgments, doc levels,
 topics, pairs, codes and runs, or the same error, with the same warnings
 in the same order, on text that mixes records with the inputs the block
 reader has to reject, at block sizes small enough that keys, intents and
-faults fall in different blocks.
+faults fall in different blocks.  A block of pairs whose levels are all
+single digits up to T is mapped straight to cell codes; a block with any
+other spelling of a level, a two-digit level of a scale with T of 10 or
+more among them, takes the level decoder of the qrels reader, and every
+path gives the same cells as the other two ways to build pairs.
 """
 
 from __future__ import annotations
 
 import io
+import re
 import warnings
+from array import array
 from collections import Counter
 from unittest import mock
 
@@ -23,8 +29,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prmeval import corpus
-from prmeval.corpus import JudgmentSet, RelevanceScale, parse_paired, parse_qrels, parse_run
-from prmeval.disagreement import pair_codes
+from prmeval.corpus import (
+    Judgment, JudgmentPair, JudgmentPairs, JudgmentSet, RelevanceScale, pair_judgments,
+    parse_paired, parse_qrels, parse_run,
+)
 from prmeval.errors import ParseError, PrmError, ValidationError
 
 SCALE = RelevanceScale(("Non", "Rel", "HRel"))
@@ -44,7 +52,9 @@ DOCS = st.sampled_from(["d1", "d2", "d3"])
 SECONDS = st.sampled_from(["0", "a", "b"])  # iteration, or intent ("0": none)
 GOOD_LEVELS = st.sampled_from(["0", "1", "2"])
 # negative (clamped), out of range, non-integer, and spellings int() accepts
-LEVELS = st.one_of(GOOD_LEVELS, st.sampled_from(["-1", "-7", "3", "x", "1.5", "01", "+2"]))
+LEVELS = st.one_of(
+    GOOD_LEVELS, st.sampled_from(["-1", "-7", "3", "10", "x", "1.5", "01", "+1", "+2"])
+)
 # blanks that split() splits on but that end no line in the line reader
 SEPARATORS = st.sampled_from([" ", "\t", " \t ", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
 EOLS = st.sampled_from(["\n", "\r\n"])
@@ -99,7 +109,7 @@ def _summary(result):
             dict(Counter(result.levels)), len(result),
         )
     return (
-        list(result), pair_codes(result, SCALE).tolist(), list(result.topic_ids),
+        list(result), result._cells.tolist(), result.width, list(result.topic_ids),
         list(result.doc_ids), len(result),
     )
 
@@ -180,11 +190,11 @@ def test_paired_paths_agree(text):
 
 # mostly levels the digit table holds, sometimes spellings only int() reads
 # and a level above the scale
-KEY_LEVELS = st.one_of(GOOD_LEVELS, GOOD_LEVELS, st.sampled_from(["-1", "+1", "01", "9"]))
+KEY_LEVELS = st.one_of(GOOD_LEVELS, GOOD_LEVELS, st.sampled_from(["-1", "+1", "01", "10", "9"]))
 
 
 @st.composite
-def _stretch_texts(draw, kind):
+def _stretch_texts(draw, kind, levels=KEY_LEVELS):
     """Plain records in stretches of equal topics, where a topic may come
     back later, in the same block or in a later one.  A doc is mostly new
     to its topic, and otherwise one that the topic had already, in this
@@ -200,9 +210,9 @@ def _stretch_texts(draw, kind):
             else:
                 doc = f"d{len(earlier)}"
                 earlier.append(doc)
-            level = draw(KEY_LEVELS)
+            level = draw(levels)
             if kind == "paired":
-                lines.append(f"{topic} {doc} {level} {draw(KEY_LEVELS)}\n")
+                lines.append(f"{topic} {doc} {level} {draw(levels)}\n")
             else:
                 lines.append(f"{topic} 0 {doc} {level}\n")
     return "".join(lines)
@@ -229,6 +239,82 @@ _BACK_IN_A_LATER_BLOCK = _pairs(4, "t2") + _pairs(3, "t1", first=10) + "t2 d1 0 
 @example(_pairs(3) + _pairs(3, "t2") + _pairs(30, "t3") + _pairs(3, "t2", first=4))
 def test_paired_keys_by_topic_agree(text):
     _check(PARSERS["paired"], text)
+
+
+# scales whose top level T has one digit, and two and more
+SCALES = {top: RelevanceScale(tuple(f"L{i}" for i in range(top + 1))) for top in (1, 2, 9, 10, 12)}
+
+
+def _scale_levels(top: int):
+    """Levels of a scale with top ``top``, mostly one digit, and spellings
+    that only int() reads or that lie above T."""
+    spelled = ["-1", "+1", "01", "10", "00", str(top + 1), "x"]
+    return st.one_of(
+        st.integers(0, min(top, 9)).map(str), st.integers(0, top).map(str),
+        st.sampled_from(spelled),
+    )
+
+
+def _scaled_texts(top: int):
+    levels = _scale_levels(top)
+    texts = st.one_of(
+        _stretch_texts("paired", levels), _texts(st.tuples(TOPICS, DOCS, levels, levels).map(list))
+    )
+    return st.tuples(st.just(top), texts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(SCALES)).flatmap(_scaled_texts))
+@example((10, "t1 d1 1 0\nt1 d2 10 1\nt1 d3 0 10\n"))
+@example((10, "t1 d1 10 10\n" + _pairs(30)))
+@example((12, _pairs(30) + "t1 d99 12 11\n"))
+@example((9, _pairs(30) + "t1 d99 9 10\n"))  # 10 lies above T=9
+@example((2, "t1 d1 -1 +1\nt1 d2 01 2\nt1 d3 1 10\n"))
+@example((1, _pairs(3) + "t1 d9 0 1\n"))  # level 2 of _pairs lies above T=1
+def test_paired_paths_agree_on_every_scale(drawn):
+    top, text = drawn
+    _check(lambda source: parse_paired(source, SCALES[top]), text)
+
+
+@pytest.mark.parametrize("top, text, decoded", [
+    (2, _pairs(50), False),
+    (10, "t1 d1 9 0\n" + _pairs(50, first=2), False),
+    (10, _pairs(50) + "t1 d99 10 0\n", True),
+    (2, _pairs(50) + "t1 d99 -1 0\n", True),
+    (2, _pairs(50) + "t1 d99 +1 0\n", True),
+    (2, _pairs(50) + "t1 d99 2 01\n", True),
+    (2, _pairs(50) + "t1 d99 3 0\n", True),
+], ids=["digits", "digits-T10", "10", "-1", "+1", "01", "above-T"])
+def test_only_other_spellings_take_the_level_decoder(top, text, decoded):
+    with mock.patch.object(corpus, "_levels", wraps=corpus._levels) as levels:
+        read = _read(lambda source: parse_paired(source, SCALES[top]), text)
+    assert levels.called == decoded
+    assert read == _read(lambda source: parse_paired(source, SCALES[top]), text.splitlines())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(SCALES)).flatmap(lambda top: st.tuples(
+    st.just(top), st.lists(st.tuples(st.integers(0, top), st.integers(0, top)), max_size=30),
+    st.sampled_from(["{}", "+{}", "0{}"]),
+)))
+def test_every_constructor_gives_the_same_cells(drawn):
+    # parse_paired (block and line reader), JudgmentPairs(pairs, scale)
+    # and pair_judgments over the same pairs
+    top, levels, spelling = drawn
+    scale = SCALES[top]
+    records = [JudgmentPair(f"t{i % 3}", f"d{i}", l1, l2) for i, (l1, l2) in enumerate(levels)]
+    text = "".join(
+        f"{p.topic_id} {p.doc_id} {spelling.format(p.level_u1)} {spelling.format(p.level_u2)}\n"
+        for p in records
+    )
+    u1 = JudgmentSet(scale, [Judgment(p.topic_id, p.doc_id, p.level_u1) for p in records], "u1")
+    u2 = JudgmentSet(scale, [Judgment(p.topic_id, p.doc_id, p.level_u2) for p in records], "u2")
+    expected = array("q", [l1 * (top + 1) + l2 for l1, l2 in levels])
+    for pairs in (
+        parse_paired(text, scale), parse_paired(text.splitlines(), scale),
+        JudgmentPairs(records, scale), pair_judgments(u1, u2).pairs,
+    ):
+        assert (pairs._cells, pairs.width, list(pairs)) == (expected, top + 1, records)
 
 
 def test_paired_block_commits_its_docs_once_taken():
@@ -423,3 +509,39 @@ def test_no_file_is_read_whole(kind):
     text = "# header\n" + (_qrels(5000) if kind == "qrels" else _pairs(5000))
     read = PARSERS[kind](_WholeReadForbidden(text))
     assert _summary(read) == _summary(PARSERS[kind](text.splitlines()))
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    ("run", _lines(30) + "t1 Q0 d31 31 1\n",
+     "line 31: expected 6 fields 'topic Q0 doc rank score system', got 5"),
+    ("qrels", _qrels(30) + "t1 d31 1\n",
+     "line 31: expected 4 fields 'topic iteration doc level', got 3"),
+    ("paired", _pairs(30) + "t1 d31 1\n",
+     "line 31: expected 4 fields 'topic doc level_u1 level_u2', got 3"),
+])
+def test_field_count_message_names_every_field(kind, text, message):
+    # the block reader does not slice the columns it skips, but the line
+    # reader still names them
+    for block in (40, corpus._BLOCK):
+        with mock.patch.object(corpus, "_BLOCK", block):
+            with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+                PARSERS[kind](io.StringIO(text))
+
+
+@pytest.mark.parametrize("kind, text, skipped", [
+    ("run", _lines(5), [1]),
+    ("qrels", _qrels(5), [1]),
+    ("qrels_intents", _qrels(5, second="a"), []),
+    ("paired", _pairs(5), []),
+])
+def test_block_reader_slices_only_the_columns_read(kind, text, skipped):
+    sliced, columns = [], corpus._columns
+
+    def spy(*args):
+        sliced.append(columns(*args))
+        return sliced[-1]
+
+    with mock.patch.object(corpus, "_columns", spy):
+        read = _read(PARSERS[kind], text)
+    assert read == _read(PARSERS[kind], text.splitlines())
+    assert [i for i, column in enumerate(sliced[0]) if column is None] == skipped

@@ -158,6 +158,32 @@ class TestStartup:
         assert ("numpy" in modules) == (analysis[0] == "budget")
         assert "numpy.ma" not in modules
 
+    def test_estimate_adds_no_flag_to_any_other_parser(self, inputs, monkeypatch):
+        import argparse
+
+        import prmeval.cli as cli
+
+        built, build = [], cli.build_parser
+
+        def spy(argv=None):
+            built.append(build(argv))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        monkeypatch.chdir(inputs)
+        assert cli.main(["estimate", *PAIRS, "--out", "out.txt"]) == 0
+
+        def flags(parser, words=()):
+            subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            options = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+            yield " ".join(words), options
+            for name, sub in (subs[0].choices.items() if subs else ()):
+                yield from flags(sub, (*words, name))
+
+        given = {words for words, options in flags(built[0]) if options}
+        assert given == {"estimate"}
+        every = {words for words, options in flags(build()) if options}
+        assert len(every) == 8 and "estimate" in every
 
     def test_cli_reads_the_layers_as_attributes(self):
         import importlib
