@@ -95,9 +95,9 @@ def _numbers(value: str, flag: str, kind: type) -> list:
 
 # Every flag, in --help order.  Each parser takes only the flags that its
 # handler reads (see `build_parser`), so argparse rejects any other one.
-# A value flag is parsed by its ``type``, string defaults included; the
-# ValidationError of `_split` and `_numbers` is no ValueError, so argparse
-# lets it through to `main` as one ``error:`` line.
+# A value flag is parsed by its ``type`` and has no argparse default (see
+# `_DEFAULTS`); the ValidationError of `_split` and `_numbers` is no
+# ValueError, so argparse lets it through to `main` as one ``error:`` line.
 _FLAGS: dict[str, dict] = {
     "--scale": dict(help="JSON descriptor of the assessment scale"),
     "--pairs": dict(help="paired judgments: topic doc level_u1 level_u2"),
@@ -112,15 +112,15 @@ _FLAGS: dict[str, dict] = {
                         help="conditioning direction for the one-sided estimator"),
     "--override-p0": dict(action="store_true", help="pin p(R|0) to exactly 0"),
     "--run": dict(action="append", help="run file (repeatable)"),
-    "--gains": dict(default="binary", type=lambda v: _split(v, "gain scheme", _GAIN_NAMES),
+    "--gains": dict(type=lambda v: _split(v, "gain scheme", _GAIN_NAMES),
                     help="comma list from: " + ", ".join(_GAIN_NAMES)),
     "--custom-gains": dict(type=lambda v: _numbers(v, "--custom-gains", float),
                            help="comma list of per-level gains"),
     "--table": dict(help="JSON disagreement table for prm/udm gains"),
-    "--discount": dict(choices=("log", "zipf"), default="log"),
-    "--log-base": dict(type=float, default=2.0),
-    "--k": dict(type=int, default=10, help="rank cutoff"),
-    "--ideal-pool": dict(choices=("qrels", "run"), default="qrels",
+    "--discount": dict(choices=("log", "zipf")),
+    "--log-base": dict(type=float),
+    "--k": dict(type=int, help="rank cutoff"),
+    "--ideal-pool": dict(choices=("qrels", "run"),
                          help="pool for the ideal DCG: judged docs plus the run's "
                          "unjudged retrieved docs, or the run's own docs only"),
     "--strict": dict(action="store_true",
@@ -131,22 +131,35 @@ _FLAGS: dict[str, dict] = {
     "--top-intent-only": dict(action="store_true",
                               help="keep only each topic's most probable intent"),
     "--config": dict(help="JSON file of flag defaults (flags win)"),
-    "--format": dict(choices=("text", "csv", "json"), default="text", help="output format: "
+    "--format": dict(choices=("text", "csv", "json"), help="output format: "
                      "text rounds to 4 decimals, csv/json keep full precision"),
     "--out": dict(help="write output to this file instead of stdout"),
     "--strata": dict(help="topic->stratum map; estimate per stratum"),
-    "--measures": dict(default="ndcg", type=lambda v: _split(v, "measure", _MEASURES),
-                       help="comma list from: " + ", ".join(_MEASURES)
-                       + " (default: %(default)s)"),
+    "--measures": dict(type=lambda v: _split(v, "measure", _MEASURES),
+                       help="comma list from: " + ", ".join(_MEASURES) + " (default: ndcg)"),
     "--seed": dict(type=int, help="RNG seed (required when resampling)"),
-    "--resamples": dict(type=int, default=300, help="bootstrap resamples"),
-    "--rounds": dict(type=int, default=50, help="simulated annotation rounds"),
+    "--resamples": dict(type=int, help="bootstrap resamples"),
+    "--rounds": dict(type=int, help="simulated annotation rounds"),
     "--budgets": dict(type=lambda v: _numbers(v, "--budgets", int),
                       help="comma list of double-judgment budgets"),
     "--resource-map": dict(help="doc->resource map file"),
     "--resource-regex": dict(help="regex whose first group extracts the resource from a doc id"),
-    "--tau-variant": dict(choices=("a", "b"), default="b"),
+    "--tau-variant": dict(choices=("a", "b")),
 }
+# in the commands that take --table, the table file's theta is the default
+_TABLE_THETA = dict(_FLAGS["--theta"], help="user-relevance threshold "
+                    "(1..T; default: the --table file's theta, else T)")
+
+# Each value flag's default, by its namespace name.  A flag not given stays
+# None until `_settle` sets these, after the command's usage rules, so that
+# those rules see which flags were given.  `analyze robustness` compares
+# gain schemes, so its own gains default has three.
+_DEFAULTS = dict(
+    gains=("binary",), robustness_gains=("binary", "linear", "exponential"),
+    discount="log", log_base=2.0, k=10, ideal_pool="qrels", format="text",
+    measures=("ndcg",), resamples=300, rounds=50, tau_variant="b",
+    estimator="symmetric", condition="u1",
+)
 
 # flag groups that several parsers take whole; every parser also takes the
 # intent and output flags
@@ -185,7 +198,7 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
             estimator=dict(_FLAGS["--estimator"], choices=("symmetric", "one-sided", "all"),
                            help="'all' prints the symmetric and both one-sided tables"))
     command(sub, "eval", "score runs: counts, expected precision, nDCG@k", cmd_eval,
-            *_JUDGMENTS, "--qrels2", *_ESTIMATOR, *_SCORING, "--measures")
+            *_JUDGMENTS, "--qrels2", *_ESTIMATOR, *_SCORING, "--measures", theta=_TABLE_THETA)
 
     an = sub.add_parser("analyze", help="tau | bootstrap | budget | quality | robustness",
                         **style)
@@ -193,7 +206,7 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
     ranking = (*_JUDGMENTS, "--qrels2", *_ESTIMATOR, *_SCORING, "--tau-variant")
     resampling = (*_JUDGMENTS, "--qrels2", *_ESTIMATOR, "--seed")
     command(kinds, "tau", "Kendall's tau between the rankings of two qrels groups",
-            _analyze_tau, *ranking)
+            _analyze_tau, *ranking, theta=_TABLE_THETA)
     command(kinds, "bootstrap", "topic bootstrap of the estimated p(R|i)",
             _analyze_bootstrap, *resampling, "--resamples")
     command(kinds, "budget", "spread of p(R|i) against the double-judgment budget",
@@ -205,8 +218,7 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
         for flag in ("--resource-map", "--resource-regex"):
             resource.add_argument(flag, **_FLAGS[flag])
     command(kinds, "robustness", "tau per gain scheme between two qrels groups",
-            _analyze_robustness, *ranking,
-            gains=dict(_FLAGS["--gains"], default="binary,linear,exponential"))
+            _analyze_robustness, *ranking, theta=_TABLE_THETA)
 
     command(sub, "validate", "parse inputs and report, compute nothing", cmd_validate,
             *_JUDGMENTS, "--qrels2", "--run")
@@ -214,13 +226,11 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
 
 
 def _config_flags(args: argparse.Namespace) -> list[str]:
-    """The --config file as ``--key=value`` flags, for argparse to check.
-
+    """The --config file as ``--key=value`` flags, for argparse to check:
     ``true`` becomes a bare flag, ``false`` and ``null`` leave the flag
     out, and a ``run`` list gives one ``--run`` per item.  The command and
     analysis kind come from the command line only; any other key that the
-    command does not take is an error.
-    """
+    command does not take is an error."""
     path = args.config
     with _open(path) as fh:
         try:
@@ -301,28 +311,46 @@ def _render(report: _Report, fmt: str) -> str:
     return "\n".join(report.text) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
-def _load_scale(args: argparse.Namespace) -> corpus.RelevanceScale:
-    """The --scale file, the first input that a command reads;
-    --top-intent-only is checked for its --intents before it."""
+def _load_scale(args: argparse.Namespace) -> corpus.RelevanceScale | None:
+    """The --scale file, the first input that a command reads (`validate`
+    reads it only when given).  The last usage rules come before it:
+    --scale itself, --top-intent-only's --intents, then `_settle`."""
     from . import corpus
-    if not args.scale:
+    if not args.scale and args.command != "validate":
         raise ValidationError("--scale is required")
-    if not args.intents:
+    if args.scale and not args.intents:
         _not_read(args, "needs --intents", "--top-intent-only")
-    return _parse(args.scale, corpus.parse_scale)
+    _settle(args)
+    return _parse(args.scale, corpus.parse_scale) if args.scale else None
 
 
-def _load_qrels(
-    args: argparse.Namespace, path: str, scale: corpus.RelevanceScale, group: str
-) -> corpus.JudgmentSet:
+def _value(args: argparse.Namespace, name: str):
+    """A flag's value as given, else its default: for the rules that read
+    it before `_settle`."""
+    if getattr(args, name) is not None:
+        return getattr(args, name)
+    robustness = name == "gains" and getattr(args, "kind", None) == "robustness"
+    return _DEFAULTS["robustness_gains" if robustness else name]
+
+
+def _settle(args: argparse.Namespace) -> None:
+    """The rules of the flags that have a default, in --help order, then
+    each flag not given takes its default.  --gains, --discount, --log-base
+    and --ideal-pool are read by ndcg only, --k by a run measure, and
+    --log-base not by the zipf discount."""
+    if "measures" in args and "ndcg" not in _value(args, "measures"):
+        _not_read(args, "is not read without ndcg", "--gains", "--discount", "--log-base")
+        if "precision" not in args.measures:
+            _not_read(args, "is not read without a run measure (precision, ndcg)", "--k")
+        _not_read(args, "is not read without ndcg", "--ideal-pool")
+    if getattr(args, "discount", None) == "zipf":
+        _not_read(args, "is not read with --discount zipf", "--log-base")
+    for name in _DEFAULTS.keys() & vars(args).keys():
+        setattr(args, name, _value(args, name))
+
+
+def _load_qrels(args: argparse.Namespace, path: str, scale: corpus.RelevanceScale,
+                group: str) -> corpus.JudgmentSet:
     """One group's qrels; --intents declares the intents that intent '0'
     expands over, and --top-intent-only keeps each topic's top intent.
     The --intents file is read once per command, with the first qrels."""
@@ -330,23 +358,17 @@ def _load_qrels(
     if args.intents and "intent_probs" not in args:
         args.intent_probs = _parse(args.intents, corpus.parse_intent_probabilities)
     probs = getattr(args, "intent_probs", None)
-    js = _parse(
-        path, corpus.parse_qrels, scale, group,
-        intent_field=args.intent_field, declared_intents=probs,
-    )
+    js = _parse(path, corpus.parse_qrels, scale, group,
+                intent_field=args.intent_field, declared_intents=probs)
     if args.top_intent_only:
         js = corpus.select_top_intent(js, probs)
     return js
 
 
-def _load_pairs(
-    args: argparse.Namespace, scale: corpus.RelevanceScale, u1=None, u2=None
-) -> corpus.JudgmentPairs:
-    """Double judgments from --pairs, else from the overlap of --qrels and --qrels2.
-
-    ``u1`` and ``u2`` are the --qrels and --qrels2 groups that a command
-    has already read; each one not given is read here.
-    """
+def _load_pairs(args: argparse.Namespace, scale: corpus.RelevanceScale,
+                u1=None, u2=None) -> corpus.JudgmentPairs:
+    """Double judgments from --pairs, else from the overlap of --qrels and
+    --qrels2: ``u1`` and ``u2`` are those groups if already read."""
     from . import corpus
     if args.pairs:
         return _parse(args.pairs, corpus.parse_paired, scale)
@@ -358,24 +380,19 @@ def _load_pairs(
 def _need_pairs(args: argparse.Namespace) -> None:
     """Double judgments are given: --pairs, or both --qrels and --qrels2."""
     if not (args.pairs or args.qrels and args.qrels2):
-        raise ValidationError(
-            "no double judgments: supply --pairs or both --qrels and --qrels2"
-        )
+        raise ValidationError("no double judgments: supply --pairs or both --qrels and --qrels2")
 
 
 def _one_source(args: argparse.Namespace, *qrels: str) -> None:
     """Double judgments come from --pairs or from the overlap of --qrels and
     --qrels2, never both: --pairs beside any of ``qrels`` is an error."""
     if args.pairs and any(getattr(args, q) for q in qrels):
-        raise ValidationError(
-            "double judgments must come from exactly one source: "
-            "--pairs or --qrels + --qrels2"
-        )
+        raise ValidationError("double judgments must come from exactly one source: "
+                              "--pairs or --qrels + --qrels2")
 
 
-def _scale_and_pairs(
-    args: argparse.Namespace,
-) -> tuple[corpus.RelevanceScale, corpus.JudgmentPairs]:
+def _scale_and_pairs(args: argparse.Namespace) -> tuple[corpus.RelevanceScale,
+                                                        corpus.JudgmentPairs]:
     """The scale and the double judgments, for a command that reads no
     other input.  --pairs excludes both qrels here and the intent flags
     apply to --qrels only; these rules are checked before any file is read."""
@@ -397,10 +414,8 @@ def _not_read(args: argparse.Namespace, rule: str, *flags: str) -> None:
             raise ValidationError(f"{flag} {rule}")
 
 
-def _check_scoring_inputs(
-    args: argparse.Namespace, gains: Sequence[str], needed: bool, binary: bool,
-    *sources: str,
-) -> None:
+def _check_scoring_inputs(args: argparse.Namespace, gains: Sequence[str], needed: bool,
+                          binary: bool, *sources: str) -> None:
     """--table, --override-p0, the estimator flags and the
     double-judgment ``sources`` are read only when a measure or gain scheme
     needs a table (``needed``), and --table replaces the sources and the
@@ -432,21 +447,24 @@ def _load_runs(args: argparse.Namespace) -> Iterator[corpus.RunRanking]:
     return (_parse(path, corpus.parse_run) for path in args.run)
 
 
-def _user_model(
-    args: argparse.Namespace, scale: corpus.RelevanceScale
-) -> disagreement.UserModel:
+def _user_model(args: argparse.Namespace, scale: corpus.RelevanceScale,
+                table=None) -> disagreement.UserModel:
+    """The user model at --theta, else at the theta of ``table``, the one
+    scored, else at the top level T: so one command scores one threshold."""
     from . import disagreement
-    return disagreement.UserModel(scale.top_index if args.theta is None else args.theta)
+    theta = args.theta
+    if theta is None:
+        theta = scale.top_index if table is None else table.theta
+    return disagreement.UserModel(theta)
 
 
 def _estimator_opts(args: argparse.Namespace) -> dict:
-    return dict(estimator=(args.estimator or "symmetric").replace("-", "_"),
-                condition=args.condition or "u1", one_sided_collection=args.one_sided_collection)
+    return dict(estimator=args.estimator.replace("-", "_"), condition=args.condition,
+                one_sided_collection=args.one_sided_collection)
 
 
-def _resolve_table(
-    args: argparse.Namespace, scale: corpus.RelevanceScale, u1=None, u2=None
-) -> disagreement.DisagreementTable:
+def _resolve_table(args: argparse.Namespace, scale: corpus.RelevanceScale,
+                   u1=None, u2=None) -> disagreement.DisagreementTable:
     """The --table file, else the estimate from the double judgments
     (``u1`` and ``u2`` as in :func:`_load_pairs`); --override-p0 pins
     p(R|0), and then the table is checked for levels whose p(R|i) falls
@@ -455,9 +473,7 @@ def _resolve_table(
     if args.table:
         table = _parse(args.table, disagreement.DisagreementTable.from_json)
         if table.scale.labels != scale.labels:
-            raise ValidationError(
-                f"table scale {table.scale.labels} != --scale {scale.labels}"
-            )
+            raise ValidationError(f"table scale {table.scale.labels} != --scale {scale.labels}")
         if args.theta not in (None, table.theta):
             raise ValidationError(f"--theta {args.theta} != the table's theta {table.theta}")
     else:
@@ -470,28 +486,20 @@ def _resolve_table(
     return table
 
 
-def _resolve_scheme(
-    name: str,
-    args: argparse.Namespace,
-    scale: corpus.RelevanceScale,
-    table: disagreement.DisagreementTable | None,
-) -> metrics.GainScheme:
+def _resolve_scheme(name: str, args: argparse.Namespace, scale: corpus.RelevanceScale,
+                    table: disagreement.DisagreementTable | None) -> metrics.GainScheme:
     from . import metrics
     top = scale.top_index
     if name == "binary":
-        return metrics.GainScheme.binary(top, _user_model(args, scale).theta)
-    if name == "linear":
-        return metrics.GainScheme.linear(top)
-    if name == "exponential":
-        return metrics.GainScheme.exponential(top)
+        return metrics.GainScheme.binary(top, _user_model(args, scale, table).theta)
+    if name in ("linear", "exponential"):
+        return getattr(metrics.GainScheme, name)(top)
     if name in ("prm", "udm"):
         return getattr(metrics.GainScheme, name)(table)
     # custom, the one name left by `_split`; `_check_scoring_inputs` saw its values given
     if len(args.custom_gains) != top + 1:
-        raise ValidationError(
-            f"--custom-gains needs {top + 1} values for this scale, "
-            f"got {len(args.custom_gains)}"
-        )
+        raise ValidationError(f"--custom-gains needs {top + 1} values for this scale, "
+                              f"got {len(args.custom_gains)}")
     return metrics.GainScheme.custom(args.custom_gains)
 
 
@@ -502,23 +510,15 @@ def _resolve_discount(args: argparse.Namespace) -> metrics.DiscountFunction:
     return metrics.DiscountFunction.log(args.log_base)
 
 
-def _needs_table(gains: Sequence[str]) -> bool:
-    return any(g in ("prm", "udm") for g in gains)
-
-
 def cmd_estimate(args: argparse.Namespace) -> _Report:
     from . import corpus, disagreement
     scale, pairs = _scale_and_pairs(args)
-    if args.strata:
-        strata = _parse(args.strata, corpus.parse_strata)
-    else:
-        strata = dict.fromkeys(pairs.topic_ids, "all")
+    strata = (_parse(args.strata, corpus.parse_strata) if args.strata
+              else dict.fromkeys(pairs.topic_ids, "all"))
     opts = _estimator_opts(args)
-    if args.estimator == "all":
-        variants = [dict(opts, estimator="symmetric"),
-                    *(dict(opts, estimator="one_sided", condition=c) for c in ("u1", "u2"))]
-    else:
-        variants = [opts]
+    variants = [opts] if args.estimator != "all" else [
+        dict(opts, estimator="symmetric"),
+        *(dict(opts, estimator="one_sided", condition=c) for c in ("u1", "u2"))]
     model = _user_model(args, scale)
     if not pairs:
         raise EstimationError("no judgment pairs to estimate from")
@@ -563,10 +563,10 @@ def cmd_eval(args: argparse.Namespace) -> _Report:
     from dataclasses import replace
 
     from . import metrics
-    measures = args.measures
+    measures = _value(args, "measures")
     scores_runs = "precision" in measures or "ndcg" in measures
-    gains = args.gains if "ndcg" in measures else ()
-    needs_table = "count-prm" in measures or "precision" in measures or _needs_table(gains)
+    gains = _value(args, "gains") if "ndcg" in measures else ()
+    needs_table = bool({"count-prm", "precision", "prm", "udm"} & {*measures, *gains})
     _one_source(args, "qrels2")
     binary = "binary" in gains or "count-binary" in measures
     _check_scoring_inputs(args, gains, needs_table, binary, "--pairs", "--qrels2")
@@ -588,7 +588,7 @@ def cmd_eval(args: argparse.Namespace) -> _Report:
     pool = metrics._Pool(doc_levels)  # each topic's level histogram, counted once
     pool_reports: dict[str, metrics.MetricReport] = {}
     if "count-binary" in measures:
-        model = _user_model(args, scale)
+        model = _user_model(args, scale, table)
         model.check_against(scale)
         pool_reports["count_binary"] = metrics.binary_count_report(pool, model.theta)
     if "count-prm" in measures:
@@ -641,21 +641,19 @@ def cmd_eval(args: argparse.Namespace) -> _Report:
 def _ranking_inputs(
     args: argparse.Namespace,
 ) -> tuple[Iterator[corpus.RunRanking], tuple[dict, ...], dict[str, metrics.GainScheme]]:
-    """Runs (read when iterated), each group's doc levels and the gain schemes.
-
-    Here --qrels2 is the second group's judgments to rank against, so a
-    prm/udm table comes from --table or --pairs (not both), else the
-    overlap of the two qrels.  Without --qrels2 there is one group, --qrels, and the
-    runs are scored against it once.  Each qrels file is read once, and
-    before any run.
-    """
+    """Runs (read when iterated), each group's doc levels and the gain
+    schemes.  --qrels2 is the second group to rank against, so a prm/udm
+    table comes from --table or --pairs (not both), else the overlap of the
+    two qrels; without --qrels2 the runs are scored once, against --qrels.
+    Each qrels file is read once, before any run."""
     if not args.qrels:
         raise ValidationError("--qrels is required")
     runs = _load_runs(args)
     if len(args.run) < 2:
         raise ValidationError("need at least 2 --run files")
-    needs_table = _needs_table(args.gains)
-    _check_scoring_inputs(args, args.gains, needs_table, "binary" in args.gains, "--pairs")
+    gains = _value(args, "gains")
+    needs_table = bool({"prm", "udm"} & {*gains})
+    _check_scoring_inputs(args, gains, needs_table, "binary" in gains, "--pairs")
     scale = _load_scale(args)
     u1 = _load_qrels(args, args.qrels, scale, "u1")
     u2 = _load_qrels(args, args.qrels2, scale, "u2") if args.qrels2 else u1
@@ -667,7 +665,7 @@ def _ranking_inputs(
 
 def _analyze_tau(args: argparse.Namespace) -> _Report:
     from . import analysis
-    if len(args.gains) != 1:
+    if len(_value(args, "gains")) != 1:
         raise ValidationError("analyze tau uses exactly one gain scheme")
     runs, judged, schemes = _ranking_inputs(args)
     ranks = [rankings[args.gains[0]] for rankings in analysis.rank_by_ndcg(
@@ -677,12 +675,9 @@ def _analyze_tau(args: argparse.Namespace) -> _Report:
     rank_u1, rank_u2 = ranks[0], ranks[-1]  # one ranking for both without --qrels2
     tau = analysis.kendall_tau(rank_u1, rank_u2, variant=args.tau_variant)
     metric = f"tau_{args.tau_variant}"
-    payload = {
-        "tau": tau,
-        "variant": args.tau_variant,
-        "ranking_u1": [list(s) for s in rank_u1.systems],
-        "ranking_u2": [list(s) for s in rank_u2.systems],
-    }
+    payload = {"tau": tau, "variant": args.tau_variant,
+               "ranking_u1": [list(s) for s in rank_u1.systems],
+               "ranking_u2": [list(s) for s in rank_u2.systems]}
     return _Report(payload, ["metric", "value"], [[metric, tau]], [f"{metric}\t{tau:.4f}"])
 
 
@@ -796,9 +791,8 @@ def cmd_validate(args: argparse.Namespace) -> _Report:
         _not_read(args, "needs --qrels", "--intent-field", "--top-intent-only")
     rows: list[list] = []
     text: list[str] = []
-    scale = None
-    if args.scale:
-        scale = _load_scale(args)
+    scale = _load_scale(args)
+    if scale:
         rows.append(["scale", args.scale, scale.top_index + 1, None, None])
         text.append(f"ok: scale with {scale.top_index + 1} levels {scale.labels}")
     for label, path, group in (("qrels", args.qrels, "u1"), ("qrels2", args.qrels2, "u2")):
@@ -848,13 +842,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         # those name --condition as unread only once it could be read
         if "condition" in args and args.estimator != "one-sided":
             _not_read(args, "needs --estimator one-sided", "--condition")
-        report = args.handler(args)
-        _emit(_render(report, args.format), args.out)
+        text = _render(args.handler(args), args.format)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
         return 0
     except SystemExit as exc:
         # argparse --help exits 0; usage errors surface as code 1
-        code = exc.code
-        return 0 if code in (None, 0) else 1
+        return 0 if exc.code in (None, 0) else 1
     except PrmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -459,6 +459,28 @@ class TestEvalCommand:
         else:
             assert (code, out, err) == (1, "", "error: --theta 1 != the table's theta 2\n")
 
+    def test_without_theta_binary_scores_take_the_tables_theta(self, capsys, ws, tmp_path):
+        # a theta-1 table on the 3-level scale: binary gains and count-binary
+        # score at its theta, as prm does, not at the top level T = 2
+        table = tmp_path / "theta1.json"
+        table.write_text(_table(theta=1), encoding="utf-8")
+        argv = ["eval", "--scale", ws["scale"], "--qrels", ws["qrels_u1"],
+                "--run", ws["run_perfect"], "--table", str(table),
+                "--measures", "ndcg,count-binary,count-prm", "--format", "json"]
+        code, out, err = run_cli(capsys, [*argv, "--gains", "binary,prm"])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        # 14 of the 20 judged docs are at level 1 or above, 4 at level 2
+        assert report["pool"]["count_binary"]["per_topic"] == {"201": 14.0}
+        # binary gains at theta 1 are the custom gains 0, 1, 1
+        _, out1, _ = run_cli(capsys, [*argv, "--gains", "custom,prm", "--custom-gains", "0,1,1"])
+        custom = json.loads(out1)["systems"]["sysA"]
+        assert report["systems"]["sysA"]["ndcg_binary@10"] == \
+            dict(custom["ndcg_custom@10"], measure="ndcg_binary")
+        assert report["systems"]["sysA"]["ndcg_prm@10"] == custom["ndcg_prm@10"]
+        # --theta 1, the table's own, gives the same bytes
+        assert run_cli(capsys, [*argv, "--gains", "binary,prm", "--theta", "1"]) == (0, out, "")
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_win(self, capsys, ws, tmp_path):
@@ -1373,12 +1395,12 @@ class TestTableWarnings:
 
 
 class TestEvalInputs:
-    def test_count_binary_needs_no_table_for_prm_gains(self, ws):
+    def test_gains_are_not_read_without_ndcg(self, ws):
         # the gains only apply to ndcg, which is not measured here
         proc = _prmeval("eval", "--scale", ws["scale"], "--qrels", ws["qrels_u1"],
                         "--theta", "2", "--measures", "count-binary", "--gains", "prm")
-        assert (proc.returncode, proc.stderr) == (0, "")
-        assert proc.stdout.startswith("count_binary\t201\t")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: --gains is not read without ndcg\n"
 
     @pytest.mark.parametrize("measures, message", [
         # count-binary checks theta against the scale, as the estimators do
@@ -1691,6 +1713,154 @@ class TestUnreadFlags:
         else:
             assert code == 1
             assert any(re.search(re.escape(flag) + r"(?![\w-])", line) for line in lines), lines
+
+
+def _value_flags(parser: argparse.ArgumentParser) -> set[str]:
+    return {s for a in parser._actions if a.nargs != 0 for s in a.option_strings}
+
+
+class TestUnreadValueFlags:
+    """Every value flag of every parser is either read whenever it is given
+    or, in a command line that does not read it, one ``error:`` line and
+    exit 1 before any file is read: every path here names a file that does
+    not exist.  A flag with a default counts as given only when it is on
+    the command line or in a --config file."""
+
+    BASE = {
+        "estimate": [],
+        "eval": ["--qrels", "missing"],
+        "analyze tau": ["--qrels", "missing", "--run", "missing", "--run", "missing"],
+        "analyze robustness": ["--qrels", "missing", "--qrels2", "missing",
+                               "--run", "missing", "--run", "missing"],
+        "analyze bootstrap": ["--seed", "1"],
+        "analyze budget": ["--seed", "1", "--budgets", "5"],
+        "analyze quality": ["--qrels", "missing", "--pairs", "missing"],
+        "validate": [],
+    }
+    RANKING = {"--pairs": ["--gains", "linear", "--pairs", "missing"],
+               "--theta": ["--gains", "linear", "--theta", "2"],
+               "--estimator": ["--gains", "linear", "--estimator", "symmetric"],
+               "--condition": ["--condition", "u2"],
+               "--custom-gains": ["--custom-gains", "1,2,3"],
+               "--table": ["--table", "missing"],
+               "--log-base": ["--discount", "zipf", "--log-base", "3"]}
+    PAIRS = {"--pairs": ["--pairs", "missing", "--qrels", "missing"],
+             "--qrels": ["--pairs", "missing", "--qrels", "missing"],
+             "--qrels2": ["--pairs", "missing", "--qrels2", "missing"],
+             "--condition": ["--pairs", "missing", "--condition", "u2"],
+             "--intents": ["--pairs", "missing", "--intents", "missing"]}
+    # for each value flag that a command may leave unread, command lines that do
+    UNREAD = {
+        "estimate": PAIRS,
+        "eval": {
+            "--pairs": ["--run", "missing", "--gains", "linear", "--pairs", "missing"],
+            "--qrels2": ["--measures", "count-binary", "--qrels2", "missing"],
+            "--theta": ["--run", "missing", "--gains", "linear", "--theta", "2"],
+            "--estimator": ["--run", "missing", "--gains", "linear", "--estimator", "symmetric"],
+            "--condition": ["--run", "missing", "--condition", "u1"],
+            "--run": ["--measures", "count-binary", "--run", "missing"],
+            "--gains": ["--measures", "count-binary", "--gains", "prm"],
+            "--custom-gains": ["--run", "missing", "--custom-gains", "1,2,3"],
+            "--table": ["--run", "missing", "--gains", "linear", "--table", "missing"],
+            "--discount": ["--run", "missing", "--measures", "precision", "--pairs", "missing",
+                           "--discount", "zipf"],
+            "--log-base": ["--measures", "count-binary", "--log-base", "3"],
+            "--log-base zipf": ["--run", "missing", "--discount", "zipf", "--log-base", "3"],
+            "--k": ["--measures", "count-binary", "--k", "5"],
+            "--ideal-pool": ["--run", "missing", "--measures", "precision", "--table", "missing",
+                             "--ideal-pool", "run"],
+        },
+        "analyze tau": RANKING,
+        "analyze robustness": RANKING,
+        "analyze bootstrap": PAIRS,
+        "analyze budget": PAIRS,
+        "analyze quality": {
+            "--condition": ["--resource-regex", "(d)", "--condition", "u2"],
+            "--resource-map": ["--resource-regex", "(d)", "--resource-map", "missing"],
+            "--resource-regex": ["--resource-map", "missing", "--resource-regex", "(d)"],
+        },
+        "validate": {},
+    }
+    OUTPUT = {"--scale", "--config", "--format", "--out"}
+    READ = {
+        "estimate": OUTPUT | {"--theta", "--estimator", "--strata"},
+        "eval": OUTPUT | {"--qrels", "--intents", "--measures"},
+        "analyze tau": OUTPUT | {"--qrels", "--qrels2", "--run", "--gains", "--discount", "--k",
+                                 "--ideal-pool", "--intents", "--tau-variant"},
+        "analyze bootstrap": OUTPUT | {"--theta", "--estimator", "--seed", "--resamples"},
+        "analyze budget": OUTPUT | {"--theta", "--estimator", "--seed", "--rounds", "--budgets"},
+        "analyze quality": OUTPUT | {"--pairs", "--qrels", "--theta", "--estimator", "--intents"},
+        "validate": OUTPUT | {"--pairs", "--qrels", "--qrels2", "--run", "--intents"},
+    }
+    READ["analyze robustness"] = READ["analyze tau"]
+
+    def test_each_value_flag_is_read_or_has_an_unread_case(self):
+        for words, parser in PARSERS.items():
+            unread = {flag.split()[0] for flag in self.UNREAD[words]}
+            assert not unread & self.READ[words], words
+            assert unread | self.READ[words] == _value_flags(parser), words
+
+    @pytest.mark.parametrize("words, flag", [
+        (words, flag) for words, flags in UNREAD.items() for flag in flags
+    ], ids=lambda value: value.replace(" ", "-"))
+    def test_unread_value_flag_is_one_error_line(self, capsys, tmp_path, words, flag):
+        missing = str(tmp_path / "missing.txt")
+        argv = [*self.BASE[words], *self.UNREAD[words][flag], "--scale", "missing"]
+        code, out, err = run_cli(capsys, [*words.split(), *(
+            missing if a == "missing" else a for a in argv)])
+        errors = [line for line in err.splitlines() if "error: " in line]
+        assert (code, out, len(errors)) == (1, "", 1), err
+        assert re.search(re.escape(flag.split()[0]) + r"(?![\w-])", errors[0]), errors
+
+    NOT_NDCG = "is not read without ndcg"
+    NO_RUN_MEASURE = "is not read without a run measure (precision, ndcg)"
+    ZIPF = "--log-base is not read with --discount zipf"
+
+    @pytest.mark.parametrize("argv, line", [
+        # the Motivation's command: the first flag given in --help order is named
+        (["--measures", "count-binary", "--gains", "prm", "--k", "5", "--discount", "zipf",
+          "--log-base", "3", "--ideal-pool", "run"], f"--gains {NOT_NDCG}"),
+        (["--measures", "count-binary", "--ideal-pool", "run", "--k", "5", "--log-base", "3",
+          "--discount", "zipf"], f"--discount {NOT_NDCG}"),
+        (["--measures", "count-prm", "--pairs", "missing", "--ideal-pool", "run", "--k", "5"],
+         f"--k {NO_RUN_MEASURE}"),
+        (["--measures", "precision", "--run", "missing", "--pairs", "missing", "--k", "5",
+          "--ideal-pool", "qrels"], f"--ideal-pool {NOT_NDCG}"),
+        (["--run", "missing", "--log-base", "2", "--discount", "zipf"], ZIPF),
+        # every existing rule comes first
+        (["--measures", "count-binary", "--k", "5", "--strict"], f"--strict {NO_RUN_MEASURE}"),
+        (["--measures", "count-binary", "--k", "5", "--override-p0"],
+         "--override-p0 is not read when no measure or gain scheme needs a table"),
+        (["--measures", "count-binary", "--gains", "prm", "--top-intent-only"],
+         "--top-intent-only needs --intents"),
+    ], ids=["motivation", "discount-first", "k", "precision-ideal-pool", "zipf", "strict-first",
+            "override-p0-first", "top-intent-only-first"])
+    def test_eval_names_the_first_unread_flag(self, capsys, tmp_path, argv, line):
+        missing = str(tmp_path / "missing.txt")
+        code, out, err = run_cli(capsys, [
+            "eval", "--scale", missing, "--qrels", missing, "--theta", "2",
+            *(missing if a == "missing" else a for a in argv),
+        ])
+        assert (code, out, err) == (1, "", f"error: {line}\n")
+
+    @pytest.mark.parametrize("kind", ["tau", "robustness"])
+    def test_scale_is_required_before_the_new_rules(self, capsys, tmp_path, kind):
+        missing = str(tmp_path / "missing.txt")
+        code, out, err = run_cli(capsys, [
+            "analyze", kind, "--qrels", missing, "--qrels2", missing, "--run", missing,
+            "--run", missing, "--discount", "zipf", "--log-base", "3",
+        ])
+        assert (code, out, err) == (1, "", "error: --scale is required\n")
+
+    def test_a_config_key_counts_as_given(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.txt")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"k": 10}), encoding="utf-8")
+        code, out, err = run_cli(capsys, [
+            "eval", "--scale", missing, "--qrels", missing, "--measures", "count-binary",
+            "--config", str(config),
+        ])
+        assert (code, out, err) == (1, "", f"error: --k {self.NO_RUN_MEASURE}\n")
 
 
 class TestOneParser:

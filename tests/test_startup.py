@@ -88,6 +88,22 @@ def inputs(
 
 PAIRS = ["--scale", "scale.json", "--pairs", "pairs.txt", "--theta", "2"]
 
+# The standard-library modules that prmeval.cli imports by name, and those
+# that corpus and disagreement, which the quick-start `estimate` runs,
+# import besides.  Beyond what these load, `import prmeval.cli` loads only
+# `__future__` and prmeval's own modules; the estimate also loads the
+# `locale` that argparse's gettext reads and the codec of its input files.
+CLI_STDLIB = "argparse, contextlib, importlib, io, json, sys, typing, warnings"
+ESTIMATE_STDLIB = CLI_STDLIB + ", array, collections, itertools, math, operator, re"
+CLI_OWN = {"__future__", "prmeval", "prmeval.cli", "prmeval.errors"}
+ESTIMATE_OWN = CLI_OWN | {"prmeval.corpus", "prmeval.disagreement", "locale", "_locale",
+                          "encodings.utf_8_sig"}
+
+
+def _modules(code: str) -> set[str]:
+    listing = "import json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    return set(json.loads(_python(f"{code}\n{listing}")))
+
 
 class TestStartup:
     def test_parser_loads_no_numpy_and_no_layer(self):
@@ -157,6 +173,18 @@ class TestStartup:
         assert "prmeval.analysis" in modules
         assert ("numpy" in modules) == (analysis[0] == "budget")
         assert "numpy.ma" not in modules
+
+    def test_cli_import_loads_nothing_new(self):
+        loaded = _modules("import prmeval.cli") - _modules(f"import {CLI_STDLIB}")
+        assert "prmeval.cli" in loaded
+        assert loaded <= CLI_OWN
+
+    def test_quick_start_estimate_loads_nothing_new(self, inputs):
+        code, modules = _probe(["estimate", *PAIRS, "--out", "out.txt"], cwd=inputs)
+        assert code == 0
+        loaded = modules - _modules(f"import {ESTIMATE_STDLIB}")
+        assert {"prmeval.corpus", "prmeval.disagreement"} <= loaded
+        assert loaded <= ESTIMATE_OWN
 
     def test_estimate_adds_no_flag_to_any_other_parser(self, inputs, monkeypatch):
         import argparse
