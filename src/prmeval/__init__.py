@@ -21,8 +21,7 @@ _EXPORTS = {
     name: module
     for module, names in {
         "analysis": (
-            "BootstrapResult", "SystemRanking", "bootstrap_topics", "kendall_tau",
-            "robustness_study", "simulate_annotation_rounds",
+            "SystemRanking", "kendall_tau", "robustness_study", "simulate_annotation_rounds",
         ),
         "corpus": (
             "Judgment", "JudgmentPair", "JudgmentPairs", "JudgmentSet", "PairingResult",
@@ -30,9 +29,9 @@ _EXPORTS = {
             "parse_paired", "parse_qrels", "parse_run", "parse_scale", "select_top_intent",
         ),
         "disagreement": (
-            "DisagreementCell", "DisagreementTable", "LevelSeries", "SensitivityCurve",
-            "UserModel", "cell_sigma", "estimate_one_sided", "estimate_symmetric",
-            "quality_sensitivity",
+            "BootstrapResult", "DisagreementCell", "DisagreementTable", "LevelSeries",
+            "SensitivityCurve", "UserModel", "bootstrap_topics", "cell_sigma",
+            "estimate_one_sided", "estimate_symmetric", "quality_sensitivity",
         ),
         "errors": (
             "DataWarning", "EstimationError", "MetricError", "ParseError", "PrmError",

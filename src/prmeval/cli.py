@@ -9,10 +9,12 @@ Exit codes: 0 success; 1 for parse/validation/estimation/metric errors
 (including bad flag combinations) and for running out of memory; 2 for
 I/O errors.
 
-Each handler imports the modules it uses when it runs.  Only ``analyze
-budget`` loads numpy, which the package does not require (it is the
-``budget`` extra): without it that command ends, after every input check,
-in one ``error:`` line and exit 1.
+Each handler imports the modules it uses when it runs: ``estimate``,
+``analyze bootstrap`` and ``analyze quality`` only count pairs, so they
+load ``corpus`` and ``disagreement`` alone.  Only ``analyze budget``
+loads numpy, which the package does not require (it is the ``budget``
+extra): without it that command ends, after every input check, in one
+``error:`` line and exit 1.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import sys
 import warnings
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
-from .errors import EstimationError, ParseError, PrmError, ValidationError
+from .errors import EstimationError, MetricError, ParseError, PrmError, ValidationError
 
 if TYPE_CHECKING:
     from . import analysis, corpus, disagreement, metrics
@@ -314,14 +316,23 @@ def _render(report: _Report, fmt: str) -> str:
 def _load_scale(args: argparse.Namespace) -> corpus.RelevanceScale | None:
     """The --scale file, the first input that a command reads (`validate`
     reads it only when given).  The last usage rules come before it:
-    --scale itself, --top-intent-only's --intents, then `_settle`."""
+    --scale itself, --top-intent-only's --intents, then `_settle`; the one
+    rule that needs the scale comes right after it: an estimated table for
+    udm gains is thresholded at the top level."""
     from . import corpus
     if not args.scale and args.command != "validate":
         raise ValidationError("--scale is required")
     if args.scale and not args.intents:
         _not_read(args, "needs --intents", "--top-intent-only")
     _settle(args)
-    return _parse(args.scale, corpus.parse_scale) if args.scale else None
+    if not args.scale:
+        return None
+    scale = _parse(args.scale, corpus.parse_scale)
+    top = scale.top_index
+    if "udm" in getattr(args, "gains", ()) and not args.table and args.theta in range(1, top):
+        raise MetricError(f"udm gains need a table thresholded at the top level "
+                          f"(theta = {top}), got theta = {args.theta}")
+    return scale
 
 
 def _value(args: argparse.Namespace, name: str):
@@ -337,7 +348,9 @@ def _settle(args: argparse.Namespace) -> None:
     """The rules of the flags that have a default, in --help order, then
     each flag not given takes its default.  --gains, --discount, --log-base
     and --ideal-pool are read by ndcg only, --k by a run measure, and
-    --log-base not by the zipf discount."""
+    --log-base not by the zipf discount.  Last, --one-sided-collection
+    needs the one-sided estimator: the symmetric one, given or not, would
+    be biased by it."""
     if "measures" in args and "ndcg" not in _value(args, "measures"):
         _not_read(args, "is not read without ndcg", "--gains", "--discount", "--log-base")
         if "precision" not in args.measures:
@@ -347,6 +360,8 @@ def _settle(args: argparse.Namespace) -> None:
         _not_read(args, "is not read with --discount zipf", "--log-base")
     for name in _DEFAULTS.keys() & vars(args).keys():
         setattr(args, name, _value(args, name))
+    if getattr(args, "one_sided_collection", False) and args.estimator != "one-sided":
+        raise ValidationError("--one-sided-collection needs --estimator one-sided")
 
 
 def _load_qrels(args: argparse.Namespace, path: str, scale: corpus.RelevanceScale,
@@ -703,10 +718,10 @@ def _require_seed(args: argparse.Namespace) -> None:
 
 
 def _analyze_bootstrap(args: argparse.Namespace) -> _Report:
-    from . import analysis
+    from . import disagreement
     _require_seed(args)
     scale, pairs = _scale_and_pairs(args)
-    results = analysis.bootstrap_topics(
+    results = disagreement.bootstrap_topics(
         pairs, _user_model(args, scale), scale, **_estimator_opts(args),
         n_resamples=args.resamples, seed=args.seed,
     )

@@ -26,7 +26,12 @@ reads the rows of C, on U2 those of C^T, symmetric those of C + C^T.
 Strata, bootstrap resamples, budget rounds and quality-sweep steps only
 re-count or re-weight C; ``table_from_counts`` turns any C into a table.
 C is kept as rows of Python ints, counted with a ``Counter``, so nothing
-here, the quality sweep included, loads numpy.
+here, the quality sweep and the topic bootstrap included, loads numpy.
+
+The topic bootstrap computes numpy's stream ``default_rng([seed, r])``
+for resample r, and the mean and std of its samples, in pure Python by
+numpy's own integer and float operations; the tests check both against
+numpy, so a numpy release that changed them fails a test, not the output.
 
 Each estimate carries a binomial standard error
     sigma = sqrt(phat (1 - phat) / N_D),  phat = N_N / N_D.
@@ -47,8 +52,9 @@ import operator
 import warnings
 from array import array
 from collections import Counter
+from functools import cached_property, reduce
 from itertools import accumulate, chain, compress
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .corpus import (
     JudgmentPair, JudgmentPairs, JudgmentSet, RelevanceScale, _cuts, _docs_by_topic, _Frozen,
@@ -71,6 +77,8 @@ __all__ = [
     "LevelSeries",
     "SensitivityCurve",
     "quality_sensitivity",
+    "BootstrapResult",
+    "bootstrap_topics",
 ]
 
 
@@ -597,3 +605,257 @@ def quality_sensitivity(
         for lvl in range(scale.top_index + 1)
     )
     return SensitivityCurve("top_k_resources", tuple(range(1, k_max + 1)), series)
+
+
+def _check_seed(seed: int) -> int:
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
+# word masks, and the multiplier of the 128-bit LCG under numpy's PCG64
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _pcg64_words(entropy: Sequence[int]) -> Iterator[int]:
+    """The 32-bit words of ``np.random.PCG64(np.random.SeedSequence(entropy))``
+    as its ``next32`` gives them: each 64-bit output, low half first.
+
+    The entropy ints are split into little-endian 32-bit words, hashed into
+    a 4-word pool and expanded to 8 words, as SeedSequence does; those give
+    the LCG's 128-bit state and increment, and each output is the XSL-RR
+    permutation of the stepped state.
+    """
+    words = [
+        w for v in entropy
+        for w in [(v >> s) & _M32 for s in range(0, v.bit_length(), 32)] or [0]
+    ]
+    const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+
+    const = 0x8B51F9DD
+    seed_words = []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED & _M32
+        value = value * const & _M32
+        seed_words.append(value ^ value >> 16)
+    s = [seed_words[i] | seed_words[i + 1] << 32 for i in range(0, 8, 2)]
+    inc = ((s[2] << 64 | s[3]) << 1 | 1) & _M128
+    # seeding steps from state 0 (to inc), adds the seed and steps again
+    state = ((inc + (s[0] << 64 | s[1])) * _PCG_MULT + inc) & _M128
+    while True:
+        state = (state * _PCG_MULT + inc) & _M128
+        rot = state >> 122
+        x = ((state >> 64) ^ state) & _M64
+        out = (x >> rot | x << (64 - rot)) & _M64
+        yield out & _M32
+        yield out >> 32
+
+
+def _rng_integers(seed: int, stream: int, n: int, size: int) -> list[int]:
+    """``np.random.default_rng([seed, stream]).integers(0, n, size=size).tolist()``
+    for ``1 <= n < 2**32``, without numpy.
+
+    As numpy does, a one-value range draws nothing, and each value is
+    Lemire's multiply-shift of one 32-bit word, redrawn while the low half
+    of the product falls below ``2**32 % n``.
+    """
+    if n == 1:
+        return [0] * size
+    words = _pcg64_words((seed, stream))
+    threshold = (1 << 32) % n
+    out = []
+    for _ in range(size):
+        m = next(words) * n
+        while m & _M32 < threshold:
+            m = next(words) * n
+        out.append(m >> 32)
+    return out
+
+
+class BootstrapResult(_Frozen):
+    """Resampled estimates of one p_{R|i} parameter.
+
+    ``samples`` holds the estimate from each resample where the level was
+    defined; resamples where it was undefined (no paired judgments at the
+    level) are counted in ``n_missing`` rather than imputed.  The summaries
+    are computed from ``samples`` once, when first read, and are None
+    without samples: ``std`` uses the n - 1 denominator and is None for
+    fewer than 2 samples; quartiles are (min, q1, median, q3, max) with
+    linear interpolation.
+    """
+
+    level: int
+    samples: tuple[float, ...]
+    n_missing: int
+
+    @cached_property
+    def _stats(self) -> tuple:
+        # cached_property writes to the instance's __dict__, past the
+        # frozen __setattr__
+        return _summaries(self.samples)
+
+    @property
+    def mean(self) -> float | None:
+        return self._stats[0]
+
+    @property
+    def std(self) -> float | None:
+        return self._stats[1]
+
+    @property
+    def quartiles(self) -> tuple[float, float, float, float, float] | None:
+        return self._stats[2]
+
+    @classmethod
+    def from_samples(
+        cls, level: int, samples: Sequence[float], n_missing: int
+    ) -> "BootstrapResult":
+        return cls(level, tuple(samples), n_missing)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "level": self.level,
+            "n_samples": len(self.samples),
+            "n_missing": self.n_missing,
+            "mean": self.mean,
+            "std": self.std,
+            "quartiles": None if self.quartiles is None else list(self.quartiles),
+            "samples": list(self.samples),
+        }
+
+
+def _summaries(
+    samples: tuple[float, ...]
+) -> tuple[float | None, float | None, tuple[float, ...] | None]:
+    """Mean, std (n - 1) and quartiles as ``arr.mean()``, ``arr.std(ddof=1)``
+    and ``_quartiles`` give them; numpy's reductions add to 0.0."""
+    if not samples:
+        return None, None, None
+    n = len(samples)
+    mean = (0.0 + _pairwise_sum(samples)) / n
+    sq = [(x - mean) * (x - mean) for x in samples]
+    std = math.sqrt((0.0 + _pairwise_sum(sq)) / (n - 1)) if n > 1 else None
+    return mean, std, _quartiles(samples)
+
+
+def _pairwise_sum(xs: Sequence[float]) -> float:
+    """numpy's pairwise sum of float64 values, by the same float operations.
+
+    Fewer than 8 values add up from 0.0 in order.  Up to 128 values add
+    into 8 interleaved accumulators, which combine as a tree before the
+    tail is added.  A longer run splits in two at a multiple of 8 near its
+    middle.  Every sum is a left fold of ``+``: the built-in ``sum`` of
+    floats is compensated from Python 3.12 on.
+    """
+    n = len(xs)
+    if n < 8:
+        return reduce(operator.add, xs, 0.0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
+    end = n - n % 8
+    r = [reduce(operator.add, xs[j:end:8]) for j in range(8)]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return reduce(operator.add, xs[end:], total)
+
+
+def _quartiles(samples: Sequence[float]) -> tuple[float, ...]:
+    """Min, quartiles and max of ``samples`` as ``np.percentile(samples,
+    [0, 25, 50, 75, 100])`` gives them (its default ``linear`` rule), by
+    the same float operations, without loading ``numpy.ma`` as its first
+    call does.
+
+    Where two neighbours of opposite sign lie so far apart that their
+    difference overflows, which makes ``np.percentile`` give NaN or
+    values out of order, a value that falls on a sample is that sample
+    and one between them is interpolated without the difference.
+    """
+    xs = sorted(samples)
+    top = len(xs) - 1
+    out = []
+    for q in (0.0, 0.25, 0.5, 0.75, 1.0):
+        at = q * top
+        i = int(at)
+        a, b, g = xs[i], xs[min(i + 1, top)], at - i
+        d = b - a
+        if g == 0:
+            out.append(a + 0.0)  # -0.0 reads as 0.0, as in a + d * 0
+        elif math.isinf(d):
+            out.append(a * (1 - g) + b * g)
+        else:
+            out.append(a + d * g if g < 0.5 else b - d * (1 - g))
+    return tuple(out)
+
+
+def bootstrap_topics(
+    pairs: Sequence[JudgmentPair],
+    user_model: UserModel,
+    scale: RelevanceScale,
+    *,
+    estimator: str = "symmetric",
+    condition: str = "u1",
+    one_sided_collection: bool = False,
+    n_resamples: int = 300,
+    seed: int,
+) -> dict[int, BootstrapResult]:
+    """Topic bootstrap of the disagreement estimates.
+
+    Each resample draws topics with replacement (as many as there are
+    topics); a drawn topic contributes all its pairs once per draw, so a
+    resample's count matrix is the draw counts times the topics' matrices.
+    """
+    _check_seed(seed)
+    if n_resamples < 1:
+        raise ValidationError(f"n_resamples must be >= 1, got {n_resamples}")
+    if not pairs:
+        raise EstimationError("no judgment pairs to bootstrap")
+    pairs = _as_pairs(pairs, scale)
+    if len(set(pairs.topic_ids)) < 2:
+        raise EstimationError("bootstrap needs at least 2 topics")
+    user_model.check_against(scale)
+    topics, per_topic = group_pair_counts(pairs, scale)
+    n = len(topics)
+    # C[i][j] of every topic, so a resample's C[i][j] is one dot product
+    # with the topics' draw counts
+    cells = [list(zip(*rows)) for rows in zip(*per_topic)]
+    ps = []  # per resample, p per level (None where undefined)
+    for r in range(n_resamples):
+        times = [0] * n
+        for t in _rng_integers(seed, r, n, n):
+            times[t] += 1
+        table = table_from_counts(
+            [[sum(map(operator.mul, times, cell)) for cell in row] for row in cells],
+            user_model, scale, estimator=estimator, condition=condition,
+            one_sided_collection=one_sided_collection,
+        )
+        ps.append([c.p for c in table.cells])
+    return {
+        lvl: BootstrapResult.from_samples(
+            lvl, [p[lvl] for p in ps if p[lvl] is not None], sum(p[lvl] is None for p in ps)
+        )
+        for lvl in range(scale.top_index + 1)
+    }

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import chain, filterfalse, islice, repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .corpus import RunRanking
+from .corpus import RunRanking, _Frozen
 from .disagreement import DisagreementTable
 from .errors import DataWarning, MetricError, ValidationError
 
@@ -55,8 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GainScheme:
+class GainScheme(_Frozen):
     """A resolved gain vector g(0..T), one value per assessment level."""
 
     name: str
@@ -126,8 +125,7 @@ class GainScheme:
         return cls("custom", vec)
 
 
-@dataclass(frozen=True)
-class DiscountFunction:
+class DiscountFunction(_Frozen):
     """Positive, non-increasing rank discount c(r) for ranks r >= 1."""
 
     kind: str

@@ -15,9 +15,6 @@ from prmeval.analysis import (
     LevelSeries,
     SensitivityCurve,
     SystemRanking,
-    _quartiles,
-    _rng_integers,
-    _summaries,
     bootstrap_topics,
     kendall_tau,
     quality_sensitivity,
@@ -26,7 +23,9 @@ from prmeval.analysis import (
     simulate_annotation_rounds,
 )
 from prmeval.corpus import Judgment, JudgmentPair, JudgmentSet, RelevanceScale, RunRanking
-from prmeval.disagreement import UserModel, estimate_one_sided, estimate_symmetric
+from prmeval.disagreement import (
+    UserModel, _quartiles, _rng_integers, _summaries, estimate_one_sided, estimate_symmetric,
+)
 from prmeval.errors import DataWarning, EstimationError, MetricError, ValidationError
 from prmeval.metrics import DiscountFunction, GainScheme
 

@@ -222,7 +222,7 @@ class TestEstimateCommand:
             ],
         )
         assert code == 1
-        assert "biased" in err
+        assert err == "error: --one-sided-collection needs --estimator one-sided\n"
 
     def test_theta_defaults_to_top_level(self, capsys, ws):
         base = ["estimate", "--scale", ws["scale"], "--pairs", ws["pairs"]]
@@ -603,10 +603,10 @@ class TestAnalyzeCommand:
 
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
     def test_bootstrap_summarizes_each_level_once(self, capsys, ws, monkeypatch, fmt):
-        from prmeval import analysis
+        from prmeval import disagreement
 
-        summaries = mock.Mock(wraps=analysis._summaries)
-        monkeypatch.setattr(analysis, "_summaries", summaries)
+        summaries = mock.Mock(wraps=disagreement._summaries)
+        monkeypatch.setattr(disagreement, "_summaries", summaries)
         code, _, _ = run_cli(capsys, [
             "analyze", "bootstrap", "--scale", ws["scale"], "--pairs", ws["pairs2"],
             "--theta", "2", "--seed", "7", "--resamples", "20", "--format", fmt,
@@ -774,7 +774,7 @@ class TestAnalyzeCommand:
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (1, "")
         assert err == refused
-        assert "symmetric estimator is biased" in err
+        assert err == "error: --one-sided-collection needs --estimator one-sided\n"
         code, out, _ = run_cli(capsys, argv + ["--estimator", "one-sided"])
         assert code == 0
         assert out
@@ -1661,6 +1661,45 @@ class TestUnreadFlags:
         missing = str(tmp_path / "missing.txt")
         code, out, err = run_cli(capsys, [
             *(missing if a == "missing" else a for a in argv), "--scale", missing,
+        ])
+        assert (code, out, err) == (1, "", f"error: {line}\n")
+
+    ONE_SIDED = "--one-sided-collection needs --estimator one-sided"
+    UDM = "udm gains need a table thresholded at the top level (theta = 2), got theta = 1"
+    RANK = ["--qrels", "missing", "--run", "missing", "--run", "missing"]
+
+    @pytest.mark.parametrize("argv, line", [
+        (["estimate", "--pairs", "missing", "--one-sided-collection"], ONE_SIDED),
+        (["estimate", "--pairs", "missing", "--one-sided-collection", "--estimator", "all"],
+         ONE_SIDED),
+        (["eval", "--qrels", "missing", "--run", "missing", "--gains", "prm",
+          "--pairs", "missing", "--one-sided-collection", "--estimator", "symmetric"], ONE_SIDED),
+        (["analyze", "tau", *RANK, "--gains", "prm", "--pairs", "missing",
+          "--one-sided-collection"], ONE_SIDED),
+        (["analyze", "robustness", *RANK, "--qrels2", "missing", "--gains", "prm",
+          "--one-sided-collection"], ONE_SIDED),
+        (["analyze", "bootstrap", "--pairs", "missing", "--seed", "1",
+          "--one-sided-collection"], ONE_SIDED),
+        (["analyze", "budget", "--pairs", "missing", "--seed", "1", "--budgets", "5",
+          "--one-sided-collection"], ONE_SIDED),
+        (["analyze", "quality", "--pairs", "missing", "--qrels", "missing",
+          "--resource-regex", "^(d)", "--one-sided-collection"], ONE_SIDED),
+        (["eval", "--qrels", "missing", "--run", "missing", "--gains", "udm", "--theta", "1",
+          "--pairs", "missing"], UDM),
+        (["analyze", "tau", *RANK, "--qrels2", "missing", "--gains", "udm", "--theta", "1"],
+         UDM),
+        (["analyze", "robustness", *RANK, "--qrels2", "missing", "--gains", "binary,udm",
+          "--theta", "1", "--estimator", "one-sided"], UDM),
+    ], ids=["estimate", "estimate-all", "eval", "tau", "robustness", "bootstrap", "budget",
+            "quality", "eval-udm", "tau-udm", "robustness-udm"])
+    def test_rule_is_one_error_line_before_any_judgment(self, capsys, ws, tmp_path, argv, line):
+        # the estimator rule comes before the scale is read, and the udm
+        # rule right after it: every other path names a file that does not
+        # exist
+        missing = str(tmp_path / "missing.txt")
+        scale = missing if line == self.ONE_SIDED else ws["scale"]
+        code, out, err = run_cli(capsys, [
+            *(missing if a == "missing" else a for a in argv), "--scale", scale,
         ])
         assert (code, out, err) == (1, "", f"error: {line}\n")
 

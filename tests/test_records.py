@@ -1,7 +1,8 @@
 """Differential tests: the value records against ``@dataclass(frozen=True)``.
 
-The records of ``corpus``, ``disagreement`` and ``analysis`` derive from
-``corpus._Frozen`` in place of the dataclass decorator.  Each is checked
+The records of ``corpus``, ``disagreement`` and ``analysis``, and the
+gain scheme and discount of ``metrics``, derive from ``corpus._Frozen``
+in place of the dataclass decorator.  Each is checked
 against a twin built here with ``@dataclass(frozen=True)`` from the same
 annotations, defaults and ``__post_init__``: construction outcomes
 (``ValidationError`` messages included), equality, hashing, ``repr``,
@@ -19,14 +20,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prmeval.analysis import BootstrapResult, SystemRanking
+from prmeval.analysis import SystemRanking
 from prmeval.corpus import (
     Judgment, JudgmentPair, PairingResult, RelevanceScale, RunEntry, _Frozen,
 )
 from prmeval.disagreement import (
-    DisagreementCell, DisagreementTable, LevelSeries, SensitivityCurve, UserModel,
+    BootstrapResult, DisagreementCell, DisagreementTable, LevelSeries, SensitivityCurve, UserModel,
 )
 from prmeval.errors import ValidationError
+from prmeval.metrics import DiscountFunction, GainScheme
 
 
 def _twin(cls: type) -> type:
@@ -98,6 +100,10 @@ FIELDS = {
         text, st.lists(st.tuples(st.sampled_from("abc"), real), max_size=3).map(tuple),
     ),
     BootstrapResult: st.tuples(small, st.lists(real, max_size=4).map(tuple), small),
+    GainScheme: st.tuples(text, st.lists(real | st.just(math.inf), max_size=4).map(tuple)),
+    DiscountFunction: st.tuples(
+        st.sampled_from(["log", "zipf", "bogus"]), st.floats(0.5, 3.0) | st.just(math.inf),
+    ),
 }
 RECORDS = list(FIELDS)
 TWINS = {cls: _twin(cls) for cls in RECORDS}

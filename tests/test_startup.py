@@ -2,15 +2,15 @@
 
 ``import prmeval`` resolves its public names on first access, and each
 CLI handler imports the modules it uses when it runs, so ``--help``, a
-usage error and ``validate`` load no numpy.  Neither do ``estimate`` and
-``analyze quality``, which only count judgment pairs, the scoring
-commands or ``analyze bootstrap``: only ``analyze budget`` imports it,
-so numpy is no dependency of the package.  With numpy blocked, every
-other command gives the same bytes, and ``analyze budget`` one error
-line once its inputs are checked.  The records of ``corpus``,
-``disagreement`` and ``analysis`` are not dataclasses, so ``validate``,
-``estimate`` and ``analyze quality`` load neither ``dataclasses`` nor
-the ``inspect`` it imports; only the commands that load ``metrics`` do.
+usage error and ``validate`` load no numpy.  Neither do ``estimate``,
+``analyze quality`` and ``analyze bootstrap``, which only count judgment
+pairs, nor the scoring commands: only ``analyze budget`` imports it, so
+numpy is no dependency of the package.  With numpy blocked, every other
+command gives the same bytes, and ``analyze budget`` one error line once
+its inputs are checked.  The records of ``corpus``, ``disagreement`` and
+``analysis`` are not dataclasses, so ``validate`` and the counting
+commands load neither ``dataclasses`` nor the ``inspect`` it imports;
+only the commands that load ``metrics`` do, for its one dataclass.
 Each check runs in a fresh interpreter, because this test process has
 long since imported everything.
 """
@@ -44,6 +44,10 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 HEAVY = {
     "numpy", "prmeval.analysis", "prmeval.corpus", "prmeval.disagreement", "prmeval.metrics",
 }
+
+# the only prmeval modules that a command which only counts pairs loads
+COUNTING_OWN = {"prmeval", "prmeval.cli", "prmeval.corpus", "prmeval.disagreement",
+                "prmeval.errors"}
 
 # what `@dataclass` imports: the commands that build no dataclass load neither
 NO_CODEGEN = {"dataclasses", "inspect"}
@@ -138,12 +142,13 @@ class TestStartup:
     @pytest.mark.parametrize("argv", [
         ["estimate", *PAIRS, "--estimator", "all", "--strata", "strata.txt"],
         ["analyze", "quality", *PAIRS, "--qrels", "qrels_both.txt", "--resource-regex", "^(d1?)"],
-    ], ids=["estimate", "quality"])
+        ["analyze", "bootstrap", *PAIRS, "--resamples", "20", "--seed", "1"],
+    ], ids=["estimate", "quality", "bootstrap"])
     def test_counting_commands_load_no_numpy(self, inputs, argv):
         code, modules = _probe([*argv, "--out", "out.txt"], cwd=inputs)
         assert code == 0
-        assert "prmeval.disagreement" in modules
-        assert not {"numpy", "prmeval.analysis", "prmeval.metrics", *NO_CODEGEN} & modules
+        assert {m for m in modules if m.startswith("prmeval")} == COUNTING_OWN
+        assert not {"numpy", *NO_CODEGEN} & modules
 
     @pytest.mark.parametrize("argv", [
         ["eval", *PAIRS, "--qrels", "qrels.txt", "--run", "run.txt",
@@ -160,18 +165,14 @@ class TestStartup:
         assert "prmeval.metrics" in modules
         assert "numpy" not in modules
 
-    @pytest.mark.parametrize("analysis", [
-        ["bootstrap", "--resamples", "20"],
-        ["budget", "--budgets", "5,10", "--rounds", "3"],
-    ])
-    def test_resampling_loads_no_numpy_ma(self, inputs, analysis):
-        # the bootstrap draws numpy's stream in pure Python and loads no
-        # numpy at all; only the budget sweep imports it
-        argv = ["analyze", analysis[0], *PAIRS, *analysis[1:], "--seed", "1", "--out", "out.txt"]
+    def test_resampling_loads_no_numpy_ma(self, inputs):
+        # the budget sweep imports numpy for its draw, but its summaries
+        # are written out in pure Python, as the bootstrap's are
+        argv = ["analyze", "budget", *PAIRS, "--budgets", "5,10", "--rounds", "3",
+                "--seed", "1", "--out", "out.txt"]
         code, modules = _probe(argv, cwd=inputs)
         assert code == 0
-        assert "prmeval.analysis" in modules
-        assert ("numpy" in modules) == (analysis[0] == "budget")
+        assert {"prmeval.analysis", "prmeval.metrics", "numpy"} <= modules
         assert "numpy.ma" not in modules
 
     def test_cli_import_loads_nothing_new(self):
@@ -270,6 +271,17 @@ print(json.dumps(sorted(sys.modules)))
         modules = set(json.loads(_python(code)))
         assert "prmeval.disagreement" in modules
         assert not {"numpy", "prmeval.analysis", "prmeval.metrics"} & modules
+
+    def test_bootstrap_loads_no_metrics(self):
+        code = """
+import json, sys
+import prmeval
+prmeval.bootstrap_topics
+print(json.dumps(sorted(sys.modules)))
+"""
+        modules = set(json.loads(_python(code)))
+        assert "prmeval.disagreement" in modules
+        assert not {"numpy", "prmeval.analysis", "prmeval.metrics", *NO_CODEGEN} & modules
 
     def test_unknown_name_is_an_attribute_error(self):
         import prmeval
