@@ -1,13 +1,13 @@
 """Command-line interface for estimation, evaluation, and analyses.
 
 Every command is a pure function of its input files, flags, and seed:
-re-running with identical inputs produces byte-identical output.  The
-stochastic subcommands (``analyze bootstrap``, ``analyze budget``) refuse
-to run without an explicit ``--seed``.
+re-running with identical inputs produces byte-identical output.
 
 Exit codes: 0 success; 1 for parse/validation/estimation/metric errors
-(including bad flag combinations) and for running out of memory; 2 for
-I/O errors.
+and for running out of memory; 2 for I/O errors.  Every usage rule of
+the flags (``--seed`` required when resampling, a flag that the other
+flags leave unread, ...) is a row of `_RULES`, checked in order before
+any file is read.
 
 Each handler imports the modules it uses when it runs: ``estimate``,
 ``analyze bootstrap`` and ``analyze quality`` only count pairs, so they
@@ -152,10 +152,9 @@ _FLAGS: dict[str, dict] = {
 _TABLE_THETA = dict(_FLAGS["--theta"], help="user-relevance threshold "
                     "(1..T; default: the --table file's theta, else T)")
 
-# Each value flag's default, by its namespace name.  A flag not given stays
-# None until `_settle` sets these, after the command's usage rules, so that
-# those rules see which flags were given.  `analyze robustness` compares
-# gain schemes, so its own gains default has three.
+# Each value flag's default, by its namespace name (``<kind>_<name>`` for one
+# kind's own).  A flag not given stays None until `_settle` sets these, after
+# the usage rules, so that those see which flags were given.
 _DEFAULTS = dict(
     gains=("binary",), robustness_gains=("binary", "linear", "exponential"),
     discount="log", log_base=2.0, k=10, ideal_pool="qrels", format="text",
@@ -314,17 +313,9 @@ def _render(report: _Report, fmt: str) -> str:
 
 
 def _load_scale(args: argparse.Namespace) -> corpus.RelevanceScale | None:
-    """The --scale file, the first input that a command reads (`validate`
-    reads it only when given).  The last usage rules come before it:
-    --scale itself, --top-intent-only's --intents, then `_settle`; the one
-    rule that needs the scale comes right after it: an estimated table for
-    udm gains is thresholded at the top level."""
+    """The --scale file, the first input read; right after it, the one usage
+    rule that needs it: udm gains from an estimated table need theta = T."""
     from . import corpus
-    if not args.scale and args.command != "validate":
-        raise ValidationError("--scale is required")
-    if args.scale and not args.intents:
-        _not_read(args, "needs --intents", "--top-intent-only")
-    _settle(args)
     if not args.scale:
         return None
     scale = _parse(args.scale, corpus.parse_scale)
@@ -336,32 +327,113 @@ def _load_scale(args: argparse.Namespace) -> corpus.RelevanceScale | None:
 
 
 def _value(args: argparse.Namespace, name: str):
-    """A flag's value as given, else its default: for the rules that read
-    it before `_settle`."""
-    if getattr(args, name) is not None:
-        return getattr(args, name)
-    robustness = name == "gains" and getattr(args, "kind", None) == "robustness"
-    return _DEFAULTS["robustness_gains" if robustness else name]
+    """A flag's value as given, else its default: what `_settle` sets."""
+    value = getattr(args, name)
+    return _DEFAULTS.get(f"{_name(args)}_{name}", _DEFAULTS[name]) if value is None else value
+
+
+def _name(args: argparse.Namespace) -> str:
+    return args.kind if "kind" in args else args.command  # 'eval', 'tau', ...
+
+
+def _scored(args: argparse.Namespace) -> set[str]:
+    # the measures and gain schemes that eval scores; tau and robustness rank by ndcg
+    measures = _value(args, "measures") if "measures" in args else ("ndcg",)
+    return {*measures, *(_value(args, "gains") if "ndcg" in measures else ())}
+
+
+_COUNTING, _RANKING = ("estimate", "bootstrap", "budget"), ("tau", "robustness")
+_NEEDS_TABLE = {"count-prm", "precision", "prm", "udm"}  # measures and gain schemes
+_ESTIMATOR_FLAGS = ("--one-sided-collection", "--condition", "--estimator")
+_ONE_SOURCE = "double judgments must come from exactly one source: --pairs or --qrels + --qrels2"
+_NO_TABLE = "is not read when no measure or gain scheme needs a table"
+_NO_RUN_MEASURE = "is not read without a run measure (precision, ndcg)"
+
+# Every usage rule, in the order that a command reports them.  A row
+# ``(flags, applies, message)`` is broken where ``applies(args)`` holds and,
+# if it has flags, one of them is given (not None nor an unset switch, so
+# ``--theta 0`` and a --config key are): the first given leads the message.
+# A predicate names the parsers it applies to.  Rules that need a file come
+# once it is read: udm's theta, the table's scale and theta, the length of
+# --custom-gains, duplicate system ids, and `validate`'s pairs without a scale.
+_RULES = (
+    (("--condition",), lambda a: a.estimator != "one-sided", "needs --estimator one-sided"),
+    ((), lambda a: _name(a) == "tau" and len(_value(a, "gains")) != 1,
+     "analyze tau uses exactly one gain scheme"),
+    ((), lambda a: _name(a) == "robustness" and not (a.qrels and a.qrels2),
+     "robustness needs --qrels and --qrels2"),
+    ((), lambda a: "seed" in a and a.seed is None,
+     "--seed is required: resampling must be reproducible"),
+    ((), lambda a: "budgets" in a and not a.budgets,
+     "--budgets is required (comma list, e.g. 50,100,200)"),
+    ((), lambda a: _name(a) == "quality" and not a.qrels,
+     "--qrels is required (reference group judgments)"),
+    ((), lambda a: "resource_map" in a and not (a.resource_map or a.resource_regex),
+     "supply --resource-map or --resource-regex"),
+    ((), lambda a: _name(a) == "quality" and not a.pairs,
+     "--pairs is required for the quality sweep"),
+    ((), lambda a: _name(a) in _RANKING and not a.qrels, "--qrels is required"),
+    ((), lambda a: _name(a) in _RANKING and not a.run, "--run is required"),
+    ((), lambda a: _name(a) in _RANKING and len(a.run) < 2, "need at least 2 --run files"),
+    ((), lambda a: _name(a) in _COUNTING and a.pairs and (a.qrels or a.qrels2), _ONE_SOURCE),
+    ((), lambda a: _name(a) == "eval" and a.pairs and a.qrels2, _ONE_SOURCE),
+    (("--intent-field", "--intents", "--top-intent-only"),
+     lambda a: _name(a) in _COUNTING and not a.qrels, "needs --qrels"),
+    (("--intent-field", "--top-intent-only"),
+     lambda a: _name(a) == "validate" and not (a.qrels or a.qrels2), "needs --qrels"),
+    (("--table", "--pairs", "--qrels2", "--override-p0", *_ESTIMATOR_FLAGS),
+     lambda a: _name(a) == "eval" and not _NEEDS_TABLE & _scored(a), _NO_TABLE),
+    (("--table", "--pairs", "--override-p0", *_ESTIMATOR_FLAGS),
+     lambda a: _name(a) in _RANKING and not _NEEDS_TABLE & _scored(a), _NO_TABLE),
+    (("--pairs", "--qrels2", *_ESTIMATOR_FLAGS),
+     lambda a: _name(a) == "eval" and a.table, "is not read beside --table"),
+    (("--pairs", *_ESTIMATOR_FLAGS),
+     lambda a: _name(a) in _RANKING and a.table, "is not read beside --table"),
+    (("--theta",), lambda a: "table" in a and not (
+        {"binary", "count-binary"} & _scored(a) or _NEEDS_TABLE & _scored(a) and not a.table),
+     "is not read without an estimated table, binary gains or count-binary"),
+    (("--custom-gains",), lambda a: "custom" not in _scored(a),
+     "is not read when no custom gains are scored"),
+    ((), lambda a: "custom_gains" in a and not a.custom_gains and "custom" in _scored(a),
+     "custom gains need --custom-gains"),
+    ((), lambda a: (_name(a) in _COUNTING or "table" in a and not a.table
+                    and _NEEDS_TABLE & _scored(a)) and not (a.pairs or a.qrels and a.qrels2),
+     "no double judgments: supply --pairs or both --qrels and --qrels2"),
+    (("--run", "--strict"), lambda a: "measures" in a and not {"precision", "ndcg"} & _scored(a),
+     _NO_RUN_MEASURE),
+    ((), lambda a: _name(a) == "eval" and not a.qrels, "--qrels is required"),
+    ((), lambda a: _name(a) == "eval" and not a.run and {"precision", "ndcg"} & _scored(a),
+     "--run is required"),
+    ((), lambda a: _name(a) != "validate" and not a.scale, "--scale is required"),
+    ((), lambda a: _name(a) == "validate" and (a.qrels or a.qrels2) and not a.scale,
+     "--scale is required to validate qrels"),
+    (("--top-intent-only",), lambda a: a.scale and not a.intents, "needs --intents"),
+    (("--gains", "--discount", "--log-base"),
+     lambda a: "measures" in a and "ndcg" not in _scored(a), "is not read without ndcg"),
+    (("--k",), lambda a: "measures" in a and not {"precision", "ndcg"} & _scored(a),
+     _NO_RUN_MEASURE),
+    (("--ideal-pool",), lambda a: "measures" in a and "ndcg" not in _scored(a),
+     "is not read without ndcg"),
+    (("--log-base",), lambda a: _value(a, "discount") == "zipf",
+     "is not read with --discount zipf"),
+    # on a one-sided collection the symmetric and u2 estimates over-sample agreement
+    (("--one-sided-collection",), lambda a: _value(a, "estimator") != "one-sided",
+     "needs --estimator one-sided"),
+    (("--one-sided-collection",), lambda a: _value(a, "condition") == "u2",
+     "needs --condition u1"),
+)
 
 
 def _settle(args: argparse.Namespace) -> None:
-    """The rules of the flags that have a default, in --help order, then
-    each flag not given takes its default.  --gains, --discount, --log-base
-    and --ideal-pool are read by ndcg only, --k by a run measure, and
-    --log-base not by the zipf discount.  Last, --one-sided-collection
-    needs the one-sided estimator: the symmetric one, given or not, would
-    be biased by it."""
-    if "measures" in args and "ndcg" not in _value(args, "measures"):
-        _not_read(args, "is not read without ndcg", "--gains", "--discount", "--log-base")
-        if "precision" not in args.measures:
-            _not_read(args, "is not read without a run measure (precision, ndcg)", "--k")
-        _not_read(args, "is not read without ndcg", "--ideal-pool")
-    if getattr(args, "discount", None) == "zipf":
-        _not_read(args, "is not read with --discount zipf", "--log-base")
+    """Walk `_RULES` in order, the first row broken being a ValidationError;
+    then, before any file is read, each flag not given takes its default."""
+    for flags, applies, message in _RULES:
+        values = (getattr(args, f[2:].replace("-", "_"), None) for f in flags)
+        given = [f for f, v in zip(flags, values) if v is not None and v is not False]
+        if (given or not flags) and applies(args):
+            raise ValidationError(" ".join([*given[:1], message]))
     for name in _DEFAULTS.keys() & vars(args).keys():
         setattr(args, name, _value(args, name))
-    if getattr(args, "one_sided_collection", False) and args.estimator != "one-sided":
-        raise ValidationError("--one-sided-collection needs --estimator one-sided")
 
 
 def _load_qrels(args: argparse.Namespace, path: str, scale: corpus.RelevanceScale,
@@ -390,76 +462,6 @@ def _load_pairs(args: argparse.Namespace, scale: corpus.RelevanceScale,
     u1 = _load_qrels(args, args.qrels, scale, "u1") if u1 is None else u1
     u2 = _load_qrels(args, args.qrels2, scale, "u2") if u2 is None else u2
     return corpus.pair_judgments(u1, u2).pairs
-
-
-def _need_pairs(args: argparse.Namespace) -> None:
-    """Double judgments are given: --pairs, or both --qrels and --qrels2."""
-    if not (args.pairs or args.qrels and args.qrels2):
-        raise ValidationError("no double judgments: supply --pairs or both --qrels and --qrels2")
-
-
-def _one_source(args: argparse.Namespace, *qrels: str) -> None:
-    """Double judgments come from --pairs or from the overlap of --qrels and
-    --qrels2, never both: --pairs beside any of ``qrels`` is an error."""
-    if args.pairs and any(getattr(args, q) for q in qrels):
-        raise ValidationError("double judgments must come from exactly one source: "
-                              "--pairs or --qrels + --qrels2")
-
-
-def _scale_and_pairs(args: argparse.Namespace) -> tuple[corpus.RelevanceScale,
-                                                        corpus.JudgmentPairs]:
-    """The scale and the double judgments, for a command that reads no
-    other input.  --pairs excludes both qrels here and the intent flags
-    apply to --qrels only; these rules are checked before any file is read."""
-    _one_source(args, "qrels", "qrels2")
-    if not args.qrels:
-        _not_read(args, "needs --qrels", "--intent-field", "--intents", "--top-intent-only")
-    _need_pairs(args)
-    scale = _load_scale(args)
-    return scale, _load_pairs(args, scale)
-
-
-def _not_read(args: argparse.Namespace, rule: str, *flags: str) -> None:
-    """A usage error for the first of ``flags`` given, which the command
-    does not read: ``rule`` follows the flag's name and says why.  A flag
-    is given unless it is None or an unset switch, so ``--theta 0`` is."""
-    for flag in flags:
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value is not None and value is not False:
-            raise ValidationError(f"{flag} {rule}")
-
-
-def _check_scoring_inputs(args: argparse.Namespace, gains: Sequence[str], needed: bool,
-                          binary: bool, *sources: str) -> None:
-    """--table, --override-p0, the estimator flags and the
-    double-judgment ``sources`` are read only when a measure or gain scheme
-    needs a table (``needed``), and --table replaces the sources and the
-    estimator flags; --theta is read by an estimated table and when
-    ``binary``, a binary scheme or count, is scored; --custom-gains is read
-    exactly when ``gains``, the schemes scored, hold custom."""
-    estimator_flags = ("--one-sided-collection", "--condition", "--estimator")
-    if not needed:
-        _not_read(args, "is not read when no measure or gain scheme needs a table",
-                  "--table", *sources, "--override-p0", *estimator_flags)
-    elif args.table:
-        _not_read(args, "is not read beside --table", *sources, *estimator_flags)
-    if not (binary or needed and not args.table):
-        _not_read(args, "is not read without an estimated table, binary gains or "
-                  "count-binary", "--theta")
-    if "custom" not in gains:
-        _not_read(args, "is not read when no custom gains are scored", "--custom-gains")
-    elif not args.custom_gains:
-        raise ValidationError("custom gains need --custom-gains")
-    if needed and not args.table:
-        _need_pairs(args)
-
-
-def _load_runs(args: argparse.Namespace) -> Iterator[corpus.RunRanking]:
-    """The --run files, each parsed when reached; --run is checked on the call."""
-    from . import corpus
-    if not args.run:
-        raise ValidationError("--run is required")
-    return (_parse(path, corpus.parse_run) for path in args.run)
 
 
 def _user_model(args: argparse.Namespace, scale: corpus.RelevanceScale,
@@ -511,7 +513,7 @@ def _resolve_scheme(name: str, args: argparse.Namespace, scale: corpus.Relevance
         return getattr(metrics.GainScheme, name)(top)
     if name in ("prm", "udm"):
         return getattr(metrics.GainScheme, name)(table)
-    # custom, the one name left by `_split`; `_check_scoring_inputs` saw its values given
+    # custom, the one name left by `_split`; `_settle` saw its values given
     if len(args.custom_gains) != top + 1:
         raise ValidationError(f"--custom-gains needs {top + 1} values for this scale, "
                               f"got {len(args.custom_gains)}")
@@ -527,7 +529,8 @@ def _resolve_discount(args: argparse.Namespace) -> metrics.DiscountFunction:
 
 def cmd_estimate(args: argparse.Namespace) -> _Report:
     from . import corpus, disagreement
-    scale, pairs = _scale_and_pairs(args)
+    scale = _load_scale(args)
+    pairs = _load_pairs(args, scale)
     strata = (_parse(args.strata, corpus.parse_strata) if args.strata
               else dict.fromkeys(pairs.topic_ids, "all"))
     opts = _estimator_opts(args)
@@ -577,24 +580,14 @@ def cmd_estimate(args: argparse.Namespace) -> _Report:
 def cmd_eval(args: argparse.Namespace) -> _Report:
     from dataclasses import replace
 
-    from . import metrics
-    measures = _value(args, "measures")
-    scores_runs = "precision" in measures or "ndcg" in measures
-    gains = _value(args, "gains") if "ndcg" in measures else ()
-    needs_table = bool({"count-prm", "precision", "prm", "udm"} & {*measures, *gains})
-    _one_source(args, "qrels2")
-    binary = "binary" in gains or "count-binary" in measures
-    _check_scoring_inputs(args, gains, needs_table, binary, "--pairs", "--qrels2")
-    if not scores_runs:
-        _not_read(args, "is not read without a run measure (precision, ndcg)",
-                  "--run", "--strict")
-    if not args.qrels:
-        raise ValidationError("--qrels is required")
-    runs = _load_runs(args) if scores_runs else ()
+    from . import corpus, metrics
+    measures = args.measures
+    gains = args.gains if "ndcg" in measures else ()
+    runs = (_parse(path, corpus.parse_run) for path in args.run or ())  # each read when reached
     scale = _load_scale(args)
     u1 = _load_qrels(args, args.qrels, scale, "u1")
     doc_levels = u1.doc_levels()
-    table = _resolve_table(args, scale, u1) if needs_table else None
+    table = _resolve_table(args, scale, u1) if _NEEDS_TABLE & _scored(args) else None
     del u1  # its columns are not held while the runs are scored
     discount = _resolve_discount(args)
     # before the counts, so that a binary scheme's own theta error comes first
@@ -657,22 +650,14 @@ def _ranking_inputs(
     args: argparse.Namespace,
 ) -> tuple[Iterator[corpus.RunRanking], tuple[dict, ...], dict[str, metrics.GainScheme]]:
     """Runs (read when iterated), each group's doc levels and the gain
-    schemes.  --qrels2 is the second group to rank against, so a prm/udm
-    table comes from --table or --pairs (not both), else the overlap of the
-    two qrels; without --qrels2 the runs are scored once, against --qrels.
+    schemes.  Without --qrels2 the runs are scored once, against --qrels.
     Each qrels file is read once, before any run."""
-    if not args.qrels:
-        raise ValidationError("--qrels is required")
-    runs = _load_runs(args)
-    if len(args.run) < 2:
-        raise ValidationError("need at least 2 --run files")
-    gains = _value(args, "gains")
-    needs_table = bool({"prm", "udm"} & {*gains})
-    _check_scoring_inputs(args, gains, needs_table, "binary" in gains, "--pairs")
+    from . import corpus
+    runs = (_parse(path, corpus.parse_run) for path in args.run)
     scale = _load_scale(args)
     u1 = _load_qrels(args, args.qrels, scale, "u1")
     u2 = _load_qrels(args, args.qrels2, scale, "u2") if args.qrels2 else u1
-    table = _resolve_table(args, scale, u1, u2) if needs_table else None
+    table = _resolve_table(args, scale, u1, u2) if _NEEDS_TABLE & _scored(args) else None
     schemes = {name: _resolve_scheme(name, args, scale, table) for name in args.gains}
     judged = (u1.doc_levels(),) if u2 is u1 else (u1.doc_levels(), u2.doc_levels())
     return runs, judged, schemes
@@ -680,8 +665,6 @@ def _ranking_inputs(
 
 def _analyze_tau(args: argparse.Namespace) -> _Report:
     from . import analysis
-    if len(_value(args, "gains")) != 1:
-        raise ValidationError("analyze tau uses exactly one gain scheme")
     runs, judged, schemes = _ranking_inputs(args)
     ranks = [rankings[args.gains[0]] for rankings in analysis.rank_by_ndcg(
         runs, judged, schemes, _resolve_discount(args), args.k,
@@ -698,8 +681,6 @@ def _analyze_tau(args: argparse.Namespace) -> _Report:
 
 def _analyze_robustness(args: argparse.Namespace) -> _Report:
     from . import analysis
-    if not (args.qrels and args.qrels2):
-        raise ValidationError("robustness needs --qrels and --qrels2")
     runs, judged, schemes = _ranking_inputs(args)
     taus = analysis.robustness_study(
         runs, *judged, schemes, args.k, _resolve_discount(args),
@@ -712,15 +693,10 @@ def _analyze_robustness(args: argparse.Namespace) -> _Report:
     )
 
 
-def _require_seed(args: argparse.Namespace) -> None:
-    if args.seed is None:
-        raise ValidationError("--seed is required: resampling must be reproducible")
-
-
 def _analyze_bootstrap(args: argparse.Namespace) -> _Report:
     from . import disagreement
-    _require_seed(args)
-    scale, pairs = _scale_and_pairs(args)
+    scale = _load_scale(args)
+    pairs = _load_pairs(args, scale)
     results = disagreement.bootstrap_topics(
         pairs, _user_model(args, scale), scale, **_estimator_opts(args),
         n_resamples=args.resamples, seed=args.seed,
@@ -766,10 +742,8 @@ def _curve_report(curve: disagreement.SensitivityCurve) -> _Report:
 
 def _analyze_budget(args: argparse.Namespace) -> _Report:
     from . import analysis
-    _require_seed(args)
-    if not args.budgets:
-        raise ValidationError("--budgets is required (comma list, e.g. 50,100,200)")
-    scale, pairs = _scale_and_pairs(args)
+    scale = _load_scale(args)
+    pairs = _load_pairs(args, scale)
     return _curve_report(analysis.simulate_annotation_rounds(
         pairs, _user_model(args, scale), scale, args.budgets,
         n_rounds=args.rounds, seed=args.seed, **_estimator_opts(args),
@@ -778,13 +752,6 @@ def _analyze_budget(args: argparse.Namespace) -> _Report:
 
 def _analyze_quality(args: argparse.Namespace) -> _Report:
     from . import corpus, disagreement
-    # every missing flag is reported before any file is read
-    if not args.qrels:
-        raise ValidationError("--qrels is required (reference group judgments)")
-    if not (args.resource_map or args.resource_regex):
-        raise ValidationError("supply --resource-map or --resource-regex")
-    if not args.pairs:
-        raise ValidationError("--pairs is required for the quality sweep")
     scale = _load_scale(args)
     reference = _load_qrels(args, args.qrels, scale, "u1")
     if args.resource_map:
@@ -802,8 +769,6 @@ def cmd_validate(args: argparse.Namespace) -> _Report:
     """One row per input: its record count (levels, for the scale), its
     topic count and, for a run, its system id."""
     from . import corpus
-    if not (args.qrels or args.qrels2):
-        _not_read(args, "needs --qrels", "--intent-field", "--top-intent-only")
     rows: list[list] = []
     text: list[str] = []
     scale = _load_scale(args)
@@ -812,8 +777,6 @@ def cmd_validate(args: argparse.Namespace) -> _Report:
         text.append(f"ok: scale with {scale.top_index + 1} levels {scale.labels}")
     for label, path, group in (("qrels", args.qrels, "u1"), ("qrels2", args.qrels2, "u2")):
         if path:
-            if scale is None:
-                raise ValidationError("--scale is required to validate qrels")
             js = _load_qrels(args, path, scale, group)
             n_topics = len(js.topics())
             rows.append([label, path, len(js), n_topics, None])
@@ -853,10 +816,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             # flags that follow win
             at = argv.index(args.command) + (2 if "kind" in args else 1)
             args = parser.parse_args(argv[:at] + _config_flags(args) + argv[at:])
-        # a rule between two switches, ahead of each command's own rules:
-        # those name --condition as unread only once it could be read
-        if "condition" in args and args.estimator != "one-sided":
-            _not_read(args, "needs --estimator one-sided", "--condition")
+        _settle(args)
         text = _render(args.handler(args), args.format)
         if args.out is None:
             sys.stdout.write(text)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -11,6 +12,7 @@ from unittest import mock
 
 import pytest
 
+from prmeval import cli
 from prmeval.cli import build_parser, main
 from prmeval.errors import DataWarning
 
@@ -1524,6 +1526,129 @@ def _valid(ws, words: str) -> list[str]:
     return [*words.split(), "--scale", ws["scale"], *theta, *files]
 
 
+# One case or more for each row of `cli._RULES`, in its order: (id, command
+# line, the one error line).  Every path names a file that does not exist,
+# M here, so a case passes only if its rule fires before any file is read.
+M = "missing"
+RANK_FLAGS = ["--scale", M, "--qrels", M, "--run", M, "--run", M]
+RANK2_FLAGS = [*RANK_FLAGS, "--qrels2", M]
+EVAL_ARGV = ["eval", "--scale", M, "--qrels", M]
+NEEDS_ONE_SIDED = "--one-sided-collection needs --estimator one-sided"
+NEEDS_U1 = "--one-sided-collection needs --condition u1"
+NOT_READ_NO_TABLE = "is not read when no measure or gain scheme needs a table"
+RULE_CASES = [
+    ("estimate-condition", ["estimate", "--scale", M, "--pairs", M, "--condition", "u2"],
+     "--condition needs --estimator one-sided"),
+    ("tau-two-gains", ["analyze", "tau", *RANK_FLAGS, "--gains", "binary,prm", "--pairs", M],
+     "analyze tau uses exactly one gain scheme"),
+    ("robustness-no-qrels2", ["analyze", "robustness", *RANK_FLAGS],
+     "robustness needs --qrels and --qrels2"),
+    ("bootstrap-seed", ["analyze", "bootstrap", "--scale", M, "--pairs", M],
+     "--seed is required: resampling must be reproducible"),
+    ("budget-seed", ["analyze", "budget", "--scale", M, "--pairs", M, "--budgets", "5"],
+     "--seed is required: resampling must be reproducible"),
+    ("budget-budgets", ["analyze", "budget", "--scale", M, "--pairs", M, "--seed", "1"],
+     "--budgets is required (comma list, e.g. 50,100,200)"),
+    ("quality-qrels", ["analyze", "quality", "--scale", M, "--pairs", M, "--resource-map", M],
+     "--qrels is required (reference group judgments)"),
+    ("quality-resource", ["analyze", "quality", "--scale", M, "--pairs", M, "--qrels", M],
+     "supply --resource-map or --resource-regex"),
+    ("quality-pairs", ["analyze", "quality", "--scale", M, "--qrels", M,
+                       "--resource-regex", "^(d)"], "--pairs is required for the quality sweep"),
+    ("tau-qrels", ["analyze", "tau", "--scale", M, "--run", M, "--run", M], "--qrels is required"),
+    ("tau-run", ["analyze", "tau", "--scale", M, "--qrels", M], "--run is required"),
+    ("robustness-one-run", ["analyze", "robustness", "--scale", M, "--qrels", M, "--qrels2", M,
+                            "--run", M], "need at least 2 --run files"),
+    ("bootstrap-one-source", ["analyze", "bootstrap", "--scale", M, "--seed", "1", "--pairs", M,
+                              "--qrels", M], "double judgments must come from exactly one "
+     "source: --pairs or --qrels + --qrels2"),
+    ("eval-one-source", [*EVAL_ARGV, "--run", M, "--gains", "prm", "--pairs", M, "--qrels2", M],
+     "double judgments must come from exactly one source: --pairs or --qrels + --qrels2"),
+    ("estimate-intents", ["estimate", "--scale", M, "--pairs", M, "--intents", M],
+     "--intents needs --qrels"),
+    ("validate-intent-field", ["validate", "--scale", M, "--pairs", M, "--intent-field"],
+     "--intent-field needs --qrels"),
+    ("eval-qrels2", [*EVAL_ARGV, "--measures", "count-binary", "--qrels2", M],
+     f"--qrels2 {NOT_READ_NO_TABLE}"),
+    ("tau-table", ["analyze", "tau", *RANK_FLAGS, "--gains", "linear", "--table", M],
+     f"--table {NOT_READ_NO_TABLE}"),
+    ("eval-pairs-beside-table", [*EVAL_ARGV, "--measures", "count-prm", "--table", M,
+                                 "--pairs", M], "--pairs is not read beside --table"),
+    ("robustness-estimator-beside-table", ["analyze", "robustness", *RANK2_FLAGS, "--gains",
+                                           "prm", "--table", M, "--estimator", "symmetric"],
+     "--estimator is not read beside --table"),
+    ("eval-theta", [*EVAL_ARGV, "--measures", "count-prm", "--table", M, "--theta", "2"],
+     "--theta is not read without an estimated table, binary gains or count-binary"),
+    ("tau-custom-gains", ["analyze", "tau", *RANK_FLAGS, "--custom-gains", "1,2,3"],
+     "--custom-gains is not read when no custom gains are scored"),
+    ("robustness-custom", ["analyze", "robustness", *RANK2_FLAGS, "--gains", "custom,linear"],
+     "custom gains need --custom-gains"),
+    ("estimate-pairs", ["estimate", "--scale", M, "--qrels", M],
+     "no double judgments: supply --pairs or both --qrels and --qrels2"),
+    ("eval-count-prm-pairs", [*EVAL_ARGV, "--measures", "count-prm"],
+     "no double judgments: supply --pairs or both --qrels and --qrels2"),
+    ("eval-count-run", [*EVAL_ARGV, "--measures", "count-binary", "--run", M],
+     "--run is not read without a run measure (precision, ndcg)"),
+    ("eval-qrels", ["eval", "--scale", M, "--run", M], "--qrels is required"),
+    ("eval-run", [*EVAL_ARGV, "--measures", "precision,count-binary", "--table", M],
+     "--run is required"),
+    ("estimate-scale", ["estimate", "--pairs", M], "--scale is required"),
+    ("validate-scale", ["validate", "--qrels2", M], "--scale is required to validate qrels"),
+    ("estimate-top-intent-only", ["estimate", "--scale", M, "--qrels", M, "--qrels2", M,
+                                  "--top-intent-only"], "--top-intent-only needs --intents"),
+    ("eval-gains", [*EVAL_ARGV, "--measures", "count-binary", "--gains", "binary"],
+     "--gains is not read without ndcg"),
+    ("eval-k", [*EVAL_ARGV, "--measures", "count-binary", "--k", "10"],
+     "--k is not read without a run measure (precision, ndcg)"),
+    ("eval-ideal-pool", [*EVAL_ARGV, "--measures", "precision", "--run", M, "--table", M,
+                         "--ideal-pool", "qrels"], "--ideal-pool is not read without ndcg"),
+    ("robustness-log-base", ["analyze", "robustness", *RANK2_FLAGS, "--discount", "zipf",
+                             "--log-base", "2"], "--log-base is not read with --discount zipf"),
+    # the symmetric estimator's rule, and then the u2 direction's, in every
+    # parser that takes --one-sided-collection
+    ("estimate", ["estimate", "--scale", M, "--pairs", M, "--one-sided-collection"],
+     NEEDS_ONE_SIDED),
+    ("estimate-all", ["estimate", "--scale", M, "--pairs", M, "--one-sided-collection",
+                      "--estimator", "all"], NEEDS_ONE_SIDED),
+    ("eval", [*EVAL_ARGV, "--run", M, "--gains", "prm", "--pairs", M, "--one-sided-collection",
+              "--estimator", "symmetric"], NEEDS_ONE_SIDED),
+    ("tau", ["analyze", "tau", *RANK_FLAGS, "--gains", "prm", "--pairs", M,
+             "--one-sided-collection"], NEEDS_ONE_SIDED),
+    ("robustness", ["analyze", "robustness", *RANK2_FLAGS, "--gains", "prm",
+                    "--one-sided-collection"], NEEDS_ONE_SIDED),
+    ("bootstrap", ["analyze", "bootstrap", "--scale", M, "--pairs", M, "--seed", "1",
+                   "--one-sided-collection"], NEEDS_ONE_SIDED),
+    ("budget", ["analyze", "budget", "--scale", M, "--pairs", M, "--seed", "1", "--budgets", "5",
+                "--one-sided-collection"], NEEDS_ONE_SIDED),
+    ("quality", ["analyze", "quality", "--scale", M, "--pairs", M, "--qrels", M,
+                 "--resource-regex", "^(d)", "--one-sided-collection"], NEEDS_ONE_SIDED),
+    *((f"{words[-1]}-u2", [*words, *flags, "--one-sided-collection", "--estimator", "one-sided",
+                           "--condition", "u2"], NEEDS_U1) for words, flags in [
+        (["estimate"], ["--scale", M, "--pairs", M]),
+        (["eval"], [*EVAL_ARGV[1:], "--run", M, "--gains", "prm", "--pairs", M]),
+        (["analyze", "tau"], [*RANK_FLAGS, "--gains", "prm", "--pairs", M]),
+        (["analyze", "robustness"], [*RANK2_FLAGS, "--gains", "binary,prm"]),
+        (["analyze", "bootstrap"], ["--scale", M, "--pairs", M, "--seed", "1"]),
+        (["analyze", "budget"], ["--scale", M, "--pairs", M, "--seed", "1", "--budgets", "5"]),
+        (["analyze", "quality"], ["--scale", M, "--pairs", M, "--qrels", M,
+                                  "--resource-regex", "^(d)"]),
+    ]),
+]
+
+
+def _run_rules(argv: list[str], missing: str) -> tuple[int, str, str, list[int]]:
+    """`main` on ``argv`` with "M" as ``missing``: exit code, stdout, stderr
+    and the index of each row of `cli._RULES` that fired (at most one)."""
+    fired: list[int] = []
+    rows = [(flags, lambda a, i=i, applies=applies: applies(a) and not fired.append(i), message)
+            for i, (flags, applies, message) in enumerate(cli._RULES)]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "_RULES", rows), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        code = main([missing if a == M else a for a in argv])
+    return code, out.getvalue(), err.getvalue(), fired
+
+
 class TestUnreadFlags:
     """Each command and analysis kind has its own parser, which takes
     exactly the flags its handler reads; a flag that another kind takes is
@@ -1664,44 +1789,32 @@ class TestUnreadFlags:
         ])
         assert (code, out, err) == (1, "", f"error: {line}\n")
 
-    ONE_SIDED = "--one-sided-collection needs --estimator one-sided"
+    @pytest.mark.parametrize("argv, line", [case[1:] for case in RULE_CASES],
+                             ids=[case[0] for case in RULE_CASES])
+    def test_rule_is_one_error_line_before_any_judgment(self, tmp_path, argv, line):
+        # each row of the rule table fires before any file is read: every
+        # path here names a file that does not exist
+        code, out, err, fired = _run_rules(argv, str(tmp_path / "missing.txt"))
+        assert (code, out, err, len(fired)) == (1, "", f"error: {line}\n", 1)
+
     UDM = "udm gains need a table thresholded at the top level (theta = 2), got theta = 1"
     RANK = ["--qrels", "missing", "--run", "missing", "--run", "missing"]
 
-    @pytest.mark.parametrize("argv, line", [
-        (["estimate", "--pairs", "missing", "--one-sided-collection"], ONE_SIDED),
-        (["estimate", "--pairs", "missing", "--one-sided-collection", "--estimator", "all"],
-         ONE_SIDED),
-        (["eval", "--qrels", "missing", "--run", "missing", "--gains", "prm",
-          "--pairs", "missing", "--one-sided-collection", "--estimator", "symmetric"], ONE_SIDED),
-        (["analyze", "tau", *RANK, "--gains", "prm", "--pairs", "missing",
-          "--one-sided-collection"], ONE_SIDED),
-        (["analyze", "robustness", *RANK, "--qrels2", "missing", "--gains", "prm",
-          "--one-sided-collection"], ONE_SIDED),
-        (["analyze", "bootstrap", "--pairs", "missing", "--seed", "1",
-          "--one-sided-collection"], ONE_SIDED),
-        (["analyze", "budget", "--pairs", "missing", "--seed", "1", "--budgets", "5",
-          "--one-sided-collection"], ONE_SIDED),
-        (["analyze", "quality", "--pairs", "missing", "--qrels", "missing",
-          "--resource-regex", "^(d)", "--one-sided-collection"], ONE_SIDED),
-        (["eval", "--qrels", "missing", "--run", "missing", "--gains", "udm", "--theta", "1",
-          "--pairs", "missing"], UDM),
-        (["analyze", "tau", *RANK, "--qrels2", "missing", "--gains", "udm", "--theta", "1"],
-         UDM),
-        (["analyze", "robustness", *RANK, "--qrels2", "missing", "--gains", "binary,udm",
-          "--theta", "1", "--estimator", "one-sided"], UDM),
-    ], ids=["estimate", "estimate-all", "eval", "tau", "robustness", "bootstrap", "budget",
-            "quality", "eval-udm", "tau-udm", "robustness-udm"])
-    def test_rule_is_one_error_line_before_any_judgment(self, capsys, ws, tmp_path, argv, line):
-        # the estimator rule comes before the scale is read, and the udm
-        # rule right after it: every other path names a file that does not
-        # exist
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--qrels", "missing", "--run", "missing", "--gains", "udm", "--theta", "1",
+         "--pairs", "missing"],
+        ["analyze", "tau", *RANK, "--qrels2", "missing", "--gains", "udm", "--theta", "1"],
+        ["analyze", "robustness", *RANK, "--qrels2", "missing", "--gains", "binary,udm",
+         "--theta", "1", "--estimator", "one-sided"],
+    ], ids=["eval-udm", "tau-udm", "robustness-udm"])
+    def test_udm_rule_comes_right_after_the_scale(self, capsys, ws, tmp_path, argv):
+        # the one rule that needs the scale: every other path names a file
+        # that does not exist
         missing = str(tmp_path / "missing.txt")
-        scale = missing if line == self.ONE_SIDED else ws["scale"]
         code, out, err = run_cli(capsys, [
-            *(missing if a == "missing" else a for a in argv), "--scale", scale,
+            *(missing if a == "missing" else a for a in argv), "--scale", ws["scale"],
         ])
-        assert (code, out, err) == (1, "", f"error: {line}\n")
+        assert (code, out, err) == (1, "", f"error: {self.UDM}\n")
 
     @pytest.mark.parametrize("words", [w for w in PARSERS if w not in ("estimate", "validate")])
     def test_estimator_all_is_for_estimate_only(self, capsys, ws, words):
@@ -1832,6 +1945,31 @@ class TestUnreadValueFlags:
         "validate": OUTPUT | {"--pairs", "--qrels", "--qrels2", "--run", "--intents"},
     }
     READ["analyze robustness"] = READ["analyze tau"]
+
+    @pytest.fixture(scope="class")
+    def fired(self, tmp_path_factory) -> dict[int, list[str]]:
+        """The ids of the `RULE_CASES` that fire each row of the rule table."""
+        missing = str(tmp_path_factory.mktemp("rules") / "missing.txt")
+        found: dict[int, list[str]] = {}
+        for name, argv, _ in RULE_CASES:
+            for row in _run_rules(argv, missing)[3]:
+                found.setdefault(row, []).append(name)
+        return found
+
+    @pytest.mark.parametrize("row", range(len(cli._RULES)), ids=lambda row: " ".join(
+        [*cli._RULES[row][0][:1], cli._RULES[row][2]]))
+    def test_each_rule_has_a_case(self, fired, row):
+        # so no rule is added without a command line that breaks it
+        assert fired.get(row), "add a case for this row to RULE_CASES"
+
+    def test_readme_lists_the_rule_table(self):
+        # README's table of usage errors: one line per row, in order, with
+        # the row's flags and its message
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        lines = readme[readme.index("| # | flags |"):].split("\n\n")[0].splitlines()[2:]
+        cells = [line.split(" | ") for line in lines]
+        listed = [(tuple(re.findall(r"`(--[\w-]+)`", c[1])), c[3].strip("`")) for c in cells]
+        assert listed == [(flags, message) for flags, _, message in cli._RULES]
 
     def test_each_value_flag_is_read_or_has_an_unread_case(self):
         for words, parser in PARSERS.items():
