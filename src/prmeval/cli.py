@@ -262,11 +262,12 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
 
 
 @contextlib.contextmanager
-def _open(path: str):
-    """``path`` open as UTF-8 text without a leading byte-order mark;
-    bytes that are not UTF-8 are a ParseError that names the file."""
+def _open(path: str, binary: bool = False):
+    """``path`` open as UTF-8 text without a leading byte-order mark, or
+    ``binary`` for a reader that decodes it as such (see `_parse`); bytes
+    that are not UTF-8 are a ParseError that names the file."""
     try:
-        with open(path, encoding="utf-8-sig") as fh:
+        with open(path, "rb") if binary else open(path, encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         bad = f"byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
@@ -276,9 +277,12 @@ def _open(path: str):
 def _parse(path: str, parser, *args, **kwargs):
     """``parser(open stream of path, *args, **kwargs)``; its errors and
     warnings name the file.  The qrels, pairs and run parsers read the
-    stream in blocks, the scale and table parsers read it whole, the
+    binary stream in blocks and decode only the blocks and columns they
+    need, the scale and table parsers read the text stream whole, the
     others line by line."""
-    with _open(path) as fh:
+    from . import corpus
+    binary = parser in (corpus.parse_qrels, corpus.parse_paired, corpus.parse_run)
+    with _open(path, binary) as fh:
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -355,7 +359,7 @@ _NO_RUN_MEASURE = "is not read without a run measure (precision, ndcg)"
 # ``--theta 0`` and a --config key are): the first given leads the message.
 # A predicate names the parsers it applies to.  Rules that need a file come
 # once it is read: udm's theta, the table's scale and theta, the length of
-# --custom-gains, duplicate system ids, and `validate`'s pairs without a scale.
+# --custom-gains, and duplicate system ids.
 _RULES = (
     (("--condition",), lambda a: a.estimator != "one-sided", "needs --estimator one-sided"),
     ((), lambda a: _name(a) == "tau" and len(_value(a, "gains")) != 1,
@@ -407,6 +411,8 @@ _RULES = (
     ((), lambda a: _name(a) != "validate" and not a.scale, "--scale is required"),
     ((), lambda a: _name(a) == "validate" and (a.qrels or a.qrels2) and not a.scale,
      "--scale is required to validate qrels"),
+    ((), lambda a: _name(a) == "validate" and a.pairs and not a.scale,
+     "--scale is required to validate pairs"),
     (("--top-intent-only",), lambda a: a.scale and not a.intents, "needs --intents"),
     (("--gains", "--discount", "--log-base"),
      lambda a: "measures" in a and "ndcg" not in _scored(a), "is not read without ndcg"),
@@ -421,17 +427,34 @@ _RULES = (
      "needs --estimator one-sided"),
     (("--one-sided-collection",), lambda a: _value(a, "condition") == "u2",
      "needs --condition u1"),
+    # values out of range, in the library's words
+    ((), lambda a: _below(a, "theta", 1), "theta must be >= 1, got {theta}"),
+    ((), lambda a: _below(a, "seed", 0), "seed must be a non-negative integer, got {seed!r}"),
+    ((), lambda a: _below(a, "resamples", 1), "n_resamples must be >= 1, got {resamples}"),
+    ((), lambda a: _below(a, "rounds", 1), "n_rounds must be >= 1, got {rounds}"),
+    ((), lambda a: getattr(a, "log_base", None) is not None and not a.log_base > 1,
+     "log discount base must be > 1, got {log_base}"),
+    ((), lambda a: getattr(a, "log_base", None) == float("inf"),
+     "log discount base must be finite, got {log_base}"),
+    ((), lambda a: _below(a, "k", 1), "k must be >= 1, got {k}"),
 )
 
 
+def _below(args: argparse.Namespace, name: str, low: float) -> bool:
+    """Whether the flag ``name`` is given with a value below ``low`` (NaN included)."""
+    value = getattr(args, name, None)
+    return value is not None and not value >= low
+
+
 def _settle(args: argparse.Namespace) -> None:
-    """Walk `_RULES` in order, the first row broken being a ValidationError;
-    then, before any file is read, each flag not given takes its default."""
+    """Walk `_RULES` in order, the first row broken being a ValidationError
+    (its message with the flags' values put in); then, before any file is
+    read, each flag not given takes its default."""
     for flags, applies, message in _RULES:
         values = (getattr(args, f[2:].replace("-", "_"), None) for f in flags)
         given = [f for f, v in zip(flags, values) if v is not None and v is not False]
         if (given or not flags) and applies(args):
-            raise ValidationError(" ".join([*given[:1], message]))
+            raise ValidationError(" ".join([*given[:1], message.format_map(vars(args))]))
     for name in _DEFAULTS.keys() & vars(args).keys():
         setattr(args, name, _value(args, name))
 
@@ -784,8 +807,6 @@ def cmd_validate(args: argparse.Namespace) -> _Report:
     if args.intents and "intent_probs" not in args:  # checked without qrels too
         args.intent_probs = _parse(args.intents, corpus.parse_intent_probabilities)
     if args.pairs:
-        if scale is None:
-            raise ValidationError("--scale is required to validate pairs")
         pairs = _parse(args.pairs, corpus.parse_paired, scale)
         rows.append(["pairs", args.pairs, len(pairs), len(set(pairs.topic_ids)), None])
         text.append(f"ok: pairs with {len(pairs)} double judgments")

@@ -23,10 +23,11 @@ record: a :class:`JudgmentSet` holds topic, doc, level and intent
 columns, and a :class:`JudgmentPairs` holds topic and doc columns plus
 each pair's cell code ``l1 * (T+1) + l2``.  Their records are built only
 when a caller reads them.  ``parse_qrels``, ``parse_paired`` and
-``parse_run`` read a file's text or stream in blocks of whole lines
-(``_blocks``): a block of plain records is read with one ``split()``,
-and any other block goes to the line reader, which words every error
-and warning with the line's number in the file.
+``parse_run`` read a file's text or its text or binary stream in blocks
+of whole lines (``_blocks``): a block of plain records is read with one
+``split()``, of its bytes when it is ASCII, and any other block goes to
+the line reader, which words every error and warning with the line's
+number in the file.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import re
 import warnings
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from itertools import accumulate, groupby, repeat
+from itertools import accumulate, chain, groupby, repeat
 from typing import IO
 
 from .errors import DataWarning, ParseError, ValidationError
@@ -593,16 +594,19 @@ def _index_run(
 
 
 def _records(
-    source: str | Iterable[str], spec: str, start: int = 1
+    source: str | bytes | Iterable[str], spec: str, start: int = 1
 ) -> Iterator[tuple[int, list[str]]]:
     """Yield (line_no, fields) skipping blanks and ``#`` comment lines,
-    numbering the lines of ``source`` from ``start``; a str is split into
-    lines at each newline character.
+    numbering the lines of ``source`` from ``start``; a str, or a block
+    of ASCII bytes (see :func:`_splittable`), is split into lines at each
+    newline character.
 
     ``spec`` names the fields, space-separated; a record with another
     number of fields is a ParseError.
     """
     n = len(spec.split())
+    if isinstance(source, bytes):
+        source = source.decode()
     if isinstance(source, str):
         source = source.split("\n")
     for line_no, raw in enumerate(source, start=start):
@@ -626,39 +630,74 @@ _BLOCK = 1 << 16
 
 
 def _blocks(
-    source: str | IO[str] | Iterable[str], spec: str, skip: tuple[int, ...] = ()
-) -> Iterator[tuple[int, str | Iterable[str], list[list[str] | None] | None]]:
+    source: str | IO[str] | IO[bytes] | Iterable[str], spec: str, skip: tuple[int, ...] = ()
+) -> Iterator[tuple[int, bytes | str | Iterable[str], list[list | None] | None]]:
     """Yield ``(start, lines, columns)`` for each block of whole lines of
     ``source``, where ``start`` numbers the block's first line.
 
-    A str or a text stream is read ``_BLOCK`` characters at a time, each
-    block completed to the end of the line it cuts, so no file is held
-    whole; ``lines`` is then the block's text and ``columns`` its field
-    columns (None at the indices in ``skip``, which the reader does not
-    use) when every line is a plain record of ``spec``, else None.
-    Any other iterable of lines is one block with no columns.
+    A str or a text stream is read ``_BLOCK`` characters at a time, and a
+    binary stream ``_BLOCK`` bytes, each block completed to the end of the
+    line it cuts, so no file is held whole; ``lines`` is then the block as
+    :func:`_splittable` gives it, ASCII bytes or text, and ``columns`` its
+    field columns, of bytes or str tokens (None at the indices in
+    ``skip``, which the reader does not use), when every line is a plain
+    record of ``spec``, else None.  Any other iterable of lines is one
+    block with no columns.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
-    if not isinstance(source, io.TextIOBase):
+    binary = isinstance(source, (io.BufferedIOBase, io.RawIOBase))
+    if not binary and not isinstance(source, io.TextIOBase):
         yield 1, source, None
         return
+    newline = b"\n" if binary else "\n"
     start = 1
     while block := source.read(_BLOCK):
-        if not block.endswith("\n"):
+        if not block.endswith(newline):
             block += source.readline()
-        n_lines = block.count("\n")
-        yield start, block, _columns(block, spec, n_lines, skip)
+        # only a block that starts the file starts with line 1
+        lines = _splittable(block, binary, start == 1)
+        n_lines = lines.count(_SPELL[type(lines)]("\n"))
+        yield start, lines, _columns(lines, spec, n_lines, skip)
         start += n_lines
 
 
+# bytes that only text splits at: "\r" ends a line in a file read as text,
+# and str.split() takes "\x1c" to "\x1f" for blanks, but bytes.split() does not
+_TEXT_ONLY = (b"\r", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _splittable(block: bytes | str, binary: bool, first: bool) -> bytes | str:
+    """``block`` as the type its tokens are split in: bytes when it is
+    ASCII and holds none of ``_TEXT_ONLY`` (an ASCII str is encoded),
+    otherwise text.  A binary block is decoded as a file opened as UTF-8
+    text reads it: strictly, so a byte that is not UTF-8 raises
+    UnicodeDecodeError, with a leading byte-order mark dropped from the
+    file's ``first`` block, and with ``"\\r\\n"`` and ``"\\r"`` read as
+    ``"\\n"``.  A block ends at a newline or at the end of the file, so
+    neither a character nor a ``"\\r\\n"`` is cut in two.
+    """
+    if block.isascii():
+        raw = block if binary else block.encode()
+        if not any(map(raw.__contains__, _TEXT_ONLY)):
+            return raw
+    if not binary:
+        return block
+    text = block.decode("utf-8-sig" if first else "utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+# each constant of the tokeniser as a token of either type
+_SPELL = {str: str, bytes: str.encode}
 _SENTINEL = "\0"
 
 
-def _columns(text: str, spec: str, n_lines: int, skip: tuple) -> list | None:
+def _columns(text: bytes | str, spec: str, n_lines: int, skip: tuple) -> list | None:
     """The field columns of ``text`` (None at the indices in ``skip``) if
     each of its ``n_lines`` lines holds the fields of ``spec`` and none is
-    a comment; None otherwise.
+    a comment; None otherwise.  The tokens are of the type of ``text``,
+    bytes or str, and so are the newline, sentinel and ``#`` they are
+    checked against.
 
     One ``split()`` reads the whole text, with each newline first turned
     into a sentinel token, so that each line's fields end at a sentinel.
@@ -669,33 +708,38 @@ def _columns(text: str, spec: str, n_lines: int, skip: tuple) -> list | None:
     boundaries of ``str.splitlines`` (such as ``\\x0b`` or ``\\u2028``),
     which ``split()`` treats as blanks within a line.
     """
-    if _SENTINEL in text:
+    spell = _SPELL[type(text)]
+    newline, sentinel = spell("\n"), spell(_SENTINEL)
+    if sentinel in text:
         return None
-    if not text.endswith("\n"):
-        text += "\n"
+    if not text.endswith(newline):
+        text += newline
         n_lines += 1
     n = len(spec.split())
-    tokens = text.replace("\n", f" {_SENTINEL} ").split()
-    if len(tokens) != (n + 1) * n_lines or tokens[n :: n + 1].count(_SENTINEL) != n_lines:
+    tokens = text.replace(newline, spell(f" {_SENTINEL} ")).split()
+    if len(tokens) != (n + 1) * n_lines or tokens[n :: n + 1].count(sentinel) != n_lines:
         return None
     columns = [None if i in skip else tokens[i :: n + 1] for i in range(n)]
-    if "#" in text and any(field.startswith("#") for field in columns[0]):
+    hash_mark = spell("#")
+    if hash_mark in text and any(field.startswith(hash_mark) for field in columns[0]):
         return None
     return columns
 
 
-_DIGITS = {str(i): i for i in range(10)}
+# the levels 0 to 9 by their token, for either token type
+_DIGITS = {kind: {spell(str(i)): i for i in range(10)} for kind, spell in _SPELL.items()}
 
 
-def _levels(column: list[str], top: int) -> list[int] | None:
+def _levels(column: list, top: int) -> list[int] | None:
     """The integer levels of a field column with negatives clamped to 0,
     or None if one is not an integer or lies above ``top``.
 
     Tokens ``"0"``...``"9"`` are looked up; only a column with another
-    token (``"+1"``, ``"01"``, ``"-3"``, ...) is read with ``int()``.
+    token (``"+1"``, ``"01"``, ``"-3"``, ...) is read with ``int()``,
+    which reads bytes tokens as it reads str ones.
     """
     try:
-        levels = list(map(_DIGITS.__getitem__, column))
+        levels = list(map(_DIGITS[type(column[0])].__getitem__, column))
     except KeyError:
         try:
             levels = [level if level > 0 else 0 for level in map(int, column)]
@@ -704,10 +748,30 @@ def _levels(column: list[str], top: int) -> list[int] | None:
     return None if max(levels) > top else levels
 
 
-def _cuts(topics: Sequence[str]) -> list[int]:
+def _text(column: list) -> list[str]:
+    """A token column as str: a column of bytes tokens is decoded in one go."""
+    if isinstance(column[0], str):
+        return column
+    return b" ".join(column).decode().split(" ")
+
+
+def _cuts(topics: Sequence) -> list[int]:
     """``[0, ..., n]``: the bounds of each stretch of equal topics (``[0]``
     when there are none)."""
     return list(accumulate((len(list(g)) for _, g in groupby(topics)), initial=0))
+
+
+def _stretches(topics: list) -> tuple[list[int], list[str]]:
+    """The bounds of each stretch of equal topics in a token column (see
+    :func:`_cuts`) and each stretch's topic as str, decoded once."""
+    cuts = _cuts(topics)
+    return cuts, _text([topics[a] for a in cuts[:-1]])
+
+
+def _topic_rows(cuts: list[int], names: list[str]) -> list[str]:
+    """The topic of each row of the stretches that :func:`_stretches`
+    gives, with one string for each stretch."""
+    return list(chain.from_iterable(map(repeat, names, map(operator.sub, cuts[1:], cuts))))
 
 
 def _docs_by_topic(topics: Sequence[str], docs: Sequence[str]) -> dict[str, set[str]]:
@@ -753,7 +817,7 @@ _PAIRED = "topic doc level_u1 level_u2"
 
 
 def parse_qrels(
-    source: str | IO[str] | Iterable[str],
+    source: str | IO[str] | IO[bytes] | Iterable[str],
     scale: RelevanceScale,
     group: str,
     *,
@@ -770,11 +834,15 @@ def parse_qrels(
     given, otherwise from the non-zero intents observed in the file.
 
     Negative levels clamp to 0; levels above the scale top are errors.
-    ``source`` is the file's text or stream, or an iterable of its lines.
-    A block of plain records with valid levels and no intent-``0`` record
-    is taken at once; any other block goes through the line reader, which
-    words every error and warning.  Keys are checked once, at the end:
-    with no intents, as each topic's set of doc ids.
+    ``source`` is the file's text, its text stream, its binary stream
+    (``IO[bytes]``, read as UTF-8 text, see :func:`_splittable`), or an
+    iterable of its lines.  A block of plain records with valid levels
+    and no intent-``0`` record is taken at once: when it is ASCII, it is
+    split as bytes, and only its doc ids (and intents) and one topic per
+    stretch of equal topics are decoded.  Any other block goes through
+    the line reader, which words every error and warning.  Keys are
+    checked once, at the end: with no intents, as each topic's set of
+    doc ids.
     """
     top = scale.top_index
     topics, docs, levels, intents = [], [], [], []
@@ -783,12 +851,12 @@ def parse_qrels(
         if columns is not None:
             block_topics, seconds, block_docs, level_column = columns
             block_levels = _levels(level_column, top)
-            if block_levels is not None and not (intent_field and "0" in seconds):
-                topics += block_topics
-                docs += block_docs
+            block_intents = _text(seconds) if intent_field else ()
+            if block_levels is not None and "0" not in block_intents:
+                topics += _topic_rows(*_stretches(block_topics))
+                docs += _text(block_docs)
                 levels += block_levels
-                if intent_field:
-                    intents += seconds
+                intents += block_intents
                 continue
         for line_no, fields in _records(lines, _QRELS, start):
             topic, second, doc, level_str = fields
@@ -840,12 +908,15 @@ def parse_qrels(
     return js
 
 
-def parse_paired(source: str | IO[str] | Iterable[str], scale: RelevanceScale) -> JudgmentPairs:
+def parse_paired(
+    source: str | IO[str] | IO[bytes] | Iterable[str], scale: RelevanceScale
+) -> JudgmentPairs:
     """Parse ``topic doc level_u1 level_u2`` records.
 
     A repeated (topic, doc) line means judgments beyond the first two for
-    that document; those are ignored with a warning.  ``source`` is read
-    as by :func:`parse_qrels`: a block of plain records with valid levels
+    that document; those are ignored with a warning.  ``source``, a str,
+    ``IO[str]``, ``IO[bytes]`` or lines, is read as by
+    :func:`parse_qrels`: a block of plain records with valid levels
     and no doc that repeats under its topic, in the block or against the
     topic's docs so far, is taken at once, and any other block goes
     through the line reader.  The docs so far are kept per topic, and a
@@ -854,18 +925,26 @@ def parse_paired(source: str | IO[str] | Iterable[str], scale: RelevanceScale) -
     """
     top, width = scale.top_index, scale.top_index + 1
     digits = range(min(top, 9) + 1)
-    codes = {(str(i), str(j)): i * width + j for i in digits for j in digits}
+    codes = {
+        kind: {(spell(str(i)), spell(str(j))): i * width + j for i in digits for j in digits}
+        for kind, spell in _SPELL.items()
+    }
     topics, docs, cells = [], [], []
     seen: dict[str, set[str]] = {}
     for start, lines, columns in _blocks(source, _PAIRED):
         if columns is not None:
             block_topics, block_docs, l1_column, l2_column = columns
+            code = codes[type(l1_column[0])].__getitem__
             try:
-                block_cells = list(map(codes.__getitem__, zip(l1_column, l2_column)))
+                block_cells = list(map(code, zip(l1_column, l2_column)))
             except KeyError:  # another spelling, as in parse_qrels
                 l1, l2 = _levels(l1_column, top), _levels(l2_column, top)
                 block_cells = None if None in (l1, l2) else [width * a + b for a, b in zip(l1, l2)]
-            new = None if block_cells is None else _unseen_docs(seen, block_topics, block_docs)
+            new = None
+            if block_cells is not None:
+                block_topics = _topic_rows(*_stretches(block_topics))
+                block_docs = _text(block_docs)
+                new = _unseen_docs(seen, block_topics, block_docs)
             if new is not None:
                 for topic, topic_docs in new.items():
                     if topic in seen:
@@ -902,12 +981,13 @@ _RUN = "topic Q0 doc rank score system"
 
 
 def _kept_as_read(
-    rows: _Rows, topics: list[str], cuts: list[int], rank_column: list[str], numerals: list[str]
+    rows: _Rows, names: list[str], cuts: list[int], rank_column: list, numerals: list
 ) -> list[bool]:
-    """For each stretch ``[a, b)`` of equal topics in a block, whether its
-    rank text is the numerals that go on counting its topic's rows read
-    so far, so that its rows can be kept with no rank; ``numerals`` holds
-    ``"1"``, ``"2"``, ... and grows as needed.
+    """For each stretch ``[a, b)`` of equal topics in a block, whose topic
+    is in ``names``, whether its rank text is the numerals that go on
+    counting its topic's rows read so far, so that its rows can be kept
+    with no rank; ``numerals`` holds ``"1"``, ``"2"``, ... as tokens of the
+    type of ``rank_column`` and grows as needed.
 
     A topic with explicit ranks is not kept as read, and neither is one
     that came earlier in the block: its rows there are not appended yet,
@@ -915,52 +995,56 @@ def _kept_as_read(
     """
     kept = []
     seen: set[str] = set()
-    for a, b in zip(cuts, cuts[1:]):
-        topic, as_read = topics[a], False
+    spell = _SPELL[type(rank_column[0])]
+    for a, b, topic in zip(cuts, cuts[1:], names):
+        as_read = False
         if topic not in seen:
             seen.add(topic)
             cols = rows.get(topic)
             if cols is None or cols[1] is None:
                 m = 0 if cols is None else len(cols[0])
                 if len(numerals) < m + b - a:
-                    numerals.extend(map(str, range(len(numerals) + 1, m + b - a + 1)))
+                    counts = range(len(numerals) + 1, m + b - a + 1)
+                    numerals.extend(map(spell, map(str, counts)))
                 as_read = rank_column[a:b] == numerals[m : m + b - a]
         kept.append(as_read)
     return kept
 
 
-def parse_run(source: str | IO[str] | Iterable[str]) -> RunRanking:
+def parse_run(source: str | IO[str] | IO[bytes] | Iterable[str]) -> RunRanking:
     """Parse ``topic Q0 doc rank score system`` records into a RunRanking.
 
-    ``source`` is read as by :func:`parse_qrels`.  A block of plain
-    records with integer ranks, numeric scores and the run's one system
-    id is appended to its topics' columns one stretch of equal topics at
-    a time; a stretch whose rank text counts on ``"1"``, ``"2"``, ... in
+    ``source``, a str, ``IO[str]``, ``IO[bytes]`` or lines, is read as by
+    :func:`parse_qrels`.  A block of plain records with integer ranks,
+    numeric scores and the run's one system id is appended to its topics'
+    columns one stretch of equal topics at a time; a stretch whose rank text counts on ``"1"``, ``"2"``, ... in
     file order is kept as read, with no rank column.  Any other block
     goes through the line reader, which words every error with the
     line's number in the file.  The run is validated and put in rank
     order once, by the same path as ``RunRanking(...)``.
     """
     rows: _Rows = {}
-    numerals: list[str] = []
+    numerals: dict[type, list] = {str: [], bytes: []}
     system_id: str | None = None
     for start, lines, columns in _blocks(source, _RUN, (1,)):
         if columns is not None:
             topics, _, docs, rank_column, score_column, systems = columns
-            system = systems[0] if system_id is None else system_id
+            kind = type(systems[0])
+            system = systems[0] if system_id is None else _SPELL[kind](system_id)
             if systems.count(system) == len(systems):
-                cuts = _cuts(topics)
-                kept = _kept_as_read(rows, topics, cuts, rank_column, numerals)
+                cuts, names = _stretches(topics)
+                kept = _kept_as_read(rows, names, cuts, rank_column, numerals[kind])
                 try:
                     scores = list(map(float, score_column))
                     ranks = None if all(kept) else list(map(int, rank_column))
                 except ValueError:
                     pass
                 else:
-                    system_id = system
-                    for a, b, as_read in zip(cuts, cuts[1:], kept):
+                    system_id = system.decode() if kind is bytes else system
+                    docs = _text(docs)
+                    for a, b, name, as_read in zip(cuts, cuts[1:], names, kept):
                         _add_rows(
-                            rows, topics[a], docs[a:b], None if as_read else ranks[a:b], scores[a:b]
+                            rows, name, docs[a:b], None if as_read else ranks[a:b], scores[a:b]
                         )
                     continue
         for line_no, fields in _records(lines, _RUN, start):

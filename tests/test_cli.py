@@ -1284,6 +1284,56 @@ class TestModuleEntryPoint:
             assert with_bom == tuple(part.replace(inputs[flag], str(bom)) if isinstance(part, str)
                                      else part for part in plain)
 
+    @pytest.mark.parametrize("flag, record, fault", [
+        ("--qrels", "201 0 d{0} 7\n", "level 7 > T=2"),
+        ("--pairs", "201 d{0} 1 7\n", "level 7 > T=2"),
+        ("--run", "201 Q0 d{0} {0} 1.x s\n", "non-numeric score: '1.x'"),
+    ], ids=["--qrels", "--pairs", "--run"])
+    def test_fault_at_the_end_of_a_block_is_reported_before_a_bad_byte_after_it(
+        self, ws, tmp_path, flag, record, fault
+    ):
+        # the line that the first 64 KiB block ends in is a fault of the
+        # same length, and the line after it holds a byte that is not UTF-8:
+        # blocks are read and decoded one at a time, in file order, so the
+        # fault comes first (text mode decodes 8 KiB ahead, which found the
+        # byte first)
+        lines = self.LONG[flag].splitlines(keepends=True)
+        at, size = 0, 0
+        while size < 1 << 16:
+            size += len(lines[at])
+            at += 1
+        lines[at - 1] = record.format(at)
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("".join(lines[:at] + ["# \xe9t\xe9\n"] + lines[at:]).encode("latin-1"))
+        proc = self._validate(ws, flag, str(bad))
+        assert (proc.returncode, proc.stderr) == (1, f"error: {bad}: line {at}: {fault}\n")
+
+    def test_crlf_and_byte_order_mark_give_the_same_bytes(self, capsys, ws, tmp_path):
+        # every judgment and run file copied with CRLF line ends after a
+        # byte-order mark, as an editor on Windows may save it
+        copies = {}
+        for name in ("qrels_u1", "qrels_u2", "pairs", "run_perfect", "run_reverse"):
+            copy = tmp_path / f"crlf_{name}.txt"
+            data = Path(ws[name]).read_bytes().replace(b"\n", b"\r\n")
+            copy.write_bytes(b"\xef\xbb\xbf" + data)
+            copies[ws[name]] = str(copy)
+        both = ["--scale", ws["scale"], "--qrels", ws["qrels_u1"]]
+        runs = ["--run", ws["run_perfect"], "--run", ws["run_reverse"]]
+        for argv in (
+            ["validate", *both, "--qrels2", ws["qrels_u2"], "--pairs", ws["pairs"], *runs],
+            ["eval", *both, "--pairs", ws["pairs"], *runs, "--gains", "binary,prm",
+             "--measures", "ndcg,precision,count-prm", "--format", "csv"],
+            ["estimate", *both, "--qrels2", ws["qrels_u2"], "--estimator", "all"],
+            ["estimate", "--scale", ws["scale"], "--pairs", ws["pairs"], "--format", "json"],
+        ):
+            plain = run_cli(capsys, argv)
+            crlf = run_cli(capsys, [copies.get(a, a) for a in argv])
+            assert plain[0] == 0
+            for original, copy in copies.items():
+                plain = tuple(part.replace(original, copy) if isinstance(part, str) else part
+                              for part in plain)
+            assert crlf == plain, argv[0]
+
     def test_python_dash_m(self, ws):
         import subprocess
         import sys
@@ -1594,6 +1644,8 @@ RULE_CASES = [
      "--run is required"),
     ("estimate-scale", ["estimate", "--pairs", M], "--scale is required"),
     ("validate-scale", ["validate", "--qrels2", M], "--scale is required to validate qrels"),
+    ("validate-pairs-scale", ["validate", "--pairs", M, "--intents", M],
+     "--scale is required to validate pairs"),
     ("estimate-top-intent-only", ["estimate", "--scale", M, "--qrels", M, "--qrels2", M,
                                   "--top-intent-only"], "--top-intent-only needs --intents"),
     ("eval-gains", [*EVAL_ARGV, "--measures", "count-binary", "--gains", "binary"],
@@ -1633,6 +1685,20 @@ RULE_CASES = [
         (["analyze", "quality"], ["--scale", M, "--pairs", M, "--qrels", M,
                                   "--resource-regex", "^(d)"]),
     ]),
+    # values out of range, in the library's words
+    ("estimate-theta-0", ["estimate", "--scale", M, "--pairs", M, "--theta", "0"],
+     "theta must be >= 1, got 0"),
+    ("budget-seed-negative", ["analyze", "budget", "--scale", M, "--pairs", M, "--seed", "-1",
+                              "--budgets", "5"], "seed must be a non-negative integer, got -1"),
+    ("bootstrap-resamples-0", ["analyze", "bootstrap", "--scale", M, "--pairs", M, "--seed", "1",
+                               "--resamples", "0"], "n_resamples must be >= 1, got 0"),
+    ("budget-rounds-0", ["analyze", "budget", "--scale", M, "--pairs", M, "--seed", "1",
+                         "--budgets", "5", "--rounds", "0"], "n_rounds must be >= 1, got 0"),
+    ("eval-log-base-1", [*EVAL_ARGV, "--run", M, "--log-base", "1"],
+     "log discount base must be > 1, got 1.0"),
+    ("tau-log-base-inf", ["analyze", "tau", *RANK_FLAGS, "--gains", "linear",
+                          "--log-base", "inf"], "log discount base must be finite, got inf"),
+    ("eval-k-0", [*EVAL_ARGV, "--run", M, "--k", "0"], "k must be >= 1, got 0"),
 ]
 
 

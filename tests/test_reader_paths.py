@@ -1,18 +1,24 @@
 """Differential tests: the block reader against the line reader.
 
-``parse_qrels``, ``parse_paired`` and ``parse_run`` read a str or a text
-stream one block of whole lines at a time: a block of plain records is
-read with one ``split()``, each other block goes to the line reader, and
-reading goes on by blocks after it.  A list of lines always goes through
-the line reader.  Both paths must give the same judgments, doc levels,
-topics, pairs, codes and runs, or the same error, with the same warnings
-in the same order, on text that mixes records with the inputs the block
-reader has to reject, at block sizes small enough that keys, intents and
-faults fall in different blocks.  A block of pairs whose levels are all
+``parse_qrels``, ``parse_paired`` and ``parse_run`` read a str, a text
+stream or a binary stream one block of whole lines at a time: a block of
+plain records is read with one ``split()``, of its bytes when the block
+is ASCII, each other block goes to the line reader, and reading goes on
+by blocks after it.  A list of lines always goes through the line
+reader.  Both paths must give the same judgments, doc levels, topics,
+pairs, codes and runs, or the same error, with the same warnings in the
+same order, on text that mixes records with the inputs the block reader
+has to reject, at block sizes small enough that keys, intents and faults
+fall in different blocks.  A block of pairs whose levels are all
 single digits up to T is mapped straight to cell codes; a block with any
 other spelling of a level, a two-digit level of a scale with T of 10 or
 more among them, takes the level decoder of the qrels reader, and every
-path gives the same cells as the other two ways to build pairs.
+path gives the same cells as the other two ways to build pairs.  A binary
+stream gives what the line reader gives for the lines of the same bytes
+opened as UTF-8 text (CR and CRLF line ends, byte-order marks, NUL, the
+blanks of ``str.split()`` that ``bytes.split()`` keeps in a token, UTF-8
+blanks, and bytes that are not UTF-8), and a byte that is not UTF-8 is
+reported when the block that holds it is reached.
 """
 
 from __future__ import annotations
@@ -115,13 +121,17 @@ def _summary(result):
 
 
 def _read(parse, source):
-    """What parse(source) gives, or its error, and its warnings in order."""
+    """What parse(source) gives, or its error, and its warnings in order;
+    a byte that is not UTF-8 as the CLI words it, with no offset, since a
+    block is decoded apart from the rest of the file."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             read = _summary(parse(source))
         except PrmError as exc:
             read = (type(exc), str(exc))
+        except UnicodeDecodeError as exc:
+            read = (type(exc), f"byte 0x{exc.object[exc.start]:02x}: {exc.reason}")
     return read, [(w.category, str(w.message)) for w in caught]
 
 
@@ -480,10 +490,11 @@ def _check_blocks_resume(kind, record):
             mock.patch.object(corpus, "_records", wraps=corpus._records) as records:
         read = parse(io.StringIO(text))
     assert _summary(read) == _summary(parse(text.splitlines()))
-    # the line reader sees the first block's lines only
+    # the line reader sees the first block's lines only, as the ASCII
+    # bytes that the block was split as
     first_block = records.call_args.args[0]
     assert records.call_count == 1
-    assert isinstance(first_block, str) and first_block.count("\n") < 10
+    assert isinstance(first_block, bytes) and first_block.count(b"\n") < 10
 
 
 def test_run_blocks_resume_after_a_comment():
@@ -545,3 +556,150 @@ def test_block_reader_slices_only_the_columns_read(kind, text, skipped):
         read = _read(PARSERS[kind], text)
     assert read == _read(PARSERS[kind], text.splitlines())
     assert [i for i, column in enumerate(sliced[0]) if column is None] == skipped
+
+
+# -- binary sources -----------------------------------------------------------
+
+def _text_mode(data: bytes) -> io.TextIOWrapper:
+    """``data`` as a file opened as UTF-8 text with a byte-order mark dropped."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
+
+
+def _read_lines(parse, data: bytes):
+    """What the line reader gives for the lines of ``data`` opened as
+    UTF-8 text, or the decode error of its first byte that is not UTF-8."""
+    return _read(lambda source: parse(source.readlines()), _text_mode(data))
+
+
+def _block_starts(data: bytes, size: int) -> list[int]:
+    """Where each block of a binary stream of ``data`` starts: a block is
+    ``size`` bytes, completed to the end of the line it cuts."""
+    starts, at = [], 0
+    while at < len(data):
+        starts.append(at)
+        end = at + size
+        if data[end - 1 : end] != b"\n":
+            newline = data.find(b"\n", end)
+            end = len(data) if newline < 0 else newline + 1
+        at = end
+    return starts
+
+
+def _read_to_the_bad_block(parse, data: bytes, size: int, not_utf8) -> tuple:
+    """What reading ``data`` in blocks of ``size`` bytes gives when it
+    holds a byte that is not UTF-8: the blocks before the one that holds
+    the first such byte are read in file order, so a fault that the line
+    reader finds in them comes first, and else the decode error does,
+    with the warnings of those blocks.  The blocks before it are read as
+    lines, followed by a one-field line that the line reader must reject."""
+    try:
+        data.decode()
+    except UnicodeDecodeError as exc:
+        bad = exc.start
+    start = max(at for at in _block_starts(data, size) if at <= bad)
+    stop = _text_mode(data[:start]).read().count("\n") + 1
+    read, caught = _read_lines(parse, data[:start] + b"stop\n")
+    if read[0] is ParseError and read[1].startswith(f"line {stop}: "):
+        return not_utf8, caught
+    return read, caught
+
+
+def _check_binary(parse, data: bytes) -> None:
+    """parse() gives from a binary stream of ``data``, read in blocks of
+    several sizes, what the line reader gives from the lines of ``data``
+    opened as UTF-8 text, and so does the text stream: the same result,
+    or the same error, with the same warnings in the same order.  A byte
+    that is not UTF-8 is reported when its block is reached, so a fault
+    in an earlier block comes first."""
+    expected = _read_lines(parse, data)
+    for size in (7, 40, 200, corpus._BLOCK):
+        want = expected
+        if expected[0][0] is UnicodeDecodeError:
+            want = _read_to_the_bad_block(parse, data, size, expected[0])
+        with mock.patch.object(corpus, "_BLOCK", size):
+            assert _read(parse, io.BytesIO(data)) == want, size
+            if want is expected:
+                assert _read(parse, _text_mode(data)) == want, size
+
+
+TEXTS = {
+    "qrels": st.one_of(_texts(QRELS), _stretch_texts("qrels")),
+    "qrels_intents": _texts(QRELS),
+    "qrels_declared": _texts(QRELS),
+    "paired": st.one_of(_texts(PAIRED), _stretch_texts("paired")),
+    "run": _run_texts(),
+}
+# what a file of bytes may hold besides ASCII records: the line ends that
+# text mode reads as "\n", a NUL, the blanks of str.split() that are no
+# blanks to bytes.split(), UTF-8 blanks (NEL, no-break and ideographic
+# space), a byte-order mark, and bytes that are not UTF-8
+BYTE_EOLS = st.sampled_from([b"\n", b"\r\n", b"\r"])
+BYTE_HAZARDS = st.sampled_from([
+    b"\r", b"\r\n", b"\n\r", b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b" \x1f ",
+    "\x85".encode(), "\xa0".encode(), "\u3000".encode(), " \u3000 ".encode(),
+    "\ufeff".encode(), "t\xe9".encode(), b"\xff", b"\x80", b"\xe3\x80", b"\xc0\xaf",
+    b"\xed\xa0\x80",
+])
+
+
+@st.composite
+def _files(draw, kind: str):
+    """The bytes of a file of ``kind``: its records with lines ended by
+    LF, CRLF or CR, sometimes after a byte-order mark, and up to three
+    ``BYTE_HAZARDS`` put in anywhere, so that at a small block size some
+    blocks are ASCII and others are not."""
+    data = draw(TEXTS[kind]).encode().replace(b"\r\n", b"\n").replace(b"\n", draw(BYTE_EOLS))
+    for at, hazard in draw(st.lists(st.tuples(st.integers(0, len(data)), BYTE_HAZARDS),
+                                    max_size=3)):
+        data = data[:at] + hazard + data[at:]
+    return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + data
+
+
+_RUN_BYTES = _lines(20).encode()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(PARSERS)).flatmap(lambda kind: st.tuples(st.just(kind),
+                                                                        _files(kind))))
+@example(("run", _RUN_BYTES.replace(b"\n", b"\r\n")))
+@example(("run", _RUN_BYTES.replace(b"\n", b"\r")))
+@example(("run", b"\xef\xbb\xbf" + _RUN_BYTES))
+# a U+FEFF that starts a later line, and so a block at a small block size
+@example(("run", _RUN_BYTES.replace(b"\nt1 Q0 d5 ", b"\n\xef\xbb\xbft1 Q0 d5 ")))
+# a blank to str.split() between two fields, and within one
+@example(("run", _RUN_BYTES.replace(b" s1\n", b"\x1fs1\n")))
+@example(("run", _RUN_BYTES.replace(b" d5 ", b" d\x1f5 ")))
+@example(("run", _RUN_BYTES.replace(b"t1 Q0 d5", "t1\u3000Q0\xa0d5".encode())))
+@example(("run", _RUN_BYTES.replace(b"t1 Q0 d5", b"t1\x00Q0 d5")))
+# a fault in an early block, and a byte that is not UTF-8 in a later one
+@example(("run", b"t1 Q0 d1 x 1 s1\n" + _RUN_BYTES[16:] + b"t1 Q0 d\xe9 21 1 s1\n"))
+@example(("run", _RUN_BYTES + b"t1 Q0 d21 21 1 s1\r\nt1 Q0 d\xff 22 1 s1\n"))
+@example(("qrels", _qrels(30).encode() + b"t1 0 d1 2\n" + _qrels(5, first=31).encode()
+          + b"t1 0 d\xe3\x80 1\n"))
+@example(("paired", _pairs(30).encode() + b"t1 d1 0 0\r\n" + "t1 d\u3000 1 1\n".encode()
+          + b"t1 d\x80 1 1\n"))
+@example(("qrels_intents", b"\xef\xbb\xbft1 a d1 1\rt1 0 d2 0\r" + _qrels(20, "t2", "b").encode()))
+def test_binary_source_reads_as_text_mode(drawn):
+    kind, data = drawn
+    _check_binary(PARSERS[kind], data)
+
+
+@pytest.mark.parametrize("data, first, rest", [
+    (_RUN_BYTES, bytes, bytes),
+    (_RUN_BYTES.replace(b"\n", b"\r\n"), str, str),
+    (b"\xef\xbb\xbf" + _RUN_BYTES, str, bytes),
+    (_RUN_BYTES[:40] + b"\x1c" + _RUN_BYTES[40:], str, bytes),
+    (_RUN_BYTES[:40] + "\u3000".encode() + _RUN_BYTES[40:], str, bytes),
+], ids=["ascii", "crlf", "bom", "x1c", "u3000"])
+def test_only_plain_ascii_blocks_are_split_as_bytes(data, first, rest):
+    # at 200 bytes a hazard in the first 40 bytes lies in the first block only
+    split, columns = [], corpus._columns
+
+    def spy(text, *args):
+        split.append(type(text))
+        return columns(text, *args)
+
+    with mock.patch.object(corpus, "_BLOCK", 200), mock.patch.object(corpus, "_columns", spy):
+        read = _read(parse_run, io.BytesIO(data))
+    assert read == _read(parse_run, _text_mode(data))
+    assert split[0] is first and set(split[1:]) == {rest}
