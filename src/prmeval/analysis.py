@@ -23,7 +23,9 @@ from .disagreement import (  # the bootstrap and quality sweep are re-exported f
     BootstrapResult, LevelSeries, SensitivityCurve, UserModel, _check_seed, _summaries,
     bootstrap_topics, pair_codes, quality_sensitivity, table_from_counts,
 )
-from .errors import DataWarning, EstimationError, MetricError, PrmError, ValidationError
+from .errors import (
+    DataWarning, EstimationError, MetricError, PrmError, ValidationError, check_budgets,
+)
 from .metrics import DiscountFunction, GainScheme, _Pool, ndcg_reports
 
 if TYPE_CHECKING:
@@ -147,18 +149,11 @@ def simulate_annotation_rounds(
         raise EstimationError("no judgment pairs to sample")
     if n_rounds < 1:
         raise ValidationError(f"n_rounds must be >= 1, got {n_rounds}")
-    kept: list[int] = []
     for b in budgets:
         if b == 0:
             warnings.warn("budget 0 skipped", DataWarning, stacklevel=2)
-            continue
-        if b < 0:
-            raise ValidationError(f"budgets must be >= 0, got {b}")
-        kept.append(int(b))
-    if not kept:
-        raise ValidationError("no positive budgets")
-    if any(b2 <= b1 for b1, b2 in zip(kept, kept[1:])):
-        raise ValidationError(f"budgets must be strictly increasing, got {kept}")
+    check_budgets(budgets)
+    kept = [int(b) for b in budgets if b != 0]
 
     user_model.check_against(scale)
     n = scale.top_index + 1

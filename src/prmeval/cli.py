@@ -26,9 +26,10 @@ import io
 import json
 import sys
 import warnings
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
-from .errors import EstimationError, MetricError, ParseError, PrmError, ValidationError
+from .errors import (EstimationError, MetricError, ParseError, PrmError, ValidationError,
+                     check_budgets, check_custom_gains)
 
 if TYPE_CHECKING:
     from . import analysis, corpus, disagreement, metrics
@@ -86,13 +87,17 @@ def _split(value: str, what: str, allowed: tuple[str, ...]) -> tuple[str, ...]:
     return items
 
 
-def _numbers(value: str, flag: str, kind: type) -> list:
+def _numbers(value: str, flag: str, kind: type, check: Callable[[list], None]) -> list:
+    # checked as the library checks it; an empty list is left to the rules
     try:
-        return [kind(v) for v in value.split(",") if v.strip()]
+        numbers = [kind(v) for v in value.split(",") if v.strip()]
     except ValueError:
         raise ValidationError(
             f"{flag} takes a comma list of {kind.__name__} values, got {value!r}"
         ) from None
+    if numbers:
+        check(numbers)
+    return numbers
 
 
 # Every flag, in --help order.  Each parser takes only the flags that its
@@ -116,7 +121,7 @@ _FLAGS: dict[str, dict] = {
     "--run": dict(action="append", help="run file (repeatable)"),
     "--gains": dict(type=lambda v: _split(v, "gain scheme", _GAIN_NAMES),
                     help="comma list from: " + ", ".join(_GAIN_NAMES)),
-    "--custom-gains": dict(type=lambda v: _numbers(v, "--custom-gains", float),
+    "--custom-gains": dict(type=lambda v: _numbers(v, "--custom-gains", float, check_custom_gains),
                            help="comma list of per-level gains"),
     "--table": dict(help="JSON disagreement table for prm/udm gains"),
     "--discount": dict(choices=("log", "zipf")),
@@ -142,7 +147,7 @@ _FLAGS: dict[str, dict] = {
     "--seed": dict(type=int, help="RNG seed (required when resampling)"),
     "--resamples": dict(type=int, help="bootstrap resamples"),
     "--rounds": dict(type=int, help="simulated annotation rounds"),
-    "--budgets": dict(type=lambda v: _numbers(v, "--budgets", int),
+    "--budgets": dict(type=lambda v: _numbers(v, "--budgets", int, check_budgets),
                       help="comma list of double-judgment budgets"),
     "--resource-map": dict(help="doc->resource map file"),
     "--resource-regex": dict(help="regex whose first group extracts the resource from a doc id"),

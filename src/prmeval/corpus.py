@@ -23,11 +23,10 @@ record: a :class:`JudgmentSet` holds topic, doc, level and intent
 columns, and a :class:`JudgmentPairs` holds topic and doc columns plus
 each pair's cell code ``l1 * (T+1) + l2``.  Their records are built only
 when a caller reads them.  ``parse_qrels``, ``parse_paired`` and
-``parse_run`` read a file's text or its text or binary stream in blocks
-of whole lines (``_blocks``): a block of plain records is read with one
-``split()``, of its bytes when it is ASCII, and any other block goes to
-the line reader, which words every error and warning with the line's
-number in the file.
+``parse_run`` read their source in blocks of whole lines, kept as UTF-8
+bytes as text mode reads them (``_blocks``): a block of plain records is
+split at once, and any other goes to the line reader, which words every
+error and warning with the line's number in the file.
 """
 
 from __future__ import annotations
@@ -598,15 +597,15 @@ def _records(
 ) -> Iterator[tuple[int, list[str]]]:
     """Yield (line_no, fields) skipping blanks and ``#`` comment lines,
     numbering the lines of ``source`` from ``start``; a str, or a block
-    of ASCII bytes (see :func:`_splittable`), is split into lines at each
-    newline character.
+    of bytes from :func:`_blocks`, is split into lines at each newline
+    character.
 
     ``spec`` names the fields, space-separated; a record with another
     number of fields is a ParseError.
     """
     n = len(spec.split())
     if isinstance(source, bytes):
-        source = source.decode()
+        source = source.decode("utf-8", _SURROGATES)
     if isinstance(source, str):
         source = source.split("\n")
     for line_no, raw in enumerate(source, start=start):
@@ -627,22 +626,22 @@ def _int_field(value: str, what: str, line_no: int) -> int:
 
 
 _BLOCK = 1 << 16
+# a binary block is checked strictly as it is read, so its bytes are
+# encoded and decoded after that with lone surrogates passed through
+_SURROGATES = "surrogatepass"
 
 
 def _blocks(
     source: str | IO[str] | IO[bytes] | Iterable[str], spec: str, skip: tuple[int, ...] = ()
-) -> Iterator[tuple[int, bytes | str | Iterable[str], list[list | None] | None]]:
+) -> Iterator[tuple[int, bytes | Iterable[str], list[list | None] | None]]:
     """Yield ``(start, lines, columns)`` for each block of whole lines of
     ``source``, where ``start`` numbers the block's first line.
 
-    A str or a text stream is read ``_BLOCK`` characters at a time, and a
-    binary stream ``_BLOCK`` bytes, each block completed to the end of the
-    line it cuts, so no file is held whole; ``lines`` is then the block as
-    :func:`_splittable` gives it, ASCII bytes or text, and ``columns`` its
-    field columns, of bytes or str tokens (None at the indices in
-    ``skip``, which the reader does not use), when every line is a plain
-    record of ``spec``, else None.  Any other iterable of lines is one
-    block with no columns.
+    A binary stream is read ``_BLOCK`` bytes at a time, as :func:`_text_mode`
+    gives them, and a str or text stream ``_BLOCK`` characters, encoded;
+    each block is completed to the end of the line it cuts.  ``lines`` is
+    the block and ``columns`` its :func:`_columns`, None when it holds a
+    blank of :func:`_text_blank`.  Any other iterable of lines is one block.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -655,91 +654,80 @@ def _blocks(
     while block := source.read(_BLOCK):
         if not block.endswith(newline):
             block += source.readline()
-        # only a block that starts the file starts with line 1
-        lines = _splittable(block, binary, start == 1)
-        n_lines = lines.count(_SPELL[type(lines)]("\n"))
-        yield start, lines, _columns(lines, spec, n_lines, skip)
+        ascii = block.isascii()
+        if binary:
+            # only a block that starts the file starts with line 1
+            block = _text_mode(block, ascii, start == 1)
+        else:
+            block = block.encode("utf-8", _SURROGATES)
+        n_lines = block.count(b"\n")
+        columns = None if _text_blank(block, ascii) else _columns(block, spec, n_lines, skip)
+        yield start, block, columns
         start += n_lines
 
 
-# bytes that only text splits at: "\r" ends a line in a file read as text,
-# and str.split() takes "\x1c" to "\x1f" for blanks, but bytes.split() does not
-_TEXT_ONLY = (b"\r", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# the bytes that start a blank of str.split() but not of bytes.split():
+# "\x1c" to "\x1f", and the lead bytes of U+0085, U+00A0, U+1680, U+2000
+# to U+200A, U+2028, U+2029, U+202F, U+205F and U+3000; and the other ASCII
+_TEXT_ONLY = b"\x1c\x1d\x1e\x1f\xc2\xe1\xe2\xe3"
+_PLAIN = bytes(sorted(set(range(128)).difference(_TEXT_ONLY)))
 
 
-def _splittable(block: bytes | str, binary: bool, first: bool) -> bytes | str:
-    """``block`` as the type its tokens are split in: bytes when it is
-    ASCII and holds none of ``_TEXT_ONLY`` (an ASCII str is encoded),
-    otherwise text.  A binary block is decoded as a file opened as UTF-8
-    text reads it: strictly, so a byte that is not UTF-8 raises
-    UnicodeDecodeError, with a leading byte-order mark dropped from the
-    file's ``first`` block, and with ``"\\r\\n"`` and ``"\\r"`` read as
-    ``"\\n"``.  A block ends at a newline or at the end of the file, so
-    neither a character nor a ``"\\r\\n"`` is cut in two.
-    """
-    if block.isascii():
-        raw = block if binary else block.encode()
-        if not any(map(raw.__contains__, _TEXT_ONLY)):
-            return raw
-    if not binary:
-        return block
-    text = block.decode("utf-8-sig" if first else "utf-8")
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+def _text_blank(block: bytes, ascii: bool) -> bool:
+    """Whether ``block`` holds a blank of ``str.split()`` that
+    ``bytes.split()`` keeps in a token.  Only a block with a byte of
+    ``_TEXT_ONLY`` can; its bytes other than ``_PLAIN`` are then split as
+    text, since ``\u00a9``, ``\u2026`` or ``\u3072`` share a lead byte."""
+    if not any(map(block.__contains__, _TEXT_ONLY[:4] if ascii else _TEXT_ONLY)):
+        return False
+    rest = block.translate(None, _PLAIN).decode("utf-8", _SURROGATES)
+    return rest.split() != [rest]
 
 
-# each constant of the tokeniser as a token of either type
-_SPELL = {str: str, bytes: str.encode}
-_SENTINEL = "\0"
+def _text_mode(block: bytes, ascii: bool, first: bool) -> bytes:
+    """A block of a binary stream, kept as bytes, as text mode reads UTF-8:
+    decoded strictly unless ``ascii``, with no byte-order mark at the start
+    of the ``first`` block, and with ``"\\r\\n"`` and ``"\\r"`` as ``"\\n"``.
+    A block ends at a newline or at the end of the file, so it cuts no
+    character and no ``"\\r\\n"`` in two."""
+    if not ascii:
+        block.decode()
+        if first and block.startswith(b"\xef\xbb\xbf"):
+            block = block[3:]
+    if b"\r" in block:
+        block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return block
 
 
-def _columns(text: bytes | str, spec: str, n_lines: int, skip: tuple) -> list | None:
+def _columns(text: bytes, spec: str, n_lines: int, skip: tuple) -> list | None:
     """The field columns of ``text`` (None at the indices in ``skip``) if
     each of its ``n_lines`` lines holds the fields of ``spec`` and none is
-    a comment; None otherwise.  The tokens are of the type of ``text``,
-    bytes or str, and so are the newline, sentinel and ``#`` they are
-    checked against.
-
-    One ``split()`` reads the whole text, with each newline first turned
-    into a sentinel token, so that each line's fields end at a sentinel.
-    When the text holds no sentinel of its own, as many tokens as
-    ``fields + 1`` per line with a sentinel at every ``fields + 1``-th
-    place means that no line is blank, short or long.  As in the line
-    reader, only the newline character ends a line, not the other line
-    boundaries of ``str.splitlines`` (such as ``\\x0b`` or ``\\u2028``),
-    which ``split()`` treats as blanks within a line.
-    """
-    spell = _SPELL[type(text)]
-    newline, sentinel = spell("\n"), spell(_SENTINEL)
-    if sentinel in text:
+    a comment; None otherwise.  One ``split()`` reads the whole text, each
+    newline first turned into a NUL token: with no NUL of its own, a NUL at
+    every ``fields + 1``-th of ``(fields + 1) * n_lines`` tokens means that
+    no line is blank, short or long.  Only the newline ends a line."""
+    if b"\0" in text:
         return None
-    if not text.endswith(newline):
-        text += newline
+    if not text.endswith(b"\n"):
+        text += b"\n"
         n_lines += 1
     n = len(spec.split())
-    tokens = text.replace(newline, spell(f" {_SENTINEL} ")).split()
-    if len(tokens) != (n + 1) * n_lines or tokens[n :: n + 1].count(sentinel) != n_lines:
+    tokens = text.replace(b"\n", b" \0 ").split()
+    if len(tokens) != (n + 1) * n_lines or tokens[n :: n + 1].count(b"\0") != n_lines:
         return None
     columns = [None if i in skip else tokens[i :: n + 1] for i in range(n)]
-    hash_mark = spell("#")
-    if hash_mark in text and any(field.startswith(hash_mark) for field in columns[0]):
+    if b"#" in text and any(field.startswith(b"#") for field in columns[0]):
         return None
     return columns
 
 
-# the levels 0 to 9 by their token, for either token type
-_DIGITS = {kind: {spell(str(i)): i for i in range(10)} for kind, spell in _SPELL.items()}
-
-
-def _levels(column: list, top: int) -> list[int] | None:
+def _levels(column: list[bytes], top: int) -> list[int] | None:
     """The integer levels of a field column with negatives clamped to 0,
-    or None if one is not an integer or lies above ``top``.
-
-    Tokens ``"0"``...``"9"`` are looked up; only a column with another
-    token (``"+1"``, ``"01"``, ``"-3"``, ...) is read with ``int()``,
-    which reads bytes tokens as it reads str ones.
-    """
+    or None if one is not an integer or lies above ``top``.  Tokens up to
+    ``top`` (at most ``b"9"``) are looked up, others read with ``int()``."""
+    digits = {str(i).encode(): i for i in range(min(top, 9) + 1)}
     try:
-        levels = list(map(_DIGITS[type(column[0])].__getitem__, column))
+        return list(map(digits.__getitem__, column))
     except KeyError:
         try:
             levels = [level if level > 0 else 0 for level in map(int, column)]
@@ -748,11 +736,9 @@ def _levels(column: list, top: int) -> list[int] | None:
     return None if max(levels) > top else levels
 
 
-def _text(column: list) -> list[str]:
-    """A token column as str: a column of bytes tokens is decoded in one go."""
-    if isinstance(column[0], str):
-        return column
-    return b" ".join(column).decode().split(" ")
+def _text(column: list[bytes]) -> list[str]:
+    """A column of bytes tokens as str, decoded in one go."""
+    return b" ".join(column).decode("utf-8", _SURROGATES).split(" ")
 
 
 def _cuts(topics: Sequence) -> list[int]:
@@ -834,15 +820,13 @@ def parse_qrels(
     given, otherwise from the non-zero intents observed in the file.
 
     Negative levels clamp to 0; levels above the scale top are errors.
-    ``source`` is the file's text, its text stream, its binary stream
-    (``IO[bytes]``, read as UTF-8 text, see :func:`_splittable`), or an
-    iterable of its lines.  A block of plain records with valid levels
-    and no intent-``0`` record is taken at once: when it is ASCII, it is
+    ``source`` is the file's text, its text or binary stream (read as
+    UTF-8 text, see :func:`_text_mode`), or an iterable of its lines.  A
+    block of plain records with valid levels and no intent-``0`` record is
     split as bytes, and only its doc ids (and intents) and one topic per
-    stretch of equal topics are decoded.  Any other block goes through
-    the line reader, which words every error and warning.  Keys are
-    checked once, at the end: with no intents, as each topic's set of
-    doc ids.
+    stretch of equal topics are decoded; any other block goes through the
+    line reader, which words every error and warning.  Keys are checked
+    once, at the end: with no intents, as each topic's set of doc ids.
     """
     top = scale.top_index
     topics, docs, levels, intents = [], [], [], []
@@ -914,27 +898,22 @@ def parse_paired(
     """Parse ``topic doc level_u1 level_u2`` records.
 
     A repeated (topic, doc) line means judgments beyond the first two for
-    that document; those are ignored with a warning.  ``source``, a str,
-    ``IO[str]``, ``IO[bytes]`` or lines, is read as by
-    :func:`parse_qrels`: a block of plain records with valid levels
+    that document; those are ignored with a warning.  ``source`` is read
+    as by :func:`parse_qrels`: a block of plain records with valid levels
     and no doc that repeats under its topic, in the block or against the
     topic's docs so far, is taken at once, and any other block goes
     through the line reader.  The docs so far are kept per topic, and a
     block's docs join them only once the whole block is taken.  A pair of
-    one-digit levels up to T is read straight as its cell code.
+    one-digit levels up to T is looked up straight as its cell code.
     """
     top, width = scale.top_index, scale.top_index + 1
-    digits = range(min(top, 9) + 1)
-    codes = {
-        kind: {(spell(str(i)), spell(str(j))): i * width + j for i in digits for j in digits}
-        for kind, spell in _SPELL.items()
-    }
+    digits = [(i, str(i).encode()) for i in range(min(top, 9) + 1)]
+    code = {(a, b): i * width + j for i, a in digits for j, b in digits}.__getitem__
     topics, docs, cells = [], [], []
     seen: dict[str, set[str]] = {}
     for start, lines, columns in _blocks(source, _PAIRED):
         if columns is not None:
             block_topics, block_docs, l1_column, l2_column = columns
-            code = codes[type(l1_column[0])].__getitem__
             try:
                 block_cells = list(map(code, zip(l1_column, l2_column)))
             except KeyError:  # another spelling, as in parse_qrels
@@ -984,18 +963,14 @@ def _kept_as_read(
     rows: _Rows, names: list[str], cuts: list[int], rank_column: list, numerals: list
 ) -> list[bool]:
     """For each stretch ``[a, b)`` of equal topics in a block, whose topic
-    is in ``names``, whether its rank text is the numerals that go on
+    is in ``names``, whether its rank tokens are the numerals that go on
     counting its topic's rows read so far, so that its rows can be kept
-    with no rank; ``numerals`` holds ``"1"``, ``"2"``, ... as tokens of the
-    type of ``rank_column`` and grows as needed.
-
-    A topic with explicit ranks is not kept as read, and neither is one
+    with no rank; ``numerals`` holds ``b"1"``, ``b"2"``, ... and grows as
+    needed.  A topic with explicit ranks is not kept as read, nor is one
     that came earlier in the block: its rows there are not appended yet,
-    so a count from its rows so far would let a repeated rank pass.
-    """
+    so a count from its rows so far would let a repeated rank pass."""
     kept = []
     seen: set[str] = set()
-    spell = _SPELL[type(rank_column[0])]
     for a, b, topic in zip(cuts, cuts[1:], names):
         as_read = False
         if topic not in seen:
@@ -1003,9 +978,7 @@ def _kept_as_read(
             cols = rows.get(topic)
             if cols is None or cols[1] is None:
                 m = 0 if cols is None else len(cols[0])
-                if len(numerals) < m + b - a:
-                    counts = range(len(numerals) + 1, m + b - a + 1)
-                    numerals.extend(map(spell, map(str, counts)))
+                numerals.extend(b"%d" % c for c in range(len(numerals) + 1, m + b - a + 1))
                 as_read = rank_column[a:b] == numerals[m : m + b - a]
         kept.append(as_read)
     return kept
@@ -1014,33 +987,32 @@ def _kept_as_read(
 def parse_run(source: str | IO[str] | IO[bytes] | Iterable[str]) -> RunRanking:
     """Parse ``topic Q0 doc rank score system`` records into a RunRanking.
 
-    ``source``, a str, ``IO[str]``, ``IO[bytes]`` or lines, is read as by
-    :func:`parse_qrels`.  A block of plain records with integer ranks,
-    numeric scores and the run's one system id is appended to its topics'
-    columns one stretch of equal topics at a time; a stretch whose rank text counts on ``"1"``, ``"2"``, ... in
-    file order is kept as read, with no rank column.  Any other block
-    goes through the line reader, which words every error with the
-    line's number in the file.  The run is validated and put in rank
-    order once, by the same path as ``RunRanking(...)``.
+    ``source`` is read as by :func:`parse_qrels`.  A block of plain
+    records with integer ranks, numeric scores and the run's one system id
+    is appended to its topics' columns one stretch of equal topics at a
+    time; a stretch whose rank tokens count on ``b"1"``, ``b"2"``, ... is
+    kept as read, with no rank column.  Any other block (one with a
+    numeral that is not ASCII among them) goes through the line reader.
+    The run is validated and put in rank order once, by the same path as
+    ``RunRanking(...)``.
     """
     rows: _Rows = {}
-    numerals: dict[type, list] = {str: [], bytes: []}
+    numerals: list[bytes] = []
     system_id: str | None = None
     for start, lines, columns in _blocks(source, _RUN, (1,)):
         if columns is not None:
             topics, _, docs, rank_column, score_column, systems = columns
-            kind = type(systems[0])
-            system = systems[0] if system_id is None else _SPELL[kind](system_id)
+            system = systems[0] if system_id is None else system_id.encode("utf-8", _SURROGATES)
             if systems.count(system) == len(systems):
                 cuts, names = _stretches(topics)
-                kept = _kept_as_read(rows, names, cuts, rank_column, numerals[kind])
+                kept = _kept_as_read(rows, names, cuts, rank_column, numerals)
                 try:
                     scores = list(map(float, score_column))
                     ranks = None if all(kept) else list(map(int, rank_column))
                 except ValueError:
                     pass
                 else:
-                    system_id = system.decode() if kind is bytes else system
+                    system_id = system.decode("utf-8", _SURROGATES)
                     docs = _text(docs)
                     for a, b, name, as_read in zip(cuts, cuts[1:], names, kept):
                         _add_rows(

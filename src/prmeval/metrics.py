@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .corpus import RunRanking, _Frozen
 from .disagreement import DisagreementTable
-from .errors import DataWarning, MetricError, ValidationError
+from .errors import DataWarning, MetricError, ValidationError, check_custom_gains, check_gains
 
 __all__ = [
     "GainScheme",
@@ -64,9 +64,7 @@ class GainScheme(_Frozen):
     def __post_init__(self) -> None:
         if len(self.gains) < 2:
             raise ValidationError("gain vector needs at least two levels")
-        for g in self.gains:
-            if not math.isfinite(g) or g < 0.0:
-                raise ValidationError(f"gains must be finite and >= 0, got {g}")
+        check_gains(self.gains)
 
     @property
     def top_index(self) -> int:
@@ -120,8 +118,7 @@ class GainScheme(_Frozen):
     @classmethod
     def custom(cls, gains: Sequence[float]) -> "GainScheme":
         vec = tuple(float(g) for g in gains)
-        if all(g == 0.0 for g in vec):
-            raise ValidationError("custom gain vector must not be all zero")
+        check_custom_gains(vec)
         return cls("custom", vec)
 
 

@@ -650,6 +650,15 @@ class TestAnalyzeCommand:
         assert lines[1].startswith("budget=10 ")
         assert "p2=" in lines[0]
 
+    def test_budget_0_is_skipped_with_a_warning(self, capsys, ws):
+        # argparse checks --budgets, and the sweep still warns as it skips a 0
+        argv = ["analyze", "budget", "--scale", ws["scale"], "--pairs", ws["pairs"],
+                "--theta", "2", "--seed", "3", "--rounds", "10", "--budgets"]
+        with pytest.warns(DataWarning) as record:
+            code, out, _ = run_cli(capsys, [*argv, "0,5,10"])
+        assert code == 0 and [str(w.message) for w in record] == ["budget 0 skipped"]
+        assert out == run_cli(capsys, [*argv, "5,10"])[1]
+
     def test_budget_reruns_byte_identical(self, capsys, ws, tmp_path):
         outputs = []
         for name in ("c1.csv", "c2.csv"):
@@ -1860,6 +1869,41 @@ class TestUnreadFlags:
     def test_rule_is_one_error_line_before_any_judgment(self, tmp_path, argv, line):
         # each row of the rule table fires before any file is read: every
         # path here names a file that does not exist
+        code, out, err, fired = _run_rules(argv, str(tmp_path / "missing.txt"))
+        assert (code, out, err, len(fired)) == (1, "", f"error: {line}\n", 1)
+
+    BUDGET = ["analyze", "budget", "--scale", M, "--pairs", M, "--seed", "1", "--budgets"]
+    GAINS = [*EVAL_ARGV, "--run", M, "--gains", "custom", "--custom-gains"]
+
+    @pytest.mark.parametrize("argv, line", [
+        ([*BUDGET, "-2"], "budgets must be >= 0, got -2"),
+        ([*BUDGET, "0,5,-1"], "budgets must be >= 0, got -1"),
+        ([*BUDGET, "0"], "no positive budgets"),
+        ([*BUDGET, "3,2"], "budgets must be strictly increasing, got [3, 2]"),
+        ([*BUDGET, "3,0,3"], "budgets must be strictly increasing, got [3, 3]"),
+        ([*GAINS, "1,nan,2"], "gains must be finite and >= 0, got nan"),
+        ([*GAINS, "1,2,inf"], "gains must be finite and >= 0, got inf"),
+        ([*GAINS, "1,-2,3"], "gains must be finite and >= 0, got -2.0"),
+        ([*GAINS, "0,0,0"], "custom gain vector must not be all zero"),
+        # the number of values is checked against the scale once it is read
+        ([*GAINS, "0,0"], "custom gain vector must not be all zero"),
+    ], ids=["budget-negative", "budget-negative-after-0", "budget-0", "budgets-falling",
+            "budgets-repeated", "gains-nan", "gains-inf", "gains-negative", "gains-zero",
+            "gains-zero-short"])
+    def test_number_list_value_is_one_error_line_before_any_file(self, tmp_path, argv, line):
+        # argparse checks the values of --budgets and --custom-gains as it
+        # reads them, in the library's words: every path here names a file
+        # that does not exist, and no rule fires
+        code, out, err, fired = _run_rules(argv, str(tmp_path / "missing.txt"))
+        assert (code, out, err, fired) == (1, "", f"error: {line}\n", [])
+
+    @pytest.mark.parametrize("argv, line", [
+        ([*BUDGET, ","], "--budgets is required (comma list, e.g. 50,100,200)"),
+        ([*GAINS, ","], "custom gains need --custom-gains"),
+    ], ids=["budgets-empty", "gains-empty"])
+    def test_empty_number_list_is_left_to_the_rules(self, tmp_path, argv, line):
+        # only a list that is not empty is checked as argparse reads it: an
+        # empty one is the usage rule's error, as when the flag is missing
         code, out, err, fired = _run_rules(argv, str(tmp_path / "missing.txt"))
         assert (code, out, err, len(fired)) == (1, "", f"error: {line}\n", 1)
 

@@ -1,30 +1,32 @@
 """Differential tests: the block reader against the line reader.
 
 ``parse_qrels``, ``parse_paired`` and ``parse_run`` read a str, a text
-stream or a binary stream one block of whole lines at a time: a block of
-plain records is read with one ``split()``, of its bytes when the block
-is ASCII, each other block goes to the line reader, and reading goes on
-by blocks after it.  A list of lines always goes through the line
-reader.  Both paths must give the same judgments, doc levels, topics,
-pairs, codes and runs, or the same error, with the same warnings in the
-same order, on text that mixes records with the inputs the block reader
-has to reject, at block sizes small enough that keys, intents and faults
-fall in different blocks.  A block of pairs whose levels are all
-single digits up to T is mapped straight to cell codes; a block with any
-other spelling of a level, a two-digit level of a scale with T of 10 or
-more among them, takes the level decoder of the qrels reader, and every
-path gives the same cells as the other two ways to build pairs.  A binary
-stream gives what the line reader gives for the lines of the same bytes
-opened as UTF-8 text (CR and CRLF line ends, byte-order marks, NUL, the
-blanks of ``str.split()`` that ``bytes.split()`` keeps in a token, UTF-8
-blanks, and bytes that are not UTF-8), and a byte that is not UTF-8 is
-reported when the block that holds it is reached.
+stream or a binary stream one block of whole lines at a time, each block
+kept as bytes in the form text mode reads it: a block of plain records is
+read with one ``bytes.split()``, each other block goes to the line
+reader, and reading goes on by blocks after it.  A list of lines always
+goes through the line reader.  Both paths must give the same judgments,
+doc levels, topics, pairs, codes and runs, or the same error, with the
+same warnings in the same order, on text that mixes records with the
+inputs the block reader has to reject, at block sizes small enough that
+keys, intents and faults fall in different blocks.  A block of pairs
+whose levels are all single digits up to T is mapped straight to cell
+codes; a block with any other spelling of a level, a two-digit level of
+a scale with T of 10 or more among them, takes the level decoder of the
+qrels reader, and every path gives the same cells as the other two ways
+to build pairs.  A binary stream gives what the line reader gives for
+the lines of the same bytes opened as UTF-8 text (CR and CRLF line ends,
+byte-order marks, NUL, the blanks of ``str.split()`` that
+``bytes.split()`` keeps in a token, UTF-8 blanks and other UTF-8
+characters, and bytes that are not UTF-8), and a byte that is not UTF-8
+is reported when the block that holds it is reached.
 """
 
 from __future__ import annotations
 
 import io
 import re
+import sys
 import warnings
 from array import array
 from collections import Counter
@@ -509,6 +511,25 @@ def test_blocks_resume_after_a_comment(kind, record):
     _check_blocks_resume(kind, record)
 
 
+@pytest.mark.parametrize("kind, text", [
+    ("qrels", _qrels(3)), ("qrels_intents", _qrels(3, second="a")), ("paired", _pairs(3)),
+    ("run", _lines(3)),
+], ids=["qrels", "qrels_intents", "paired", "run"])
+@pytest.mark.parametrize("extra", ["", "# header\n"], ids=["block", "line-reader"])
+def test_lone_surrogate_of_a_str_reads_as_itself(kind, text, extra):
+    # a str source is encoded block by block, and a lone surrogate, which
+    # UTF-8 cannot encode, is a character like any other in its topic, doc,
+    # intent or system id
+    text = extra + text.replace("t1", "t\ud800").replace("d2", "d\udfff2").replace(
+        " a ", " \udc80 ").replace("s1", "s\udbff")
+    by_lines = _read(PARSERS[kind], text.splitlines())
+    assert by_lines[0][0] not in (ParseError, ValidationError)
+    for block in (7, corpus._BLOCK):
+        with mock.patch.object(corpus, "_BLOCK", block):
+            assert _read(PARSERS[kind], text) == by_lines
+            assert _read(PARSERS[kind], io.StringIO(text)) == by_lines
+
+
 class _WholeReadForbidden(io.StringIO):
     def read(self, size=-1):
         assert size is not None and size >= 0, "the stream was read whole"
@@ -632,13 +653,15 @@ TEXTS = {
 # what a file of bytes may hold besides ASCII records: the line ends that
 # text mode reads as "\n", a NUL, the blanks of str.split() that are no
 # blanks to bytes.split(), UTF-8 blanks (NEL, no-break and ideographic
-# space), a byte-order mark, and bytes that are not UTF-8
+# space), a byte-order mark, UTF-8 characters that are no blanks (some
+# with the lead byte of a blank), and bytes that are not UTF-8
 BYTE_EOLS = st.sampled_from([b"\n", b"\r\n", b"\r"])
 BYTE_HAZARDS = st.sampled_from([
     b"\r", b"\r\n", b"\n\r", b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b" \x1f ",
     "\x85".encode(), "\xa0".encode(), "\u3000".encode(), " \u3000 ".encode(),
-    "\ufeff".encode(), "t\xe9".encode(), b"\xff", b"\x80", b"\xe3\x80", b"\xc0\xaf",
-    b"\xed\xa0\x80",
+    "\ufeff".encode(), "t\xe9".encode(), "\xe9".encode(), "\u4e2d".encode(), "\u3072".encode(),
+    "\u2026".encode(), "\u1e9e".encode(), "\xa9".encode(), b"\xff", b"\x80", b"\xe3\x80",
+    b"\xc0\xaf", b"\xed\xa0\x80",
 ])
 
 
@@ -684,22 +707,68 @@ def test_binary_source_reads_as_text_mode(drawn):
     _check_binary(PARSERS[kind], data)
 
 
-@pytest.mark.parametrize("data, first, rest", [
-    (_RUN_BYTES, bytes, bytes),
-    (_RUN_BYTES.replace(b"\n", b"\r\n"), str, str),
-    (b"\xef\xbb\xbf" + _RUN_BYTES, str, bytes),
-    (_RUN_BYTES[:40] + b"\x1c" + _RUN_BYTES[40:], str, bytes),
-    (_RUN_BYTES[:40] + "\u3000".encode() + _RUN_BYTES[40:], str, bytes),
-], ids=["ascii", "crlf", "bom", "x1c", "u3000"])
-def test_only_plain_ascii_blocks_are_split_as_bytes(data, first, rest):
-    # at 200 bytes a hazard in the first 40 bytes lies in the first block only
-    split, columns = [], corpus._columns
+_BOM = b"\xef\xbb\xbf"
 
-    def spy(text, *args):
-        split.append(type(text))
+
+@pytest.mark.parametrize("data, by_lines", [
+    (_RUN_BYTES, 0),
+    (_RUN_BYTES.replace(b"\n", b"\r\n"), 0),
+    (_BOM + _RUN_BYTES, 0),
+    (_RUN_BYTES.replace(b" d2 ", " d\xe92 ".encode()), 0),
+    # characters with the lead byte of a blank: U+00A9, U+2026 and U+3072
+    (_RUN_BYTES.replace(b" d2 ", " d\xa92 ".encode()), 0),
+    (_RUN_BYTES.replace(b" d2 ", " d\u20262 ".encode()), 0),
+    (_RUN_BYTES.replace(b" d2 ", " d\u30722 ".encode()), 0),
+    (_RUN_BYTES[:40] + b"\x1c" + _RUN_BYTES[40:], 1),
+    (_RUN_BYTES[:40] + "\u3000".encode() + _RUN_BYTES[40:], 1),
+    (_RUN_BYTES[:40] + "\x85".encode() + _RUN_BYTES[40:], 1),
+], ids=["ascii", "crlf", "bom", "e-acute", "u00a9", "u2026", "u3072", "x1c", "u3000", "u0085"])
+def test_only_plain_ascii_blocks_are_split_as_bytes(data, by_lines):
+    # every block is split as bytes in the form text mode reads it, with
+    # LF line ends and no byte-order mark, unless it holds a blank of
+    # str.split() that bytes.split() keeps in a token: then it goes to the
+    # line reader; at 200 bytes a hazard in the first 40 bytes lies in the
+    # first block only
+    split, read_by_lines = [], []
+    columns, records = corpus._columns, corpus._records
+
+    def split_spy(text, *args):
+        split.append(text)
         return columns(text, *args)
 
-    with mock.patch.object(corpus, "_BLOCK", 200), mock.patch.object(corpus, "_columns", spy):
+    def lines_spy(lines, spec, start):
+        read_by_lines.append((lines, start))
+        return records(lines, spec, start)
+
+    with mock.patch.object(corpus, "_BLOCK", 200), \
+            mock.patch.object(corpus, "_columns", split_spy), \
+            mock.patch.object(corpus, "_records", lines_spy):
         read = _read(parse_run, io.BytesIO(data))
     assert read == _read(parse_run, _text_mode(data))
-    assert split[0] is first and set(split[1:]) == {rest}
+    assert [start for _, start in read_by_lines] == [1] * by_lines
+    assert len(split) == len(_block_starts(data, 200)) - by_lines
+    for block in split + [lines for lines, _ in read_by_lines]:
+        assert isinstance(block, bytes) and b"\r" not in block and not block.startswith(_BOM)
+
+
+def test_text_only_bytes_lead_every_blank_that_only_str_split_splits_at():
+    # str.split() splits at what str.isspace() holds and bytes.split() at
+    # what bytes.isspace() holds; the Unicode tables differ from one
+    # Python to the next
+    blanks = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    assert all(chr(b).isspace() for b in range(256) if bytes([b]).isspace())
+    text_only = {c.encode()[0] for c in blanks if not c.encode().isspace()}
+    assert text_only == set(corpus._TEXT_ONLY)
+    # the lead bytes of blanks that are not ASCII are not ASCII
+    assert {b for b in text_only if b < 0x80} == set(corpus._TEXT_ONLY[:4])
+
+
+def test_text_blank_finds_exactly_the_blanks_that_only_str_split_splits_at():
+    # every character whose UTF-8 starts with a byte of _TEXT_ONLY lies
+    # below U+4000; a block sends it to the line reader only if it is a
+    # blank of str.split() that bytes.split() keeps in a token
+    for code in range(0x4000):
+        c = chr(code)
+        block = f"t1 d{c}1 1\n".encode("utf-8", "surrogatepass")
+        blank = c.isspace() and not c.encode().isspace()
+        assert corpus._text_blank(block, block.isascii()) is blank, hex(code)
