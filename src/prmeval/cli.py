@@ -72,6 +72,14 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
+    # argparse reads a lone negative number (``--budgets -2``) as a value,
+    # and so a comma list that starts with one (``--budgets -2,5``) too
+    def _parse_optional(self, arg_string: str):
+        head, comma, _ = arg_string.partition(",")
+        if comma and self._negative_number_matcher.match(head):
+            return None
+        return super()._parse_optional(arg_string)
+
 
 def _split(value: str, what: str, allowed: tuple[str, ...]) -> tuple[str, ...]:
     items = tuple(v.strip() for v in value.split(",") if v.strip())

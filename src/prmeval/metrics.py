@@ -359,17 +359,19 @@ def _eval_topics(run: RunRanking, judged_topics: set[str], strict: bool) -> list
 class _Pool:
     """One group's ``topic -> {doc: level}`` map, with what the count
     reports and nDCG need of it whatever the run: each topic's
-    judged-level histogram.  Build one per group and pass it in place of
-    the map for every report on that group; a plain map gets a pool of
-    its own per call.
+    judged-level histogram and, with ``ideal_pool="qrels"``, its ideal
+    DCG.  Build one per group and pass it in place of the map for every
+    report on that group; a plain map gets a pool of its own per call.
     """
 
-    __slots__ = ("levels", "_hists")
+    __slots__ = ("levels", "_hists", "_ideals")
 
     def __init__(self, levels: Mapping[str, Mapping[str, int]]) -> None:
         self.levels = levels
         # topic -> (level histogram, lowest and highest level with 0 among them)
         self._hists: dict[str, tuple[Counter, int, int]] = {}
+        # (gains, discount, k) -> {(topic, unjudged docs counted): ideal DCG@k}
+        self._ideals: dict[tuple, dict[tuple[str, int], float]] = {}
 
     def hist(self, topic: str) -> tuple[Counter, int, int]:
         found = self._hists.get(topic)
@@ -471,9 +473,10 @@ def ndcg_reports(
     With ``ideal_pool="qrels"`` a run changes a topic's ideal DCG only
     through how many unjudged docs it retrieved, and only up to k of them
     matter; when g(0) = 0 they add nothing.  So the judged levels are
-    counted once per pool, and a run costs O(k) lookups per topic when no
-    scheme has g(0) > 0 (else its docs are scanned until k unjudged are
-    seen).
+    counted once per pool, each topic's ideal DCG is summed once per pool,
+    scheme and count of unjudged docs, and a run costs O(k) lookups per
+    topic when no scheme has g(0) > 0 (else its docs are scanned until k
+    unjudged are seen).
     """
     if ideal_pool not in ("qrels", "run"):
         raise ValidationError(f"ideal_pool must be 'qrels' or 'run', got {ideal_pool!r}")
@@ -520,13 +523,18 @@ def ndcg_reports(
         gains, top = measure.gains, len(measure.gains) - 1
         # levels by falling gain, to expand a histogram into sorted gains
         order = sorted(range(top + 1), key=gains.__getitem__, reverse=True)
+        # the qrels pool's ideal DCG is the same for every run: it reads the
+        # discount's first min(k, pool size) weights, and `weights` has them
+        ideals = {} if ideal_pool == "run" else pool._ideals.setdefault((gains, discount, k), {})
         values, excluded = {}, []
         for topic, levels, (hist, lo, hi, unjudged) in zip(topics, ranked, facts):
             if lo < 0 or hi > top:
                 raise MetricError(f"level {lo if lo < 0 else hi} outside gain vector 0..{top}")
-            counts = (hist[i] + unjudged if i == 0 else hist[i] for i in order)
-            pool_gains = chain.from_iterable(map(repeat, map(gains.__getitem__, order), counts))
-            ideal = _dcg(pool_gains, weights)
+            ideal = ideals.get((topic, unjudged))
+            if ideal is None:
+                counts = (hist[i] + unjudged if i == 0 else hist[i] for i in order)
+                pool_gains = map(repeat, map(gains.__getitem__, order), counts)
+                ideal = ideals[topic, unjudged] = _dcg(chain.from_iterable(pool_gains), weights)
             if ideal == 0.0:
                 excluded.append(topic)
             else:

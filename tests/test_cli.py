@@ -1877,6 +1877,7 @@ class TestUnreadFlags:
 
     @pytest.mark.parametrize("argv, line", [
         ([*BUDGET, "-2"], "budgets must be >= 0, got -2"),
+        ([*BUDGET, "-2,5"], "budgets must be >= 0, got -2"),
         ([*BUDGET, "0,5,-1"], "budgets must be >= 0, got -1"),
         ([*BUDGET, "0"], "no positive budgets"),
         ([*BUDGET, "3,2"], "budgets must be strictly increasing, got [3, 2]"),
@@ -1884,11 +1885,14 @@ class TestUnreadFlags:
         ([*GAINS, "1,nan,2"], "gains must be finite and >= 0, got nan"),
         ([*GAINS, "1,2,inf"], "gains must be finite and >= 0, got inf"),
         ([*GAINS, "1,-2,3"], "gains must be finite and >= 0, got -2.0"),
+        ([*GAINS, "-1,2,3"], "gains must be finite and >= 0, got -1.0"),
+        ([*GAINS, "-.5,2,3"], "gains must be finite and >= 0, got -0.5"),
         ([*GAINS, "0,0,0"], "custom gain vector must not be all zero"),
         # the number of values is checked against the scale once it is read
         ([*GAINS, "0,0"], "custom gain vector must not be all zero"),
-    ], ids=["budget-negative", "budget-negative-after-0", "budget-0", "budgets-falling",
-            "budgets-repeated", "gains-nan", "gains-inf", "gains-negative", "gains-zero",
+    ], ids=["budget-negative", "budget-negative-first", "budget-negative-after-0", "budget-0",
+            "budgets-falling", "budgets-repeated", "gains-nan", "gains-inf", "gains-negative",
+            "gains-negative-first", "gains-negative-fraction-first", "gains-zero",
             "gains-zero-short"])
     def test_number_list_value_is_one_error_line_before_any_file(self, tmp_path, argv, line):
         # argparse checks the values of --budgets and --custom-gains as it
@@ -1896,6 +1900,24 @@ class TestUnreadFlags:
         # that does not exist, and no rule fires
         code, out, err, fired = _run_rules(argv, str(tmp_path / "missing.txt"))
         assert (code, out, err, fired) == (1, "", f"error: {line}\n", [])
+
+    @pytest.mark.parametrize("flag, value, after", [
+        ("--budgets", "-2,5", ["--rounds", "3"]),
+        ("--budgets", "-2,", []),
+        ("--custom-gains", "-1,2,3", ["--k", "5"]),
+        ("--custom-gains", "-0.5,1", []),
+    ])
+    def test_negative_first_number_reads_as_with_equals(self, tmp_path, flag, value, after):
+        # a comma list that starts with a negative number is the flag's
+        # value, as a lone negative number is, and not a flag of its own:
+        # the same line as ``flag=value``, whatever flag follows
+        head = self.BUDGET[:-1] if flag == "--budgets" else self.GAINS[:-1]
+        missing = str(tmp_path / "missing.txt")
+        spaced = _run_rules([*head, flag, value, *after], missing)
+        joined = _run_rules([*head, f"{flag}={value}", *after], missing)
+        assert spaced == joined
+        assert (spaced[0], spaced[1], spaced[3]) == (1, "", [])
+        assert spaced[2].startswith("error: ") and spaced[2].count("\n") == 1
 
     @pytest.mark.parametrize("argv, line", [
         ([*BUDGET, ","], "--budgets is required (comma list, e.g. 50,100,200)"),

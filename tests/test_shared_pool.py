@@ -1,7 +1,8 @@
 """Differential tests: nDCG of many runs through one shared pool.
 
 A pool (``metrics._Pool``) holds what nDCG needs of one group's judgments
-whatever the run: each topic's level histogram.  ``cli eval`` and
+whatever the run: each topic's level histogram and, pooled with the
+qrels, its ideal DCG under each scheme.  ``cli eval`` and
 ``analysis.rank_by_ndcg`` build one per group and score every run
 through it.  Each report must equal, bit for bit, the per-run reference
 of :func:`topic_dcg` over :func:`ideal_dcg_at_k`, with the same warnings
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 from prmeval.analysis import rank_by_ndcg
 from prmeval.corpus import RunEntry, RunRanking
 from prmeval.errors import MetricError, PrmError
+from prmeval import metrics
 from prmeval.metrics import (
     DiscountFunction, GainScheme, MetricReport, _Pool, ideal_dcg_at_k, ndcg_reports, topic_dcg,
 )
@@ -177,6 +179,28 @@ def test_runs_through_a_shared_pool_equal_per_run_reference(case, runs_first):
             assert got == ref
 
 
+def depth(run: RunRanking) -> int:
+    return max(len(run.doc_ids(topic)) for topic in run.topics())
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_pool_cases(), st.booleans())
+def test_ideal_dcg_kept_by_the_pool_serves_runs_of_every_depth(case, shallow_first):
+    # a qrels pool sums each topic's ideal DCG for the first run that meets
+    # it under a scheme, discount, k and count of unjudged docs, and the
+    # other runs read it back: shallow runs first or deep runs first, each
+    # report equals the per-run reference
+    judged, runs_, configs = case
+    runs_ = sorted(runs_, key=depth, reverse=not shallow_first)
+    pools = [_Pool(doc_levels) for doc_levels in judged]
+    for schemes, discount, k, _ in configs:
+        for run in runs_:
+            for doc_levels, pool in zip(judged, pools):
+                ref = outcome(ref_reports, run, doc_levels, schemes, discount, k, "qrels")
+                got = outcome(ndcg_reports, run, pool, schemes, discount, k)
+                assert got == ref
+
+
 @settings(max_examples=100, deadline=None)
 @given(shared_pool_cases())
 def test_rank_by_ndcg_equals_means_of_per_run_reports(case):
@@ -287,3 +311,28 @@ def test_a_plain_map_gets_a_pool_of_its_own():
     for run in runs_:
         ndcg_reports(run, judged, schemes, DiscountFunction.log(), K)
         assert lookups(judged) == 300 + K
+
+
+def test_warm_qrels_pool_sums_each_ideal_dcg_once(monkeypatch):
+    judged, runs_ = deep_case()
+    schemes = [GainScheme.binary(2, 2), GainScheme.custom([0.5, 1.0, 2.0])]
+    sums = []
+    dcg = metrics._dcg
+    monkeypatch.setattr(metrics, "_dcg", lambda *args: sums.append(1) or dcg(*args))
+
+    def n_sums(run, pool, k=K, discount=DiscountFunction.log(), ideal_pool="qrels"):
+        sums.clear()
+        ndcg_reports(run, pool, schemes, discount, k, ideal_pool=ideal_pool)
+        return len(sums)
+
+    pool, per_run = _Pool(judged), len(judged) * len(schemes)
+    # per topic and scheme, the first run sums the ideal and its own DCG
+    assert n_sums(runs_[0], pool) == 2 * per_run
+    # every later run retrieves k unjudged docs too, so it sums only its own
+    assert [n_sums(run, pool) for run in runs_[1:]] == [per_run] * 3
+    # another k or discount has ideals of its own, and so has a new pool
+    assert n_sums(runs_[1], pool, k=K + 1) == 2 * per_run
+    assert n_sums(runs_[1], pool, discount=DiscountFunction.zipf()) == 2 * per_run
+    assert n_sums(runs_[1], _Pool(judged)) == 2 * per_run
+    # a run's own pool changes with the run, so its ideals are never kept
+    assert [n_sums(run, pool, ideal_pool="run") for run in runs_] == [2 * per_run] * 4
