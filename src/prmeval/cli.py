@@ -245,12 +245,9 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
     out, and a ``run`` list gives one ``--run`` per item.  The command and
     analysis kind come from the command line only; any other key that the
     command does not take is an error."""
+    from . import corpus
     path = args.config
-    with _open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: bad config JSON: {exc}") from exc
+    obj = _parse(path, corpus._read_json, "bad config JSON")
     if not isinstance(obj, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
     config = {str(k).replace("-", "_"): v for k, v in obj.items()}
@@ -291,8 +288,8 @@ def _parse(path: str, parser, *args, **kwargs):
     """``parser(open stream of path, *args, **kwargs)``; its errors and
     warnings name the file.  The qrels, pairs and run parsers read the
     binary stream in blocks and decode only the blocks and columns they
-    need, the scale and table parsers read the text stream whole, the
-    others line by line."""
+    need, the scale, table and config readers read the text stream whole,
+    the others line by line."""
     from . import corpus
     binary = parser in (corpus.parse_qrels, corpus.parse_paired, corpus.parse_run)
     with _open(path, binary) as fh:

@@ -788,14 +788,21 @@ def _unseen_docs(
     return new
 
 
-def parse_scale(source: str | IO[str]) -> RelevanceScale:
-    """Read a JSON scale descriptor from a string or stream."""
+def _read_json(source: str | IO[str], what: str):
+    """The JSON value in a string or text stream.  Anything ``json`` cannot
+    decode is a ParseError that starts with ``what``: bad syntax, nesting
+    deeper than the recursion limit, or an integer longer than
+    ``sys.get_int_max_str_digits()``."""
     text = source if isinstance(source, str) else source.read()
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad scale descriptor JSON: {exc}") from exc
-    return RelevanceScale.from_descriptor(obj)
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{what}: {exc}") from None
+
+
+def parse_scale(source: str | IO[str]) -> RelevanceScale:
+    """Read a JSON scale descriptor from a string or stream."""
+    return RelevanceScale.from_descriptor(_read_json(source, "bad scale descriptor JSON"))
 
 
 _QRELS = "topic iteration doc level"

@@ -46,7 +46,6 @@ never a silent zero.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 import warnings
@@ -58,9 +57,9 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .corpus import (
     JudgmentPair, JudgmentPairs, JudgmentSet, RelevanceScale, _cuts, _docs_by_topic, _Frozen,
-    _integral,
+    _integral, _read_json,
 )
-from .errors import DataWarning, EstimationError, ParseError, ValidationError
+from .errors import DataWarning, EstimationError, ValidationError
 
 __all__ = [
     "UserModel",
@@ -263,7 +262,7 @@ class DisagreementTable(_Frozen):
                         source=str(c.get("source", default_source)),
                     )
                 )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed disagreement table: {exc!r}") from None
         return cls(
             scale=scale,
@@ -275,12 +274,7 @@ class DisagreementTable(_Frozen):
 
     @classmethod
     def from_json(cls, source: str | IO[str]) -> "DisagreementTable":
-        text = source if isinstance(source, str) else source.read()
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"disagreement table is not valid JSON: {exc}") from None
-        return cls.from_json_dict(obj)
+        return cls.from_json_dict(_read_json(source, "disagreement table is not valid JSON"))
 
     def to_text(self) -> str:
         """Aligned table, highest level first, probabilities to 4 decimals."""

@@ -7,6 +7,7 @@ import io
 import json
 import random
 import re
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -72,6 +73,22 @@ def ws(tmp_path, scale3_json, golden_qrels_u1, golden_qrels_u2, golden_paired_te
 
 NOT_WHOLE = "malformed disagreement table: ValueError('not a whole number: "
 NOT_REAL = "malformed disagreement table: ValueError('not a number: True')"
+
+# JSON that fails to decode other than by bad syntax: nesting deeper than
+# the recursion limit, and an integer longer than sys.get_int_max_str_digits()
+DEEP = "[" * 100_000
+LONG_INT = "1" * 5000
+LONG_INTS = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                               reason="no limit on the digits of an integer")
+
+
+def _json_error(text: str) -> str:
+    """What ``json.loads(text)`` says when it cannot decode ``text``."""
+    try:
+        json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        return str(exc)
+    raise AssertionError(f"{text[:20]!r} decodes")
 
 
 def _table(at: int | None = None, **fields) -> str:
@@ -533,6 +550,21 @@ class TestConfigFile:
         )
         assert code == 1
         assert "config must be a JSON object" in err
+
+    @pytest.mark.parametrize(
+        "text", [pytest.param(DEEP, id="deep-nesting"),
+                 pytest.param(LONG_INT, id="long-integer", marks=LONG_INTS)],
+    )
+    def test_undecodable_config(self, capsys, ws, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(
+            capsys,
+            ["estimate", "--config", str(path), "--scale", ws["scale"],
+             "--pairs", ws["pairs"], "--theta", "2"],
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: bad config JSON: {_json_error(text)}\n"
 
 
 class TestAnalyzeCommand:
@@ -1113,6 +1145,12 @@ class TestModuleEntryPoint:
             ('{"scale": {"labels": ["a", "b", "c"]}, "theta": 2, "cells": [{"p": 1}]}',
              "malformed disagreement table: KeyError('level')"),
             ("theta: 2\n", "disagreement table is not valid JSON"),
+            pytest.param(DEEP, "disagreement table is not valid JSON: " + _json_error(DEEP),
+                         id="deep-nesting"),
+            pytest.param(LONG_INT, "disagreement table is not valid JSON: " + _json_error(LONG_INT),
+                         id="long-integer", marks=LONG_INTS),
+            pytest.param(_table(2, p=10**400), "malformed disagreement table: "
+                         "OverflowError('int too large to convert to float')", id="p-too-large"),
             # a boolean or a fraction is no whole number, a boolean no real
             pytest.param(_table(theta=True), NOT_WHOLE + "True')", id="theta-true"),
             pytest.param(_table(theta=2.7), NOT_WHOLE + "2.7')", id="theta-fraction"),
@@ -1194,6 +1232,10 @@ class TestModuleEntryPoint:
             ('{"labels": 5}', "bad scale descriptor labels: 5"),
             ('{"levels": {"0": "a", "1": "b"}, "top_index": "x"}',
              "bad scale descriptor top_index: 'x'"),
+            pytest.param(DEEP, f"bad scale descriptor JSON: {_json_error(DEEP)}",
+                         id="deep-nesting"),
+            pytest.param(LONG_INT, f"bad scale descriptor JSON: {_json_error(LONG_INT)}",
+                         id="long-integer", marks=LONG_INTS),
         ],
     )
     def test_malformed_scale_is_an_error(self, tmp_path, text, message):

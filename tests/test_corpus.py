@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -98,6 +99,22 @@ class TestRelevanceScale:
         with pytest.raises(ValidationError) as excinfo:
             parse_scale(text)
         assert str(excinfo.value) == message
+
+    # nesting deeper than the recursion limit, an integer longer than
+    # sys.get_int_max_str_digits(): json's own errors, not a syntax error
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param("[" * 100_000, "maximum recursion depth exceeded", id="deep-nesting"),
+            pytest.param("1" * 5000, "Exceeds the limit", id="long-integer",
+                         marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                                  reason="no limit on the digits of an integer")),
+        ],
+    )
+    def test_undecodable_descriptor_is_a_parse_error(self, text, message):
+        with pytest.raises(ParseError) as excinfo:
+            parse_scale(text)
+        assert str(excinfo.value).startswith(f"bad scale descriptor JSON: {message}")
 
 
 class TestParseQrels:
