@@ -20,7 +20,6 @@ extra): without it that command ends, after every input check, in one
 from __future__ import annotations
 
 import argparse
-import contextlib
 import importlib
 import io
 import json
@@ -28,8 +27,8 @@ import sys
 import warnings
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
-from .errors import (EstimationError, MetricError, ParseError, PrmError, ValidationError,
-                     check_budgets, check_custom_gains)
+from .errors import (DataWarning, EstimationError, MetricError, ParseError, PrmError,
+                     ValidationError, check_budgets, check_custom_gains)
 
 if TYPE_CHECKING:
     from . import analysis, corpus, disagreement, metrics
@@ -271,34 +270,22 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
     return flags
 
 
-@contextlib.contextmanager
-def _open(path: str, binary: bool = False):
-    """``path`` open as UTF-8 text without a leading byte-order mark, or
-    ``binary`` for a reader that decodes it as such (see `_parse`); bytes
-    that are not UTF-8 are a ParseError that names the file."""
-    try:
-        with open(path, "rb") if binary else open(path, encoding="utf-8-sig") as fh:
-            yield fh
-    except UnicodeDecodeError as exc:
-        bad = f"byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
-        raise ParseError(f"{path}: not UTF-8 text ({bad})") from None
-
-
 def _parse(path: str, parser, *args, **kwargs):
-    """``parser(open stream of path, *args, **kwargs)``; its errors and
-    warnings name the file.  The qrels, pairs and run parsers read the
-    binary stream in blocks and decode only the blocks and columns they
-    need, the scale, table and config readers read the text stream whole,
-    the others line by line."""
-    from . import corpus
-    binary = parser in (corpus.parse_qrels, corpus.parse_paired, corpus.parse_run)
-    with _open(path, binary) as fh:
+    """``parser(path open as a binary stream, *args, **kwargs)``; its errors
+    and warnings name the file, and bytes that are not UTF-8 are a
+    ParseError.  Every reader decodes the bytes as text mode would (see
+    `corpus._text_mode`): the qrels, pairs and run parsers block by block,
+    the others the whole file at once."""
+    with open(path, "rb") as fh:
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 return parser(fh, *args, **kwargs)
         except (ParseError, ValidationError) as exc:
             raise type(exc)(f"{path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            bad = f"byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
+            raise ParseError(f"{path}: not UTF-8 text ({bad})") from None
         finally:
             for w in caught:
                 warnings.warn(f"{path}: {w.message}", w.category, stacklevel=2)
@@ -858,7 +845,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse --help exits 0; usage errors surface as code 1
         return 0 if exc.code in (None, 0) else 1
-    except PrmError as exc:
+    except (PrmError, DataWarning) as exc:
+        # a DataWarning is raised only where the warnings filter makes it an error
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
@@ -870,7 +858,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     finally:
         warnings.formatwarning = formatwarning
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

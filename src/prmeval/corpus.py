@@ -593,17 +593,18 @@ def _index_run(
 
 
 def _records(
-    source: str | bytes | Iterable[str], spec: str, start: int = 1
+    source: str | bytes | IO[bytes] | Iterable[str], spec: str, start: int = 1
 ) -> Iterator[tuple[int, list[str]]]:
     """Yield (line_no, fields) skipping blanks and ``#`` comment lines,
-    numbering the lines of ``source`` from ``start``; a str, or a block
-    of bytes from :func:`_blocks`, is split into lines at each newline
-    character.
+    numbering the lines of ``source`` from ``start``; a str, a binary
+    stream (see :func:`_whole`) or a block of bytes from :func:`_blocks`
+    is split into lines at each newline character.
 
     ``spec`` names the fields, space-separated; a record with another
     number of fields is a ParseError.
     """
     n = len(spec.split())
+    source = _whole(source)
     if isinstance(source, bytes):
         source = source.decode("utf-8", _SURROGATES)
     if isinstance(source, str):
@@ -685,11 +686,11 @@ def _text_blank(block: bytes, ascii: bool) -> bool:
 
 
 def _text_mode(block: bytes, ascii: bool, first: bool) -> bytes:
-    """A block of a binary stream, kept as bytes, as text mode reads UTF-8:
-    decoded strictly unless ``ascii``, with no byte-order mark at the start
-    of the ``first`` block, and with ``"\\r\\n"`` and ``"\\r"`` as ``"\\n"``.
-    A block ends at a newline or at the end of the file, so it cuts no
-    character and no ``"\\r\\n"`` in two."""
+    """A block of a binary stream, or all of it, kept as bytes, as text
+    mode reads UTF-8: decoded strictly unless ``ascii``, with no byte-order
+    mark at the start of the ``first`` block, and with ``"\\r\\n"`` and
+    ``"\\r"`` as ``"\\n"``.  A block ends at a newline or at the end of the
+    file, so it cuts no character and no ``"\\r\\n"`` in two."""
     if not ascii:
         block.decode()
         if first and block.startswith(b"\xef\xbb\xbf"):
@@ -697,6 +698,15 @@ def _text_mode(block: bytes, ascii: bool, first: bool) -> bytes:
     if b"\r" in block:
         block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     return block
+
+
+def _whole(source: str | IO[str] | IO[bytes] | Iterable[str]) -> str | IO[str] | Iterable[str]:
+    """A binary stream read whole and decoded as text mode reads it (see
+    :func:`_text_mode`); any other source as it is."""
+    if isinstance(source, (io.BufferedIOBase, io.RawIOBase)):
+        data = source.read()
+        return _text_mode(data, data.isascii(), True).decode()
+    return source
 
 
 def _columns(text: bytes, spec: str, n_lines: int, skip: tuple) -> list | None:
@@ -788,19 +798,21 @@ def _unseen_docs(
     return new
 
 
-def _read_json(source: str | IO[str], what: str):
-    """The JSON value in a string or text stream.  Anything ``json`` cannot
-    decode is a ParseError that starts with ``what``: bad syntax, nesting
-    deeper than the recursion limit, or an integer longer than
-    ``sys.get_int_max_str_digits()``."""
-    text = source if isinstance(source, str) else source.read()
+def _read_json(source: str | IO[str] | IO[bytes], what: str):
+    """The JSON value in a string or stream (a binary one decoded by
+    :func:`_whole` before the ``try``: a bad byte is not bad JSON).
+    Anything ``json`` cannot decode is a ParseError that starts with
+    ``what``: bad syntax, nesting deeper than the recursion limit, or an
+    integer longer than ``sys.get_int_max_str_digits()``."""
+    text = _whole(source)
+    text = text if isinstance(text, str) else text.read()
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"{what}: {exc}") from None
 
 
-def parse_scale(source: str | IO[str]) -> RelevanceScale:
+def parse_scale(source: str | IO[str] | IO[bytes]) -> RelevanceScale:
     """Read a JSON scale descriptor from a string or stream."""
     return RelevanceScale.from_descriptor(_read_json(source, "bad scale descriptor JSON"))
 
@@ -1049,7 +1061,7 @@ def parse_run(source: str | IO[str] | IO[bytes] | Iterable[str]) -> RunRanking:
     return run
 
 
-def parse_intent_probabilities(source: Iterable[str]) -> dict[str, dict[str, float]]:
+def parse_intent_probabilities(source: IO[bytes] | Iterable[str]) -> dict[str, dict[str, float]]:
     """Parse ``topic intent probability`` records."""
     out: dict[str, dict[str, float]] = {}
     for line_no, fields in _records(source, "topic intent probability"):
@@ -1066,7 +1078,7 @@ def parse_intent_probabilities(source: Iterable[str]) -> dict[str, dict[str, flo
     return out
 
 
-def parse_strata(source: Iterable[str]) -> dict[str, str]:
+def parse_strata(source: IO[bytes] | Iterable[str]) -> dict[str, str]:
     """Parse ``topic stratum`` records into a topic -> stratum map."""
     out: dict[str, str] = {}
     for line_no, fields in _records(source, "topic stratum"):
@@ -1077,7 +1089,7 @@ def parse_strata(source: Iterable[str]) -> dict[str, str]:
     return out
 
 
-def parse_resource_map(source: Iterable[str]) -> dict[str, str]:
+def parse_resource_map(source: IO[bytes] | Iterable[str]) -> dict[str, str]:
     """Parse ``doc resource`` records into a doc -> resource map."""
     out: dict[str, str] = {}
     for line_no, fields in _records(source, "doc resource"):

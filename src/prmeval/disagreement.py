@@ -273,7 +273,7 @@ class DisagreementTable(_Frozen):
         )
 
     @classmethod
-    def from_json(cls, source: str | IO[str]) -> "DisagreementTable":
+    def from_json(cls, source: str | IO[str] | IO[bytes]) -> "DisagreementTable":
         return cls.from_json_dict(_read_json(source, "disagreement table is not valid JSON"))
 
     def to_text(self) -> str:

@@ -87,7 +87,9 @@ class GainScheme(_Frozen):
 
     @classmethod
     def exponential(cls, top_index: int) -> "GainScheme":
-        return cls("exponential", tuple(float(2**i - 1) for i in range(top_index + 1)))
+        # 2^i - 1 past the float range is inf, which the gain check rejects
+        gains = (float(2**i - 1) if i < 1024 else math.inf for i in range(top_index + 1))
+        return cls("exponential", tuple(gains))
 
     @classmethod
     def prm(cls, table: DisagreementTable) -> "GainScheme":

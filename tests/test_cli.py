@@ -55,6 +55,8 @@ def ws(tmp_path, scale3_json, golden_qrels_u1, golden_qrels_u2, golden_paired_te
         for rank, doc in enumerate(reversed(perfect), start=1)
     ]
     files["run_reverse"] = write("run_reverse.txt", "".join(lines))
+    files["strata"] = write("strata.txt", "201 a\n202 b\n")
+    files["intents"] = write("intents.txt", "201 a 0.5\n201 b 0.5\n")
 
     degenerate = {
         "scale": {"labels": ["Non", "Rel", "HRel"]},
@@ -67,6 +69,8 @@ def ws(tmp_path, scale3_json, golden_qrels_u1, golden_qrels_u2, golden_paired_te
         ],
     }
     files["degenerate"] = write("degenerate.json", json.dumps(degenerate))
+    files["resource_map"] = write("resource_map.txt", "".join(f"{d} r{i % 3}\n"
+                                                              for i, d in enumerate(docs)))
     files["dir"] = str(d)
     return files
 
@@ -1236,21 +1240,28 @@ class TestModuleEntryPoint:
                          id="deep-nesting"),
             pytest.param(LONG_INT, f"bad scale descriptor JSON: {_json_error(LONG_INT)}",
                          id="long-integer", marks=LONG_INTS),
+            # a scale that reads, but whose exponential gain 2^i - 1 is too
+            # large for a float from level 1024 on
+            pytest.param(json.dumps({"labels": [f"l{i}" for i in range(1100)]}),
+                         "gains must be finite and >= 0, got inf", id="exponential-gains-overflow"),
         ],
     )
-    def test_malformed_scale_is_an_error(self, tmp_path, text, message):
+    def test_malformed_scale_is_an_error(self, ws, tmp_path, text, message):
         import subprocess
         import sys
 
         scale = tmp_path / "scale.json"
         scale.write_text(text, encoding="utf-8")
         proc = subprocess.run(
-            [sys.executable, "-m", "prmeval", "validate", "--scale", str(scale)],
+            [sys.executable, "-m", "prmeval", "eval", "--scale", str(scale),
+             "--qrels", ws["qrels_u1"], "--run", ws["run_perfect"], "--gains", "exponential"],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 1
-        assert proc.stderr == f"error: {scale}: {message}\n"
+        # an error of the scale file names it; the gains' error comes after it is read
+        where = "" if message.startswith("gains") else f"{scale}: "
+        assert proc.stderr == f"error: {where}{message}\n"
 
     @pytest.mark.parametrize(
         "base, message",
@@ -1275,16 +1286,31 @@ class TestModuleEntryPoint:
         "--run": "".join(f"201 Q0 d{r} {r} 1.0 s\n" for r in range(1, 20001)),
     }
 
-    @staticmethod
-    def _validate(ws, flag, path):
+    # the fixture file of each input flag, and a command that reads the
+    # flag with the other inputs it needs (else validate, beside a scale,
+    # qrels and a run)
+    FILES = {"--scale": "scale", "--qrels": "qrels_u1", "--run": "run_perfect",
+             "--pairs": "pairs2", "--table": "degenerate", "--strata": "strata",
+             "--intents": "intents", "--resource-map": "resource_map"}
+    READS = {
+        "--table": (["eval", "--gains", "prm"], ("--scale", "--qrels", "--run")),
+        "--strata": (["estimate"], ("--scale", "--pairs")),
+        "--resource-map": (["analyze", "quality"], ("--scale", "--qrels", "--pairs")),
+    }
+
+    @classmethod
+    def _argv(cls, ws, flag, path):
+        command, others = cls.READS.get(flag, (["validate"], ("--scale", "--qrels", "--run")))
+        return [*command, *[a for f in others if f != flag for a in (f, ws[cls.FILES[f]])],
+                flag, path]
+
+    @classmethod
+    def _command(cls, ws, flag, path):
         import subprocess
         import sys
 
-        inputs = {"--scale": ws["scale"], "--qrels": ws["qrels_u1"], "--run": ws["run_perfect"]}
-        inputs[flag] = path
         return subprocess.run(
-            [sys.executable, "-m", "prmeval", "validate",
-             *[a for item in inputs.items() for a in item]],
+            [sys.executable, "-m", "prmeval", *cls._argv(ws, flag, path)],
             capture_output=True,
             text=True,
         )
@@ -1295,11 +1321,16 @@ class TestModuleEntryPoint:
         pytest.param("--pairs", "201 d1 2 1\n201 caf\xe9 1 1\n", id="--pairs"),
         pytest.param("--qrels", LONG["--qrels"] + "201 0 caf\xe9 1\n", id="--qrels-past-first-block"),
         pytest.param("--run", LONG["--run"] + "# \xe9t\xe9\n", id="--run"),
+        pytest.param("--table", '{"scale": {"labels": ["Non", "Rel\xe9"]}}', id="--table"),
+        pytest.param("--config", '{"format": "t\xe9xt"}', id="--config"),
+        pytest.param("--strata", "201 a\n202 caf\xe9\n", id="--strata"),
+        pytest.param("--intents", "201 caf\xe9 1.0\n", id="--intents"),
+        pytest.param("--resource-map", "d1 r1\nd2 caf\xe9\n", id="--resource-map"),
     ])
     def test_non_utf8_input_is_one_error_line(self, ws, tmp_path, flag, text):
         bad = tmp_path / "latin1.txt"
         bad.write_bytes(text.encode("latin-1"))
-        proc = self._validate(ws, flag, str(bad))
+        proc = self._command(ws, flag, str(bad))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr == f"error: {bad}: not UTF-8 text (byte 0xe9: invalid continuation byte)\n"
@@ -1314,25 +1345,25 @@ class TestModuleEntryPoint:
         # is found before a byte that is not UTF-8 in a later one
         bad = tmp_path / "latin1.txt"
         bad.write_bytes((record + self.LONG[flag] + "# \xe9t\xe9\n").encode("latin-1"))
-        proc = self._validate(ws, flag, str(bad))
+        proc = self._command(ws, flag, str(bad))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         fault = "non-integer rank: 'x'" if flag == "--run" else "level 7 > T=2"
         assert proc.stderr == f"error: {bad}: line 1: {fault}\n"
 
-    @pytest.mark.parametrize("flag", ["--scale", "--qrels", "--run"])
+    @pytest.mark.parametrize("flag", ["--scale", "--qrels", "--run", "--table", "--strata",
+                                      "--intents"])
     def test_byte_order_mark_is_dropped(self, capsys, ws, tmp_path, flag):
-        from pathlib import Path
-
-        inputs = {"--scale": ws["scale"], "--qrels": ws["qrels_u1"], "--run": ws["run_perfect"]}
+        path = ws[self.FILES[flag]]
         bom = tmp_path / "bom.txt"
-        bom.write_bytes(b"\xef\xbb\xbf" + Path(inputs[flag]).read_bytes())
-        for command in (["validate"], ["eval", "--theta", "2"]):
-            argv = [*command, *[a for item in inputs.items() for a in item]]
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+        argv = self._argv(ws, flag, path)
+        commands = [argv] if flag in self.READS else [argv, ["eval", "--theta", "2", *argv[1:]]]
+        for argv in commands:
             plain = run_cli(capsys, argv)
-            with_bom = run_cli(capsys, [str(bom) if a == inputs[flag] else a for a in argv])
+            with_bom = run_cli(capsys, [str(bom) if a == path else a for a in argv])
             assert plain[0] == 0
-            assert with_bom == tuple(part.replace(inputs[flag], str(bom)) if isinstance(part, str)
+            assert with_bom == tuple(part.replace(path, str(bom)) if isinstance(part, str)
                                      else part for part in plain)
 
     @pytest.mark.parametrize("flag, record, fault", [
@@ -1356,14 +1387,19 @@ class TestModuleEntryPoint:
         lines[at - 1] = record.format(at)
         bad = tmp_path / "latin1.txt"
         bad.write_bytes("".join(lines[:at] + ["# \xe9t\xe9\n"] + lines[at:]).encode("latin-1"))
-        proc = self._validate(ws, flag, str(bad))
+        proc = self._command(ws, flag, str(bad))
         assert (proc.returncode, proc.stderr) == (1, f"error: {bad}: line {at}: {fault}\n")
 
     def test_crlf_and_byte_order_mark_give_the_same_bytes(self, capsys, ws, tmp_path):
-        # every judgment and run file copied with CRLF line ends after a
-        # byte-order mark, as an editor on Windows may save it
+        # every input file copied with CRLF line ends after a byte-order
+        # mark, as an editor on Windows may save it; the table is written
+        # over several lines first
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(json.loads(Path(ws["degenerate"]).read_text()), indent=2))
+        ws = dict(ws, table=str(table))
         copies = {}
-        for name in ("qrels_u1", "qrels_u2", "pairs", "run_perfect", "run_reverse"):
+        for name in ("scale", "qrels_u1", "qrels_u2", "pairs", "pairs2", "run_perfect",
+                     "run_reverse", "table", "strata", "intents"):
             copy = tmp_path / f"crlf_{name}.txt"
             data = Path(ws[name]).read_bytes().replace(b"\n", b"\r\n")
             copy.write_bytes(b"\xef\xbb\xbf" + data)
@@ -1376,6 +1412,10 @@ class TestModuleEntryPoint:
              "--measures", "ndcg,precision,count-prm", "--format", "csv"],
             ["estimate", *both, "--qrels2", ws["qrels_u2"], "--estimator", "all"],
             ["estimate", "--scale", ws["scale"], "--pairs", ws["pairs"], "--format", "json"],
+            ["estimate", "--scale", ws["scale"], "--pairs", ws["pairs2"], "--strata", ws["strata"],
+             "--estimator", "all"],
+            ["eval", *both, *runs, "--gains", "binary,prm", "--table", ws["table"],
+             "--intents", ws["intents"], "--measures", "ndcg,precision", "--format", "json"],
         ):
             plain = run_cli(capsys, argv)
             crlf = run_cli(capsys, [copies.get(a, a) for a in argv])
@@ -1430,6 +1470,28 @@ class TestWarningLines:
         assert proc.stderr == f"warning: {prefix}{line}\n"
         assert "<string>" not in proc.stderr
         assert "DataWarning:" not in proc.stderr
+
+    @pytest.mark.parametrize("how", ["-W", "PYTHONWARNINGS"])
+    def test_warning_made_an_error_is_one_error_line(self, ws, tmp_path, how):
+        # with the warnings filter set to error, a parser's warning ends the
+        # command as an error does
+        import os
+        import subprocess
+        import sys
+
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text("201 d1 1 2\n201 d1 2 2\n", encoding="utf-8")
+        env = dict(os.environ, PYTHONWARNINGS="error" if how == "PYTHONWARNINGS" else "")
+        proc = subprocess.run(
+            [sys.executable, *(["-W", "error"] if how == "-W" else []), "-m", "prmeval",
+             "estimate", "--scale", ws["scale"], "--pairs", str(pairs)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (f"error: {pairs}: line 2: extra judgments for (topic=201, doc=d1) "
+                               "ignored; only the first two are used\n")
 
     def test_formatter_restored_after_main(self, capsys, ws):
         import warnings

@@ -26,6 +26,7 @@ from prmeval.corpus import (
     parse_strata,
     select_top_intent,
 )
+from prmeval.disagreement import DisagreementTable
 from prmeval.errors import DataWarning, ParseError, ValidationError
 from synth import write_paired, write_qrels, write_run
 
@@ -415,6 +416,26 @@ class TestSidecars:
     def test_resource_map_conflict(self):
         with pytest.raises(ValidationError, match="conflicting"):
             parse_resource_map(["d1 engineA\n", "d1 engineB\n"])
+
+
+_TABLE_JSON = json.dumps({
+    "scale": {"labels": ["Non", "Rel", "HRel"]}, "theta": 2, "estimator": "manual",
+    "cells": [{"level": 0, "p": 0.0}, {"level": 1, "p": 0.3}, {"level": 2, "p": 1.0}],
+}, indent=2)
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_scale, '{"labels": ["Non", "Rel\u00e9", "HRel"]}\n'),
+    (DisagreementTable.from_json, _TABLE_JSON),
+    (parse_strata, "# topic stratum\n201 web\n\n202 caf\u00e9\n"),
+    (parse_intent_probabilities, "201 i1 0.7\n201 i2 0.3\n"),
+    (parse_resource_map, "d1 engineA\nd2 engine\u00df\n"),
+], ids=["scale", "table", "strata", "intents", "resource_map"])
+def test_binary_stream_reads_as_its_text(parse, text):
+    # the bytes of the text, and with a byte-order mark and CRLF line ends
+    data = text.encode()
+    assert parse(io.BytesIO(data)) == parse(text)
+    assert parse(io.BytesIO(b"\xef\xbb\xbf" + data.replace(b"\n", b"\r\n"))) == parse(text)
 
 
 class TestSelectTopIntent:

@@ -96,12 +96,12 @@ PAIRS = ["--scale", "scale.json", "--pairs", "pairs.txt", "--theta", "2"]
 # that corpus and disagreement, which the quick-start `estimate` runs,
 # import besides.  Beyond what these load, `import prmeval.cli` loads only
 # `__future__` and prmeval's own modules; the estimate also loads the
-# `locale` that argparse's gettext reads and the codec of its input files.
-CLI_STDLIB = "argparse, contextlib, importlib, io, json, sys, typing, warnings"
+# `locale` that argparse's gettext reads, and no codec, since every input
+# file is opened as bytes.
+CLI_STDLIB = "argparse, importlib, io, json, sys, typing, warnings"
 ESTIMATE_STDLIB = CLI_STDLIB + ", array, collections, itertools, math, operator, re"
 CLI_OWN = {"__future__", "prmeval", "prmeval.cli", "prmeval.errors"}
-ESTIMATE_OWN = CLI_OWN | {"prmeval.corpus", "prmeval.disagreement", "locale", "_locale",
-                          "encodings.utf_8_sig"}
+ESTIMATE_OWN = CLI_OWN | {"prmeval.corpus", "prmeval.disagreement", "locale", "_locale"}
 
 
 def _modules(code: str) -> set[str]:
